@@ -57,12 +57,6 @@ def serial_engine():
 
 
 @pytest.fixture
-def process_engine():
-    """A 4-worker process-pool engine (bit-identical to serial, faster)."""
-    return ExperimentEngine(executor="process", workers=4)
-
-
-@pytest.fixture
 def auto_engine():
-    """The plan-adaptive engine: tensorized backend for batch-capable kernels."""
-    return ExperimentEngine(executor="auto")
+    """The vectorized engine: tensorized backend for batch-capable series."""
+    return ExperimentEngine(executor="vectorized")

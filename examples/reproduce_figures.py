@@ -7,13 +7,15 @@ The figure list, reduced-scale parameters, cache-key payloads, and
 success-rate formatting all come from the application-kernel registry
 (``repro.experiments.kernels``) — this script holds no figure table of its
 own.  Sweeps execute through the experiment engine, so the executor is
-selectable (``--executor auto`` picks the tensorized backend for every
-batch-capable kernel) and completed figures are cached on disk keyed by a
-content hash of their spec: re-running with unchanged parameters replays
-cached tables instead of recomputing.
+selectable (the default ``vectorized`` runs every batch-capable series on
+the tensorized backend and the rest one trial at a time) and completed
+figures are cached on disk keyed by a content hash of their spec:
+re-running with unchanged parameters replays cached tables instead of
+recomputing.  Parallel runs go through ``scripts/run_campaign.py --pool
+process``.
 
 Run:  python examples/reproduce_figures.py [--paper-scale] [--output DIR]
-          [--executor {serial,process,batched,vectorized,auto}] [--workers N]
+          [--executor {batched,serial,vectorized}]
           [--only NAME [--only NAME ...]] [--trials N] [--backend NAME]
           [--grid] [--scenario NAME [--scenario NAME ...]]
           [--budget {fixed,adaptive}] [--budget-half-width W]
@@ -51,6 +53,7 @@ from pathlib import Path
 from repro.backends import resolve_backend, use_backend
 from repro.experiments import kernels
 from repro.experiments.engine import ExperimentEngine
+from repro.experiments.executors import list_executors
 from repro.experiments.figures import DEFAULT_CROSS_MODEL_SCENARIOS
 from repro.experiments.reporting import format_figure, save_figure_report
 from repro.experiments.scenarios import get_scenario, list_scenarios
@@ -62,12 +65,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="use the paper's full iteration counts (slow)")
     parser.add_argument("--output", type=Path, default=None,
                         help="directory to save the tables into")
-    parser.add_argument("--executor",
-                        choices=("serial", "process", "batched", "vectorized", "auto"),
-                        default="auto", help="how sweep trials execute (auto picks "
-                        "the tensorized backend when a kernel supports it)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="worker count for --executor process")
+    parser.add_argument("--executor", choices=list_executors(), default="vectorized",
+                        help="how sweep trials execute (default: vectorized, the "
+                        "tensorized backend wherever a kernel supports it)")
     parser.add_argument("--only", action="append", default=None, metavar="NAME",
                         help="generate only this kernel (repeatable); registry "
                         "names (e.g. sorting) or figure names (e.g. figure_6_1)")
@@ -195,8 +195,6 @@ def main(argv=None) -> None:
             suffix = f" [{', '.join(tags)}]" if tags else ""
             print(f"{spec.name:24s} {spec.figure_id:14s} {spec.figure}{suffix}")
         return
-    if args.workers is not None and args.workers < 1:
-        parser.error(f"--workers must be positive, got {args.workers}")
     if args.trials is not None and args.trials < 0:
         parser.error(f"--trials must be non-negative, got {args.trials}")
     policy = resolve_policy(parser, args)
@@ -214,7 +212,6 @@ def main(argv=None) -> None:
 
     engine = ExperimentEngine(
         executor=args.executor,
-        workers=args.workers,
         cache_dir=None if args.no_cache else args.cache_dir,
         progress=progress if args.progress else None,
     )

@@ -15,8 +15,8 @@ nonzero when:
 Records with no compatible baseline (first run at a new scale or on a new
 machine) extend the history without being judged.  The **compute backend**
 is part of the compatibility key alongside the benchmark parameters:
-records produced under different backends (``numpy`` vs ``cnative`` vs
-``numba``) are never compared, even with ``--ignore-machine``, and
+records produced under different backends (``numpy`` vs ``cnative``) are
+never compared, even with ``--ignore-machine``, and
 pre-backend records count as ``numpy`` (see ``docs/backends.md``).  Run
 from the repository root:
 

@@ -88,8 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker pool (default: thread)")
     parser.add_argument("--workers", type=int, default=2,
                         help="worker-pool size (default: 2)")
-    parser.add_argument("--executor", default="auto", choices=list_executors(),
-                        help="per-shard trial executor (default: auto)")
+    parser.add_argument("--executor", default="vectorized", choices=list_executors(),
+                        help="per-shard trial executor (default: vectorized)")
     parser.add_argument("--granularity", choices=("series", "cell"),
                         default="series",
                         help="shard granularity (default: series)")

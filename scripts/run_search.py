@@ -119,8 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker pool per probe (default: serial)")
     parser.add_argument("--workers", type=int, default=None,
                         help="worker-pool size (default: pool default)")
-    parser.add_argument("--executor", default="auto", choices=list_executors(),
-                        help="per-probe trial executor (default: auto)")
+    parser.add_argument("--executor", default="vectorized", choices=list_executors(),
+                        help="per-probe trial executor (default: vectorized)")
     parser.add_argument("--backend", default=None,
                         help="compute backend for every trial (default: ambient)")
     parser.add_argument("--resume", default=None, metavar="SEARCH_ID",

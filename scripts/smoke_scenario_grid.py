@@ -2,9 +2,9 @@
 """CI smoke test for the ScenarioGrid path.
 
 Runs a tiny 2-scenario × 2-rate grid on the sorting kernel through the
-serial, process, and batched executors (plus the tensorized ``vectorized``
-tier) and asserts that every executor produces bit-identical series — the
-ScenarioGrid counterpart of the engine's executor-equivalence contract.
+serial, batched, and tensorized ``vectorized`` executors and asserts that
+every executor produces bit-identical series — the ScenarioGrid counterpart
+of the engine's executor-equivalence contract.
 
 Run from the repository root:
 
@@ -38,7 +38,7 @@ from repro.experiments.sequential import ConfidenceTarget
 
 SCENARIOS = ("nominal", "low-order-seu")
 FAULT_RATES = (0.05, 0.2)
-EXECUTORS = ("serial", "process", "batched", "vectorized")
+EXECUTORS = ("serial", "batched", "vectorized")
 SERIES = ("Base", "SGD+AS,SQS")
 
 
@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--executor", action="append", default=None,
                         metavar="NAME", choices=EXECUTORS,
                         help="executor to compare against serial (repeatable; "
-                        "default: process, batched, vectorized)")
+                        "default: batched, vectorized)")
     parser.add_argument("--budget", choices=("fixed", "adaptive"),
                         default="fixed",
                         help="'adaptive' smokes the confidence-target round "

@@ -5,7 +5,6 @@ Importing this package registers every built-in backend:
 * ``numpy`` — the always-available reference tier (no kernel overrides).
 * ``cnative`` — cffi-compiled C kernels, bit-identical to numpy.
 * ``cnative-fused`` — cnative plus statistical-tier fused reductions.
-* ``numba`` — JIT kernels, available only where numba is installed.
 
 See ``docs/backends.md`` for the selection precedence, equivalence tiers,
 and the per-kernel support matrix.
@@ -30,7 +29,6 @@ from repro.backends.registry import (
 
 # Importing the modules registers the built-in backends.
 from repro.backends import cnative as _cnative  # noqa: F401,E402
-from repro.backends import numba_backend as _numba_backend  # noqa: F401,E402
 from repro.backends import numpy_backend as _numpy_backend  # noqa: F401,E402
 
 __all__ = [

@@ -6,9 +6,9 @@ behind :meth:`repro.faults.injector.FaultInjector.corrupt_array`, the fused
 batch corruption behind :meth:`repro.processor.batch.ProcessorBatch.corrupt`,
 the scalar direct-form IIR recursion, and the per-row reductions of the
 masked-batch solvers.  ``numpy`` (the pure-numpy tier, always available) is
-the reference; compiled backends (``cnative`` via cffi+cc, ``numba`` via JIT)
-register faster implementations of individual kernels and fall back to the
-numpy code path for everything else.
+the reference; the compiled backends (``cnative`` / ``cnative-fused`` via
+cffi+cc) register faster implementations of individual kernels and fall back
+to the numpy code path for everything else.
 
 Selection precedence is **explicit argument > ``REPRO_BACKEND`` env var >
 default (numpy)**; a known-but-uninstalled backend falls back to numpy with a
@@ -105,11 +105,11 @@ class ComputeBackend:
     Parameters
     ----------
     name:
-        Registry name (``"numpy"``, ``"cnative"``, ``"numba"``, ...).
+        Registry name (``"numpy"``, ``"cnative"``, ...).
     load:
         Zero-argument callable returning the backend's kernel table
         (``{kernel name: KernelImpl}``).  Raises :class:`BackendUnavailable`
-        when a dependency (compiler, numba, ...) is missing; the load runs at
+        when a dependency (compiler, cffi, ...) is missing; the load runs at
         most once and its outcome is cached.
     version:
         Zero-argument callable returning the provider's version string (or
@@ -177,7 +177,7 @@ class ComputeBackend:
         return any(k.tier == STATISTICAL for k in self.kernels().values())
 
     def version(self) -> Optional[str]:
-        """Version of the backing provider (numpy / compiler / numba)."""
+        """Version of the backing provider (numpy / compiler)."""
         if not self.available() or self._version is None:
             return None
         return self._version()

@@ -38,8 +38,8 @@ stable kernel name (``"sorting"``, ``"cg_least_squares"``, ...).
 Sweeps execute through the :class:`~repro.experiments.engine.ExperimentEngine`
 plan/execute subsystem: a sweep is expanded into seeded
 :class:`~repro.experiments.spec.TrialSpec` entries and handed to a pluggable
-executor (``serial``, ``process``, ``batched``, ``vectorized``, or ``auto``),
-all of which produce bit-identical results.  The ``vectorized`` executor is
+executor (``serial``, ``batched``, or ``vectorized``), all of which produce
+bit-identical results.  The ``vectorized`` executor is
 the tensorized trial backend (:mod:`repro.experiments.tensor`): it runs a
 whole (fault-rate × trials) series grid as one stacked numpy computation for
 trial functions that declare a batch implementation.  Completed figures can
@@ -48,9 +48,7 @@ be cached on disk through :class:`~repro.experiments.cache.ResultCache`.
 
 from repro.experiments.engine import ExperimentEngine, ProgressEvent
 from repro.experiments.executors import (
-    AutoExecutor,
     BatchedExecutor,
-    ProcessExecutor,
     SerialExecutor,
     VectorizedExecutor,
     get_executor,
@@ -60,7 +58,6 @@ from repro.experiments.kernels import (
     KernelSpec,
     batch_implementation,
     batchable,
-    batchable_series,
     get_kernel,
     is_batchable,
     kernel_names,
@@ -103,14 +100,11 @@ __all__ = [
     "SweepSpec",
     "TrialSpec",
     "SerialExecutor",
-    "ProcessExecutor",
     "BatchedExecutor",
     "VectorizedExecutor",
-    "AutoExecutor",
     "KernelSpec",
     "batchable",
     "batch_implementation",
-    "batchable_series",
     "is_batchable",
     "get_kernel",
     "kernel_names",

@@ -20,7 +20,7 @@ machine fingerprint (wall-clock seconds from different hardware are not
 comparable; speedup ratios nearly are, but machine-matching both keeps the
 gate honest about noisy shared runners), **and** the compute backend
 (records missing the field count as ``"numpy"``, so pre-backend histories
-stay comparable; a ``cnative`` or ``numba`` run is never judged against a
+stay comparable; a ``cnative`` run is never judged against a
 numpy baseline even though both append to the same kernel's history file).
 Records that have no compatible baseline simply extend the history without
 being judged — the gate reports them as unjudged rather than guessing.

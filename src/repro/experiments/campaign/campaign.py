@@ -89,8 +89,7 @@ class Campaign:
         store: ShardStore,
         campaign_id: str,
         scheduler: CampaignScheduler,
-        executor: str = "auto",
-        executor_options: Optional[Mapping[str, Any]] = None,
+        executor: str = "vectorized",
         progress: Optional[Callable[[ProgressEvent], None]] = None,
     ) -> None:
         self.sweep = sweep
@@ -99,7 +98,6 @@ class Campaign:
         self.campaign_id = campaign_id
         self.scheduler = scheduler
         self.executor = executor
-        self.executor_options = dict(executor_options or {})
         self.progress = progress
         #: Stats of the most recent :meth:`run` (empty before the first).
         self.stats: Dict[str, Any] = {}
@@ -155,7 +153,6 @@ class Campaign:
             self.shards,
             self.store,
             executor=self.executor,
-            executor_options=self.executor_options,
             on_shard=hook,
         )
         return self.result()
@@ -231,7 +228,7 @@ class CampaignRunner:
     planner / pool / workers / max_retries:
         Forwarded to :class:`~.planner.ShardPlanner` /
         :class:`~.scheduler.CampaignScheduler`.
-    executor / executor_options:
+    executor:
         Per-shard trial executor (registry name), threaded through to
         workers.
     progress:
@@ -246,8 +243,7 @@ class CampaignRunner:
         pool: str = "thread",
         workers: Optional[int] = None,
         max_retries: int = 2,
-        executor: str = "auto",
-        executor_options: Optional[Mapping[str, Any]] = None,
+        executor: str = "vectorized",
         progress: Optional[Callable[[ProgressEvent], None]] = None,
     ) -> None:
         self.store = store if isinstance(store, ShardStore) else ShardStore(store)
@@ -256,7 +252,6 @@ class CampaignRunner:
             pool=pool, workers=workers, max_retries=max_retries
         )
         self.executor = executor
-        self.executor_options = dict(executor_options or {})
         self.progress = progress
 
     def campaign_id(
@@ -309,7 +304,6 @@ class CampaignRunner:
             campaign_id=campaign_id,
             scheduler=self.scheduler,
             executor=self.executor,
-            executor_options=self.executor_options,
             progress=self.progress,
         )
 

@@ -8,39 +8,40 @@ pools:
     Shards run inline, one at a time — the reference pool.
 ``thread``
     A ``ThreadPoolExecutor``: shards overlap in one process.  Useful when
-    each shard's executor releases the GIL (numpy tensor batches) or is
-    itself a process pool (the executors module serializes concurrent
-    process-executor runs safely).
+    each shard's executor releases the GIL (numpy tensor batches).
 ``process``
     A fork-context ``ProcessPoolExecutor``: one OS process per worker, with
     **retry-on-worker-death** — a died worker breaks the pool, which is
     rebuilt and the still-unfinished shards requeued, up to ``max_retries``
     rebuilds.  Completed shards were already published to the store, so a
     retry never recomputes them.  Falls back to ``thread`` where fork is
-    unsupported (same platform test as the process executor).
+    unsupported or unsafe (see :meth:`CampaignScheduler.resolved_pool`).
 
-Within a shard, trials run through the ordinary executor stack
+These pools are where parallelism lives: an executor runs a shard's trials
+in one process, and the engine's ``run_sweep`` is the single-shard, inline
+case.  Within a shard, trials run through the ordinary executor stack
 (:func:`~repro.experiments.executors.get_executor` by name, so the choice
-ships to forked workers as plain strings); the sweep's compute-backend
+ships to forked workers as a plain string); the sweep's compute-backend
 choice rides on the sweep object itself.  Results are bit-identical across
 pools for the same reason they are across executors: every trial and every
 adaptive stopping decision derives from grid coordinates alone.
 
-Like the process executor, the process pool hands the (unpicklable) sweep to
-workers by fork inheritance through a module-level slot, so only one process
-campaign can run at a time per process (enforced with a lock + error).
+The process pool hands the (unpicklable) sweep to workers by fork
+inheritance through a module-level slot, so only one process campaign can
+run at a time per process (enforced with a lock + error).
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import sys
 import threading
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, ThreadPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.engine import run_adaptive_points, run_point_block
-from repro.experiments.executors import Executor, ProcessExecutor, get_executor
+from repro.experiments.executors import Executor, get_executor
 from repro.experiments.campaign.planner import Shard
 from repro.experiments.campaign.store import ShardResult, ShardStore
 from repro.experiments.spec import SweepSpec
@@ -88,16 +89,15 @@ def execute_shard(sweep: SweepSpec, shard: Shard, executor: Executor) -> ShardRe
 
 
 # --------------------------------------------------------------------------- #
-# Process-pool plumbing (fork inheritance, same pattern as ProcessExecutor)
+# Process-pool plumbing (fork inheritance)
 # --------------------------------------------------------------------------- #
-_ACTIVE_CAMPAIGN: Optional[Tuple[SweepSpec, Sequence[Shard], str, Dict[str, Any]]] = None
+_ACTIVE_CAMPAIGN: Optional[Tuple[SweepSpec, Sequence[Shard], str]] = None
 _ACTIVE_CAMPAIGN_LOCK = threading.RLock()
 
 
 def _run_shard_by_index(index: int) -> Tuple[int, Tuple[Tuple[float, ...], ...], Optional[Tuple[bool, ...]]]:
-    sweep, shards, executor_name, executor_options = _ACTIVE_CAMPAIGN
-    executor = get_executor(executor_name, **executor_options)
-    result = execute_shard(sweep, shards[index], executor)
+    sweep, shards, executor_name = _ACTIVE_CAMPAIGN
+    result = execute_shard(sweep, shards[index], get_executor(executor_name))
     return index, result.values, result.halted
 
 
@@ -132,8 +132,17 @@ class CampaignScheduler:
         self.max_retries = max_retries
 
     def resolved_pool(self) -> str:
-        """The pool that will actually run: process falls back off-fork."""
-        if self.pool == "process" and not ProcessExecutor.is_supported():
+        """The pool that will actually run: process falls back off-fork.
+
+        macOS advertises fork, but forking a process with an initialized
+        Accelerate/Objective-C runtime is unsafe (workers can abort or
+        deadlock), so the process pool runs only where fork after numpy
+        initialization is well-behaved and falls back to threads elsewhere.
+        """
+        if self.pool == "process" and (
+            sys.platform == "darwin"
+            or "fork" not in multiprocessing.get_all_start_methods()
+        ):
             return "thread"
         if self.workers <= 1 and self.pool != "serial":
             return "serial"
@@ -144,8 +153,7 @@ class CampaignScheduler:
         sweep: SweepSpec,
         shards: Sequence[Shard],
         store: ShardStore,
-        executor: str = "auto",
-        executor_options: Optional[Mapping[str, Any]] = None,
+        executor: str = "vectorized",
         on_shard: Optional[ShardCallback] = None,
     ) -> Dict[str, Any]:
         """Execute every shard not already in the store; return run stats.
@@ -155,7 +163,6 @@ class CampaignScheduler:
         shards — everything already published is skipped by the next run.
         Returns ``{"total", "reused", "computed", "retries", "pool"}``.
         """
-        options = dict(executor_options or {})
         completed_ids = store.completed(shards)
         pending = [shard for shard in shards if shard.shard_id not in completed_ids]
         stats: Dict[str, Any] = {
@@ -177,14 +184,12 @@ class CampaignScheduler:
         pool_kind = stats["pool"]
         if pool_kind == "serial":
             for shard in pending:
-                result = execute_shard(sweep, shard, get_executor(executor, **options))
+                result = execute_shard(sweep, shard, get_executor(executor))
                 publish(shard, result)
         elif pool_kind == "thread":
-            self._run_thread_pool(sweep, pending, executor, options, publish)
+            self._run_thread_pool(sweep, pending, executor, publish)
         else:
-            self._run_process_pool(
-                sweep, shards, pending, executor, options, publish, stats
-            )
+            self._run_process_pool(sweep, shards, pending, executor, publish, stats)
         return stats
 
     def _run_thread_pool(
@@ -192,15 +197,12 @@ class CampaignScheduler:
         sweep: SweepSpec,
         pending: Sequence[Shard],
         executor: str,
-        options: Dict[str, Any],
         publish: Callable[[Shard, ShardResult], None],
     ) -> None:
         workers = min(self.workers, len(pending))
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = {
-                pool.submit(
-                    execute_shard, sweep, shard, get_executor(executor, **options)
-                ): shard
+                pool.submit(execute_shard, sweep, shard, get_executor(executor)): shard
                 for shard in pending
             }
             try:
@@ -219,7 +221,6 @@ class CampaignScheduler:
         shards: Sequence[Shard],
         pending: Sequence[Shard],
         executor: str,
-        options: Dict[str, Any],
         publish: Callable[[Shard, ShardResult], None],
         stats: Dict[str, Any],
     ) -> None:
@@ -231,7 +232,7 @@ class CampaignScheduler:
                 raise RuntimeError(
                     "the process worker pool is not reentrant within one process"
                 )
-            _ACTIVE_CAMPAIGN = (sweep, tuple(shards), executor, options)
+            _ACTIVE_CAMPAIGN = (sweep, tuple(shards), executor)
             try:
                 context = multiprocessing.get_context("fork")
                 while remaining:

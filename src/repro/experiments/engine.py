@@ -4,20 +4,19 @@
 sweep is first expanded into seeded :class:`~repro.experiments.spec.TrialSpec`
 entries (the *plan*), then handed to a pluggable executor (the *execution*):
 
->>> engine = ExperimentEngine(executor="process", workers=4)
+>>> engine = ExperimentEngine(executor="vectorized")
 >>> series = engine.run_sweep(SweepSpec({"Base": trial_fn}, trials=20))
 
 Because every trial derives its random streams from its own grid coordinates,
 all executors produce bit-identical results; choosing an executor is purely a
-throughput decision.  ``serial`` is the reference, ``process`` forks across
-cores, ``batched`` vectorizes per (series, rate) cell, ``vectorized`` runs
-the tensorized trial backend (one stacked computation per series, spanning
-the whole rate grid — see :mod:`repro.experiments.tensor`), and ``auto``
-picks ``vectorized`` whenever the application-kernel registry
-(:func:`~repro.experiments.kernels.batchable_series`) finds batch-capable
-series in the plan.  The engine additionally streams per-(series, rate)
-progress events to an optional callback and memoizes completed figures on
-disk through :class:`~repro.experiments.cache.ResultCache`.
+throughput decision.  ``serial`` is the reference, ``batched`` vectorizes per
+(series, rate) cell, and ``vectorized`` runs the tensorized trial backend
+(one stacked computation per series, spanning the whole rate grid — see
+:mod:`repro.experiments.tensor`).  Parallel runs go through the campaign
+layer (:mod:`repro.experiments.campaign`), whose worker pools run shards
+through these same executors.  The engine additionally streams per-(series,
+rate) progress events to an optional callback and memoizes completed figures
+on disk through :class:`~repro.experiments.cache.ResultCache`.
 """
 
 from __future__ import annotations
@@ -264,17 +263,13 @@ class ExperimentEngine:
     Parameters
     ----------
     executor:
-        Executor name (``"serial"``, ``"process"``, ``"batched"``,
-        ``"vectorized"``, ``"auto"``) or a ready-built
-        :class:`~repro.experiments.executors.Executor`.
-    workers / chunksize:
-        Forwarded to the ``process`` executor; ignored by the others.
+        Executor name (``"serial"``, ``"batched"``, ``"vectorized"``) or a
+        ready-built :class:`~repro.experiments.executors.Executor`.
     cache_dir:
         Enables :meth:`run_figure` memoization when set.
     progress:
         Callback receiving a :class:`ProgressEvent` after every completed
-        trial.  Events arrive in completion order, which under the process
-        executor is not plan order.
+        trial, in completion order.
     backend:
         Compute-backend name (see :mod:`repro.backends`) applied to every
         sweep this engine runs that does not already carry its own choice.
@@ -285,19 +280,13 @@ class ExperimentEngine:
     def __init__(
         self,
         executor: Union[str, Executor] = "serial",
-        workers: Optional[int] = None,
-        chunksize: Optional[int] = None,
         cache_dir: Union[str, Path, None] = None,
         progress: Optional[ProgressCallback] = None,
         backend: Optional[str] = None,
     ) -> None:
-        if isinstance(executor, Executor):
-            self.executor = executor
-        else:
-            options: Dict[str, Any] = {}
-            if executor == "process":
-                options = {"workers": workers, "chunksize": chunksize}
-            self.executor = get_executor(executor, **options)
+        self.executor = (
+            executor if isinstance(executor, Executor) else get_executor(executor)
+        )
         self.cache = ResultCache(cache_dir) if cache_dir is not None else None
         self.progress = progress
         if backend is not None:

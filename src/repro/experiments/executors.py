@@ -8,56 +8,36 @@ bit-identical results for the same plan:
 
 ``serial``
     The reference executor: one trial at a time, in plan order.
-``process``
-    A ``multiprocessing`` pool (fork start method) running chunks of trials
-    in parallel.  Falls back to serial execution where fork is unavailable
-    or the plan is too small to be worth forking for.
 ``batched``
-    Groups the trials of each (series, fault-rate) cell and hands whole
-    batches to trial functions that declare a vectorized implementation via
-    :func:`~repro.experiments.kernels.batchable` (typically built on
-    :func:`repro.faults.vectorized.corrupt_batch`); plain functions fall back
-    to per-trial execution.
+    One :func:`~repro.experiments.tensor.run_tensor_cell` call per (series,
+    scenario, fault-rate) cell.
 ``vectorized``
     The tensorized trial backend (:mod:`repro.experiments.tensor`): one batch
-    per *series*, spanning the entire (fault-rate × trials) grid, so a whole
-    sweep cell advances as a single stacked numpy computation.  Series
-    without a batch implementation fall back to per-trial execution.
-``auto``
-    Picks the fast path per plan: ``vectorized`` when any series declares a
-    batch implementation, the serial reference otherwise.
+    per (series, scenario), spanning the entire (fault-rate × trials) grid,
+    so a whole sweep cell advances as a single stacked numpy computation.
 
-Batch capability is a property of the trial function alone, and the
-application-kernel registry (:mod:`repro.experiments.kernels`) is the single
-place it is declared (:func:`~repro.experiments.kernels.batchable`) and
-inspected (:func:`~repro.experiments.kernels.batch_implementation`,
-:func:`~repro.experiments.kernels.batchable_series`); executors route through
-those helpers.
+The two batching executors share one loop and differ only in the group key.
+Series whose trial function declares no batch implementation
+(:func:`~repro.experiments.kernels.batch_implementation`) run one trial at a
+time, identically to the serial executor.  Parallelism lives one layer up,
+in the worker pools of
+:class:`~repro.experiments.campaign.scheduler.CampaignScheduler`.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import sys
-import threading
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.kernels import (
-    batch_implementation,
-    batchable,
-    batchable_series,
-)
-from repro.experiments.spec import SweepSpec, TrialSpec, backend_scope, run_trial
+from repro.experiments.kernels import batch_implementation, batchable
+from repro.experiments.spec import SweepSpec, TrialSpec, run_trial
+from repro.experiments.tensor import run_tensor_cell
 
 __all__ = [
     "EmitFunction",
     "Executor",
     "SerialExecutor",
-    "ProcessExecutor",
     "BatchedExecutor",
     "VectorizedExecutor",
-    "AutoExecutor",
     "batchable",
     "get_executor",
     "list_executors",
@@ -105,118 +85,42 @@ class SerialExecutor(Executor):
         return values
 
 
-# --------------------------------------------------------------------------- #
-# Process-pool executor
-# --------------------------------------------------------------------------- #
-# Trial functions are typically closures over workload arrays and are not
-# picklable, so the plan is handed to workers through fork inheritance: the
-# parent publishes the active (sweep, specs) pair in this module-level slot
-# immediately before forking the pool, and workers receive only spec indices
-# over the task queue.  The slot holds exactly one plan, so concurrent
-# ``run`` calls from different threads (e.g. campaign shards dispatched by a
-# thread pool, each configured with a process executor) serialize on the
-# lock rather than corrupting each other's plan.
-_ACTIVE_PLAN: Optional[Tuple[SweepSpec, Sequence[TrialSpec]]] = None
-# RLock, not Lock: a same-thread reentrant call (a trial function invoking
-# the executor) must reach the populated-slot check and raise, not deadlock.
-_ACTIVE_PLAN_LOCK = threading.RLock()
+def _run_grouped(
+    sweep: SweepSpec,
+    specs: Sequence[TrialSpec],
+    emit: Optional[EmitFunction],
+    group_key: Callable[[TrialSpec], Tuple],
+) -> List[float]:
+    """Run each ``group_key`` group of ``specs`` as one tensor cell.
 
-
-def _run_indexed_trial(index: int) -> Tuple[int, float]:
-    sweep, specs = _ACTIVE_PLAN
-    return index, run_trial(sweep, specs[index])
-
-
-class ProcessExecutor(Executor):
-    """Parallel executor: a fork-based worker pool over chunks of trials.
-
-    Parameters
-    ----------
-    workers:
-        Pool size.  Defaults to ``os.cpu_count()``, capped at the number of
-        trials in the plan.
-    chunksize:
-        Trials per task handed to a worker.  Defaults to roughly four chunks
-        per worker, which amortizes queue overhead while keeping the pool
-        load-balanced across cells of uneven cost.
+    A group whose series has no batch implementation, or that holds a single
+    trial, runs per-trial exactly like the serial executor.
     """
-
-    name = "process"
-
-    def __init__(self, workers: Optional[int] = None, chunksize: Optional[int] = None) -> None:
-        if workers is not None and workers < 1:
-            raise ValueError(f"workers must be positive, got {workers}")
-        if chunksize is not None and chunksize < 1:
-            raise ValueError(f"chunksize must be positive, got {chunksize}")
-        self.workers = workers
-        self.chunksize = chunksize
-
-    @staticmethod
-    def is_supported() -> bool:
-        """Whether fork-based pools are safe on this platform.
-
-        macOS advertises fork but forking a process with an initialized
-        Accelerate/Objective-C runtime is unsafe (workers can abort or
-        deadlock), so the pool is restricted to platforms where fork after
-        numpy initialization is well-behaved; elsewhere execution falls back
-        to the serial reference.
-        """
-        return (
-            sys.platform != "darwin"
-            and "fork" in multiprocessing.get_all_start_methods()
-        )
-
-    def run(
-        self,
-        sweep: SweepSpec,
-        specs: Sequence[TrialSpec],
-        emit: Optional[EmitFunction] = None,
-    ) -> List[float]:
-        global _ACTIVE_PLAN
-        workers = self.workers if self.workers is not None else (os.cpu_count() or 1)
-        workers = min(workers, max(len(specs), 1))
-        if not self.is_supported() or workers <= 1 or len(specs) <= 1:
-            return SerialExecutor().run(sweep, specs, emit)
-        chunksize = self.chunksize
-        if chunksize is None:
-            chunksize = max(1, len(specs) // (workers * 4))
-        values: List[Optional[float]] = [None] * len(specs)
-        context = multiprocessing.get_context("fork")
-        with _ACTIVE_PLAN_LOCK:
-            if _ACTIVE_PLAN is not None:
-                # The lock serializes cross-thread runs; reaching a populated
-                # slot while holding it means same-thread reentrancy (a trial
-                # or emit callback invoking the executor), which fork
-                # inheritance cannot support.
-                raise RuntimeError(
-                    "ProcessExecutor is not reentrant within one thread"
-                )
-            _ACTIVE_PLAN = (sweep, specs)
-            try:
-                with context.Pool(processes=workers) as pool:
-                    iterator = pool.imap_unordered(
-                        _run_indexed_trial, range(len(specs)), chunksize=chunksize
-                    )
-                    for index, value in iterator:
-                        values[index] = value
-                        if emit is not None:
-                            emit(index, value)
-            finally:
-                _ACTIVE_PLAN = None
-        return values  # type: ignore[return-value]
+    groups: Dict[Tuple, List[Tuple[int, TrialSpec]]] = {}
+    for index, spec in enumerate(specs):
+        groups.setdefault(group_key(spec), []).append((index, spec))
+    values: List[Optional[float]] = [None] * len(specs)
+    for group in groups.values():
+        function = sweep.trial_functions[group[0][1].series_name]
+        if batch_implementation(function) is None or len(group) == 1:
+            for index, spec in group:
+                values[index] = run_trial(sweep, spec)
+                if emit is not None:
+                    emit(index, values[index])
+            continue
+        batch_values = run_tensor_cell(sweep, [spec for _, spec in group])
+        for (index, _), value in zip(group, batch_values):
+            values[index] = value
+            if emit is not None:
+                emit(index, value)
+    return values  # type: ignore[return-value]
 
 
-# --------------------------------------------------------------------------- #
-# Batched executor
-# --------------------------------------------------------------------------- #
 class BatchedExecutor(Executor):
-    """Vectorizing executor: one call per (series, scenario, fault-rate) batch.
+    """One tensor cell per (series, scenario, fault-rate) group.
 
-    Trial functions decorated with
-    :func:`~repro.experiments.kernels.batchable` run their whole batch in one
-    vectorized call; undecorated functions run per-trial, identically to the
-    serial executor.  Scenario grids are split into per-scenario sub-batches
-    so every batch shares one datapath configuration.
+    Every processor of a batch shares one fault rate; see
+    :class:`VectorizedExecutor` for the whole-rate-grid batch.
     """
 
     name = "batched"
@@ -227,59 +131,22 @@ class BatchedExecutor(Executor):
         specs: Sequence[TrialSpec],
         emit: Optional[EmitFunction] = None,
     ) -> List[float]:
-        cells: Dict[Tuple, List[Tuple[int, TrialSpec]]] = {}
-        for index, spec in enumerate(specs):
-            # Scenario grids may mix fault models / dtypes / voltages across
-            # trials; a batch must stay within one scenario so its processors
-            # share a datapath configuration.  Single-axis sweeps have
-            # scenario_index None throughout, so the grouping is unchanged.
-            cell_key = (spec.series_index, spec.scenario_index, spec.rate_index)
-            cells.setdefault(cell_key, []).append((index, spec))
-        values: List[Optional[float]] = [None] * len(specs)
-        for cell in cells.values():
-            function = sweep.trial_functions[cell[0][1].series_name]
-            run_batch = batch_implementation(function)
-            if run_batch is None or len(cell) == 1:
-                for index, spec in cell:
-                    values[index] = run_trial(sweep, spec)
-                    if emit is not None:
-                        emit(index, values[index])
-                continue
-            # The sweep's backend choice must be ambient while the batch's
-            # substrate objects (processors, ProcessorBatch) are constructed
-            # and while the batch kernel runs.
-            with backend_scope(cell[0][1].backend):
-                streams = [spec.make_stream() for _, spec in cell]
-                procs = [
-                    spec.make_processor(stream)
-                    for (_, spec), stream in zip(cell, streams)
-                ]
-                batch_values = [float(v) for v in run_batch(procs, streams)]
-            if len(batch_values) != len(cell):
-                raise ValueError(
-                    f"run_batch returned {len(batch_values)} values "
-                    f"for a batch of {len(cell)} trials"
-                )
-            for (index, _), value in zip(cell, batch_values):
-                values[index] = value
-                if emit is not None:
-                    emit(index, value)
-        return values  # type: ignore[return-value]
+        return _run_grouped(
+            sweep, specs, emit,
+            lambda spec: (spec.series_index, spec.scenario_index, spec.rate_index),
+        )
 
 
 class VectorizedExecutor(Executor):
-    """The tensorized executor: one batch per (series, scenario), all rates.
+    """The tensorized executor: one tensor cell per (series, scenario), all rates.
 
-    For a series whose trial function declares a batch implementation
-    (:func:`~repro.experiments.kernels.batch_implementation`), the entire
-    (fault-rate × trials) grid becomes one
+    For a series whose trial function declares a batch implementation, the
+    entire (fault-rate × trials) grid becomes one
     :func:`repro.experiments.tensor.run_tensor_cell` call — a single stacked
     numpy computation over a
     :class:`~repro.processor.batch.ProcessorBatch` whose rows carry their own
-    fault rates.  A scenario grid runs one such tensorized sub-batch per
-    scenario (a batch must share one datapath dtype and bit distribution).
-    Series without a batch implementation run per-trial, identically to the
-    serial executor.
+    fault rates.  A scenario grid runs one such sub-batch per scenario, since
+    dtype, bit distribution, and voltage may vary across scenarios.
     """
 
     name = "vectorized"
@@ -290,66 +157,20 @@ class VectorizedExecutor(Executor):
         specs: Sequence[TrialSpec],
         emit: Optional[EmitFunction] = None,
     ) -> List[float]:
-        from repro.experiments.tensor import run_tensor_cell
-
-        # One batch per (series, scenario): a scenario grid is executed as
-        # one tensorized sub-batch per scenario, since dtype, bit
-        # distribution, and voltage may vary across scenarios.  Single-axis
-        # sweeps (scenario_index None) keep their one-batch-per-series shape.
-        series_groups: Dict[Tuple, List[Tuple[int, TrialSpec]]] = {}
-        for index, spec in enumerate(specs):
-            group_key = (spec.series_index, spec.scenario_index)
-            series_groups.setdefault(group_key, []).append((index, spec))
-        values: List[Optional[float]] = [None] * len(specs)
-        for group in series_groups.values():
-            function = sweep.trial_functions[group[0][1].series_name]
-            if batch_implementation(function) is None or len(group) == 1:
-                for index, spec in group:
-                    values[index] = run_trial(sweep, spec)
-                    if emit is not None:
-                        emit(index, values[index])
-                continue
-            batch_values = run_tensor_cell(sweep, [spec for _, spec in group])
-            for (index, _), value in zip(group, batch_values):
-                values[index] = value
-                if emit is not None:
-                    emit(index, value)
-        return values  # type: ignore[return-value]
+        return _run_grouped(
+            sweep, specs, emit,
+            lambda spec: (spec.series_index, spec.scenario_index),
+        )
 
 
-class AutoExecutor(Executor):
-    """Plan-adaptive executor: the engine's "pick the fast path for me" option.
-
-    Delegates to :class:`VectorizedExecutor` when the registry capability
-    probe (:func:`~repro.experiments.kernels.batchable_series`) finds any
-    batch-capable series in the plan, and to the :class:`SerialExecutor`
-    reference otherwise.  Either way the results are bit-identical; only
-    throughput changes.
-    """
-
-    name = "auto"
-
-    def run(
-        self,
-        sweep: SweepSpec,
-        specs: Sequence[TrialSpec],
-        emit: Optional[EmitFunction] = None,
-    ) -> List[float]:
-        if batchable_series(sweep):
-            return VectorizedExecutor().run(sweep, specs, emit)
-        return SerialExecutor().run(sweep, specs, emit)
-
-
-_EXECUTORS: Dict[str, Callable[..., Executor]] = {
+_EXECUTORS: Dict[str, Callable[[], Executor]] = {
     "serial": SerialExecutor,
-    "process": ProcessExecutor,
     "batched": BatchedExecutor,
     "vectorized": VectorizedExecutor,
-    "auto": AutoExecutor,
 }
 
 
-def get_executor(name: str, **options) -> Executor:
+def get_executor(name: str) -> Executor:
     """Build an executor by registry name (see :func:`list_executors`)."""
     try:
         factory = _EXECUTORS[name]
@@ -357,7 +178,7 @@ def get_executor(name: str, **options) -> Executor:
         raise ValueError(
             f"unknown executor {name!r}; available: {list_executors()}"
         ) from None
-    return factory(**options)
+    return factory()
 
 
 def list_executors() -> List[str]:

@@ -216,7 +216,7 @@ def figure_6_1(
 
     Paper configuration: 5-element arrays, 10,000 iterations, series
     "Base", "SGD", "SGD+AS,LS", "SGD+AS,SQS".  The robust series are
-    batch-capable, so a ``vectorized`` (or ``auto``) engine runs each one as
+    batch-capable, so a ``vectorized`` engine runs each one as
     a single tensorized computation over the whole (rate × trials) grid.
     """
     kernel, series = _run_kernel_sweep(
@@ -260,7 +260,7 @@ def figure_6_3(
     Paper configuration: 10-tap filter, 500 input samples, 1,000 iterations,
     series "Base", "SGD,LS", "SGD+AS,LS", "SGD+AS,SQS"; lower is better.
     The robust series are batch-capable (batched SGD on the preconditioned
-    variational form), so ``vectorized``/``auto`` engines run them as
+    variational form), so ``vectorized`` engines run them as
     tensorized computations.
     """
     kernel, series = _run_kernel_sweep(
@@ -319,7 +319,7 @@ def figure_6_6(
     """Figure 6.6: CG-based least squares accuracy vs the QR/SVD/Cholesky baselines.
 
     The CG series is batch-capable (masked-batch CGNR driver), so
-    ``vectorized``/``auto`` engines run its whole (rate × trials) grid as one
+    ``vectorized`` engines run its whole (rate × trials) grid as one
     stacked computation.
     """
     kernel, series = _run_kernel_sweep(
@@ -338,7 +338,7 @@ def momentum_study(
 ) -> FigureResult:
     """§6.2.2: effect of momentum (β = 0.5) on sorting and matching success.
 
-    All four series are batch-capable, so ``vectorized``/``auto`` engines run
+    All four series are batch-capable, so ``vectorized`` engines run
     the study tensorized.
     """
     kernel, series = _run_kernel_sweep(
@@ -388,7 +388,7 @@ def maxflow_study(
 
     The value is the relative error of the computed flow value against the
     exact maximum flow (lower is better).  Robust series share the
-    masked-batch LP path, so ``vectorized``/``auto`` engines run them
+    masked-batch LP path, so ``vectorized`` engines run them
     tensorized.
     """
     kernel, series = _run_kernel_sweep(

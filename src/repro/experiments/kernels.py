@@ -10,9 +10,9 @@ collapses that coupling into one registry:
 
 * **Capability dispatch.**  :func:`batchable` attaches a vectorized batch
   implementation to a trial function; :func:`batch_implementation` /
-  :func:`is_batchable` / :func:`batchable_series` are the *only* places that
-  capability is inspected.  Executors route through these helpers instead of
-  threading a flag through every plan object.
+  :func:`is_batchable` are the *only* places that capability is inspected.
+  Executors route through these helpers instead of threading a flag through
+  every plan object.
 * **Trial-function factories.**  Each paper workload (sorting §4.3, least
   squares §4.1, IIR §4.2, matching §4.4, CG least squares §3.3, the §6.2.2
   momentum study) and each extension application (max-flow §4.5, all-pairs
@@ -84,7 +84,7 @@ from repro.applications.svm import (
 )
 from repro.core.variants import sgd_options_for_variant
 from repro.experiments.results import FigureResult, SeriesResult
-from repro.experiments.spec import DEFAULT_FAULT_RATES, SweepSpec, TrialFunction
+from repro.experiments.spec import DEFAULT_FAULT_RATES, TrialFunction
 from repro.optimizers.conjugate_gradient import CGOptions
 from repro.processor.stochastic import StochasticProcessor
 from repro.workloads.generators import (
@@ -105,7 +105,6 @@ __all__ = [
     "batchable",
     "batch_implementation",
     "is_batchable",
-    "batchable_series",
     "KernelSpec",
     "register_kernel",
     "get_kernel",
@@ -165,7 +164,6 @@ def batchable(run_batch: Callable) -> Callable:
     stream per trial — constructed exactly as the serial path constructs
     them — and returns one metric value per trial.  The implementation must
     corrupt each trial's data with that trial's own generator (see
-    :func:`repro.faults.vectorized.corrupt_batch` and
     :class:`repro.processor.batch.ProcessorBatch`) so that the batched result
     stays bit-identical to serial execution.
 
@@ -197,15 +195,6 @@ def batch_implementation(function: Callable) -> Optional[Callable]:
 def is_batchable(function: Callable) -> bool:
     """Whether a trial function declares a vectorized batch implementation."""
     return batch_implementation(function) is not None
-
-
-def batchable_series(sweep: SweepSpec) -> List[str]:
-    """Names of the sweep's series that the tensorized backend can batch."""
-    return [
-        name
-        for name, function in sweep.trial_functions.items()
-        if is_batchable(function)
-    ]
 
 
 # --------------------------------------------------------------------------- #
@@ -790,8 +779,8 @@ class KernelSpec:
         therefore accepts an ``engine`` keyword).
     batched:
         Whether at least one series carries a tensorized batch
-        implementation, i.e. the ``vectorized``/``auto`` executors have a
-        fast path for this kernel.
+        implementation, i.e. the ``vectorized`` executor has a fast path
+        for this kernel.
     scenario_study:
         Whether the kernel's figure *is already* a scenario-grid study
         (cross-model or voltage comparison).  Such kernels are excluded from

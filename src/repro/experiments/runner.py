@@ -68,8 +68,8 @@ def run_fault_rate_sweep(
     random streams of different series do not interact.
 
     ``engine`` selects how the expanded plan executes: ``None`` uses the
-    serial reference executor, a string (``"serial"``, ``"process"``,
-    ``"batched"``) builds a default engine with that executor, and a
+    serial reference executor, a string (``"serial"``, ``"batched"``,
+    ``"vectorized"``) builds a default engine with that executor, and a
     ready-built :class:`~repro.experiments.engine.ExperimentEngine` is used
     as-is.  The choice affects throughput only — results are identical.
 
@@ -157,7 +157,7 @@ def run_campaign(
     key: Optional[Mapping[str, Any]] = None,
     pool: str = "thread",
     workers: Optional[int] = None,
-    executor: str = "auto",
+    executor: str = "vectorized",
     granularity: str = "series",
     progress=None,
 ) -> List[SeriesResult]:

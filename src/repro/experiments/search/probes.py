@@ -115,8 +115,7 @@ class ProbeRunner:
         key: Optional[Mapping[str, Any]] = None,
         pool: str = "serial",
         workers: Optional[int] = None,
-        executor: str = "auto",
-        executor_options: Optional[Mapping[str, Any]] = None,
+        executor: str = "vectorized",
         on_probe: Optional[Callable[[ProbeResult], None]] = None,
     ) -> None:
         self.store = store if isinstance(store, ShardStore) else ShardStore(store)
@@ -131,7 +130,6 @@ class ProbeRunner:
         self.planner = ShardPlanner(granularity="cell")
         self.scheduler = CampaignScheduler(pool=pool, workers=workers)
         self.executor = executor
-        self.executor_options = dict(executor_options or {})
         self.on_probe = on_probe
         #: Probe accounting of this runner: computed vs memo-reused counts,
         #: trials actually executed, and the issue-ordered (voltage, shard
@@ -187,13 +185,7 @@ class ProbeRunner:
         result = self.store.load_shard(shard)
         reused = result is not None
         if result is None:
-            self.scheduler.run(
-                sweep,
-                [shard],
-                self.store,
-                executor=self.executor,
-                executor_options=self.executor_options,
-            )
+            self.scheduler.run(sweep, [shard], self.store, executor=self.executor)
             result = self.store.load_shard(shard)
             if result is None:  # pragma: no cover - store write just succeeded
                 raise RuntimeError(

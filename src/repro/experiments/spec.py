@@ -7,7 +7,7 @@ distribution, dtype, voltage operating point; see
 :mod:`repro.experiments.scenarios`) — and :meth:`SweepSpec.expand` flattens it
 into :class:`TrialSpec` entries, each of which derives its random streams
 purely from its own coordinates.  Because a trial's seed never depends on
-execution order, every executor — serial, process pool, or batched — produces
+execution order, every executor — serial, batched, or vectorized — produces
 bit-identical results for the same spec.
 
 The classic single-model fault-rate sweep is the ``scenarios=None`` special

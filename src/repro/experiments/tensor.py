@@ -14,11 +14,10 @@ custom ``run_batch``).
 
 The layering, bottom to top:
 
-``repro.faults.vectorized.batch_fault_masks``
-    Draws per-trial fault masks and bit positions for a whole trial tensor,
-    consuming each trial's generator in the serial draw order.
 ``repro.processor.batch.ProcessorBatch``
-    The batched substrate: fused corruption over stacked tensors plus the
+    The batched substrate: fused corruption over stacked tensors, drawing
+    each trial's fault mask and bit positions from its own generator in the
+    order of :func:`repro.faults.vectorized.corrupt_array`, plus the
     row-wise noisy linear-algebra primitives, with per-trial accounting.
 ``repro.optimizers.sgd.stochastic_gradient_descent_batch`` /
 ``repro.core.transform.solve_penalized_lp_batch``
@@ -33,7 +32,8 @@ The layering, bottom to top:
     ``robust_eigenpairs_batch``, ``robust_svm_train_sgd_batch``).
 *this module*
     Trial-batch construction (:func:`make_trial_batch`) and the cell runner
-    (:func:`run_tensor_cell`) used by the ``vectorized`` executor.  Batch
+    (:func:`run_tensor_cell`) used by the ``batched`` and ``vectorized``
+    executors.  Batch
     capability itself is declared and inspected in the application-kernel
     registry (:mod:`repro.experiments.kernels`).
 
@@ -51,14 +51,6 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.backends import (
-    active_backend,
-    available_backends,
-    get_backend,
-    list_backends,
-    resolve_backend,
-    use_backend,
-)
 from repro.experiments.kernels import batch_implementation
 from repro.experiments.spec import SweepSpec, TrialSpec, backend_scope
 from repro.processor.batch import ProcessorBatch
@@ -68,15 +60,6 @@ __all__ = [
     "ProcessorBatch",
     "make_trial_batch",
     "run_tensor_cell",
-    # Re-exported compute-backend registry API (the backend layer lives
-    # under repro.backends; the tensorized trial backend is its primary
-    # consumer, so the registry surface is importable from here too).
-    "active_backend",
-    "available_backends",
-    "get_backend",
-    "list_backends",
-    "resolve_backend",
-    "use_backend",
 ]
 
 

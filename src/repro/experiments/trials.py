@@ -3,9 +3,9 @@
 These microworkloads exercise the engine's executors without dragging in a
 full application solve.  :func:`make_noisy_sum_trial` additionally carries a
 vectorized batch implementation (via
-:func:`~repro.experiments.kernels.batchable`) that routes whole trial
-batches through :func:`repro.faults.vectorized.corrupt_batch`, making it the
-reference workload for batched-executor equivalence tests and benchmarks.
+:func:`~repro.experiments.kernels.batchable`) that corrupts whole trial
+batches in one :class:`~repro.processor.batch.ProcessorBatch` pass, making it
+the reference workload for batched-executor equivalence tests.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.experiments.kernels import batchable
 from repro.experiments.spec import TrialFunction
-from repro.faults.vectorized import corrupt_batch
+from repro.processor.batch import ProcessorBatch
 from repro.processor.stochastic import StochasticProcessor
 
 __all__ = ["make_noisy_sum_trial", "make_gradient_descent_trial"]
@@ -28,12 +28,13 @@ def make_noisy_sum_trial(n: int = 256, ops_per_element: int = 8) -> TrialFunctio
     The serial path draws a vector from the trial stream, corrupts it on the
     processor, and returns the sum.  The attached batch implementation stacks
     every trial of the batch and corrupts the whole stack in one
-    :func:`corrupt_batch` pass — using each trial's own generator and fault
-    rate in the same order as the serial path, so results are bit-identical
-    whether the executor batches one (series, rate) cell (``batched``) or a
-    whole series across the rate grid (``vectorized``).  A batch whose
-    processors mix datapath dtypes cannot share the fused cast and falls back
-    to per-trial serial execution (still bit-identical).
+    :meth:`ProcessorBatch.corrupt` pass — each row with its own processor's
+    generator and fault rate, in the serial draw order, advancing the same
+    FLOP and fault counters — so results are bit-identical whether the
+    executor batches one (series, rate) cell (``batched``) or a whole series
+    across the rate grid (``vectorized``).  A batch whose processors mix
+    datapath dtypes cannot share the fused cast and falls back to per-trial
+    serial execution (still bit-identical).
     """
 
     def run_batch(
@@ -42,26 +43,16 @@ def make_noisy_sum_trial(n: int = 256, ops_per_element: int = 8) -> TrialFunctio
         if len({proc.dtype for proc in procs}) != 1:
             # A stacked tensor has one dtype, so a batch mixing datapath
             # precisions (e.g. float32 and float64 fault models) cannot share
-            # the fused cast below — casting everything with procs[0].dtype
-            # would silently mis-simulate the other trials.  Fall back to the
-            # serial per-trial path, which casts each trial with its own
+            # the fused cast of ProcessorBatch.  Fall back to the serial
+            # per-trial path, which casts each trial with its own
             # processor's dtype and is bit-identical by definition.
             return [trial(proc, stream) for proc, stream in zip(procs, streams)]
-        stacked = np.stack([stream.random(n) for stream in streams])
-        with np.errstate(over="ignore", invalid="ignore"):
-            stacked = stacked.astype(procs[0].dtype)
-        corrupted, faults_per_trial = corrupt_batch(
-            stacked,
-            fault_rate=[proc.fault_rate for proc in procs],
-            ops_per_element=ops_per_element,
-            bit_distribution=[proc.injector.bit_distribution for proc in procs],
-            rngs=[proc.injector.rng for proc in procs],
+        batch = ProcessorBatch(procs)
+        corrupted = batch.corrupt(
+            np.stack([stream.random(n) for stream in streams]), ops_per_element
         )
-        for proc in procs:
-            proc.count_flops(ops_per_element * n)
-        with np.errstate(over="ignore", invalid="ignore"):
-            rows = corrupted.astype(np.float64)
-        return [float(np.sum(row)) for row in rows]
+        batch.flush()
+        return [float(np.sum(row)) for row in corrupted]
 
     @batchable(run_batch)
     def trial(proc: StochasticProcessor, stream: np.random.Generator) -> float:

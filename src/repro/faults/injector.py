@@ -259,8 +259,8 @@ class FaultInjector:
     def record_vectorized(self, ops: int, faults: int) -> None:
         """Fold one batched corruption pass into this injector's counters.
 
-        The tensorized trial backend corrupts whole trial stacks with
-        :func:`repro.faults.vectorized.corrupt_batch`-style kernels using this
+        The tensorized trial backend corrupts whole trial stacks in fused
+        :class:`~repro.processor.batch.ProcessorBatch` passes using this
         injector's generator and bit distribution directly; this hook keeps
         the per-injector operation and fault statistics identical to what the
         per-trial :meth:`corrupt_array` path would have recorded.

@@ -17,22 +17,16 @@ than hours.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
 from repro.faults.bitflip import flip_bit_array
 from repro.faults.distribution import BitPositionDistribution
 
-# NOTE: the batch kernels below accept per-trial rates *and* per-trial bit
-# distributions, but executor batches never mix datapath dtypes: scenario
-# grids are split into per-scenario sub-batches before reaching this layer
-# (see repro.experiments.executors), so one fused cast per batch is safe.
 __all__ = [
     "effective_fault_probability",
     "corrupt_array",
-    "batch_fault_masks",
-    "corrupt_batch",
 ]
 
 
@@ -85,10 +79,10 @@ def corrupt_array(
     """
     # NOTE: the per-trial draw protocol below (uniform fault mask first, then
     # exactly n_faults bit positions, and no draws at all when the rate is
-    # zero) is the bit-identity contract of the whole fault layer.  It is
-    # mirrored by batch_fault_masks below and by the optimized fast path in
-    # repro.processor.batch.ProcessorBatch.corrupt; any change here must be
-    # applied to all three in lockstep.
+    # zero) is the bit-identity contract of the whole fault layer: the fused
+    # pass of repro.processor.batch.ProcessorBatch.corrupt and the compiled
+    # backend kernels reproduce it draw for draw, as
+    # tests/test_tensor_backend.py and tests/test_backends.py pin.
     arr = np.asarray(values)
     if arr.size == 0 or fault_rate <= 0.0:
         return arr.copy(), 0
@@ -103,169 +97,3 @@ def corrupt_array(
     bit_positions[fault_mask] = bit_distribution.sample(rng, size=n_faults)
     corrupted = flip_bit_array(arr, bit_positions, mask=fault_mask)
     return corrupted, n_faults
-
-
-def _per_trial_rates(
-    fault_rate: Union[float, Sequence[float], np.ndarray], n_trials: int
-) -> np.ndarray:
-    """Normalize a scalar or per-trial fault-rate spec to an ``(n_trials,)`` array."""
-    rates = np.asarray(fault_rate, dtype=np.float64)
-    if rates.ndim == 0:
-        return np.full(n_trials, float(rates))
-    if rates.shape != (n_trials,):
-        raise ValueError(
-            f"got {rates.shape[0] if rates.ndim == 1 else rates.shape} fault "
-            f"rates for {n_trials} trial rows"
-        )
-    return rates
-
-
-def batch_fault_masks(
-    shape: Tuple[int, ...],
-    fault_rates: Union[float, Sequence[float], np.ndarray],
-    ops_per_element: Union[int, np.ndarray],
-    bit_distribution: Union[BitPositionDistribution, Sequence[BitPositionDistribution]],
-    rngs: Sequence[np.random.Generator],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draw per-trial fault masks and bit positions for a whole trial tensor.
-
-    This is the random-draw half of the tensorized fault path: for a stacked
-    tensor of shape ``(n_trials, ...)`` it decides, per trial row, which
-    elements fault and which bit each faulty element flips, consuming each
-    trial's private generator in byte-for-byte the order
-    :func:`corrupt_array` would (uniform fault mask first, then exactly
-    ``n_faults`` bit positions, and *no* draws for a trial whose rate is
-    zero).  The per-trial uniform draws land directly in one stacked buffer,
-    so the threshold comparison, the fault counting, and the eventual
-    bit-flip pass (:func:`flip_bit_array`) all run once over the whole
-    tensor.
-
-    Parameters
-    ----------
-    shape:
-        Full tensor shape ``(n_trials, ...)``; row ``t`` belongs to trial ``t``.
-    fault_rates:
-        Per-operation fault probability: a scalar shared by every trial or a
-        sequence with one rate per trial (a fault-rate sweep stacks cells of
-        *different* rates into one tensor).
-    ops_per_element:
-        Scalar or array broadcastable to ``shape[1:]``: FLOPs per element.
-    bit_distribution:
-        Which bit to flip in a faulty element; one distribution shared by the
-        batch or a sequence with one per trial.
-    rngs:
-        One generator per trial row.
-
-    Returns
-    -------
-    (fault_mask, bit_positions, faults_per_trial):
-        A boolean mask of ``shape``, an int64 array of bit positions (zero
-        where the mask is ``False``), and an ``(n_trials,)`` count of faulty
-        elements per trial.
-    """
-    n_trials = shape[0] if shape else 0
-    if len(rngs) != n_trials:
-        raise ValueError(f"got {len(rngs)} generators for {n_trials} trial rows")
-    rates = _per_trial_rates(fault_rates, n_trials)
-    if isinstance(bit_distribution, BitPositionDistribution):
-        distributions: Sequence[BitPositionDistribution] = [bit_distribution] * n_trials
-    else:
-        distributions = list(bit_distribution)
-        if len(distributions) != n_trials:
-            raise ValueError(
-                f"got {len(distributions)} bit distributions for {n_trials} trial rows"
-            )
-    row_shape = shape[1:]
-    faults_per_trial = np.zeros(n_trials, dtype=np.int64)
-    fault_mask = np.zeros(shape, dtype=bool)
-    bit_positions = np.zeros(shape, dtype=np.int64)
-    row_size = int(np.prod(row_shape, dtype=np.int64)) if row_shape else 1
-    if n_trials == 0 or row_size == 0 or not np.any(rates > 0.0):
-        return fault_mask, bit_positions, faults_per_trial
-
-    ops = np.asarray(ops_per_element)
-    active = np.flatnonzero(rates > 0.0)
-    if ops.ndim != 0 or not row_shape:
-        # Element-dependent FLOP counts (or degenerate scalar rows): the
-        # threshold varies within a row, so draw and compare per trial.
-        for trial in active:
-            probability = np.broadcast_to(
-                effective_fault_probability(rates[trial], ops), row_shape
-            )
-            fault_mask[trial] = rngs[trial].random(row_shape) < probability
-    else:
-        # Fast path — one uniform draw per active trial, straight into a
-        # stacked buffer (a trial with rate zero draws nothing, exactly like
-        # the serial kernel's early return), then a single fused threshold
-        # comparison across the whole tensor.
-        uniforms = np.zeros(shape, dtype=np.float64)
-        thresholds = np.zeros((n_trials,) + (1,) * len(row_shape), dtype=np.float64)
-        for trial in active:
-            rngs[trial].random(out=uniforms[trial])
-            thresholds[trial] = effective_fault_probability(rates[trial], ops)
-        np.less(uniforms, thresholds, out=fault_mask)
-    np.sum(fault_mask, axis=tuple(range(1, len(shape))), out=faults_per_trial)
-    # Stage 3 — bit positions, only for trials that actually faulted, in the
-    # same per-trial draw order as the serial kernel.
-    for trial in np.flatnonzero(faults_per_trial):
-        row_mask = fault_mask[trial]
-        bit_positions[trial][row_mask] = distributions[trial].sample(
-            rngs[trial], size=int(faults_per_trial[trial])
-        )
-    return fault_mask, bit_positions, faults_per_trial
-
-
-def corrupt_batch(
-    stacked: np.ndarray,
-    fault_rate: Union[float, Sequence[float], np.ndarray],
-    ops_per_element: Union[int, np.ndarray],
-    bit_distribution: Union[BitPositionDistribution, Sequence[BitPositionDistribution]],
-    rngs: Sequence[np.random.Generator],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Corrupt a stack of per-trial arrays in one vectorized bit-flip pass.
-
-    ``stacked[t]`` holds trial ``t``'s values and is corrupted using that
-    trial's private generator ``rngs[t]``.  The random draws per trial are
-    byte-for-byte the ones :func:`corrupt_array` would make on ``stacked[t]``
-    alone — the fault mask first, then exactly ``n_faults`` bit positions —
-    so the batched result is bit-identical to per-trial corruption.  The
-    uniform draws, threshold comparison, fault counting, and the bit-flip
-    kernel are fused across the batch (see :func:`batch_fault_masks`), which
-    is where the vectorization win lives.
-
-    Parameters
-    ----------
-    stacked:
-        Array of shape ``(n_trials, ...)``; row ``t`` belongs to trial ``t``.
-    fault_rate:
-        Per-operation fault probability: a scalar shared by every trial, or a
-        sequence giving each trial row its own rate (the tensorized executor
-        stacks the cells of a fault-rate sweep into one batch).
-    ops_per_element:
-        Scalar or array broadcastable to ``stacked.shape[1:]``.
-    bit_distribution:
-        Which bit to flip in a faulty element (one distribution, or one per
-        trial).
-    rngs:
-        One generator per trial row.
-
-    Returns
-    -------
-    (corrupted, faults_per_trial):
-        A new array of ``stacked``'s shape, and an ``(n_trials,)`` int array
-        counting the corrupted elements of each row.
-    """
-    arr = np.asarray(stacked)
-    n_trials = arr.shape[0] if arr.ndim else 0
-    if len(rngs) != n_trials:
-        raise ValueError(f"got {len(rngs)} generators for {n_trials} trial rows")
-    rates = _per_trial_rates(fault_rate, n_trials)
-    if arr.size == 0 or not np.any(rates > 0.0):
-        return arr.copy(), np.zeros(n_trials, dtype=np.int64)
-    fault_mask, bit_positions, faults_per_trial = batch_fault_masks(
-        arr.shape, rates, ops_per_element, bit_distribution, rngs
-    )
-    if not faults_per_trial.any():
-        return arr.copy(), faults_per_trial
-    corrupted = flip_bit_array(arr, bit_positions, mask=fault_mask)
-    return corrupted, faults_per_trial

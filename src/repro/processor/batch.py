@@ -15,7 +15,7 @@ serial path would compute for trial ``t`` alone:
 * arithmetic is elementwise or a last-axis reduction, both of which numpy
   evaluates independently per row;
 * random draws come from each trial's own generator in the serial draw order
-  (see :func:`repro.faults.vectorized.batch_fault_masks`), and a trial whose
+  (see :func:`repro.faults.vectorized.corrupt_array`), and a trial whose
   fault rate is zero draws nothing;
 * FLOP and fault counters on each wrapped processor advance exactly as the
   per-trial :meth:`StochasticProcessor.corrupt` calls would have advanced
@@ -32,8 +32,7 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from repro.faults.bitflip import flip_bit_array
-from repro.faults.vectorized import batch_fault_masks, effective_fault_probability
+from repro.faults.vectorized import effective_fault_probability
 from repro.processor.stochastic import StochasticProcessor
 
 __all__ = ["ProcessorBatch", "batch_sub", "batch_scale", "batch_matvec"]
@@ -173,15 +172,14 @@ class ProcessorBatch:
             with np.errstate(over="ignore", invalid="ignore"):
                 return native.astype(np.float64)
 
-        # NOTE: this fast path re-implements the serial draw protocol of
-        # corrupt_array / batch_fault_masks (uniform mask first, then exactly
-        # n_faults bit positions, nothing at rate zero) with reusable buffers
-        # and a compact index-based flip.  The three copies must stay in
-        # lockstep — the equivalence tests in tests/test_tensor_backend.py
-        # pin them to each other.  Bit positions come from the stock
-        # inverse-CDF sampler (guaranteed in [0, width) by construction,
-        # which is why the compact XOR can skip flip_bit_array's range
-        # check); custom distributions take the per-trial sample() branch.
+        # This fused pass reproduces corrupt_array's per-trial draw protocol
+        # (uniform mask first, then exactly n_faults bit positions, nothing
+        # at rate zero) with reusable buffers and a compact index-based flip;
+        # tests/test_tensor_backend.py pins it against per-trial corruption.
+        # Bit positions come from the stock inverse-CDF sampler (guaranteed
+        # in [0, width) by construction, which is why the compact XOR can
+        # skip flip_bit_array's range check); custom distributions take the
+        # per-trial sample() branch.
         uniforms, mask, native = self._workspace(arr.shape)
         with np.errstate(over="ignore", invalid="ignore"):
             np.copyto(native, arr, casting="unsafe")
@@ -251,23 +249,16 @@ class ProcessorBatch:
         self._pending_faults[:] = 0
 
     def _corrupt_general(self, arr: np.ndarray, ops: np.ndarray) -> np.ndarray:
-        """Reference path for element-dependent FLOP counts (rare in the hot loop)."""
-        row_shape = arr.shape[1:]
-        ops = np.broadcast_to(ops, row_shape) if ops.ndim != 0 else ops
-        per_trial_ops = (
-            int(np.sum(ops)) if ops.ndim != 0 else int(ops) * int(np.prod(row_shape, dtype=np.int64))
-        )
-        with np.errstate(over="ignore", invalid="ignore"):
-            native = arr.astype(self.dtype)
-        fault_mask, bit_positions, faults_per_trial = batch_fault_masks(
-            native.shape, self._rates, ops, self._distributions, self._rngs
-        )
-        for proc, n_faults in zip(self.procs, faults_per_trial):
-            proc.record_vectorized(per_trial_ops, int(n_faults))
-        if faults_per_trial.any():
-            native = flip_bit_array(native, bit_positions, mask=fault_mask)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return native.astype(np.float64)
+        """Per-element FLOP counts, or one scalar per trial (rare in the hot loop).
+
+        Each row goes through its own processor's per-trial
+        :meth:`StochasticProcessor.corrupt`, the reference the fused path is
+        pinned against.
+        """
+        out = np.empty_like(arr)
+        for row, proc in enumerate(self.procs):
+            out[row] = proc.corrupt(arr[row], ops)
+        return out
 
     def _workspace(self, shape) -> tuple:
         """Reusable (uniforms, mask, native) buffers for one tensor shape."""

@@ -43,10 +43,6 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "local"))
 # ---------------------------------------------------------------------- #
 # Skip marks for tests that require a specific optional compiled tier.
 # CI legs without the dependency auto-skip these params instead of failing.
-requires_numba = pytest.mark.skipif(
-    not get_backend("numba").available(),
-    reason=f"numba backend unavailable: {get_backend('numba').unavailable_reason}",
-)
 requires_cnative = pytest.mark.skipif(
     not get_backend("cnative").available(),
     reason=f"cnative backend unavailable: {get_backend('cnative').unavailable_reason}",

@@ -6,8 +6,8 @@ package, then interleaves adaptive runs, cache stores/loads, and degenerate
 fixed-count twins, checking the round loop against a simple model:
 
 * adaptive results are byte-identical across the serial, batched, and
-  vectorized executors on every step (the process tier is exercised in a
-  dedicated test at machine-friendly scale);
+  vectorized executors on every step (the campaign process pool is
+  exercised in a dedicated test at machine-friendly scale);
 * per-point ``trials_used`` never exceeds ``max_trials``; ``halted_early``
   means exactly "stopped before the cap" and implies ``min_trials`` ran;
 * re-running the identical ``(spec, target, seed)`` reproduces the ragged
@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
 
 from repro.experiments.cache import ResultCache, spec_hash
+from repro.experiments.campaign import CampaignRunner
 from repro.experiments.engine import ExperimentEngine
 from repro.experiments.results import FigureResult
 from repro.experiments.sequential import ConfidenceTarget
@@ -40,9 +41,9 @@ from tests.strategies import (
     unreachable_targets,
 )
 
-#: Executors compared on every adaptive step.  The process tier round-trips
-#: through pickled workers and is far slower to spin up, so it is covered by
-#: ``test_process_executor_matches_serial_adaptive`` instead of per-step.
+#: Executors compared on every adaptive step.  The campaign process pool
+#: forks workers and is far slower to spin up, so it is covered by
+#: ``test_process_pool_matches_serial_adaptive`` instead of per-step.
 EXECUTORS = ("serial", "batched", "vectorized")
 
 
@@ -197,13 +198,14 @@ class TestAdaptiveRoundLoop(AdaptiveRoundLoopMachine.TestCase):
     settings = settings(max_examples=12, stateful_step_count=8, deadline=None)
 
 
-def test_process_executor_matches_serial_adaptive():
-    """The process tier reproduces serial byte-for-byte on an adaptive grid."""
+def test_process_pool_matches_serial_adaptive(tmp_path):
+    """A process-pool campaign reproduces serial byte-for-byte on an adaptive grid."""
     target = ConfidenceTarget(half_width=0.4, batch=2, min_trials=2, max_trials=6)
 
     def spec():
         return make_grid(("nominal", "low-order-seu"), policy=target, seed=11)
 
     reference = ExperimentEngine("serial").run_sweep(spec())
-    process = ExperimentEngine("process").run_sweep(spec())
-    assert snapshot(process) == snapshot(reference)
+    runner = CampaignRunner(store=tmp_path, pool="process", workers=2)
+    merged = runner.submit(spec()).run()
+    assert snapshot(merged) == snapshot(reference)

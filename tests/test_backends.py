@@ -16,13 +16,13 @@ here:
 
 The sweep-level classes use the session ``engine`` fixture (see
 ``conftest.py``), which parametrizes over every registered backend and
-skips the uninstalled ones — a CI leg without numba auto-skips its params
-instead of failing.
+skips the uninstalled ones — a host without a C toolchain skips the cnative
+params instead of failing.
 """
 
 import numpy as np
 import pytest
-from conftest import requires_cnative, requires_numba
+from conftest import requires_cnative
 
 from repro.backends import (
     BIT_IDENTICAL,
@@ -123,9 +123,7 @@ class TestSelectionPrecedence:
 
 class TestRegistryContracts:
     def test_builtin_backends_are_registered(self):
-        names = list_backends()
-        for expected in ("numpy", "cnative", "cnative-fused", "numba"):
-            assert expected in names
+        assert list_backends() == ["cnative", "cnative-fused", "numpy"]
 
     def test_numpy_tier_always_available_with_empty_table(self):
         numpy_tier = get_backend("numpy")
@@ -309,105 +307,6 @@ class TestCnativeBitIdentity:
                 )
             ]
         assert results["cnative"] == results[None]
-
-
-@requires_numba
-class TestNumbaFusedBitIdentity:
-    """The numba tier's fused kernels, pinned byte-for-byte like cnative's.
-
-    The JIT kernels draw through ``Generator.random()`` / ``integers()`` in
-    nopython mode, which numba implements on the generator's own
-    bit-generator state — these tests pin that the streams, values, and
-    every counter match the numpy reference exactly.
-    """
-
-    def test_table_matches_cnative_kernel_set(self):
-        numba_tier = get_backend("numba")
-        assert not numba_tier.changes_results
-        for name in (
-            "corrupt_array",
-            "corrupt_block",
-            "commit_scalar",
-            "batch_corrupt",
-            "direct_form_filter",
-        ):
-            assert numba_tier.kernel(name).tier == BIT_IDENTICAL
-
-    @pytest.mark.parametrize("fault_model", ["leon3-fpu", "double-precision"])
-    @pytest.mark.parametrize("rate", [0.0, 1e-3, 0.3])
-    def test_corrupt_block_values_counters_and_stream(self, fault_model, rate):
-        reference, candidate = processor_pair(
-            "numba", fault_rate=rate, fault_model=fault_model
-        )
-        assert candidate._block_kernel is not None
-        rng = np.random.default_rng(42)
-        payloads = [
-            rng.normal(size=40),
-            np.array([np.nan, np.inf, -np.inf, 0.0, 1e300, -1e-300]),
-            np.array([]),
-            rng.normal(size=(5, 7)),
-        ]
-        for payload in payloads:
-            for ops in (0, 1, 3):
-                expected = reference.corrupt(payload, ops_per_element=ops)
-                actual = candidate.corrupt(payload, ops_per_element=ops)
-                np.testing.assert_array_equal(
-                    actual.view(np.uint64), expected.view(np.uint64)
-                )
-        with reference.reliable(), candidate.reliable():
-            expected = reference.corrupt(payloads[0])
-            actual = candidate.corrupt(payloads[0])
-            np.testing.assert_array_equal(actual, expected)
-        assert_same_substrate_state(reference, candidate)
-
-    @pytest.mark.parametrize("fault_model", ["leon3-fpu", "double-precision"])
-    @pytest.mark.parametrize("rate", [0.0, 1e-3, 0.3])
-    def test_commit_scalar_fpu_loop(self, fault_model, rate):
-        reference, candidate = processor_pair(
-            "numba", fault_rate=rate, fault_model=fault_model
-        )
-        operands = np.random.default_rng(3).normal(size=400)
-        for fpu in (reference.fpu, candidate.fpu):
-            acc = 1.0
-            for i, x in enumerate(operands):
-                acc = fpu.add(acc, x)
-                acc = fpu.mul(acc, 1.0 + 1e-6 * x)
-                if i % 7 == 0:
-                    acc = fpu.div(acc, 0.0)  # explicit zero-divisor branch
-                    acc = fpu.sqrt(-1.0)  # NaN branch
-                    acc = fpu.move(float(x))
-                if i % 11 == 0:
-                    with fpu.protected():
-                        acc = fpu.add(acc, 1.0)
-                if not np.isfinite(acc):
-                    acc = float(x)
-            fpu._last = acc  # stash for comparison below
-        assert np.float64(candidate.fpu._last).tobytes() == np.float64(
-            reference.fpu._last
-        ).tobytes()
-        assert_same_substrate_state(reference, candidate)
-
-    def test_sweep_equivalence_iir_and_sorting(self):
-        # The IIR kernel drives direct_form_filter end-to-end; the sorting
-        # kernel under the vectorized executor drives batch_corrupt.
-        for functions, executor in (
-            (kernels.iir_kernel(iterations=40, signal_length=30, n_taps=3), "serial"),
-            (kernels.sorting_kernel(iterations=120), "vectorized"),
-        ):
-            results = {}
-            for backend in (None, "numba"):
-                results[backend] = [
-                    series.values
-                    for series in run_fault_rate_sweep(
-                        functions,
-                        fault_rates=(0.0, 0.01, 0.2),
-                        trials=2,
-                        seed=5,
-                        engine=ExperimentEngine(executor),
-                        backend=backend,
-                    )
-                ]
-            assert results["numba"] == results[None]
 
 
 @requires_cnative

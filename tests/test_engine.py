@@ -2,14 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.experiments.cache import ResultCache, spec_hash
 from repro.experiments.engine import ExperimentEngine
 from repro.experiments.executors import (
     BatchedExecutor,
-    ProcessExecutor,
     SerialExecutor,
     get_executor,
     list_executors,
@@ -18,8 +15,6 @@ from repro.experiments.results import FigureResult, SeriesResult
 from repro.experiments.runner import run_fault_rate_sweep
 from repro.experiments.spec import SweepSpec, TrialSpec, run_trial
 from repro.experiments.trials import make_gradient_descent_trial, make_noisy_sum_trial
-from repro.faults.distribution import EmulatedBitDistribution
-from repro.faults.vectorized import corrupt_array, corrupt_batch
 from repro.processor.stochastic import StochasticProcessor
 
 
@@ -75,20 +70,15 @@ class TestExecutorEquivalence:
     def reference(self):
         return ExperimentEngine(SerialExecutor()).run_sweep(make_sweep())
 
-    @pytest.mark.parametrize(
-        "executor", ["serial", "process", "batched", "vectorized", "auto"]
-    )
+    @pytest.mark.parametrize("executor", ["serial", "batched", "vectorized"])
     def test_matches_serial_reference(self, executor, reference):
-        options = {"workers": 4} if executor == "process" else {}
-        engine = ExperimentEngine(get_executor(executor, **options))
+        engine = ExperimentEngine(get_executor(executor))
         result = engine.run_sweep(make_sweep())
         assert [s.values for s in result] == [s.values for s in reference]
         assert [s.name for s in result] == [s.name for s in reference]
         assert [s.fault_rates for s in result] == [s.fault_rates for s in reference]
 
-    @pytest.mark.parametrize(
-        "executor", ["serial", "process", "batched", "vectorized", "auto"]
-    )
+    @pytest.mark.parametrize("executor", ["serial", "batched", "vectorized"])
     def test_batchable_trial_identical_across_executors(self, executor):
         def sweep():
             return SweepSpec(
@@ -98,8 +88,7 @@ class TestExecutorEquivalence:
                 seed=11,
             )
 
-        options = {"workers": 2} if executor == "process" else {}
-        engine = ExperimentEngine(get_executor(executor, **options))
+        engine = ExperimentEngine(get_executor(executor))
         result = engine.run_sweep(sweep())
         reference = ExperimentEngine().run_sweep(sweep())
         assert [s.values for s in result] == [s.values for s in reference]
@@ -130,24 +119,9 @@ class TestExecutorEquivalence:
 
 class TestExecutors:
     def test_registry(self):
-        assert list_executors() == ["auto", "batched", "process", "serial", "vectorized"]
+        assert list_executors() == ["batched", "serial", "vectorized"]
         with pytest.raises(ValueError, match="unknown executor"):
             get_executor("gpu")
-
-    def test_process_executor_validates_options(self):
-        with pytest.raises(ValueError):
-            ProcessExecutor(workers=0)
-        with pytest.raises(ValueError):
-            ProcessExecutor(chunksize=0)
-
-    def test_process_executor_streams_all_indices(self):
-        sweep = make_sweep(trials=2)
-        specs = sweep.expand()
-        seen = {}
-        ProcessExecutor(workers=2, chunksize=1).run(
-            sweep, specs, lambda i, v: seen.__setitem__(i, v)
-        )
-        assert sorted(seen) == list(range(len(specs)))
 
     def test_batched_executor_uses_run_batch(self):
         calls = []
@@ -174,42 +148,6 @@ class TestExecutors:
         sweep = SweepSpec({"bad": trial}, fault_rates=(0.0,), trials=3, seed=0)
         with pytest.raises(ValueError, match="run_batch returned"):
             BatchedExecutor().run(sweep, sweep.expand())
-
-
-class TestCorruptBatch:
-    @given(
-        n_trials=st.integers(min_value=1, max_value=5),
-        n=st.integers(min_value=1, max_value=40),
-        fault_rate=st.sampled_from([0.0, 0.01, 0.2, 0.9]),
-        ops=st.integers(min_value=1, max_value=16),
-        seed=st.integers(min_value=0, max_value=2**31),
-    )
-    def test_matches_per_trial_corrupt_array(self, n_trials, n, fault_rate, ops, seed):
-        """The fused batch kernel equals per-trial corruption bit-for-bit."""
-        distribution = EmulatedBitDistribution(width=32)
-        workload = np.random.default_rng(seed)
-        stacked = workload.random((n_trials, n)).astype(np.float32)
-        batch_rngs = [np.random.default_rng([seed, t]) for t in range(n_trials)]
-        serial_rngs = [np.random.default_rng([seed, t]) for t in range(n_trials)]
-        batched, faults = corrupt_batch(
-            stacked, fault_rate, ops, distribution, batch_rngs
-        )
-        for t in range(n_trials):
-            row, n_faults = corrupt_array(
-                stacked[t], fault_rate, ops, distribution, serial_rngs[t]
-            )
-            np.testing.assert_array_equal(batched[t], row)
-            assert faults[t] == n_faults
-
-    def test_rng_count_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="generators"):
-            corrupt_batch(
-                np.ones((2, 3), dtype=np.float32),
-                0.1,
-                1,
-                EmulatedBitDistribution(width=32),
-                [np.random.default_rng(0)],
-            )
 
 
 class TestEngine:

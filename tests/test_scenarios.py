@@ -184,12 +184,9 @@ class TestScenarioGridExecutors:
     def reference(self):
         return ExperimentEngine("serial").run_sweep(self.batchable_grid())
 
-    @pytest.mark.parametrize(
-        "executor", ["serial", "process", "batched", "vectorized", "auto"]
-    )
+    @pytest.mark.parametrize("executor", ["serial", "batched", "vectorized"])
     def test_bit_identical_across_executors(self, executor, reference):
-        options = {"workers": 2} if executor == "process" else {}
-        engine = ExperimentEngine(get_executor(executor, **options))
+        engine = ExperimentEngine(get_executor(executor))
         result = engine.run_sweep(self.batchable_grid())
         assert [s.values for s in result] == [s.values for s in reference]
         assert [s.name for s in result] == [s.name for s in reference]

@@ -9,6 +9,8 @@ fault rates (including zero).  These tests pin that contract at each layer.
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.applications.eigen import robust_eigenpairs, robust_eigenpairs_batch
 from repro.applications.iir import robust_iir_filter, robust_iir_filter_batch
@@ -45,11 +47,10 @@ from repro.applications.svm import (
 )
 from repro.core.variants import sgd_options_for_variant
 from repro.experiments.engine import ExperimentEngine
-from repro.experiments.executors import AutoExecutor, VectorizedExecutor
+from repro.experiments.executors import VectorizedExecutor
 from repro.experiments.kernels import (
     apsp_trial_functions,
     batchable,
-    batchable_series,
     cg_least_squares_trial_functions,
     eigen_trial_functions,
     iir_trial_functions,
@@ -61,8 +62,6 @@ from repro.experiments.kernels import (
 from repro.experiments.spec import SweepSpec
 from repro.experiments.tensor import make_trial_batch, run_tensor_cell
 from repro.experiments.trials import make_noisy_sum_trial
-from repro.faults.distribution import EmulatedBitDistribution
-from repro.faults.vectorized import corrupt_array, corrupt_batch
 from repro.optimizers.conjugate_gradient import CGOptions
 from repro.optimizers.problem import QuadraticProblem
 from repro.optimizers.sgd import (
@@ -85,45 +84,57 @@ from repro.workloads.signals import random_stable_iir, sum_of_sinusoids
 from tests.strategies import MIXED_RATES, make_procs, sorting_sweep
 
 
-class TestCorruptBatchMixedRates:
-    def test_per_trial_rates_match_corrupt_array(self):
-        """corrupt_batch with one rate per row equals per-trial corruption."""
-        distribution = EmulatedBitDistribution(width=32)
-        stacked = np.random.default_rng(3).random((len(MIXED_RATES), 64)).astype(np.float32)
-        batch_rngs = [np.random.default_rng([5, t]) for t in range(len(MIXED_RATES))]
-        serial_rngs = [np.random.default_rng([5, t]) for t in range(len(MIXED_RATES))]
-        batched, faults = corrupt_batch(stacked, MIXED_RATES, 4, distribution, batch_rngs)
-        for t, rate in enumerate(MIXED_RATES):
-            row, n_faults = corrupt_array(stacked[t], rate, 4, distribution, serial_rngs[t])
-            np.testing.assert_array_equal(batched[t], row)
-            assert faults[t] == n_faults
-
-    def test_rate_count_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="fault rates"):
-            corrupt_batch(
-                np.ones((3, 4), dtype=np.float32),
-                [0.1, 0.2],
-                1,
-                EmulatedBitDistribution(width=32),
-                [np.random.default_rng(t) for t in range(3)],
-            )
-
-
 class TestProcessorBatch:
-    def test_corrupt_matches_per_trial_corrupt(self):
-        """ProcessorBatch.corrupt row t == procs[t].corrupt, values and counters."""
-        workload = np.random.default_rng(11).standard_normal((len(MIXED_RATES), 9, 13))
-        serial_procs, batch_procs = make_procs(), make_procs()
+    @given(
+        rates=st.lists(st.sampled_from(MIXED_RATES + [0.9]), min_size=1, max_size=6),
+        row_shape=st.sampled_from([(), (7,), (3, 5)]),
+        per_element_ops=st.booleans(),
+        fault_model=st.sampled_from(["leon3-fpu", "double-precision"]),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_corrupt_matches_per_trial_corrupt(
+        self, rates, row_shape, per_element_ops, fault_model, seed
+    ):
+        """ProcessorBatch.corrupt row t == procs[t].corrupt, values and counters.
+
+        Covers the fused pass (one ``ops`` count over a >=2-D stack) and the
+        per-trial path (per-element ``ops``, or one scalar per trial in a 1-D
+        stack), with mixed rates including zero, on float32 and float64
+        datapaths.  Every row must also leave its generator exactly where the
+        per-trial call leaves it.
+        """
+        workload = np.random.default_rng(seed)
+        stacked = workload.standard_normal((len(rates),) + row_shape)
+        if per_element_ops:
+            ops = workload.integers(1, 16, size=row_shape)
+        else:
+            ops = int(workload.integers(1, 16))
+
+        def procs():
+            return [
+                StochasticProcessor(
+                    fault_rate=rate, fault_model=fault_model,
+                    rng=np.random.default_rng([seed, t]),
+                )
+                for t, rate in enumerate(rates)
+            ]
+
+        serial_procs, batch_procs = procs(), procs()
         expected = np.stack(
-            [proc.corrupt(workload[t], ops_per_element=3) for t, proc in enumerate(serial_procs)]
+            [proc.corrupt(stacked[t], ops_per_element=ops) for t, proc in enumerate(serial_procs)]
         )
         batch = ProcessorBatch(batch_procs)
-        actual = batch.corrupt(workload, ops_per_element=3)
+        actual = batch.corrupt(stacked, ops_per_element=ops)
         batch.flush()
-        np.testing.assert_array_equal(actual, expected)
+        np.testing.assert_array_equal(actual.view(np.uint64), expected.view(np.uint64))
         for serial_proc, batch_proc in zip(serial_procs, batch_procs):
             assert batch_proc.flops == serial_proc.flops
             assert batch_proc.faults_injected == serial_proc.faults_injected
+            assert batch_proc.injector.ops_observed == serial_proc.injector.ops_observed
+            assert (
+                batch_proc.injector.rng.bit_generator.state
+                == serial_proc.injector.rng.bit_generator.state
+            )
 
     def test_corrupt_elementwise_ops_array(self):
         """The general path (per-element FLOP counts) is also bit-identical."""
@@ -417,7 +428,6 @@ class TestApplicationBatchPaths:
 class TestVectorizedExecutor:
     def test_registry_capability_dispatch(self):
         sweep = sorting_sweep()
-        assert batchable_series(sweep) == ["SGD"]
         assert not is_batchable(sweep.trial_functions["Base"])
         assert is_batchable(sweep.trial_functions["SGD"])
 
@@ -458,21 +468,6 @@ class TestVectorizedExecutor:
         assert [s.values for s in vectorized] == [s.values for s in serial]
         assert [s.values for s in batched] == [s.values for s in serial]
 
-    def test_auto_executor_picks_fast_path(self):
-        auto = ExperimentEngine("auto").run_sweep(sorting_sweep())
-        serial = ExperimentEngine("serial").run_sweep(sorting_sweep())
-        assert [s.values for s in auto] == [s.values for s in serial]
-
-    def test_auto_executor_delegation(self):
-        batchable_sweep = sorting_sweep()
-        assert isinstance(AutoExecutor(), AutoExecutor)
-        plain = SweepSpec({"plain": lambda proc, rng: 0.0}, fault_rates=(0.1,), trials=2)
-        assert not batchable_series(plain)
-        values = AutoExecutor().run(plain, plain.expand())
-        assert values == [0.0, 0.0]
-        values = AutoExecutor().run(batchable_sweep, batchable_sweep.expand())
-        assert len(values) == len(batchable_sweep)
-
 
 class TestNewlyBatchedKernelSweeps:
     """Figure 6.3 / 6.6 / §6.2.2 shaped sweeps: vectorized == serial."""
@@ -506,7 +501,8 @@ class TestNewlyBatchedKernelSweeps:
                 seed=2010,
             )
 
-        assert batchable_series(sweep()) == ["CG, N=8"]
+        functions = sweep().trial_functions
+        assert [name for name in functions if is_batchable(functions[name])] == ["CG, N=8"]
         serial = ExperimentEngine("serial").run_sweep(sweep())
         vectorized = ExperimentEngine("vectorized").run_sweep(sweep())
         assert [s.values for s in vectorized] == [s.values for s in serial]
@@ -522,10 +518,10 @@ class TestNewlyBatchedKernelSweeps:
                 seed=2010,
             )
 
-        assert len(batchable_series(sweep())) == 4
+        assert all(is_batchable(function) for function in sweep().trial_functions.values())
         serial = ExperimentEngine("serial").run_sweep(sweep())
-        auto = ExperimentEngine("auto").run_sweep(sweep())
-        assert [s.values for s in auto] == [s.values for s in serial]
+        vectorized = ExperimentEngine("vectorized").run_sweep(sweep())
+        assert [s.values for s in vectorized] == [s.values for s in serial]
 
     def test_extension_kernel_sweeps_bit_identical_to_serial(self):
         """§4.5–§4.7 shaped sweeps (max-flow, APSP, eigen, SVM): vectorized == serial."""
@@ -602,6 +598,29 @@ class TestMixedDtypeBatches:
         assert [p.flops for p in batch_procs] == [p.flops for p in serial_procs]
         assert [p.faults_injected for p in batch_procs] == [
             p.faults_injected for p in serial_procs
+        ]
+
+    def test_same_dtype_batch_preserves_counters(self):
+        """Regression: the fused batch path left fault and injector-op counts at 0."""
+        trial = make_noisy_sum_trial(n=32, ops_per_element=4)
+
+        def procs():
+            return [
+                StochasticProcessor(fault_rate=rate, rng=np.random.default_rng([11, i]))
+                for i, rate in enumerate((0.0, 0.1, 0.3, 0.5))
+            ]
+
+        serial_procs = procs()
+        serial = [trial(proc, stream) for proc, stream in zip(serial_procs, self._streams())]
+        batch_procs = procs()
+        assert trial.run_batch(batch_procs, self._streams()) == serial
+        assert any(p.faults_injected for p in serial_procs)
+        assert [p.flops for p in batch_procs] == [p.flops for p in serial_procs]
+        assert [p.faults_injected for p in batch_procs] == [
+            p.faults_injected for p in serial_procs
+        ]
+        assert [p.injector.ops_observed for p in batch_procs] == [
+            p.injector.ops_observed for p in serial_procs
         ]
 
 
