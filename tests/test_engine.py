@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.experiments.cache import ResultCache, spec_hash
 from repro.experiments.engine import ExperimentEngine
@@ -15,6 +17,8 @@ from repro.experiments.results import FigureResult, SeriesResult
 from repro.experiments.runner import run_fault_rate_sweep
 from repro.experiments.spec import SweepSpec, TrialSpec, run_trial
 from repro.experiments.trials import make_gradient_descent_trial, make_noisy_sum_trial
+from repro.faults.vectorized import corrupt_array
+from repro.processor.batch import ProcessorBatch
 from repro.processor.stochastic import StochasticProcessor
 
 
@@ -148,6 +152,42 @@ class TestExecutors:
         sweep = SweepSpec({"bad": trial}, fault_rates=(0.0,), trials=3, seed=0)
         with pytest.raises(ValueError, match="run_batch returned"):
             BatchedExecutor().run(sweep, sweep.expand())
+
+
+class TestCorruptBatch:
+    @given(
+        n_trials=st.integers(min_value=1, max_value=5),
+        n=st.integers(min_value=1, max_value=40),
+        fault_rate=st.sampled_from([0.0, 0.01, 0.2, 0.9]),
+        ops=st.integers(min_value=1, max_value=16),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_matches_per_trial_corrupt_array(self, n_trials, n, fault_rate, ops, seed):
+        """The fused ProcessorBatch pass equals per-trial corrupt_array bit-for-bit."""
+        workload = np.random.default_rng(seed)
+        stacked = workload.random((n_trials, n)).astype(np.float32)
+
+        def procs():
+            return [
+                StochasticProcessor(fault_rate=fault_rate, rng=np.random.default_rng([seed, t]))
+                for t in range(n_trials)
+            ]
+
+        serial_procs, batch_procs = procs(), procs()
+        batch = ProcessorBatch(batch_procs)
+        batched = batch.corrupt(stacked, ops_per_element=ops)
+        batch.flush()
+        for t, proc in enumerate(serial_procs):
+            row, n_faults = corrupt_array(
+                stacked[t], fault_rate, ops,
+                proc.injector.bit_distribution, proc.injector.rng,
+            )
+            np.testing.assert_array_equal(batched[t], row.astype(np.float64))
+            assert batch_procs[t].faults_injected == n_faults
+            assert (
+                batch_procs[t].injector.rng.bit_generator.state
+                == proc.injector.rng.bit_generator.state
+            )
 
 
 class TestEngine:

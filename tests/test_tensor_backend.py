@@ -62,6 +62,7 @@ from repro.experiments.kernels import (
 from repro.experiments.spec import SweepSpec
 from repro.experiments.tensor import make_trial_batch, run_tensor_cell
 from repro.experiments.trials import make_noisy_sum_trial
+from repro.faults.vectorized import corrupt_array
 from repro.optimizers.conjugate_gradient import CGOptions
 from repro.optimizers.problem import QuadraticProblem
 from repro.optimizers.sgd import (
@@ -82,6 +83,23 @@ from repro.workloads.generators import (
 )
 from repro.workloads.signals import random_stable_iir, sum_of_sinusoids
 from tests.strategies import MIXED_RATES, make_procs, sorting_sweep
+
+
+class TestCorruptBatchMixedRates:
+    def test_per_trial_rates_match_corrupt_array(self):
+        """ProcessorBatch with one rate per row equals per-trial corrupt_array."""
+        stacked = np.random.default_rng(3).random((len(MIXED_RATES), 64)).astype(np.float32)
+        serial_procs, batch_procs = make_procs(seed=5), make_procs(seed=5)
+        batch = ProcessorBatch(batch_procs)
+        batched = batch.corrupt(stacked, ops_per_element=4)
+        batch.flush()
+        for t, (rate, proc) in enumerate(zip(MIXED_RATES, serial_procs)):
+            row, n_faults = corrupt_array(
+                stacked[t], rate, 4, proc.injector.bit_distribution, proc.injector.rng
+            )
+            np.testing.assert_array_equal(batched[t], row.astype(np.float64))
+            assert batch_procs[t].faults_injected == n_faults
+        assert any(proc.faults_injected for proc in batch_procs)
 
 
 class TestProcessorBatch:
