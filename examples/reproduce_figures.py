@@ -24,9 +24,8 @@ Run:  python examples/reproduce_figures.py [--paper-scale] [--output DIR]
 
 ``--backend`` selects the compute backend for every trial (see
 ``docs/backends.md``); the default follows the ``REPRO_BACKEND`` / numpy
-precedence.  Bit-identical backends (``cnative``) only change wall time, so
-their figures share the cache with numpy runs; statistical-tier backends
-(``cnative-fused``) enter the cache key and never collide.
+precedence.  Every backend is bit-identical to numpy and only changes wall
+time, so all backends share one figure cache.
 
 ``--budget adaptive`` (scenario-grid studies only) replaces the fixed
 per-point trial count with the engine's confidence-target mode: each
@@ -250,10 +249,6 @@ def main(argv=None) -> None:
                 # Budget-aware key: adaptive studies must never replay a
                 # fixed-count cache entry (or vice versa).
                 key["budget"] = policy.fingerprint()
-            if backend.changes_results:
-                # Statistical-tier backends alter trial values, so their
-                # figures must never replay a numpy cache entry.
-                key["backend"] = backend.name
             with use_backend(backend):
                 figure = engine.run_figure(
                     key,
@@ -274,8 +269,6 @@ def main(argv=None) -> None:
     for spec in select_kernels(args.only):
         kwargs = spec.reduced_kwargs(trials, scale)
         key = {"figure": spec.figure, "params": spec.cache_params(kwargs)}
-        if backend.changes_results:
-            key["backend"] = backend.name
         if spec.takes_engine:
             kwargs = dict(kwargs, engine=engine)
         with use_backend(backend):

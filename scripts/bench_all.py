@@ -40,9 +40,8 @@ sets must match bit for bit; the record stores both wall times and their
 ratio.  Non-sweep kernels run once and record wall time only.  Under a
 non-default ``--backend`` the serial reference is replaced by the
 *vectorized numpy* reference: the record stores ``numpy_seconds``,
-``speedup_vs_numpy``, and ``bit_identical_to_numpy`` (``null`` for
-statistical-tier backends, whose equivalence is tolerance-based), which is
-the acceptance measure for a compiled backend — same executor tier, numpy
+``speedup_vs_numpy``, and ``bit_identical_to_numpy``, which is the
+acceptance measure for a compiled backend — same executor tier, numpy
 kernels versus compiled kernels.
 
 The pseudo-kernel name ``scenario_grid`` (run by default, or selectable via
@@ -53,7 +52,7 @@ batched-tier speedups and a bit-identity verdict.
 
 The pseudo-kernel name ``campaign`` benchmarks the sharded campaign path
 (``repro.experiments.campaign``): a sorting sweep split into per-cell shards
-and run on a two-worker thread pool against a scratch store, compared
+and run on a two-worker process pool against a scratch store, compared
 bit-for-bit against the single-process serial engine, plus a resume leg that
 must reuse every shard from the store without recomputation.
 ``BENCH_campaign.json`` records both wall times, the ratio, the resume wall
@@ -199,9 +198,8 @@ def bench_kernel(spec: kernels.KernelSpec, args, backend) -> dict:
     tier against the serial reference.  Under a compiled backend the serial
     reference is replaced by the *vectorized numpy* reference — the
     executor tier is held fixed so the ratio isolates the kernel
-    implementations — and equivalence is judged against that reference
-    (skipped for statistical-tier backends, whose contract is
-    tolerance-based, not bitwise).
+    implementations — and equivalence is judged bitwise against that
+    reference.
     """
     kwargs = spec.reduced_kwargs(args.trials, args.scale)
     record = {
@@ -246,9 +244,7 @@ def bench_kernel(spec: kernels.KernelSpec, args, backend) -> dict:
             numpy_seconds / max(fast_seconds, 1e-9), 3
         )
         record["bit_identical_to_numpy"] = (
-            None
-            if backend.changes_results
-            else series_values(fast_figure) == series_values(reference_figure)
+            series_values(fast_figure) == series_values(reference_figure)
         )
         return record
 
@@ -292,9 +288,7 @@ def bench_scenario_grid(args, backend) -> dict:
     Runs a cross-fault-model sorting grid (two series × four scenarios ×
     the default rate grid) under all three tiers; the batched tiers must be
     bit-identical to the serial reference and the record captures their
-    speedups.  All three tiers run under the selected backend, so the
-    bit-identity contract holds for statistical-tier backends too (every
-    tier sees the same kernels).
+    speedups.  All three tiers run under the selected backend.
     """
     warmup_seconds = warm_up_grid(backend)
     iterations = max(int(10000 * args.scale), 500)
@@ -351,13 +345,12 @@ def bench_campaign(args, backend) -> dict:
     """Time the sharded campaign path against the single-process engine.
 
     A two-series sorting sweep is split into per-cell shards
-    (``ShardPlanner("cell")``) and run on a two-worker thread pool with the
+    (``ShardPlanner("cell")``) and run on a two-worker process pool with the
     ``vectorized`` per-shard executor against a scratch store; the merged
     result must be bit-identical to ``ExperimentEngine("serial")`` on the
     same spec.  A second submission of the identical workload then replays
     the resume path, which must reuse every shard (``computed == 0``) and
-    merge to the same values.  Both legs run under the selected backend, so
-    the bit-identity verdict holds for statistical-tier backends too.
+    merge to the same values.  Both legs run under the selected backend.
     """
     warmup_seconds = warm_up_grid(backend)
     iterations = max(int(10000 * args.scale), 500)
@@ -384,7 +377,7 @@ def bench_campaign(args, backend) -> dict:
     try:
         runner = CampaignRunner(
             store=store, planner=ShardPlanner("cell"),
-            pool="thread", workers=2, executor="vectorized",
+            pool="process", workers=2, executor="vectorized",
         )
         campaign = runner.submit(make_sweep(), key=key)
         start = time.perf_counter()
@@ -417,7 +410,7 @@ def bench_campaign(args, backend) -> dict:
             "trials": args.trials,
             "iterations": iterations,
             "granularity": "cell",
-            "pool": "thread",
+            "pool": "process",
             "workers": 2,
         },
         "sweep": True,
@@ -768,12 +761,7 @@ def main() -> int:
             if not record["sweep"]:
                 print(f"  wall {record['wall_seconds']:.2f}s")
             elif record.get("numpy_seconds") is not None:
-                identity = record["bit_identical_to_numpy"]
-                verdict = (
-                    "ok" if identity
-                    else "n/a (statistical tier)" if identity is None
-                    else "MISMATCH"
-                )
+                verdict = "ok" if record["bit_identical_to_numpy"] else "MISMATCH"
                 print(
                     f"  numpy-vectorized {record['numpy_seconds']:.2f}s, "
                     f"{backend.name} {record['wall_seconds']:.2f}s, speedup "

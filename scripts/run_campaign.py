@@ -28,7 +28,7 @@ CI parses it to assert that a resumed campaign recomputed nothing that was
 already complete.
 
 Exit codes: 0 success; 1 incomplete campaign or ``--verify-serial``
-mismatch; 2 usage errors (unknown kernel/scenario, ``--resume`` id
+mismatch; 2 usage errors (unknown kernel/scenario/backend, ``--resume`` id
 mismatch, unknown ``--status`` id); 3 deliberate abort via
 ``--fail-after`` (the kill+resume test hook: abort the run after N shard
 completions, leaving a resumable store behind).
@@ -41,7 +41,13 @@ import json
 import sys
 from pathlib import Path
 
-from repro.experiments.campaign import CampaignRunner, ShardPlanner, campaign_status
+from repro.backends import resolve_backend, use_backend
+from repro.experiments.campaign import (
+    CampaignRunner,
+    ShardPlanner,
+    campaign_status,
+    list_pools,
+)
 from repro.experiments.engine import ExperimentEngine
 from repro.experiments.executors import list_executors
 from repro.experiments.kernels import WORKLOAD_SEED, get_kernel, sweep_kernels
@@ -83,9 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--store", default=".repro-cache/campaigns",
                         help="shared artifact store directory "
                         "(default: .repro-cache/campaigns)")
-    parser.add_argument("--pool", choices=("serial", "thread", "process"),
-                        default="thread",
-                        help="worker pool (default: thread)")
+    parser.add_argument("--pool", choices=list_pools(), default="serial",
+                        help="worker pool (default: serial)")
     parser.add_argument("--workers", type=int, default=2,
                         help="worker-pool size (default: 2)")
     parser.add_argument("--executor", default="vectorized", choices=list_executors(),
@@ -94,7 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
                         default="series",
                         help="shard granularity (default: series)")
     parser.add_argument("--backend", default=None,
-                        help="compute backend for every trial (default: ambient)")
+                        help="compute backend for every trial (default: "
+                        "REPRO_BACKEND / numpy)")
     parser.add_argument("--resume", default=None, metavar="CAMPAIGN_ID",
                         help="assert the planned campaign id matches and rerun, "
                         "recomputing only unfinished shards")
@@ -144,6 +150,11 @@ def main(argv=None) -> int:
         print(f"[campaign] unknown kernel {args.kernel!r}; sweep kernels: "
               f"{[spec.name for spec in sweep_kernels()]}", file=sys.stderr)
         return 2
+    try:
+        backend = resolve_backend(args.backend)
+    except ValueError as error:
+        print(f"[campaign] {error}", file=sys.stderr)
+        return 2
     factory_kwargs = {}
     if args.iterations is not None:
         factory_kwargs["iterations"] = args.iterations
@@ -174,7 +185,6 @@ def main(argv=None) -> int:
                 seed=args.seed,
                 scenarios=tuple(args.scenarios) if args.scenarios else None,
                 policy=policy,
-                backend=args.backend,
             )
         except (KeyError, ValueError) as error:
             raise SystemExit(f"[campaign] invalid sweep: {error}")
@@ -226,7 +236,8 @@ def main(argv=None) -> int:
         "shards_total": len(campaign.shards),
     }
     try:
-        series = campaign.run(on_shard=on_shard)
+        with use_backend(backend):
+            series = campaign.run(on_shard=on_shard)
     except _Abort as abort:
         status = campaign.status()
         summary.update({
@@ -247,7 +258,8 @@ def main(argv=None) -> int:
         "digest": series_digest(series),
     })
     if args.verify_serial:
-        reference = ExperimentEngine("serial").run_sweep(make_sweep())
+        with use_backend(backend):
+            reference = ExperimentEngine("serial").run_sweep(make_sweep())
         summary["bit_identical_to_serial"] = (
             series_digest(reference) == summary["digest"]
         )

@@ -30,9 +30,10 @@ FILE``, written to disk; ``--report FILE`` also saves the aligned text table
 from :mod:`repro.experiments.reporting`.
 
 Exit codes: 0 success; 1 ``--verify-grid`` disagreement; 2 usage errors
-(unknown kernel/driver combination, ``--resume`` id mismatch, unknown
-``--status`` id); 3 deliberate abort via ``--fail-after`` (the kill+resume
-test hook: abort after N newly computed probes, leaving a resumable store).
+(unknown backend or kernel/driver combination, ``--resume`` id mismatch,
+unknown ``--status`` id); 3 deliberate abort via ``--fail-after`` (the
+kill+resume test hook: abort after N newly computed probes, leaving a
+resumable store).
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ import json
 import sys
 from pathlib import Path
 
+from repro.backends import resolve_backend, use_backend
 from repro.experiments.campaign import ShardStore
 from repro.experiments.executors import list_executors
 from repro.experiments.kernels import WORKLOAD_SEED, get_kernel, sweep_kernels
@@ -114,15 +116,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="shared artifact store directory — sharing the "
                         "campaign store lets searches reuse campaign shards "
                         "(default: .repro-cache/campaigns)")
-    parser.add_argument("--pool", choices=("serial", "thread", "process"),
-                        default="serial",
-                        help="worker pool per probe (default: serial)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="worker-pool size (default: pool default)")
     parser.add_argument("--executor", default="vectorized", choices=list_executors(),
                         help="per-probe trial executor (default: vectorized)")
     parser.add_argument("--backend", default=None,
-                        help="compute backend for every trial (default: ambient)")
+                        help="compute backend for every trial (default: "
+                        "REPRO_BACKEND / numpy)")
     parser.add_argument("--resume", default=None, metavar="SEARCH_ID",
                         help="assert the planned search id matches and rerun; "
                         "already-answered probes are memo hits")
@@ -177,7 +175,16 @@ def main(argv=None) -> int:
 
     if args.status is not None:
         return _status(store, args.status, args.summary)
+    try:
+        backend = resolve_backend(args.backend)
+    except ValueError as error:
+        print(f"[search] {error}", file=sys.stderr)
+        return 2
+    with use_backend(backend):
+        return _search(args, store)
 
+
+def _search(args, store: ShardStore) -> int:
     if args.verify_grid and args.driver != "bisect":
         print("[search] --verify-grid only applies to --driver bisect",
               file=sys.stderr)
@@ -263,9 +270,7 @@ def main(argv=None) -> int:
             runners[label] = ProbeRunner(
                 store, functions[series], series,
                 trials=args.trials, seed=args.seed, policy=policy,
-                backend=args.backend, key=key, pool=args.pool,
-                workers=args.workers, executor=args.executor,
-                on_probe=on_probe,
+                key=key, executor=args.executor, on_probe=on_probe,
             )
 
     sid = search_id(driver, runners)
@@ -280,7 +285,6 @@ def main(argv=None) -> int:
         "driver": driver.name,
         "kernel": ",".join(spec.name for spec in kernels),
         "budget": args.budget,
-        "pool": args.pool,
     }
 
     def issued_shards() -> list:

@@ -30,8 +30,8 @@ def _backend_kernel(proc: StochasticProcessor):
     the plain configuration: generator-timed faults, the stock inverse-CDF
     bit sampler, and no ambient ``fpu.protected()`` region.
     """
-    impl = active_backend().kernel("direct_form_filter")
-    if impl is None:
+    kernel = active_backend().kernel("direct_form_filter")
+    if kernel is None:
         return None
     injector = proc.injector
     if (
@@ -40,7 +40,7 @@ def _backend_kernel(proc: StochasticProcessor):
         or type(injector.bit_distribution).sample is not BitPositionDistribution.sample
     ):
         return None
-    return impl.func
+    return kernel
 
 
 def noisy_direct_form_filter(

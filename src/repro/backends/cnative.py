@@ -9,7 +9,7 @@ each of them as one compiled C call.
 
 Bit-identity
 ------------
-Every kernel in the default table is in the **bit-identical** tier: the C
+Every kernel in the table is bit-identical to the numpy tier: the C
 code consumes each trial's ``numpy.random.Generator`` through numpy's own
 C bit-generator interface (``bitgen_t``), so uniform doubles come from the
 very same stream the numpy tier would draw, in the same order; bounded
@@ -20,10 +20,6 @@ double/float IEEE-754 — no fastmath, no reassociation.  The equivalence
 suite in ``tests/test_backends.py`` pins every kernel byte-for-byte against
 the numpy tier, including generator state advancement and fault/FLOP
 counters.
-
-The separately registered ``cnative-fused`` backend adds **statistical**-tier
-fused reductions (``row_dots``) whose sequential summation order differs from
-BLAS; it is opt-in and fingerprint-visible (see ``docs/backends.md``).
 
 The C library is compiled once per machine with the system C compiler via
 cffi and cached under ``~/.cache/repro-cnative`` (override with
@@ -39,20 +35,13 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.backends.registry import (
-    BIT_IDENTICAL,
-    STATISTICAL,
-    BackendUnavailable,
-    ComputeBackend,
-    KernelImpl,
-    register_backend,
-)
+from repro.backends.registry import BackendUnavailable, ComputeBackend, register_backend
 
-__all__ = ["CNATIVE", "CNATIVE_FUSED"]
+__all__ = ["CNATIVE"]
 
 _CDEF = """
 int64_t corrupt_array_f64(uintptr_t bg_addr, double *values, int64_t n,
@@ -87,8 +76,6 @@ void direct_form_filter(uintptr_t bg_addr, const double *u, int64_t n,
                         double *out, int width32, double fault_rate,
                         int64_t interval_upper, const double *cdf, int cdf_len,
                         int64_t *state);
-void row_dots_seq(const double *a, const double *b, int64_t rows, int64_t n,
-                  double *out);
 """
 
 _C_SOURCE = r"""
@@ -403,20 +390,6 @@ void direct_form_filter(uintptr_t bg_addr, const double *u, int64_t n,
   state[2] += ctx.ops;
   state[3] += ctx.flops;
 }
-
-/* ---- statistical tier: per-row sequential dot products.  The summation
-   order is the plain left-to-right chain, which differs from BLAS ddot's
-   unrolled accumulation — hence statistical, not bit-identical. ---- */
-void row_dots_seq(const double *a, const double *b, int64_t rows, int64_t n,
-                  double *out) {
-  for (int64_t r = 0; r < rows; r++) {
-    const double *x = a + r * n;
-    const double *y = b + r * n;
-    double acc = 0.0;
-    for (int64_t i = 0; i < n; i++) acc += x[i] * y[i];
-    out[r] = acc;
-  }
-}
 """
 
 
@@ -579,7 +552,9 @@ def corrupt_block(proc, values, ops: int) -> np.ndarray:
     injector = proc._injector
     state = _injector_state(injector)
     ffi = state["ffi"]
-    arr = np.ascontiguousarray(values, dtype=np.float64)
+    # order="C" rather than ascontiguousarray, which would promote a 0-d
+    # input to shape (1,); the numpy tier keeps the input's shape.
+    arr = np.asarray(values, dtype=np.float64, order="C")
     n = arr.size
     injector._ops_observed += ops * n
     rate = injector._fault_rate
@@ -731,27 +706,6 @@ def direct_form_filter(filt, u: np.ndarray, proc) -> np.ndarray:
     return out
 
 
-def row_dots(U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Statistical-tier fused per-row dot products (sequential summation).
-
-    Tolerance vs the numpy tier's per-row ``u @ v``: ``rtol=1e-10`` (the
-    reassociation error of a length-n double chain, n ≲ 1e4).
-    """
-    ffi, lib = _ensure_lib()
-    U_arr = np.ascontiguousarray(U, dtype=np.float64)
-    V_arr = np.ascontiguousarray(V, dtype=np.float64)
-    rows, n = U_arr.shape
-    if rows == 0 or n == 0:
-        return np.zeros(rows, dtype=np.float64)
-    out = np.empty(rows, dtype=np.float64)
-    lib.row_dots_seq(
-        ffi.from_buffer("double[]", U_arr.reshape(-1)),
-        ffi.from_buffer("double[]", V_arr.reshape(-1)),
-        rows, n, ffi.from_buffer("double[]", out),
-    )
-    return out
-
-
 # --------------------------------------------------------------------------- #
 # Registration
 # --------------------------------------------------------------------------- #
@@ -768,42 +722,23 @@ def _check_toolchain() -> None:
         raise BackendUnavailable(f"C extension build failed: {exc}") from exc
 
 
-_BIT_IDENTICAL_KERNELS = {
-    "corrupt_array": KernelImpl("corrupt_array", corrupt_array, BIT_IDENTICAL),
-    "corrupt_block": KernelImpl("corrupt_block", corrupt_block, BIT_IDENTICAL),
-    "commit_scalar": KernelImpl("commit_scalar", commit_scalar, BIT_IDENTICAL),
-    "batch_corrupt": KernelImpl("batch_corrupt", batch_corrupt, BIT_IDENTICAL),
-    "direct_form_filter": KernelImpl(
-        "direct_form_filter", direct_form_filter, BIT_IDENTICAL
-    ),
+_KERNELS = {
+    "corrupt_array": corrupt_array,
+    "corrupt_block": corrupt_block,
+    "commit_scalar": commit_scalar,
+    "batch_corrupt": batch_corrupt,
+    "direct_form_filter": direct_form_filter,
 }
 
 
-def _load_cnative() -> Dict[str, KernelImpl]:
+def _load_cnative() -> Dict[str, Callable]:
     _check_toolchain()
-    return dict(_BIT_IDENTICAL_KERNELS)
+    return dict(_KERNELS)
 
 
-def _load_cnative_fused() -> Dict[str, KernelImpl]:
-    _check_toolchain()
-    kernels = dict(_BIT_IDENTICAL_KERNELS)
-    kernels["row_dots"] = KernelImpl(
-        "row_dots", row_dots, STATISTICAL, tolerance={"rtol": 1e-10, "atol": 0.0}
-    )
-    return kernels
-
-
-#: The default compiled tier: every kernel bit-identical to numpy.
+#: The compiled tier: every kernel bit-identical to numpy.
 CNATIVE = register_backend(
     ComputeBackend(
         "cnative", load=_load_cnative, version=_version, warmup=_warmup
-    )
-)
-
-#: Opt-in variant adding statistical-tier fused reductions; because it can
-#: change last-bit results, sweeps run under it are fingerprint-visible.
-CNATIVE_FUSED = register_backend(
-    ComputeBackend(
-        "cnative-fused", load=_load_cnative_fused, version=_version, warmup=_warmup
     )
 )

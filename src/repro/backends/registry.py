@@ -4,30 +4,20 @@ A :class:`ComputeBackend` is a named provider of drop-in implementations for
 the measured hot paths of the fault layer — the vectorized corruption kernel
 behind :meth:`repro.faults.injector.FaultInjector.corrupt_array`, the fused
 batch corruption behind :meth:`repro.processor.batch.ProcessorBatch.corrupt`,
-the scalar direct-form IIR recursion, and the per-row reductions of the
-masked-batch solvers.  ``numpy`` (the pure-numpy tier, always available) is
-the reference; the compiled backends (``cnative`` / ``cnative-fused`` via
-cffi+cc) register faster implementations of individual kernels and fall back
-to the numpy code path for everything else.
+and the scalar direct-form IIR recursion.  ``numpy`` (the pure-numpy tier,
+always available) is the reference; the compiled ``cnative`` backend (cffi +
+cc) registers faster implementations of individual kernels and falls back to
+the numpy code path for everything else.
 
-Selection precedence is **explicit argument > ``REPRO_BACKEND`` env var >
-default (numpy)**; a known-but-uninstalled backend falls back to numpy with a
-warning, while an unknown name raises immediately.
+Every kernel a backend provides is byte-for-byte the numpy tier's result,
+including the random-draw order of each trial's generator, so the choice of
+backend never changes an experiment result and never enters a sweep
+fingerprint or cache key.
 
-Equivalence tiers
------------------
-Every kernel implementation declares a *tier*:
-
-* :data:`BIT_IDENTICAL` — the default bar: byte-for-byte the numpy tier's
-  results, including the random-draw order of each trial's generator.  A
-  backend whose kernels are all bit-identical does not change any experiment
-  result, so its name never enters sweep fingerprints or cache keys.
-* :data:`STATISTICAL` — explicitly registered looser implementations (for
-  example fused reductions whose summation order differs from BLAS); these
-  carry documented tolerances and make :attr:`ComputeBackend.changes_results`
-  true, which threads the backend name into :meth:`SweepSpec.fingerprint
-  <repro.experiments.spec.SweepSpec.fingerprint>` so cached results never mix
-  tiers.
+A backend is chosen one way: the innermost :func:`use_backend` context, else
+the ``REPRO_BACKEND`` env var, else numpy.  A known-but-uninstalled backend
+falls back to numpy with a warning, while an unknown name raises
+immediately.
 """
 
 from __future__ import annotations
@@ -35,15 +25,11 @@ from __future__ import annotations
 import contextlib
 import os
 import warnings
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Mapping, Optional
 
 __all__ = [
     "ENV_VAR",
     "DEFAULT_BACKEND",
-    "BIT_IDENTICAL",
-    "STATISTICAL",
-    "KernelImpl",
     "ComputeBackend",
     "register_backend",
     "get_backend",
@@ -60,43 +46,9 @@ ENV_VAR = "REPRO_BACKEND"
 #: The always-available reference tier.
 DEFAULT_BACKEND = "numpy"
 
-#: Kernel tier: results are byte-for-byte the numpy tier's results.
-BIT_IDENTICAL = "bit-identical"
-
-#: Kernel tier: statistically equivalent within documented tolerances.
-STATISTICAL = "statistical"
-
 
 class BackendUnavailable(RuntimeError):
     """Raised by a backend loader when its dependencies are missing."""
-
-
-@dataclass(frozen=True)
-class KernelImpl:
-    """One backend implementation of a named hot-path kernel.
-
-    ``func`` has a kernel-specific calling convention (documented where the
-    kernel is consumed); ``tier`` is :data:`BIT_IDENTICAL` or
-    :data:`STATISTICAL`, and statistical kernels must document their
-    ``tolerance`` (e.g. ``{"rtol": 1e-12, "atol": 0.0}``) — the equivalence
-    suite asserts against exactly these bounds.
-    """
-
-    name: str
-    func: Callable
-    tier: str = BIT_IDENTICAL
-    tolerance: Optional[Mapping[str, float]] = None
-
-    def __post_init__(self) -> None:
-        if self.tier not in (BIT_IDENTICAL, STATISTICAL):
-            raise ValueError(
-                f"kernel tier must be {BIT_IDENTICAL!r} or {STATISTICAL!r}, "
-                f"got {self.tier!r}"
-            )
-        if self.tier == STATISTICAL and self.tolerance is None:
-            raise ValueError(
-                f"statistical kernel {self.name!r} must document a tolerance"
-            )
 
 
 class ComputeBackend:
@@ -108,9 +60,10 @@ class ComputeBackend:
         Registry name (``"numpy"``, ``"cnative"``, ...).
     load:
         Zero-argument callable returning the backend's kernel table
-        (``{kernel name: KernelImpl}``).  Raises :class:`BackendUnavailable`
-        when a dependency (compiler, cffi, ...) is missing; the load runs at
-        most once and its outcome is cached.
+        (``{kernel name: function}``; each function's calling convention is
+        documented where the kernel is consumed).  Raises
+        :class:`BackendUnavailable` when a dependency (compiler, cffi, ...)
+        is missing; the load runs at most once and its outcome is cached.
     version:
         Zero-argument callable returning the provider's version string (or
         ``None``).  Only consulted when the backend is available.
@@ -124,7 +77,7 @@ class ComputeBackend:
     def __init__(
         self,
         name: str,
-        load: Callable[[], Dict[str, KernelImpl]],
+        load: Callable[[], Dict[str, Callable]],
         version: Optional[Callable[[], Optional[str]]] = None,
         warmup: Optional[Callable[[], float]] = None,
     ) -> None:
@@ -132,7 +85,7 @@ class ComputeBackend:
         self._load = load
         self._version = version
         self._warmup = warmup
-        self._kernels: Optional[Dict[str, KernelImpl]] = None
+        self._kernels: Optional[Dict[str, Callable]] = None
         self._unavailable_reason: Optional[str] = None
         self._probed = False
 
@@ -157,24 +110,14 @@ class ComputeBackend:
         self._probe()
         return self._unavailable_reason
 
-    def kernels(self) -> Mapping[str, KernelImpl]:
+    def kernels(self) -> Mapping[str, Callable]:
         """The kernel table; empty for the reference tier or when unavailable."""
         self._probe()
         return self._kernels or {}
 
-    def kernel(self, name: str) -> Optional[KernelImpl]:
+    def kernel(self, name: str) -> Optional[Callable]:
         """Look up one kernel implementation, ``None`` when not provided."""
         return self.kernels().get(name)
-
-    @property
-    def changes_results(self) -> bool:
-        """True when any provided kernel is in the statistical tier.
-
-        Sweeps resolve this to decide whether the backend name must enter
-        their fingerprint: bit-identical backends are invisible to caching,
-        statistical ones are not.
-        """
-        return any(k.tier == STATISTICAL for k in self.kernels().values())
 
     def version(self) -> Optional[str]:
         """Version of the backing provider (numpy / compiler)."""
@@ -263,10 +206,9 @@ def use_backend(
 
     Substrate objects (:class:`~repro.faults.injector.FaultInjector`,
     :class:`~repro.processor.batch.ProcessorBatch`) resolve their backend at
-    construction via :func:`active_backend`; the executors wrap trial
-    execution in this context so a sweep's backend choice reaches every
-    processor the trials build.  Accepts a name (resolved by precedence) or
-    an already-resolved :class:`ComputeBackend`.
+    construction via :func:`active_backend`, so wrapping a run in this
+    context reaches every processor the run builds.  Accepts a name
+    (resolved by precedence) or an already-resolved :class:`ComputeBackend`.
     """
     backend = name if isinstance(name, ComputeBackend) else resolve_backend(name)
     _ACTIVE.append(backend)

@@ -240,7 +240,7 @@ class CampaignRunner:
         self,
         store: Union[str, Path, ShardStore],
         planner: Optional[ShardPlanner] = None,
-        pool: str = "thread",
+        pool: str = "serial",
         workers: Optional[int] = None,
         max_retries: int = 2,
         executor: str = "vectorized",

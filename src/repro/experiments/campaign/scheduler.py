@@ -1,30 +1,27 @@
 """Dispatching pending shards to a pluggable worker pool.
 
 :class:`CampaignScheduler` takes a planned shard list, skips every shard the
-:class:`~.store.ShardStore` already holds, and runs the rest on one of three
+:class:`~.store.ShardStore` already holds, and runs the rest on one of two
 pools:
 
 ``serial``
-    Shards run inline, one at a time — the reference pool.
-``thread``
-    A ``ThreadPoolExecutor``: shards overlap in one process.  Useful when
-    each shard's executor releases the GIL (numpy tensor batches).
+    Shards run inline, one at a time — the reference pool and the default.
 ``process``
     A fork-context ``ProcessPoolExecutor``: one OS process per worker, with
     **retry-on-worker-death** — a died worker breaks the pool, which is
     rebuilt and the still-unfinished shards requeued, up to ``max_retries``
     rebuilds.  Completed shards were already published to the store, so a
-    retry never recomputes them.  Falls back to ``thread`` where fork is
+    retry never recomputes them.  Falls back to ``serial`` where fork is
     unsupported or unsafe (see :meth:`CampaignScheduler.resolved_pool`).
 
 These pools are where parallelism lives: an executor runs a shard's trials
 in one process, and the engine's ``run_sweep`` is the single-shard, inline
 case.  Within a shard, trials run through the ordinary executor stack
 (:func:`~repro.experiments.executors.get_executor` by name, so the choice
-ships to forked workers as a plain string); the sweep's compute-backend
-choice rides on the sweep object itself.  Results are bit-identical across
-pools for the same reason they are across executors: every trial and every
-adaptive stopping decision derives from grid coordinates alone.
+ships to forked workers as a plain string); forked workers inherit the
+ambient compute backend.  Results are bit-identical across pools for the
+same reason they are across executors: every trial and every adaptive
+stopping decision derives from grid coordinates alone.
 
 The process pool hands the (unpicklable) sweep to workers by fork
 inheritance through a module-level slot, so only one process campaign can
@@ -36,7 +33,7 @@ from __future__ import annotations
 import multiprocessing
 import sys
 import threading
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -55,7 +52,7 @@ __all__ = [
 ]
 
 #: The pluggable worker pools, by name.
-POOL_KINDS = ("serial", "thread", "process")
+POOL_KINDS = ("serial", "process")
 
 #: Callback invoked as each pending shard completes: ``on_shard(shard, result)``.
 #: Raising aborts the campaign run (already-stored shards stay in the store).
@@ -107,17 +104,17 @@ class CampaignScheduler:
     Parameters
     ----------
     pool:
-        ``"serial"``, ``"thread"``, or ``"process"`` (see module docstring).
+        ``"serial"`` (the default) or ``"process"`` (see module docstring).
     workers:
         Pool size; defaults to 2.  A one-worker pool degrades to serial.
     max_retries:
         How many times a broken process pool is rebuilt before
-        :class:`WorkerPoolError` is raised.  Ignored by the other pools.
+        :class:`WorkerPoolError` is raised.  Ignored by the serial pool.
     """
 
     def __init__(
         self,
-        pool: str = "thread",
+        pool: str = "serial",
         workers: Optional[int] = None,
         max_retries: int = 2,
     ) -> None:
@@ -137,14 +134,13 @@ class CampaignScheduler:
         macOS advertises fork, but forking a process with an initialized
         Accelerate/Objective-C runtime is unsafe (workers can abort or
         deadlock), so the process pool runs only where fork after numpy
-        initialization is well-behaved and falls back to threads elsewhere.
+        initialization is well-behaved and runs serially elsewhere.
         """
-        if self.pool == "process" and (
-            sys.platform == "darwin"
+        if (
+            self.workers <= 1
+            or sys.platform == "darwin"
             or "fork" not in multiprocessing.get_all_start_methods()
         ):
-            return "thread"
-        if self.workers <= 1 and self.pool != "serial":
             return "serial"
         return self.pool
 
@@ -181,39 +177,13 @@ class CampaignScheduler:
             if on_shard is not None:
                 on_shard(shard, result)
 
-        pool_kind = stats["pool"]
-        if pool_kind == "serial":
+        if stats["pool"] == "serial":
             for shard in pending:
                 result = execute_shard(sweep, shard, get_executor(executor))
                 publish(shard, result)
-        elif pool_kind == "thread":
-            self._run_thread_pool(sweep, pending, executor, publish)
         else:
             self._run_process_pool(sweep, shards, pending, executor, publish, stats)
         return stats
-
-    def _run_thread_pool(
-        self,
-        sweep: SweepSpec,
-        pending: Sequence[Shard],
-        executor: str,
-        publish: Callable[[Shard, ShardResult], None],
-    ) -> None:
-        workers = min(self.workers, len(pending))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(execute_shard, sweep, shard, get_executor(executor)): shard
-                for shard in pending
-            }
-            try:
-                remaining = set(futures)
-                while remaining:
-                    done, remaining = wait(remaining, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        publish(futures[future], future.result())
-            except BaseException:
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise
 
     def _run_process_pool(
         self,

@@ -270,11 +270,9 @@ class ExperimentEngine:
     progress:
         Callback receiving a :class:`ProgressEvent` after every completed
         trial, in completion order.
-    backend:
-        Compute-backend name (see :mod:`repro.backends`) applied to every
-        sweep this engine runs that does not already carry its own choice.
-        ``None`` (the default) leaves sweeps on the ambient selection
-        (``REPRO_BACKEND`` env var / ``use_backend`` context / numpy).
+
+    Trials run on the ambient compute backend (see
+    :func:`repro.backends.use_backend`).
     """
 
     def __init__(
@@ -282,26 +280,12 @@ class ExperimentEngine:
         executor: Union[str, Executor] = "serial",
         cache_dir: Union[str, Path, None] = None,
         progress: Optional[ProgressCallback] = None,
-        backend: Optional[str] = None,
     ) -> None:
         self.executor = (
             executor if isinstance(executor, Executor) else get_executor(executor)
         )
         self.cache = ResultCache(cache_dir) if cache_dir is not None else None
         self.progress = progress
-        if backend is not None:
-            # Unknown names fail here, not mid-sweep.
-            from repro.backends import get_backend
-
-            get_backend(backend)
-        self.backend = backend
-
-    def _apply_backend(self, sweep: SweepSpec) -> SweepSpec:
-        """Stamp the engine's backend onto a sweep that has no choice of its own."""
-        if self.backend is not None and sweep.backend is None:
-            sweep.backend = self.backend
-            sweep._specs = None  # invalidate any pre-backend expansion
-        return sweep
 
     # ------------------------------------------------------------------ #
     # Sweep execution
@@ -325,7 +309,6 @@ class ExperimentEngine:
         each point's trial list is as long as the policy needed, and
         ``trials_used`` / ``halted_early`` are populated per point.
         """
-        sweep = self._apply_backend(sweep)
         points = sweep.point_keys()
         if sweep.adaptive:
             return self._run_adaptive(sweep, points)

@@ -58,7 +58,6 @@ def run_fault_rate_sweep(
     fault_model: str = "leon3-fpu",
     engine: Optional[Union[str, ExperimentEngine]] = None,
     policy: Optional[BudgetPolicy] = None,
-    backend: Optional[str] = None,
 ) -> List[SeriesResult]:
     """Run each named trial function over the fault-rate grid.
 
@@ -81,13 +80,9 @@ def run_fault_rate_sweep(
     reaches the target half-width (``trials`` is then ignored in favour of
     the policy's ``max_trials`` cap).
 
-    ``backend`` selects the compute backend (see :mod:`repro.backends`) for
-    every trial's substrate objects; ``None`` keeps the ambient selection
-    (``REPRO_BACKEND`` env var / ``use_backend`` context / numpy).  Because
-    the built-in compiled backends are bit-identical, this too affects
-    throughput only — unless a statistical-tier backend (e.g.
-    ``cnative-fused``) is chosen, in which case the sweep fingerprint
-    records it.
+    Trials run on the ambient compute backend (see
+    :func:`repro.backends.use_backend`); every backend is bit-identical, so
+    that choice too affects throughput only.
     """
     sweep = SweepSpec(
         trial_functions=dict(trial_functions),
@@ -96,7 +91,6 @@ def run_fault_rate_sweep(
         seed=seed,
         fault_model=fault_model,
         policy=policy,
-        backend=backend,
     )
     return _resolve_engine(engine).run_sweep(sweep)
 
@@ -109,7 +103,6 @@ def run_scenario_grid(
     seed: int = 0,
     engine: Optional[Union[str, ExperimentEngine]] = None,
     policy: Optional[BudgetPolicy] = None,
-    backend: Optional[str] = None,
 ) -> List[SeriesResult]:
     """Run each trial function across a scenario × fault-rate grid.
 
@@ -129,8 +122,6 @@ def run_scenario_grid(
     exactly as in :func:`run_fault_rate_sweep`: an adaptive
     :class:`~repro.experiments.sequential.ConfidenceTarget` stops each
     (series, scenario, rate) point independently at its target half-width.
-    ``backend`` selects the compute backend for every trial, exactly as in
-    :func:`run_fault_rate_sweep`.
     """
     sweep = SweepSpec(
         trial_functions=dict(trial_functions),
@@ -139,7 +130,6 @@ def run_scenario_grid(
         seed=seed,
         scenarios=tuple(scenarios),
         policy=policy,
-        backend=backend,
     )
     return _resolve_engine(engine).run_sweep(sweep)
 
@@ -153,9 +143,8 @@ def run_campaign(
     seed: int = 0,
     fault_model: str = "leon3-fpu",
     policy: Optional[BudgetPolicy] = None,
-    backend: Optional[str] = None,
     key: Optional[Mapping[str, Any]] = None,
-    pool: str = "thread",
+    pool: str = "serial",
     workers: Optional[int] = None,
     executor: str = "vectorized",
     granularity: str = "series",
@@ -182,7 +171,6 @@ def run_campaign(
         fault_model=fault_model,
         scenarios=None if scenarios is None else tuple(scenarios),
         policy=policy,
-        backend=backend,
     )
     runner = CampaignRunner(
         store=store,

@@ -23,8 +23,8 @@ store-backed memo make every answered probe permanent.  Three drivers:
 Every driver's probe sequence is a pure function of (driver configuration,
 probe answers), and every probe answer is a pure function of grid
 coordinates, so the whole search is bit-reproducible given (spec, config):
-the same probes in the same order with the same values, on any pool, from
-any resume point.  The pure decision cores (:func:`bisect_crossing`,
+the same probes in the same order with the same values, from any resume
+point.  The pure decision cores (:func:`bisect_crossing`,
 :func:`trace_frontier`, :func:`successive_halving`) take plain callables so
 property tests can drive them with synthetic curves.
 """

@@ -22,8 +22,10 @@ for free:
 
 Trial values derive purely from grid coordinates (seed, scenario, series,
 rate, trial), so a probe's values are bit-identical no matter which search
-issued it, in what order, or on which worker pool — the same contract that
-makes campaign shards mergeable.
+issued it or in what order — the same contract that makes campaign shards
+mergeable.  A probe is a single shard, so it always runs inline (on the
+``serial`` campaign pool): a worker pool around one shard could only add
+overhead.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ class ProbeRunner:
     series:
         The series label — it names the probe sweep's single series, so it
         is part of every probe's content address.
-    trials / seed / policy / backend / fault_model:
+    trials / seed / policy / fault_model:
         Probe sweep parameters, all folded into the shard id via the sweep
         fingerprint.  ``policy`` may be a
         :class:`~repro.experiments.sequential.ConfidenceTarget` so each
@@ -93,10 +95,9 @@ class ProbeRunner:
     key:
         Workload key covering what the fingerprint cannot see (kernel name,
         iteration budget, workload seed) — same discipline as campaigns.
-    pool / workers / executor:
-        How each probe's single shard executes
-        (:class:`~repro.experiments.campaign.CampaignScheduler` pools); the
-        choice never changes values, only throughput.
+    executor:
+        The trial executor each probe's single shard runs on; the choice
+        never changes values, only throughput.
     on_probe:
         Callback invoked after each newly *computed* (not reused) probe —
         raising aborts the search, leaving the store resumable.
@@ -110,11 +111,8 @@ class ProbeRunner:
         trials: int = 5,
         seed: int = 0,
         policy: Optional[BudgetPolicy] = None,
-        backend: Optional[str] = None,
         fault_model: str = "leon3-fpu",
         key: Optional[Mapping[str, Any]] = None,
-        pool: str = "serial",
-        workers: Optional[int] = None,
         executor: str = "vectorized",
         on_probe: Optional[Callable[[ProbeResult], None]] = None,
     ) -> None:
@@ -124,11 +122,10 @@ class ProbeRunner:
         self.trials = int(trials)
         self.seed = int(seed)
         self.policy = policy
-        self.backend = backend
         self.fault_model = fault_model
         self.key = None if key is None else dict(key)
         self.planner = ShardPlanner(granularity="cell")
-        self.scheduler = CampaignScheduler(pool=pool, workers=workers)
+        self.scheduler = CampaignScheduler(pool="serial")
         self.executor = executor
         self.on_probe = on_probe
         #: Probe accounting of this runner: computed vs memo-reused counts,
@@ -160,7 +157,6 @@ class ProbeRunner:
             seed=self.seed,
             scenarios=(voltage_scenario(float(voltage), self.fault_model),),
             policy=self.policy,
-            backend=self.backend,
         )
 
     def plan(
@@ -226,8 +222,8 @@ class ProbeRunner:
         Uses a representative probe sweep's own fingerprint (at the nominal
         placeholder voltage, with the voltage field factored out) so
         everything that changes probe values — series, trials, seed, budget
-        policy, statistical-tier backend, scenario model — changes every
-        search id that uses this runner.
+        policy, scenario model — changes every search id that uses this
+        runner.
         """
         sweep_fingerprint = self.sweep_for(1.0).fingerprint()
         sweep_fingerprint.pop("scenarios", None)

@@ -20,7 +20,6 @@ independent random stream.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -37,7 +36,6 @@ __all__ = [
     "TrialSpec",
     "SweepSpec",
     "Scenario",
-    "backend_scope",
     "run_trial",
 ]
 
@@ -79,9 +77,6 @@ class TrialSpec:
     scenario_index: Optional[int] = None
     scenario_name: str = ""
     voltage: Optional[float] = None
-    #: Compute-backend name for this trial's substrate objects; ``None``
-    #: keeps the ambient selection (env var / use_backend context / default).
-    backend: Optional[str] = None
 
     def make_stream(self) -> np.random.Generator:
         """The trial's private random stream, derived only from coordinates.
@@ -146,20 +141,12 @@ class SweepSpec:
     fault_model: Union[str, FaultModel] = "leon3-fpu"
     scenarios: Optional[Sequence[Union[str, Scenario]]] = None
     policy: Optional[BudgetPolicy] = None
-    backend: Optional[str] = None
     _specs: List[TrialSpec] = field(default=None, repr=False, compare=False)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         self.fault_rates = tuple(float(rate) for rate in self.fault_rates)
         if self.trials < 0:
             raise ValueError(f"trials must be non-negative, got {self.trials}")
-        if self.backend is not None:
-            # Fail fast on unknown names (ValueError with the registry list);
-            # a known-but-unavailable backend is resolved lazily at run time,
-            # where it falls back to numpy with a warning.
-            from repro.backends import get_backend
-
-            get_backend(self.backend)
         if self.policy is not None:
             if not isinstance(self.policy, BudgetPolicy):
                 raise TypeError(
@@ -243,48 +230,7 @@ class SweepSpec:
         historical planner did.
         """
         if self._specs is None:
-            if self.scenarios is None:
-                fault_model = self.fault_model
-                self._specs = [
-                    TrialSpec(
-                        series_name=name,
-                        series_index=series_index,
-                        rate_index=rate_index,
-                        trial_index=trial_index,
-                        fault_rate=fault_rate,
-                        seed=self.seed,
-                        fault_model=fault_model,
-                        backend=self.backend,
-                    )
-                    for series_index, name in enumerate(self.series_names)
-                    for rate_index, fault_rate in enumerate(self.fault_rates)
-                    for trial_index in range(self.trials)
-                ]
-            else:
-                resolved_models = [
-                    scenario.resolved_model() for scenario in self.scenarios
-                ]
-                self._specs = [
-                    TrialSpec(
-                        series_name=name,
-                        series_index=series_index,
-                        rate_index=rate_index,
-                        trial_index=trial_index,
-                        fault_rate=scenario.effective_fault_rate(grid_rate),
-                        seed=self.seed,
-                        fault_model=model,
-                        scenario_index=scenario_index,
-                        scenario_name=scenario.name,
-                        voltage=scenario.voltage,
-                        backend=self.backend,
-                    )
-                    for series_index, name in enumerate(self.series_names)
-                    for scenario_index, (scenario, model) in enumerate(
-                        zip(self.scenarios, resolved_models)
-                    )
-                    for rate_index, grid_rate in enumerate(self.fault_rates)
-                    for trial_index in range(self.trials)
-                ]
+            self._specs = self._trial_specs(range(self.trials))
         return self._specs
 
     def expand_trials(
@@ -305,12 +251,18 @@ class SweepSpec:
         """
         if start < 0 or stop < start:
             raise ValueError(f"invalid trial window [{start}, {stop})")
+        return self._trial_specs(range(start, stop), points)
+
+    def _trial_specs(
+        self, trial_range: range, points: Optional[Sequence[PointKey]] = None
+    ) -> List[TrialSpec]:
+        """The specs of ``trial_range`` at ``points`` (all when ``None``), in plan order.
+
+        The one expansion behind :meth:`expand` and :meth:`expand_trials`.
+        Neither of those calls the other, so each public call is exactly one
+        expansion (``perfbench/tracer.py`` times both as ``spec.expand``).
+        """
         selected = None if points is None else set(points)
-
-        def want(key: PointKey) -> bool:
-            return selected is None or key in selected
-
-        trial_range = range(start, stop)
         if self.scenarios is None:
             fault_model = self.fault_model
             return [
@@ -322,11 +274,10 @@ class SweepSpec:
                     fault_rate=fault_rate,
                     seed=self.seed,
                     fault_model=fault_model,
-                    backend=self.backend,
                 )
                 for series_index, name in enumerate(self.series_names)
                 for rate_index, fault_rate in enumerate(self.fault_rates)
-                if want((series_index, None, rate_index))
+                if selected is None or (series_index, None, rate_index) in selected
                 for trial_index in trial_range
             ]
         resolved_models = [scenario.resolved_model() for scenario in self.scenarios]
@@ -342,14 +293,13 @@ class SweepSpec:
                 scenario_index=scenario_index,
                 scenario_name=scenario.name,
                 voltage=scenario.voltage,
-                backend=self.backend,
             )
             for series_index, name in enumerate(self.series_names)
             for scenario_index, (scenario, model) in enumerate(
                 zip(self.scenarios, resolved_models)
             )
             for rate_index, grid_rate in enumerate(self.fault_rates)
-            if want((series_index, scenario_index, rate_index))
+            if selected is None or (series_index, scenario_index, rate_index) in selected
             for trial_index in trial_range
         ]
 
@@ -380,37 +330,12 @@ class SweepSpec:
             # FixedCount forms keep the historical fingerprint byte for
             # byte, while adaptive runs hash to distinct cache entries.
             payload["budget"] = self.policy.fingerprint()
-        if self.backend is not None:
-            # Same conditional-key pattern as "budget": a bit-identical
-            # backend cannot change any result, so it stays invisible to
-            # cache keys (historical fingerprints remain byte-identical);
-            # only statistical-tier backends enter the payload.
-            from repro.backends import resolve_backend
-
-            backend = resolve_backend(self.backend)
-            if backend.changes_results:
-                payload["backend"] = backend.name
         return payload
-
-
-def backend_scope(backend: Optional[str]):
-    """Context manager making ``backend`` ambient for one unit of execution.
-
-    ``None`` (no per-sweep choice) is a no-op so an enclosing
-    :func:`repro.backends.use_backend` context — or the env-var default —
-    stays in effect.
-    """
-    if backend is None:
-        return contextlib.nullcontext()
-    from repro.backends import use_backend
-
-    return use_backend(backend)
 
 
 def run_trial(sweep: SweepSpec, spec: TrialSpec) -> float:
     """Execute one trial of ``sweep`` exactly as the serial reference does."""
     function = sweep.trial_functions[spec.series_name]
     stream = spec.make_stream()
-    with backend_scope(spec.backend):
-        proc = spec.make_processor(stream)
-        return float(function(proc, stream))
+    proc = spec.make_processor(stream)
+    return float(function(proc, stream))

@@ -52,7 +52,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.experiments.kernels import batch_implementation
-from repro.experiments.spec import SweepSpec, TrialSpec, backend_scope
+from repro.experiments.spec import SweepSpec, TrialSpec
 from repro.processor.batch import ProcessorBatch
 from repro.processor.stochastic import StochasticProcessor
 
@@ -104,13 +104,8 @@ def run_tensor_cell(sweep: SweepSpec, specs: Sequence[TrialSpec]) -> List[float]
             f"series {specs[0].series_name!r} has no batch implementation; "
             "use the per-trial path"
         )
-    # The sweep's backend choice must be ambient both while the substrate
-    # objects are constructed (processors bind their corrupt kernels then)
-    # and while the batch kernel runs (ProcessorBatch construction happens
-    # inside run_batch).
-    with backend_scope(specs[0].backend):
-        streams, procs = make_trial_batch(specs)
-        values = [float(value) for value in run_batch(procs, streams)]
+    streams, procs = make_trial_batch(specs)
+    values = [float(value) for value in run_batch(procs, streams)]
     if len(values) != len(specs):
         raise ValueError(
             f"run_batch returned {len(values)} values for a batch of "

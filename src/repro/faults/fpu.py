@@ -46,7 +46,7 @@ class StochasticFPU:
         # binding encodes them: stock bit distribution, non-LFSR generator).
         kernel = self._injector.backend.kernel("commit_scalar")
         self._commit_kernel = (
-            kernel.func
+            kernel
             if kernel is not None and self._injector._array_kernel is not None
             else None
         )

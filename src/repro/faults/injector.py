@@ -102,7 +102,7 @@ class FaultInjector:
         self._backend = active_backend()
         kernel = self._backend.kernel("corrupt_array")
         self._array_kernel = (
-            kernel.func
+            kernel
             if kernel is not None
             and not self._use_lfsr
             and type(self._bit_distribution).sample is BitPositionDistribution.sample

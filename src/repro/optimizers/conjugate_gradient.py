@@ -265,14 +265,7 @@ def conjugate_gradient_least_squares_batch(
             sub_batches[key] = sub
         return sub
 
-    # Statistical-tier fused reduction: only backends that explicitly
-    # register a ``row_dots`` kernel (e.g. ``cnative-fused``) provide one,
-    # and such backends are fingerprint-visible because a different
-    # summation order can change the last bits of α/β.  The default tiers
-    # leave this None and keep the bit-identical per-row loop below.
-    row_dots_impl = batch.backend.kernel("row_dots")
-
-    def _row_dots(U: np.ndarray, V: np.ndarray, index: np.ndarray) -> np.ndarray:
+    def _reliable_dots(U: np.ndarray, V: np.ndarray, index: np.ndarray) -> np.ndarray:
         """Per-row reliable dot products, charged exactly as ``_reliable_dot``.
 
         Each row goes through ``u @ v`` — the serial ``_reliable_dot``
@@ -284,8 +277,6 @@ def conjugate_gradient_least_squares_batch(
         length = U.shape[1]
         for t in index:
             batch.procs[int(t)].count_flops(2 * length - 1)
-        if row_dots_impl is not None:
-            return row_dots_impl.func(U, V)
         return np.array([float(u @ v) for u, v in zip(U, V)])
 
     def _normal_residuals(sub: ProcessorBatch, X_rows: np.ndarray) -> np.ndarray:
@@ -297,11 +288,11 @@ def conjugate_gradient_least_squares_batch(
     every = np.arange(n_trials)
     R = _sanitize_rows(_normal_residuals(batch, X), options)
     P = R.copy()
-    rs_old = np.maximum(_row_dots(R, R, every), tiny)
+    rs_old = np.maximum(_reliable_dots(R, R, every), tiny)
 
     for iteration in range(1, options.iterations + 1):
         Ap = _sanitize_rows(batch_matvec(batch, A_arr, P), options)
-        curvatures = _row_dots(Ap, Ap, every)
+        curvatures = _reliable_dots(Ap, Ap, every)
         usable = np.isfinite(curvatures) & (curvatures > 0)
         bad = np.flatnonzero(~usable)
         if bad.size:
@@ -311,7 +302,7 @@ def conjugate_gradient_least_squares_batch(
             R_bad = _sanitize_rows(_normal_residuals(sub, X[bad]), options)
             R[bad] = R_bad
             P[bad] = R_bad
-            rs_old[bad] = np.maximum(_row_dots(R_bad, R_bad, bad), tiny)
+            rs_old[bad] = np.maximum(_reliable_dots(R_bad, R_bad, bad), tiny)
         good = np.flatnonzero(usable)
         if good.size == 0:
             continue
@@ -323,13 +314,13 @@ def conjugate_gradient_least_squares_batch(
         R_good = _sanitize_rows(
             batch_sub(sub_good, R[good], alphas[:, np.newaxis] * ATAp), options
         )
-        rs_new = _row_dots(R_good, R_good, good)
+        rs_new = _reliable_dots(R_good, R_good, good)
         rs_new = np.where(np.isfinite(rs_new) & (rs_new >= 0), rs_new, tiny)
         if iteration % options.restart_every == 0:
             # Periodic restart: recompute the true residual direction.
             R_good = _sanitize_rows(_normal_residuals(sub_good, X[good]), options)
             P[good] = R_good
-            rs_new = np.maximum(_row_dots(R_good, R_good, good), tiny)
+            rs_new = np.maximum(_reliable_dots(R_good, R_good, good), tiny)
         else:
             betas = rs_new / np.maximum(rs_old[good], tiny)
             betas = np.where(np.isfinite(betas) & (betas >= 0), betas, 0.0)

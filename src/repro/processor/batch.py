@@ -100,10 +100,9 @@ class ProcessorBatch:
         # hand-built batch sharing one generator must stay on the numpy tier.
         from repro.backends import active_backend
 
-        self._backend = active_backend()
-        kernel = self._backend.kernel("batch_corrupt")
+        kernel = active_backend().kernel("batch_corrupt")
         self._batch_kernel = (
-            kernel.func
+            kernel
             if kernel is not None
             and self._shared_cdf is not None
             and len({id(rng) for rng in self._rngs}) == len(self._rngs)
@@ -126,11 +125,6 @@ class ProcessorBatch:
     def fault_rates(self) -> np.ndarray:
         """Per-trial fault rates (fixed at batch construction), ``(n_trials,)``."""
         return self._rates.copy()
-
-    @property
-    def backend(self):
-        """The compute backend this batch resolved at construction."""
-        return self._backend
 
     # ------------------------------------------------------------------ #
     # Batched noisy corruption (mirrors StochasticProcessor.corrupt row-wise)

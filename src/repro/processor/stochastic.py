@@ -74,7 +74,7 @@ class StochasticProcessor:
         # distribution, non-LFSR generator, backend provides the C tier).
         block = self._injector.backend.kernel("corrupt_block")
         self._block_kernel = (
-            block.func
+            block
             if block is not None and self._injector._array_kernel is not None
             else None
         )

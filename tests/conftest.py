@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from repro.backends import get_backend, list_backends
-from repro.experiments.engine import ExperimentEngine
+from repro.backends import get_backend
 from repro.processor.stochastic import StochasticProcessor
 
 # Property tests run under named Hypothesis profiles: "ci" digs deeper (more
@@ -41,49 +40,12 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "local"))
 # ---------------------------------------------------------------------- #
 # Compute backends
 # ---------------------------------------------------------------------- #
-# Skip marks for tests that require a specific optional compiled tier.
-# CI legs without the dependency auto-skip these params instead of failing.
+# Skip mark for tests that require the optional compiled tier.  CI legs
+# without cffi or a C compiler skip these tests instead of failing.
 requires_cnative = pytest.mark.skipif(
     not get_backend("cnative").available(),
     reason=f"cnative backend unavailable: {get_backend('cnative').unavailable_reason}",
 )
-
-
-def backend_param(name: str):
-    """One pytest param per registered backend; unavailable tiers skip."""
-    backend = get_backend(name)
-    marks = ()
-    if not backend.available():
-        marks = (
-            pytest.mark.skip(
-                reason=f"compute backend {name!r} unavailable "
-                f"({backend.unavailable_reason})"
-            ),
-        )
-    return pytest.param(name, marks=marks, id=f"backend-{name}")
-
-
-@pytest.fixture(
-    scope="session",
-    params=[backend_param(name) for name in list_backends()],
-)
-def engine(request):
-    """A vectorized experiment engine pinned to one compute backend.
-
-    Parametrized over every *registered* backend — installed tiers run, the
-    rest skip — so the tensor-backend and scenario-grid equivalence suites
-    exercise each available kernel implementation through exactly the same
-    assertions.  The backend is pinned through the engine's own ``backend``
-    parameter (not an ambient context), so parallel test collection and
-    unrelated tests keep the default numpy tier.
-    """
-    return ExperimentEngine("vectorized", backend=request.param)
-
-
-@pytest.fixture(scope="session")
-def engine_backend(engine) -> str:
-    """The backend name the session ``engine`` fixture is pinned to."""
-    return engine.backend
 
 
 @pytest.fixture

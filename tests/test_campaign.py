@@ -7,7 +7,7 @@ The load-bearing claims pinned here:
 * the store is a miss-never-an-exception artifact cache (corrupt, torn, or
   foreign artifacts degrade to recomputation) with atomic writes;
 * the scheduler reuses existing artifacts, retries across worker death, and
-  every pool (serial/thread/process) produces byte-identical merges;
+  every pool (serial/process) produces byte-identical merges;
 * the merged campaign equals the single-process serial engine run —
   byte-for-byte, via ``series_digest`` — for fixed-count AND adaptive
   sweeps, and resuming recomputes only the missing shards;
@@ -32,6 +32,7 @@ from repro.experiments.campaign import (
     WorkerPoolError,
     campaign_status,
     execute_shard,
+    list_pools,
     prune_artifacts,
 )
 from repro.experiments.engine import ExperimentEngine
@@ -164,12 +165,15 @@ class TestShardStore:
 
 class TestScheduler:
     def test_pool_fallbacks(self):
-        assert CampaignScheduler(pool="thread", workers=1).resolved_pool() == "serial"
+        assert list_pools() == ["serial", "process"]
+        assert CampaignScheduler().resolved_pool() == "serial"
+        assert CampaignScheduler(pool="process", workers=1).resolved_pool() == "serial"
         assert CampaignScheduler(pool="serial").resolved_pool() == "serial"
-        with pytest.raises(ValueError, match="pool"):
-            CampaignScheduler(pool="bogus")
+        for unknown in ("bogus", "thread"):
+            with pytest.raises(ValueError, match="pool"):
+                CampaignScheduler(pool=unknown)
 
-    @pytest.mark.parametrize("pool", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("pool", list_pools())
     def test_every_pool_bit_identical_to_serial_engine(self, tmp_path, pool):
         reference = serial_reference()
         runner = CampaignRunner(store=tmp_path / pool, pool=pool, workers=2)
@@ -260,7 +264,7 @@ class TestCampaign:
         kwargs = dict(scenarios=("nominal", "low-order-seu"))
         reference = serial_reference(kwargs)
         runner = CampaignRunner(
-            store=tmp_path, planner=ShardPlanner(granularity), pool="thread",
+            store=tmp_path, planner=ShardPlanner(granularity), pool="process",
             workers=2,
         )
         series = runner.submit(make_sweep(**kwargs)).run()
@@ -271,7 +275,7 @@ class TestCampaign:
             policy=ConfidenceTarget(half_width=0.5, batch=2, max_trials=6)
         )
         reference = serial_reference(kwargs)
-        runner = CampaignRunner(store=tmp_path, pool="thread", workers=2)
+        runner = CampaignRunner(store=tmp_path, pool="process", workers=2)
         campaign = runner.submit(make_sweep(**kwargs))
         series = campaign.run()
         assert series_digest(series) == series_digest(reference)

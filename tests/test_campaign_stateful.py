@@ -31,7 +31,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.experiments.campaign import CampaignRunner, ShardPlanner
+from repro.experiments.campaign import CampaignRunner, ShardPlanner, list_pools
 from repro.experiments.engine import ExperimentEngine
 from repro.experiments.results import series_digest
 from repro.experiments.sequential import ConfidenceTarget
@@ -75,14 +75,15 @@ class CampaignCrashResumeMachine(RuleBasedStateMachine):
         adaptive=st.booleans(),
         scenario_axis=st.booleans(),
         granularity=st.sampled_from(["series", "cell"]),
+        pool=st.sampled_from(list_pools()),
     )
-    def plan_campaign(self, seed, adaptive, scenario_axis, granularity):
+    def plan_campaign(self, seed, adaptive, scenario_axis, granularity, pool):
         scenarios = ("nominal", "low-order-seu") if scenario_axis else None
         self.make_sweep = lambda: build_sweep(seed, adaptive, scenarios)
         self.runner = CampaignRunner(
             store=self.directory,
             planner=ShardPlanner(granularity),
-            pool="thread",
+            pool=pool,
             workers=2,
         )
         self.reference = series_digest(

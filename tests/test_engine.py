@@ -1,5 +1,7 @@
 """Tests for the experiment engine: specs, executors, caching, progress."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -15,6 +17,7 @@ from repro.experiments.executors import (
 )
 from repro.experiments.results import FigureResult, SeriesResult
 from repro.experiments.runner import run_fault_rate_sweep
+from repro.experiments.sequential import ConfidenceTarget
 from repro.experiments.spec import SweepSpec, TrialSpec, run_trial
 from repro.experiments.trials import make_gradient_descent_trial, make_noisy_sum_trial
 from repro.faults.vectorized import corrupt_array
@@ -191,6 +194,26 @@ class TestCorruptBatch:
 
 
 class TestEngine:
+    @pytest.mark.parametrize("executor", list_executors())
+    @pytest.mark.parametrize("adaptive", [False, True], ids=["fixed", "adaptive"])
+    def test_run_sweep_leaves_the_sweep_unchanged(self, executor, adaptive):
+        policy = (
+            ConfidenceTarget(half_width=0.5, batch=2, max_trials=4) if adaptive else None
+        )
+        sweep = make_sweep(trials=2, scenarios=("nominal", "low-order-seu"), policy=policy)
+
+        def state():
+            return {
+                name: copy.copy(value)
+                for name, value in vars(sweep).items()
+                if name != "_specs"
+            }
+
+        before, fingerprint = state(), sweep.fingerprint()
+        ExperimentEngine(executor).run_sweep(sweep)
+        assert state() == before
+        assert sweep.fingerprint() == fingerprint
+
     def test_progress_events_cover_every_cell(self):
         events = []
         engine = ExperimentEngine(progress=events.append)

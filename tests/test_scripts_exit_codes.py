@@ -333,6 +333,11 @@ class TestRunCampaign:
         assert code == 2
         assert "sorting" in capsys.readouterr().err  # lists the sweep kernels
 
+    def test_unknown_backend_is_usage_error(self, campaign_cli, tmp_path, capsys):
+        code = campaign_cli.main(campaign_args(tmp_path, "--backend", "no-such-tier"))
+        assert code == 2
+        assert "unknown compute backend" in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def search_cli():
@@ -494,6 +499,11 @@ class TestRunSearch:
         )
         assert code == 2
         assert "NoSuchSeries" in capsys.readouterr().err
+
+    def test_unknown_backend_is_usage_error(self, search_cli, tmp_path, capsys):
+        code = search_cli.main(search_args(tmp_path, "--backend", "no-such-tier"))
+        assert code == 2
+        assert "unknown compute backend" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

@@ -90,19 +90,6 @@ class TestProbeRunner:
         assert reused.values == answered.values
         assert second.stats["computed"] == 0
 
-    @pytest.mark.parametrize("pool", ["serial", "thread"])
-    def test_pool_choice_never_changes_values(
-        self, tmp_path, sorting_functions, pool
-    ):
-        reference = make_runner(
-            tmp_path / "ref", sorting_functions, pool="serial"
-        ).run(0.66)
-        probe = make_runner(
-            tmp_path / pool, sorting_functions, pool=pool, workers=2
-        ).run(0.66)
-        assert probe.values == reference.values
-        assert probe.shard_id == reference.shard_id
-
     def test_on_probe_fires_only_for_computed_probes(
         self, tmp_path, sorting_functions
     ):
