@@ -186,12 +186,7 @@ def main(argv=None) -> None:
         parser.error("--scenario requires --grid")
     if args.list:
         for spec in kernels.list_kernels():
-            tags = []
-            if spec.sweep:
-                tags.append("sweep")
-            if spec.batched:
-                tags.append("batched")
-            suffix = f" [{', '.join(tags)}]" if tags else ""
+            suffix = " [sweep]" if spec.sweep else ""
             print(f"{spec.name:24s} {spec.figure_id:14s} {spec.figure}{suffix}")
         return
     if args.trials is not None and args.trials < 0:

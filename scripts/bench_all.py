@@ -208,7 +208,6 @@ def bench_kernel(spec: kernels.KernelSpec, args, backend) -> dict:
         "figure_id": spec.figure_id,
         "params": {key: value for key, value in kwargs.items()},
         "sweep": spec.sweep,
-        "batched": spec.batched,
         "commit": commit_hash(),
         "generated_by": "scripts/bench_all.py",
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -320,7 +319,6 @@ def bench_scenario_grid(args, backend) -> dict:
             "iterations": iterations,
         },
         "sweep": True,
-        "batched": True,
         "commit": commit_hash(),
         "generated_by": "scripts/bench_all.py",
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -414,7 +412,6 @@ def bench_campaign(args, backend) -> dict:
             "workers": 2,
         },
         "sweep": True,
-        "batched": True,
         "commit": commit_hash(),
         "generated_by": "scripts/bench_all.py",
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -504,7 +501,6 @@ def bench_adaptive(args, backend) -> dict:
             "iterations": iterations,
         },
         "sweep": True,
-        "batched": True,
         "commit": commit_hash(),
         "generated_by": "scripts/bench_all.py",
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -608,7 +604,6 @@ def bench_search(args, backend) -> dict:
             "driver": "bisect",
         },
         "sweep": True,
-        "batched": True,
         "commit": commit_hash(),
         "generated_by": "scripts/bench_all.py",
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),

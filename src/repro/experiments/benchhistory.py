@@ -186,7 +186,6 @@ def history_record_from_bench(
         "generated_by": source,
         "params": dict(bench.get("params") or {}),
         "sweep": bench.get("sweep"),
-        "batched": bench.get("batched"),
         "wall_seconds": bench["wall_seconds"],
         "serial_seconds": bench.get("serial_seconds"),
         "speedup_vs_serial": bench.get("speedup_vs_serial"),

@@ -24,11 +24,11 @@ import json
 import os
 import uuid
 from pathlib import Path
-from typing import Any, Mapping, Optional, Union
+from typing import Any, Dict, Mapping, Optional, Union
 
 from repro.experiments.results import FigureResult
 
-__all__ = ["spec_hash", "atomic_write_json", "ResultCache"]
+__all__ = ["spec_hash", "atomic_write_json", "read_json_object", "ResultCache"]
 
 #: Bumped whenever the cached representation changes incompatibly.
 _SCHEMA_VERSION = 1
@@ -59,6 +59,26 @@ def atomic_write_json(path: Path, entry: Mapping[str, Any]) -> Path:
         # tmp file behind to accumulate in the artifact directory.
         tmp_path.unlink(missing_ok=True)
     return path
+
+
+def read_json_object(path: Path, **expected: Any) -> Optional[Dict[str, Any]]:
+    """The JSON object stored at ``path``, or ``None`` when it is unusable.
+
+    The read side of :func:`atomic_write_json`, shared by every artifact
+    store so that an unusable entry always counts as a miss: ``None`` when
+    the file cannot be read or parsed, when it holds JSON that is not an
+    object (e.g. ``null`` or a list), or when a field named in ``expected``
+    (a schema version, an entry id) holds a different value.
+    """
+    try:
+        entry = json.loads(path.read_text())
+    except (OSError, ValueError):
+        return None
+    if not isinstance(entry, dict):
+        return None
+    if any(entry.get(name) != value for name, value in expected.items()):
+        return None
+    return entry
 
 
 def _canonical_json(payload: Mapping[str, Any]) -> str:
@@ -117,12 +137,8 @@ class ResultCache:
         Unreadable or schema-incompatible entries are treated as misses so a
         stale cache directory degrades to recomputation, never to an error.
         """
-        path = self._path(payload)
-        try:
-            entry = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return None
-        if entry.get("schema") != _SCHEMA_VERSION:
+        entry = read_json_object(self._path(payload), schema=_SCHEMA_VERSION)
+        if entry is None:
             return None
         try:
             return FigureResult.from_dict(entry["figure"])

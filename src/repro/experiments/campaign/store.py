@@ -34,13 +34,12 @@ pending (recomputable) instead of forgetting the campaign ever existed.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Set, Tuple, Union
 
-from repro.experiments.cache import atomic_write_json
+from repro.experiments.cache import atomic_write_json, read_json_object
 from repro.experiments.campaign.planner import Shard, decode_point, encode_point
 from repro.experiments.spec import PointKey
 
@@ -143,17 +142,15 @@ class ShardStore:
         recomputation, never to an error or — worse — a silently wrong
         merge.
         """
-        try:
-            entry = json.loads(self.shard_path(shard.shard_id).read_text())
-        except (OSError, ValueError):
-            return None
-        if entry.get("schema") != STORE_SCHEMA_VERSION:
-            return None
-        if entry.get("shard") != shard.shard_id:
+        entry = read_json_object(
+            self.shard_path(shard.shard_id),
+            schema=STORE_SCHEMA_VERSION, shard=shard.shard_id,
+        )
+        if entry is None:
             return None
         try:
             result = ShardResult.from_payload(entry["result"])
-        except (KeyError, TypeError, ValueError):
+        except (AttributeError, KeyError, TypeError, ValueError):
             return None
         if result.points != shard.points:
             return None
@@ -201,15 +198,10 @@ class ShardStore:
         return atomic_write_json(self.manifest_path(campaign_id), entry)
 
     def load_manifest(self, campaign_id: str) -> Optional[Dict[str, Any]]:
-        try:
-            entry = json.loads(self.manifest_path(campaign_id).read_text())
-        except (OSError, ValueError):
-            return None
-        if entry.get("schema") != STORE_SCHEMA_VERSION:
-            return None
-        if entry.get("campaign") != campaign_id:
-            return None
-        return entry
+        return read_json_object(
+            self.manifest_path(campaign_id),
+            schema=STORE_SCHEMA_VERSION, campaign=campaign_id,
+        )
 
     # ------------------------------------------------------------------ #
     # Search manifests
@@ -221,15 +213,10 @@ class ShardStore:
 
     def load_search(self, search_id: str) -> Optional[Dict[str, Any]]:
         """A search manifest by id, or ``None`` (unreadable entries miss)."""
-        try:
-            entry = json.loads(self.search_path(search_id).read_text())
-        except (OSError, ValueError):
-            return None
-        if entry.get("schema") != STORE_SCHEMA_VERSION:
-            return None
-        if entry.get("search") != search_id:
-            return None
-        return entry
+        return read_json_object(
+            self.search_path(search_id),
+            schema=STORE_SCHEMA_VERSION, search=search_id,
+        )
 
     # ------------------------------------------------------------------ #
     # Garbage collection

@@ -314,7 +314,8 @@ class ExperimentEngine:
             return self._run_adaptive(sweep, points)
         make_emitter = None
         if self.progress is not None:
-            make_emitter = lambda specs: self._make_emitter(sweep, specs)  # noqa: E731
+            def make_emitter(specs):
+                return self._make_emitter(specs, {}, sweep.trials, len(specs), {"count": 0})
         collected = run_point_block(sweep, points, self.executor, make_emitter)
         return assemble_series(sweep, collected)
 
@@ -334,8 +335,8 @@ class ExperimentEngine:
         on_point_status = None
         if self.progress is not None:
             def make_round_emitter(specs, collected):
-                return self._make_adaptive_emitter(
-                    sweep, specs, collected, done, sweep_total
+                return self._make_emitter(
+                    specs, collected, policy.max_trials, sweep_total, done
                 )
 
             def on_point_status(point, status):
@@ -345,42 +346,6 @@ class ExperimentEngine:
             sweep, points, self.executor, make_round_emitter, on_point_status
         )
         return assemble_series(sweep, collected, halted)
-
-    def _make_adaptive_emitter(
-        self,
-        sweep: SweepSpec,
-        specs: Sequence[TrialSpec],
-        collected: Mapping[Tuple[int, Optional[int], int], Sequence[float]],
-        done: Dict[str, int],
-        sweep_total: int,
-    ) -> Callable[[int, float], None]:
-        progress = self.progress
-        max_trials = sweep.policy.max_trials
-        base_counts = {
-            point: len(values) for point, values in collected.items()
-        }
-        round_counts: Dict[Tuple[int, Optional[int], int], int] = {}
-
-        def emit(index: int, value: float) -> None:
-            spec = specs[index]
-            point = (spec.series_index, spec.scenario_index, spec.rate_index)
-            round_counts[point] = round_counts.get(point, 0) + 1
-            done["count"] += 1
-            name = spec.series_name
-            if spec.scenario_name:
-                name = f"{name} @ {spec.scenario_name}"
-            progress(
-                ProgressEvent(
-                    series_name=name,
-                    fault_rate=spec.fault_rate,
-                    completed=base_counts[point] + round_counts[point],
-                    total=max_trials,
-                    sweep_completed=done["count"],
-                    sweep_total=sweep_total,
-                )
-            )
-
-        return emit
 
     def _emit_round_event(
         self,
@@ -403,18 +368,27 @@ class ExperimentEngine:
         )
 
     def _make_emitter(
-        self, sweep: SweepSpec, specs: Sequence[TrialSpec]
+        self,
+        specs: Sequence[TrialSpec],
+        collected: Mapping[PointKey, Sequence[float]],
+        total: int,
+        sweep_total: int,
+        done: Dict[str, int],
     ) -> Callable[[int, float], None]:
-        cell_counts: Dict[Tuple[int, int], int] = {}
-        state = {"done": 0}
+        """A per-trial progress emitter for one block of trial specs.
+
+        Each point's count starts from the values ``collected`` already holds
+        for it (earlier adaptive rounds), and ``done`` is the sweep-wide
+        completed-trial counter shared by every block of the sweep.
+        """
         progress = self.progress
-        total = len(specs)
+        counts = {point: len(values) for point, values in collected.items()}
 
         def emit(index: int, value: float) -> None:
             spec = specs[index]
-            cell = (spec.series_index, spec.scenario_index, spec.rate_index)
-            cell_counts[cell] = cell_counts.get(cell, 0) + 1
-            state["done"] += 1
+            point = (spec.series_index, spec.scenario_index, spec.rate_index)
+            counts[point] = counts.get(point, 0) + 1
+            done["count"] += 1
             name = spec.series_name
             if spec.scenario_name:
                 name = f"{name} @ {spec.scenario_name}"
@@ -422,10 +396,10 @@ class ExperimentEngine:
                 ProgressEvent(
                     series_name=name,
                     fault_rate=spec.fault_rate,
-                    completed=cell_counts[cell],
-                    total=sweep.trials,
-                    sweep_completed=state["done"],
-                    sweep_total=total,
+                    completed=counts[point],
+                    total=total,
+                    sweep_completed=done["count"],
+                    sweep_total=sweep_total,
                 )
             )
 

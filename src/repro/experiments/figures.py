@@ -195,7 +195,7 @@ def _run_kernel_sweep(
     """Run one registry kernel's trial functions over a fault-rate sweep."""
     kernel = get_kernel(kernel_name)
     series = run_fault_rate_sweep(
-        kernel.trial_factory(seed=seed, **factory_kwargs),
+        kernel.sweep_functions(seed=seed, **factory_kwargs),
         fault_rates=fault_rates,
         trials=trials,
         seed=seed,
@@ -303,7 +303,6 @@ def figure_6_5(
     kernel, series = _run_kernel_sweep(
         "matching_enhancements", fault_rates, trials, seed, engine,
         iterations=iterations,
-        series=dict(get_kernel("matching_enhancements").series),
     )
     return kernel.make_figure(series)
 
@@ -450,16 +449,8 @@ def svm_study(
 # comparisons for the sorting, least-squares, and matching kernels, all
 # expressed as declarative ScenarioGrids over the same engine.
 # --------------------------------------------------------------------------- #
-#: Compact two-series line-ups (baseline vs best robust variant) used by the
-#: scenario studies, so a grid over several scenarios stays tractable.
-_SCENARIO_SORTING_SERIES = {"Base": None, "SGD+AS,SQS": "SGD+AS,SQS"}
-_SCENARIO_LSQ_SERIES = {"Base: SVD": None, "SGD+AS,LS": "SGD+AS,LS"}
-_SCENARIO_MATCHING_SERIES = {"Base": None, "SGD+AS,SQS": "SGD+AS,SQS"}
-
-
 def _cross_model_study(
     kernel_name: str,
-    series,
     scenarios,
     fault_rates,
     trials: int,
@@ -470,20 +461,20 @@ def _cross_model_study(
     """Run one kernel's trial functions across fault-model scenarios.
 
     Thin wrapper over :meth:`KernelSpec.build_scenario_study` — the single
-    grid-to-figure assembly path — that re-stamps the result with the
-    registered kernel's presentation metadata.
+    grid-to-figure assembly path, which runs the kernel's registered series
+    line-up — that re-stamps the result with the registered kernel's
+    presentation metadata.
     """
     kernel = get_kernel(kernel_name)
     study = kernel.build_scenario_study(
         scenarios, trials=trials, fault_rates=fault_rates, seed=seed,
-        engine=engine, series=series, **factory_kwargs,
+        engine=engine, **factory_kwargs,
     )
     return kernel.make_figure(study.series, **factory_kwargs)
 
 
 def _voltage_study(
     kernel_name: str,
-    series,
     voltages,
     trials: int,
     seed: int,
@@ -502,11 +493,10 @@ def _voltage_study(
     kernel = get_kernel(kernel_name)
     scenarios = [voltage_scenario(float(voltage)) for voltage in voltages]
     study = kernel.build_scenario_study(
-        scenarios, trials=trials, seed=seed, engine=engine,
-        series=series, **factory_kwargs,
+        scenarios, trials=trials, seed=seed, engine=engine, **factory_kwargs,
     )
     reshaped = []
-    for series_index, label in enumerate(series):
+    for series_index, label in enumerate(kernel.series):
         entry = SeriesResult(name=label)
         for scenario_index, voltage in enumerate(voltages):
             row = study.series[series_index * len(scenarios) + scenario_index]
@@ -532,7 +522,7 @@ def sorting_scenario_study(
     distributions, low-order-only SEUs, double precision).
     """
     return _cross_model_study(
-        "sorting_cross_model", _SCENARIO_SORTING_SERIES, scenarios, fault_rates,
+        "sorting_cross_model", scenarios, fault_rates,
         trials, seed, engine, iterations=iterations, array_size=array_size,
     )
 
@@ -548,7 +538,7 @@ def least_squares_scenario_study(
 ) -> FigureResult:
     """Cross-fault-model comparison of least-squares relative error."""
     return _cross_model_study(
-        "least_squares_cross_model", _SCENARIO_LSQ_SERIES, scenarios, fault_rates,
+        "least_squares_cross_model", scenarios, fault_rates,
         trials, seed, engine, iterations=iterations, shape=shape,
     )
 
@@ -563,7 +553,7 @@ def matching_scenario_study(
 ) -> FigureResult:
     """Cross-fault-model comparison of bipartite-matching success."""
     return _cross_model_study(
-        "matching_cross_model", _SCENARIO_MATCHING_SERIES, scenarios, fault_rates,
+        "matching_cross_model", scenarios, fault_rates,
         trials, seed, engine, iterations=iterations,
     )
 
@@ -578,7 +568,7 @@ def sorting_voltage_study(
 ) -> FigureResult:
     """Sorting success as the supply voltage is overscaled (Fig 5.2 rates)."""
     return _voltage_study(
-        "sorting_voltage", _SCENARIO_SORTING_SERIES, voltages,
+        "sorting_voltage", voltages,
         trials, seed, engine, iterations=iterations, array_size=array_size,
     )
 
@@ -593,7 +583,7 @@ def least_squares_voltage_study(
 ) -> FigureResult:
     """Least-squares relative error as the supply voltage is overscaled."""
     return _voltage_study(
-        "least_squares_voltage", _SCENARIO_LSQ_SERIES, voltages,
+        "least_squares_voltage", voltages,
         trials, seed, engine, iterations=iterations, shape=shape,
     )
 
@@ -607,7 +597,7 @@ def matching_voltage_study(
 ) -> FigureResult:
     """Bipartite-matching success as the supply voltage is overscaled."""
     return _voltage_study(
-        "matching_voltage", _SCENARIO_MATCHING_SERIES, voltages,
+        "matching_voltage", voltages,
         trials, seed, engine, iterations=iterations,
     )
 

@@ -20,8 +20,9 @@ collapses that coupling into one registry:
   label → trial-function mapping here, with the batch tier wired in where
   the application exposes one.
 * **Kernel specs.**  :class:`KernelSpec` records, under a stable name, each
-  kernel's figure generator, metric, benchmark module, default sweep
-  parameters, and reduced-scale behaviour.  ``examples/reproduce_figures.py``,
+  kernel's figure generator, metric, series line-up, trial factory, and
+  reduced-scale floor; the rest it reads from the figure generator's
+  signature.  ``examples/reproduce_figures.py``,
   ``benchmarks/conftest.py``, ``scripts/bench_all.py``, and the figure cache
   key derivation all consume this registry instead of parallel tables.
 
@@ -33,6 +34,8 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
+from functools import partial
+from operator import attrgetter
 from typing import Any, Callable, Dict, List, Mapping, Optional
 
 import numpy as np
@@ -111,7 +114,6 @@ __all__ = [
     "kernel_names",
     "list_kernels",
     "sweep_kernels",
-    "batched_kernels",
     "matching_workload",
     "sorting_trial_functions",
     "least_squares_trial_functions",
@@ -219,6 +221,30 @@ def matching_workload(seed: int, min_margin: float = 0.02):
 # --------------------------------------------------------------------------- #
 # Trial-function factories (series label -> batch-capable trial function)
 # --------------------------------------------------------------------------- #
+def _trial_pair(
+    solve: Callable, solve_batch: Callable, score: Callable[[Any], float]
+) -> TrialFunction:
+    """A batch-capable trial function from one solver pair and its metric.
+
+    ``solve(proc, rng)`` runs one trial's solve and ``solve_batch(procs,
+    streams)`` runs a whole batch of them; ``score`` maps one solve's result
+    to the trial value, so the serial and batched paths score identically.
+    """
+
+    def run(proc: StochasticProcessor, rng: np.random.Generator) -> float:
+        return score(solve(proc, rng))
+
+    def run_batch(procs, streams):
+        return [score(result) for result in solve_batch(procs, streams)]
+
+    return batchable(run_batch)(run)
+
+
+def _success(result) -> float:
+    """The exact-success metric: 1.0 when the solve found the exact answer."""
+    return 1.0 if result.success else 0.0
+
+
 def sorting_trial_functions(
     values: np.ndarray,
     iterations: int,
@@ -244,23 +270,17 @@ def sorting_trial_functions(
     values = np.asarray(values, dtype=np.float64)
 
     def _base(proc: StochasticProcessor, rng: np.random.Generator) -> float:
-        return 1.0 if baseline_sort(values, proc).success else 0.0
+        return _success(baseline_sort(values, proc))
 
-    def _robust(variant: str):
-        def run(proc: StochasticProcessor, rng: np.random.Generator) -> float:
-            config = default_sorting_config(
-                iterations=iterations, variant=variant, values=values
-            )
-            return 1.0 if robust_sort(values, proc, config).success else 0.0
-
-        def run_batch(procs, streams):
-            config = default_sorting_config(
-                iterations=iterations, variant=variant, values=values
-            )
-            results = robust_sort_batch(values, procs, config)
-            return [1.0 if result.success else 0.0 for result in results]
-
-        return batchable(run_batch)(run)
+    def _robust(variant: str) -> TrialFunction:
+        config = partial(
+            default_sorting_config, iterations=iterations, variant=variant, values=values
+        )
+        return _trial_pair(
+            lambda proc, rng: robust_sort(values, proc, config()),
+            lambda procs, streams: robust_sort_batch(values, procs, config()),
+            _success,
+        )
 
     return {
         label: _base if variant is None else _robust(variant)
@@ -286,21 +306,17 @@ def least_squares_trial_functions(
     def _svd(proc: StochasticProcessor, rng: np.random.Generator) -> float:
         return baseline_least_squares(A, b, proc, method="svd").relative_error
 
-    def _sgd(variant: str):
-        def run(proc: StochasticProcessor, rng: np.random.Generator) -> float:
-            options = sgd_options_for_variant(
-                variant, iterations=iterations, base_step=base_step
-            )
-            return robust_least_squares_sgd(A, b, proc, options=options).relative_error
-
-        def run_batch(procs, streams):
-            options = sgd_options_for_variant(
-                variant, iterations=iterations, base_step=base_step
-            )
-            results = robust_least_squares_sgd_batch(A, b, procs, options=options)
-            return [result.relative_error for result in results]
-
-        return batchable(run_batch)(run)
+    def _sgd(variant: str) -> TrialFunction:
+        options = partial(
+            sgd_options_for_variant, variant, iterations=iterations, base_step=base_step
+        )
+        return _trial_pair(
+            lambda proc, rng: robust_least_squares_sgd(A, b, proc, options=options()),
+            lambda procs, streams: robust_least_squares_sgd_batch(
+                A, b, procs, options=options()
+            ),
+            attrgetter("relative_error"),
+        )
 
     return {
         label: _svd if variant is None else _sgd(variant)
@@ -333,21 +349,17 @@ def iir_trial_functions(
     def _base(proc: StochasticProcessor, rng: np.random.Generator) -> float:
         return baseline_iir_filter(filt, signal, proc).error_to_signal
 
-    def _robust(variant: str):
-        def run(proc: StochasticProcessor, rng: np.random.Generator) -> float:
-            options = sgd_options_for_variant(
-                variant, iterations=iterations, base_step=0.25
-            )
-            return robust_iir_filter(filt, signal, proc, options=options).error_to_signal
-
-        def run_batch(procs, streams):
-            options = sgd_options_for_variant(
-                variant, iterations=iterations, base_step=0.25
-            )
-            results = robust_iir_filter_batch(filt, signal, procs, options=options)
-            return [result.error_to_signal for result in results]
-
-        return batchable(run_batch)(run)
+    def _robust(variant: str) -> TrialFunction:
+        options = partial(
+            sgd_options_for_variant, variant, iterations=iterations, base_step=0.25
+        )
+        return _trial_pair(
+            lambda proc, rng: robust_iir_filter(filt, signal, proc, options=options()),
+            lambda procs, streams: robust_iir_filter_batch(
+                filt, signal, procs, options=options()
+            ),
+            attrgetter("error_to_signal"),
+        )
 
     return {
         label: _base if variant is None else _robust(variant)
@@ -376,23 +388,17 @@ def matching_trial_functions(
         }
 
     def _base(proc: StochasticProcessor, rng: np.random.Generator) -> float:
-        return 1.0 if baseline_matching(graph, proc).success else 0.0
+        return _success(baseline_matching(graph, proc))
 
-    def _robust(variant: str):
-        def run(proc: StochasticProcessor, rng: np.random.Generator) -> float:
-            config = default_matching_config(
-                iterations=iterations, variant=variant, graph=graph
-            )
-            return 1.0 if robust_matching(graph, proc, config).success else 0.0
-
-        def run_batch(procs, streams):
-            config = default_matching_config(
-                iterations=iterations, variant=variant, graph=graph
-            )
-            results = robust_matching_batch(graph, procs, config)
-            return [1.0 if result.success else 0.0 for result in results]
-
-        return batchable(run_batch)(run)
+    def _robust(variant: str) -> TrialFunction:
+        config = partial(
+            default_matching_config, iterations=iterations, variant=variant, graph=graph
+        )
+        return _trial_pair(
+            lambda proc, rng: robust_matching(graph, proc, config()),
+            lambda procs, streams: robust_matching_batch(graph, procs, config()),
+            _success,
+        )
 
     return {
         label: _base if variant is None else _robust(variant)
@@ -419,20 +425,19 @@ def cg_least_squares_trial_functions(
 
         return run
 
-    def _cg(proc: StochasticProcessor, rng: np.random.Generator) -> float:
-        options = CGOptions(iterations=cg_iterations)
-        return robust_least_squares_cg(A, b, proc, options=options).relative_error
-
-    def _cg_batch(procs, streams):
-        options = CGOptions(iterations=cg_iterations)
-        results = robust_least_squares_cg_batch(A, b, procs, options=options)
-        return [result.relative_error for result in results]
+    options = partial(CGOptions, iterations=cg_iterations)
 
     return {
         "Base: QR": _baseline("qr"),
         "Base: SVD": _baseline("svd"),
         "Base: Cholesky": _baseline("cholesky"),
-        f"CG, N={cg_iterations}": batchable(_cg_batch)(_cg),
+        f"CG, N={cg_iterations}": _trial_pair(
+            lambda proc, rng: robust_least_squares_cg(A, b, proc, options=options()),
+            lambda procs, streams: robust_least_squares_cg_batch(
+                A, b, procs, options=options()
+            ),
+            attrgetter("relative_error"),
+        ),
     }
 
 
@@ -456,21 +461,15 @@ def maxflow_trial_functions(
     def _base(proc: StochasticProcessor, rng: np.random.Generator) -> float:
         return baseline_max_flow(network, proc).relative_error
 
-    def _robust(variant: str):
-        def run(proc: StochasticProcessor, rng: np.random.Generator) -> float:
-            config = default_maxflow_config(
-                iterations=iterations, variant=variant, network=network
-            )
-            return robust_max_flow(network, proc, config).relative_error
-
-        def run_batch(procs, streams):
-            config = default_maxflow_config(
-                iterations=iterations, variant=variant, network=network
-            )
-            results = robust_max_flow_batch(network, procs, config)
-            return [result.relative_error for result in results]
-
-        return batchable(run_batch)(run)
+    def _robust(variant: str) -> TrialFunction:
+        config = partial(
+            default_maxflow_config, iterations=iterations, variant=variant, network=network
+        )
+        return _trial_pair(
+            lambda proc, rng: robust_max_flow(network, proc, config()),
+            lambda procs, streams: robust_max_flow_batch(network, procs, config()),
+            attrgetter("relative_error"),
+        )
 
     return {
         label: _base if variant is None else _robust(variant)
@@ -497,21 +496,17 @@ def apsp_trial_functions(
     def _base(proc: StochasticProcessor, rng: np.random.Generator) -> float:
         return baseline_all_pairs_shortest_path(graph, proc).mean_relative_error
 
-    def _robust(variant: str):
-        def run(proc: StochasticProcessor, rng: np.random.Generator) -> float:
-            config = default_apsp_config(
-                iterations=iterations, variant=variant, graph=graph
-            )
-            return robust_all_pairs_shortest_path(graph, proc, config).mean_relative_error
-
-        def run_batch(procs, streams):
-            config = default_apsp_config(
-                iterations=iterations, variant=variant, graph=graph
-            )
-            results = robust_all_pairs_shortest_path_batch(graph, procs, config)
-            return [result.mean_relative_error for result in results]
-
-        return batchable(run_batch)(run)
+    def _robust(variant: str) -> TrialFunction:
+        config = partial(
+            default_apsp_config, iterations=iterations, variant=variant, graph=graph
+        )
+        return _trial_pair(
+            lambda proc, rng: robust_all_pairs_shortest_path(graph, proc, config()),
+            lambda procs, streams: robust_all_pairs_shortest_path_batch(
+                graph, procs, config()
+            ),
+            attrgetter("mean_relative_error"),
+        )
 
     return {
         label: _base if variant is None else _robust(variant)
@@ -538,21 +533,17 @@ def eigen_trial_functions(
         series = {"Power, k=1": 1, "Power+deflation, k=2": 2}
     M = np.asarray(M, dtype=np.float64)
 
-    def _make(k: int):
-        def run(proc: StochasticProcessor, rng: np.random.Generator) -> float:
-            results = robust_eigenpairs(M, k, proc, iterations=iterations, rng=rng)
-            return max(result.eigenvalue_error for result in results)
+    def _worst_error(pairs) -> float:
+        return max(pair.eigenvalue_error for pair in pairs)
 
-        def run_batch(procs, streams):
-            results = robust_eigenpairs_batch(
+    def _make(k: int) -> TrialFunction:
+        return _trial_pair(
+            lambda proc, rng: robust_eigenpairs(M, k, proc, iterations=iterations, rng=rng),
+            lambda procs, streams: robust_eigenpairs_batch(
                 M, k, procs, iterations=iterations, rngs=streams
-            )
-            return [
-                max(result.eigenvalue_error for result in per_trial)
-                for per_trial in results
-            ]
-
-        return batchable(run_batch)(run)
+            ),
+            _worst_error,
+        )
 
     return {label: _make(k) for label, k in series.items()}
 
@@ -585,25 +576,19 @@ def svm_trial_functions(
             regularization=regularization, rng=rng,
         ).train_accuracy
 
-    def _sgd(variant: str):
-        def run(proc: StochasticProcessor, rng: np.random.Generator) -> float:
-            options = sgd_options_for_variant(
-                variant, iterations=iterations, base_step=base_step
-            )
-            return robust_svm_train_sgd(
-                X, y, proc, options=options, regularization=regularization
-            ).train_accuracy
-
-        def run_batch(procs, streams):
-            options = sgd_options_for_variant(
-                variant, iterations=iterations, base_step=base_step
-            )
-            results = robust_svm_train_sgd_batch(
-                X, y, procs, options=options, regularization=regularization
-            )
-            return [result.train_accuracy for result in results]
-
-        return batchable(run_batch)(run)
+    def _sgd(variant: str) -> TrialFunction:
+        options = partial(
+            sgd_options_for_variant, variant, iterations=iterations, base_step=base_step
+        )
+        return _trial_pair(
+            lambda proc, rng: robust_svm_train_sgd(
+                X, y, proc, options=options(), regularization=regularization
+            ),
+            lambda procs, streams: robust_svm_train_sgd_batch(
+                X, y, procs, options=options(), regularization=regularization
+            ),
+            attrgetter("train_accuracy"),
+        )
 
     return {
         label: _pegasos if variant is None else _sgd(variant)
@@ -769,71 +754,49 @@ class KernelSpec:
     x_label / y_label:
         Axis labels; ``title`` may contain ``str.format`` placeholders
         (e.g. ``{iterations}``) filled by :meth:`make_figure`.
-    benchmark:
-        Repository-relative path of the benchmark module regenerating this
-        kernel at reduced scale.
     metric:
         ``"success_rate"`` (report per-rate success fractions) or ``"mean"``.
-    sweep:
-        Whether the figure runs a fault-rate sweep through the engine (and
-        therefore accepts an ``engine`` keyword).
-    batched:
-        Whether at least one series carries a tensorized batch
-        implementation, i.e. the ``vectorized`` executor has a fast path
-        for this kernel.
-    scenario_study:
-        Whether the kernel's figure *is already* a scenario-grid study
-        (cross-model or voltage comparison).  Such kernels are excluded from
-        ``reproduce_figures.py --grid``'s default selection — wrapping a
-        scenario study in another ad-hoc grid would recompute the same
-        workload under a second key with mislabeled axes.
     series:
-        The series line-up the kernel's figure passes to its trial factory,
-        when it differs from the factory's default (e.g. the Figure 6.5
-        enhancement ablation).  :meth:`build_scenario_study` forwards it so
-        an ad-hoc grid reproduces the kernel's own series, not the factory
-        default's.
+        The series line-up the kernel's figure plots, when it differs from
+        the trial factory's default (e.g. the Figure 6.5 enhancement
+        ablation, or the scenario studies' baseline-vs-best pair).
+        :meth:`sweep_functions` applies it, so the figure, an ad-hoc grid
+        and a campaign over the kernel all run the same series.
     trial_factory:
         The workload-level factory building the series label →
         trial-function mapping (sweep kernels only).
-    paper_iterations:
-        The paper's iteration budget for this kernel (10,000 for the
-        combinatorial kernels, 1,000 for the numerical ones, 5,000 for the
-        §6.2.2 momentum study), or ``None`` when the generator takes no
-        ``iterations`` argument.  Reduced-scale runs multiply it by the
-        requested scale fraction.
     min_iterations:
         Floor applied to the scaled budget (the numerical kernels stay at
         ≥500 iterations so their solves still converge at reduced scale).
-    takes_trials:
-        Whether the generator accepts a ``trials`` keyword.
     reduce_trials:
         Optional adjustment of the requested trial count at reduced scale
         (e.g. the Figure 6.7 energy search uses one fewer trial).
+
+    ``sweep`` derives from ``trial_factory``; ``takes_trials``,
+    ``scenario_study`` and ``paper_iterations`` from the builder's signature.
     """
 
     name: str
     figure: str
     figure_id: str
     title: str
-    benchmark: str
     x_label: str = ""
     y_label: str = ""
     metric: str = "mean"
-    sweep: bool = False
-    batched: bool = False
-    scenario_study: bool = False
     series: Optional[Mapping[str, Optional[str]]] = None
     trial_factory: Optional[Callable[..., Dict[str, TrialFunction]]] = None
-    paper_iterations: Optional[int] = None
     min_iterations: int = 0
-    takes_trials: bool = True
     reduce_trials: Optional[Callable[[int], int]] = None
 
     @property
     def use_success_rate(self) -> bool:
         """Whether tables of this kernel report per-rate success fractions."""
         return self.metric == "success_rate"
+
+    @property
+    def sweep(self) -> bool:
+        """Whether the figure runs a fault-rate sweep through the engine."""
+        return self.trial_factory is not None
 
     @property
     def takes_engine(self) -> bool:
@@ -843,7 +806,38 @@ class KernelSpec:
         run trials through the engine (e.g. ``figure_5_2``'s Monte-Carlo
         scenario grid), so CLI executor selection reaches them.
         """
-        return self.sweep or "engine" in inspect.signature(self.builder()).parameters
+        return self.sweep or "engine" in self._builder_parameters()
+
+    @property
+    def takes_trials(self) -> bool:
+        """Whether the figure builder accepts a ``trials`` keyword."""
+        return "trials" in self._builder_parameters()
+
+    @property
+    def scenario_study(self) -> bool:
+        """Whether the kernel's figure *is already* a scenario-grid study.
+
+        True when the builder takes ``scenarios`` or ``voltages`` (the
+        cross-model and voltage comparisons).  Such kernels are excluded from
+        ``reproduce_figures.py --grid``'s default selection — wrapping a
+        scenario study in another ad-hoc grid would recompute the same
+        workload under a second key with mislabeled axes.
+        """
+        parameters = self._builder_parameters()
+        return "scenarios" in parameters or "voltages" in parameters
+
+    @property
+    def paper_iterations(self) -> Optional[int]:
+        """The paper's iteration budget: the builder's ``iterations`` default.
+
+        ``None`` when the builder takes no ``iterations`` argument;
+        reduced-scale runs multiply it by the requested scale fraction.
+        """
+        parameter = self._builder_parameters().get("iterations")
+        return None if parameter is None else parameter.default
+
+    def _builder_parameters(self) -> Mapping[str, inspect.Parameter]:
+        return inspect.signature(self.builder()).parameters
 
     def builder(self) -> Callable[..., FigureResult]:
         """The figure generator (resolved lazily from the figures module)."""
@@ -879,14 +873,16 @@ class KernelSpec:
         This is the single entry point callers outside the figure layer —
         ``scripts/run_campaign.py``, ad-hoc scenario studies — use to turn a
         registry name into sweep-ready trial functions.  Only sweep-shaped
-        kernels have one; others raise ``ValueError``.
+        kernels have one; others raise ``ValueError``, as does a parameter
+        the trial factory does not take (e.g. ``iterations`` for
+        ``cg_least_squares``).
 
         Construction is memoized per process on (kernel, seed, factory
         parameters) — see :func:`workload_memo_stats` — because workload
         generation is deterministic and search drivers resolve the same
         workload for every probe.
         """
-        if not self.sweep or self.trial_factory is None:
+        if self.trial_factory is None:
             raise ValueError(
                 f"kernel {self.name!r} is not sweep-shaped; "
                 "it has no trial factory to build sweep functions from"
@@ -902,6 +898,10 @@ class KernelSpec:
         if cached is not None:
             _WORKLOAD_MEMO_STATS["hits"] += 1
             return dict(cached)
+        try:
+            inspect.signature(self.trial_factory).bind(seed=seed, **factory_kwargs)
+        except TypeError as error:
+            raise ValueError(f"kernel {self.name!r}: {error}") from None
         _WORKLOAD_MEMO_STATS["misses"] += 1
         functions = self.trial_factory(seed=seed, **factory_kwargs)
         _WORKLOAD_MEMO[memo_key] = dict(functions)
@@ -1029,7 +1029,7 @@ class KernelSpec:
 
         params = {
             name: parameter.default
-            for name, parameter in inspect.signature(self.builder()).parameters.items()
+            for name, parameter in self._builder_parameters().items()
             if parameter.default is not inspect.Parameter.empty
         }
         params.update(kwargs)
@@ -1084,11 +1084,6 @@ def sweep_kernels() -> List[KernelSpec]:
     return [spec for spec in _REGISTRY.values() if spec.sweep]
 
 
-def batched_kernels() -> List[KernelSpec]:
-    """The kernels with at least one tensorized batch-capable series."""
-    return [spec for spec in _REGISTRY.values() if spec.batched]
-
-
 # --------------------------------------------------------------------------- #
 # Registrations — the single source of truth for the figure suite
 # --------------------------------------------------------------------------- #
@@ -1099,8 +1094,6 @@ register_kernel(KernelSpec(
     title="Distribution of fault bit positions (measured vs emulated)",
     x_label="bit position",
     y_label="probability mass",
-    benchmark="benchmarks/bench_fig5_1_fault_distribution.py",
-    takes_trials=False,
 ))
 register_kernel(KernelSpec(
     name="voltage_curve",
@@ -1109,7 +1102,6 @@ register_kernel(KernelSpec(
     title="Error rate of an FPU as the voltage is scaled",
     x_label="supply voltage (V)",
     y_label="errors per FLOP",
-    benchmark="benchmarks/bench_fig5_2_voltage_curve.py",
 ))
 register_kernel(KernelSpec(
     name="sorting",
@@ -1118,12 +1110,8 @@ register_kernel(KernelSpec(
     title="Accuracy of Sort - {iterations} iterations",
     x_label="fault rate (fraction of FLOPs)",
     y_label="success rate",
-    benchmark="benchmarks/bench_fig6_1_sorting.py",
     metric="success_rate",
-    sweep=True,
-    batched=True,
     trial_factory=sorting_kernel,
-    paper_iterations=10000,
 ))
 register_kernel(KernelSpec(
     name="least_squares_sgd",
@@ -1132,11 +1120,7 @@ register_kernel(KernelSpec(
     title="Accuracy of Least Squares - {iterations} iterations",
     x_label="fault rate (fraction of FLOPs)",
     y_label="relative error w.r.t. ideal (lower is better)",
-    benchmark="benchmarks/bench_fig6_2_least_squares.py",
-    sweep=True,
-    batched=True,
     trial_factory=least_squares_kernel,
-    paper_iterations=1000,
     min_iterations=500,
 ))
 register_kernel(KernelSpec(
@@ -1146,11 +1130,7 @@ register_kernel(KernelSpec(
     title="Accuracy of IIR - {iterations} iterations",
     x_label="fault rate (fraction of FLOPs)",
     y_label="error energy / signal energy (lower is better)",
-    benchmark="benchmarks/bench_fig6_3_iir.py",
-    sweep=True,
-    batched=True,
     trial_factory=iir_kernel,
-    paper_iterations=1000,
     min_iterations=500,
 ))
 register_kernel(KernelSpec(
@@ -1160,12 +1140,8 @@ register_kernel(KernelSpec(
     title="Accuracy of Matching - {iterations} iterations",
     x_label="fault rate (fraction of FLOPs)",
     y_label="success rate",
-    benchmark="benchmarks/bench_fig6_4_matching.py",
     metric="success_rate",
-    sweep=True,
-    batched=True,
     trial_factory=matching_kernel,
-    paper_iterations=10000,
 ))
 register_kernel(KernelSpec(
     name="matching_enhancements",
@@ -1174,12 +1150,8 @@ register_kernel(KernelSpec(
     title="Effect of enhancements on matching success",
     x_label="fault rate (fraction of FLOPs)",
     y_label="success rate",
-    benchmark="benchmarks/bench_fig6_5_enhancements.py",
     metric="success_rate",
-    sweep=True,
-    batched=True,
     trial_factory=matching_kernel,
-    paper_iterations=10000,
     series={
         "Non-robust": None,
         "Basic,LS": "Basic,LS",
@@ -1196,9 +1168,6 @@ register_kernel(KernelSpec(
     title="Accuracy of Least Squares (CG vs decomposition baselines)",
     x_label="fault rate (fraction of FLOPs)",
     y_label="relative error w.r.t. ideal (lower is better)",
-    benchmark="benchmarks/bench_fig6_6_cg_least_squares.py",
-    sweep=True,
-    batched=True,
     trial_factory=cg_least_squares_kernel,
 ))
 register_kernel(KernelSpec(
@@ -1208,7 +1177,6 @@ register_kernel(KernelSpec(
     title="Least Squares Energy vs accuracy target",
     x_label="accuracy target (relative error)",
     y_label="energy (power x #FLOPs, nominal-FLOP units)",
-    benchmark="benchmarks/bench_fig6_7_energy.py",
     reduce_trials=lambda trials: max(trials - 1, 2),
 ))
 register_kernel(KernelSpec(
@@ -1218,12 +1186,8 @@ register_kernel(KernelSpec(
     title="Effect of momentum on solver success rate",
     x_label="fault rate (fraction of FLOPs)",
     y_label="success rate",
-    benchmark="benchmarks/bench_sec6_2_momentum.py",
     metric="success_rate",
-    sweep=True,
-    batched=True,
     trial_factory=momentum_kernel,
-    paper_iterations=5000,
 ))
 register_kernel(KernelSpec(
     name="flop_costs",
@@ -1232,8 +1196,6 @@ register_kernel(KernelSpec(
     title="FLOP cost of least-squares implementations (fault-free)",
     x_label="(single workload)",
     y_label="FLOPs",
-    benchmark="benchmarks/bench_sec6_3_flop_costs.py",
-    takes_trials=False,
 ))
 register_kernel(KernelSpec(
     name="overhead",
@@ -1242,8 +1204,6 @@ register_kernel(KernelSpec(
     title="FLOP overhead of robust implementations (robust / baseline)",
     x_label="(single workload)",
     y_label="overhead factor",
-    benchmark="benchmarks/bench_sec7_overhead.py",
-    takes_trials=False,
 ))
 register_kernel(KernelSpec(
     name="eigen",
@@ -1252,11 +1212,7 @@ register_kernel(KernelSpec(
     title="Accuracy of eigenpair extraction - {iterations} iterations",
     x_label="fault rate (fraction of FLOPs)",
     y_label="relative eigenvalue error (lower is better)",
-    benchmark="benchmarks/bench_ext_eigen.py",
-    sweep=True,
-    batched=True,
     trial_factory=eigen_kernel,
-    paper_iterations=200,
     min_iterations=50,
 ))
 register_kernel(KernelSpec(
@@ -1266,11 +1222,7 @@ register_kernel(KernelSpec(
     title="Accuracy of Max-Flow - {iterations} iterations",
     x_label="fault rate (fraction of FLOPs)",
     y_label="relative flow-value error (lower is better)",
-    benchmark="benchmarks/bench_ext_maxflow.py",
-    sweep=True,
-    batched=True,
     trial_factory=maxflow_kernel,
-    paper_iterations=5000,
     min_iterations=500,
 ))
 register_kernel(KernelSpec(
@@ -1280,11 +1232,7 @@ register_kernel(KernelSpec(
     title="Accuracy of All-Pairs Shortest Paths - {iterations} iterations",
     x_label="fault rate (fraction of FLOPs)",
     y_label="mean relative distance error (lower is better)",
-    benchmark="benchmarks/bench_ext_apsp.py",
-    sweep=True,
-    batched=True,
     trial_factory=apsp_kernel,
-    paper_iterations=5000,
     min_iterations=500,
 ))
 register_kernel(KernelSpec(
@@ -1294,105 +1242,79 @@ register_kernel(KernelSpec(
     title="SVM training accuracy - {iterations} iterations",
     x_label="fault rate (fraction of FLOPs)",
     y_label="training accuracy (higher is better)",
-    benchmark="benchmarks/bench_ext_svm.py",
-    sweep=True,
-    batched=True,
     trial_factory=svm_kernel,
-    paper_iterations=1000,
     min_iterations=200,
 ))
 # --------------------------------------------------------------------------- #
 # Scenario-grid studies — cross-fault-model and voltage operating-point
 # comparisons expressed as declarative ScenarioGrids (see
-# repro.experiments.scenarios and docs/scenarios.md).
+# repro.experiments.scenarios and docs/scenarios.md).  Each runs a compact
+# two-series line-up (baseline vs best robust variant), so a grid over
+# several scenarios stays tractable.
 # --------------------------------------------------------------------------- #
 register_kernel(KernelSpec(
     name="sorting_cross_model",
-    scenario_study=True,
     figure="sorting_scenario_study",
     figure_id="Scenario grid (sorting)",
     title="Sorting success across fault-model scenarios - {iterations} iterations",
     x_label="fault rate (fraction of FLOPs)",
     y_label="success rate",
-    benchmark="benchmarks/bench_scenario_grids.py",
     metric="success_rate",
-    sweep=True,
-    batched=True,
     trial_factory=sorting_kernel,
-    paper_iterations=10000,
+    series={"Base": None, "SGD+AS,SQS": "SGD+AS,SQS"},
 ))
 register_kernel(KernelSpec(
     name="least_squares_cross_model",
-    scenario_study=True,
     figure="least_squares_scenario_study",
     figure_id="Scenario grid (least squares)",
     title="Least-squares error across fault-model scenarios - {iterations} iterations",
     x_label="fault rate (fraction of FLOPs)",
     y_label="relative error w.r.t. ideal (lower is better)",
-    benchmark="benchmarks/bench_scenario_grids.py",
-    sweep=True,
-    batched=True,
     trial_factory=least_squares_kernel,
-    paper_iterations=1000,
+    series={"Base: SVD": None, "SGD+AS,LS": "SGD+AS,LS"},
     min_iterations=500,
 ))
 register_kernel(KernelSpec(
     name="matching_cross_model",
-    scenario_study=True,
     figure="matching_scenario_study",
     figure_id="Scenario grid (matching)",
     title="Matching success across fault-model scenarios - {iterations} iterations",
     x_label="fault rate (fraction of FLOPs)",
     y_label="success rate",
-    benchmark="benchmarks/bench_scenario_grids.py",
     metric="success_rate",
-    sweep=True,
-    batched=True,
     trial_factory=matching_kernel,
-    paper_iterations=10000,
+    series={"Base": None, "SGD+AS,SQS": "SGD+AS,SQS"},
 ))
 register_kernel(KernelSpec(
     name="sorting_voltage",
-    scenario_study=True,
     figure="sorting_voltage_study",
     figure_id="Voltage study (sorting)",
     title="Sorting success vs supply voltage - {iterations} iterations",
     x_label="supply voltage (V)",
     y_label="success rate",
-    benchmark="benchmarks/bench_scenario_grids.py",
     metric="success_rate",
-    sweep=True,
-    batched=True,
     trial_factory=sorting_kernel,
-    paper_iterations=10000,
+    series={"Base": None, "SGD+AS,SQS": "SGD+AS,SQS"},
 ))
 register_kernel(KernelSpec(
     name="least_squares_voltage",
-    scenario_study=True,
     figure="least_squares_voltage_study",
     figure_id="Voltage study (least squares)",
     title="Least-squares error vs supply voltage - {iterations} iterations",
     x_label="supply voltage (V)",
     y_label="relative error w.r.t. ideal (lower is better)",
-    benchmark="benchmarks/bench_scenario_grids.py",
-    sweep=True,
-    batched=True,
     trial_factory=least_squares_kernel,
-    paper_iterations=1000,
+    series={"Base: SVD": None, "SGD+AS,LS": "SGD+AS,LS"},
     min_iterations=500,
 ))
 register_kernel(KernelSpec(
     name="matching_voltage",
-    scenario_study=True,
     figure="matching_voltage_study",
     figure_id="Voltage study (matching)",
     title="Matching success vs supply voltage - {iterations} iterations",
     x_label="supply voltage (V)",
     y_label="success rate",
-    benchmark="benchmarks/bench_scenario_grids.py",
     metric="success_rate",
-    sweep=True,
-    batched=True,
     trial_factory=matching_kernel,
-    paper_iterations=10000,
+    series={"Base": None, "SGD+AS,SQS": "SGD+AS,SQS"},
 ))

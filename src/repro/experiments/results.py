@@ -94,16 +94,16 @@ def series_digest(series: Sequence["SeriesResult"]) -> str:
     """SHA-256 over the canonical serialized form of a series list.
 
     The digest covers exactly what the result cache would persist
-    (:meth:`SeriesResult.to_dict` of every series, in order), canonicalized
-    with the same strict JSON rules as the cache key hash — so two runs have
-    equal digests if and only if their cached payloads would be
-    byte-identical.  This is the campaign layer's bit-identity check:
-    a sharded-merge run must digest equal to the single-process serial run.
+    (:meth:`SeriesResult.to_dict` of every series, in order), serialized
+    with sorted keys and compact separators — so two runs have equal digests
+    if and only if their cached payloads would be byte-identical.  Like the
+    cache and shard store, it accepts the ``inf``/``nan`` trial values a
+    diverged baseline produces.  This is the campaign layer's bit-identity
+    check: a sharded-merge run must digest equal to the single-process
+    serial run.
     """
     payload = [entry.to_dict() for entry in series]
-    canonical = json.dumps(
-        payload, sort_keys=True, separators=(",", ":"), allow_nan=False
-    )
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 

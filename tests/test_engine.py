@@ -225,6 +225,31 @@ class TestEngine:
         assert totals == {12}
         assert str(events[-1]).startswith("[12/12]")
 
+    @pytest.mark.parametrize("executor", list_executors())
+    def test_adaptive_progress_counts_continue_across_rounds(self, executor):
+        policy = ConfidenceTarget(half_width=1.0, metric="mean", batch=2, max_trials=6)
+        events = []
+        series = ExperimentEngine(executor, progress=events.append).run_sweep(
+            make_sweep(policy=policy)
+        )
+        used = {
+            (entry.name, rate): n
+            for entry in series
+            for rate, n in zip(entry.fault_rates, entry.trials_used)
+        }
+        assert sorted(set(used.values())) == [2, 4, 6]  # points stop in different rounds
+        per_trial, per_round = {}, {}
+        for event in events:
+            counts = per_trial if event.ci_half_width is None else per_round
+            counts.setdefault((event.series_name, event.fault_rate), []).append(
+                event.completed
+            )
+        for point, n in used.items():
+            assert per_trial[point] == list(range(1, n + 1))
+            assert per_round[point] == list(range(2, n + 1, 2))
+        assert {(event.total, event.sweep_total) for event in events} == {(6, 36)}
+        assert events[-1].sweep_completed == sum(used.values())
+
     def test_run_figure_is_incremental(self, tmp_path):
         builds = []
 

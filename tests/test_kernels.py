@@ -40,8 +40,7 @@ class TestRegistryContents:
         ]
 
     def test_batched_tier_covers_the_sweep_suite(self):
-        batched = {spec.name for spec in kernels.batched_kernels()}
-        assert batched == {
+        assert {spec.name for spec in kernels.sweep_kernels()} == {
             "sorting",
             "least_squares_sgd",
             "iir",
@@ -60,7 +59,6 @@ class TestRegistryContents:
             "least_squares_voltage",
             "matching_voltage",
         }
-        assert {spec.name for spec in kernels.sweep_kernels()} == batched
 
     def test_lookup_by_kernel_and_figure_name(self):
         assert kernels.get_kernel("iir").figure == "figure_6_3"

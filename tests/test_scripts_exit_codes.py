@@ -21,7 +21,10 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import benchhistory as bh
+from repro.experiments.cache import ResultCache, spec_hash
+from repro.experiments.campaign import ShardPlanner, ShardStore
 from repro.experiments.results import SeriesResult
+from repro.experiments.spec import SweepSpec
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 HISTORY_DIR = REPO_ROOT / "benchmarks" / "history"
@@ -247,9 +250,12 @@ def campaign_cli():
     return load_script("run_campaign")
 
 
-def campaign_args(tmp_path, *extra):
+SORTING_40 = ("--kernel", "sorting", "--iterations", "40")
+
+
+def campaign_args(tmp_path, *extra, kernel=SORTING_40):
     return [
-        "--kernel", "sorting", "--iterations", "40",
+        *kernel,
         "--rates", "0.05", "--trials", "1", "--seed", "11",
         "--pool", "serial", "--store", str(tmp_path / "store"), *extra,
     ]
@@ -257,16 +263,20 @@ def campaign_args(tmp_path, *extra):
 
 class TestRunCampaign:
     def test_tiny_campaign_bit_identical_to_serial(self, campaign_cli, tmp_path):
-        summary_path = tmp_path / "summary.json"
-        code = campaign_cli.main(
-            campaign_args(
-                tmp_path, "--verify-serial", "--summary", str(summary_path)
+        # cg_least_squares's Cholesky baseline yields inf trial values, which
+        # the summary digest must accept like the shard store does.
+        for kernel in (SORTING_40, ("--kernel", "cg_least_squares")):
+            summary_path = tmp_path / "summary.json"
+            code = campaign_cli.main(
+                campaign_args(
+                    tmp_path, "--verify-serial", "--summary", str(summary_path),
+                    kernel=kernel,
+                )
             )
-        )
-        assert code == 0
-        summary = json.loads(summary_path.read_text())
-        assert summary["bit_identical_to_serial"] is True
-        assert summary["shards_computed"] == summary["shards_total"]
+            assert code == 0, kernel
+            summary = json.loads(summary_path.read_text())
+            assert summary["bit_identical_to_serial"] is True
+            assert summary["shards_computed"] == summary["shards_total"]
 
     def test_kill_then_resume_recomputes_only_missing(self, campaign_cli, tmp_path):
         summary_path = tmp_path / "summary.json"
@@ -337,6 +347,51 @@ class TestRunCampaign:
         code = campaign_cli.main(campaign_args(tmp_path, "--backend", "no-such-tier"))
         assert code == 2
         assert "unknown compute backend" in capsys.readouterr().err
+
+    def test_parameter_the_kernel_lacks_is_usage_error(
+        self, campaign_cli, tmp_path, capsys
+    ):
+        code = campaign_cli.main(
+            campaign_args(tmp_path, kernel=("--kernel", "cg_least_squares",
+                                            "--iterations", "40"))
+        )
+        assert code == 2
+        assert "iterations" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "payload", ["null", "[1, 2]", "42", '"text"'],
+        ids=["null", "list", "number", "string"],
+    )
+    def test_non_object_store_entries_are_misses(
+        self, campaign_cli, search_cli, tmp_path, capsys, payload
+    ):
+        sweep = SweepSpec({"zero": lambda proc, rng: 0.0}, fault_rates=(0.1,), trials=1)
+        shard = ShardPlanner().plan(sweep)[0]
+        store = ShardStore(tmp_path / "store")
+        cache = ResultCache(tmp_path / "cache")
+        key = {"figure": "junk"}
+        for path in (
+            store.shard_path(shard.shard_id),
+            store.manifest_path("feedface"),
+            store.search_path("feedface"),
+            cache.directory / f"{spec_hash(key)}.json",
+        ):
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(payload)
+        assert store.load_shard(shard) is None
+        assert store.load_manifest("feedface") is None
+        assert store.load_search("feedface") is None
+        assert cache.load(key) is None
+        # The same payload nested where an object belongs is a miss too.
+        store.shard_path(shard.shard_id).write_text(
+            f'{{"schema": 1, "shard": "{shard.shard_id}", "result": {payload}}}'
+        )
+        assert store.load_shard(shard) is None
+        status = ["--store", str(store.directory), "--status", "feedface"]
+        assert campaign_cli.main(status) == 2
+        assert search_cli.main(status) == 2
+        err = capsys.readouterr().err
+        assert "unknown campaign id" in err and "unknown search id" in err
 
 
 @pytest.fixture(scope="module")
@@ -504,6 +559,16 @@ class TestRunSearch:
         code = search_cli.main(search_args(tmp_path, "--backend", "no-such-tier"))
         assert code == 2
         assert "unknown compute backend" in capsys.readouterr().err
+
+    def test_parameter_the_kernel_lacks_is_usage_error(
+        self, search_cli, tmp_path, capsys
+    ):
+        code = search_cli.main(
+            ["--kernel", "cg_least_squares", "--iterations", "40",
+             "--store", str(tmp_path / "store")]
+        )
+        assert code == 2
+        assert "iterations" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
