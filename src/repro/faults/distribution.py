@@ -122,7 +122,7 @@ class BitPositionDistribution(ABC):
         the injector uses.
         """
         uniforms = rng.random(size)
-        return np.searchsorted(self.cdf(), uniforms, side="right").astype(np.int64)
+        return self.cdf().searchsorted(uniforms, side="right").astype(np.int64, copy=False)
 
     def sample_scalar(self, lfsr) -> int:
         """Draw a single bit position using an :class:`repro.faults.lfsr.LFSR`."""

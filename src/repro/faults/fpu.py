@@ -93,9 +93,10 @@ class StochasticFPU:
         self._flops += 1
         if self._commit_kernel is not None:
             return self._commit_kernel(self, value)
-        if self._protected_depth > 0 or self._injector.fault_rate <= 0.0:
-            return float(np.asarray(value, dtype=self._injector.dtype))
-        return self._injector.corrupt_scalar(value)
+        injector = self._injector
+        if self._protected_depth > 0 or injector._fault_rate <= 0.0:
+            return injector._round(value)
+        return injector.corrupt_scalar(value)
 
     # ------------------------------------------------------------------ #
     # Arithmetic

@@ -32,9 +32,18 @@ from repro.exceptions import FaultModelError
 from repro.faults.bitflip import bit_width, flip_bit_scalar
 from repro.faults.distribution import BitPositionDistribution, EmulatedBitDistribution
 from repro.faults.lfsr import LFSR
-from repro.faults.vectorized import corrupt_array, effective_fault_probability
+from repro.faults.vectorized import (
+    check_ops,
+    corrupt_inplace,
+    effective_fault_probability,
+    quiet_cast,
+)
 
 __all__ = ["FaultInjector"]
+
+#: Largest finite float32: a value inside ``[-_F32_MAX, _F32_MAX]`` rounds to
+#: float32 without overflow, so its cast cannot warn.
+_F32_MAX = float(np.finfo(np.float32).max)
 
 
 class FaultInjector:
@@ -71,6 +80,7 @@ class FaultInjector:
     ) -> None:
         self._dtype = np.dtype(dtype)
         self._width = bit_width(self._dtype)
+        self._f32 = self._dtype == np.dtype(np.float32)
         if bit_distribution is None:
             bit_distribution = EmulatedBitDistribution(width=self._width)
         if bit_distribution.width != self._width:
@@ -100,12 +110,13 @@ class FaultInjector:
         # generator-timed faults and the stock inverse-CDF bit sampler; any
         # other configuration stays on the numpy tier.
         self._backend = active_backend()
+        self._stock_sampler = (
+            type(self._bit_distribution).sample is BitPositionDistribution.sample
+        )
         kernel = self._backend.kernel("corrupt_array")
         self._array_kernel = (
             kernel
-            if kernel is not None
-            and not self._use_lfsr
-            and type(self._bit_distribution).sample is BitPositionDistribution.sample
+            if kernel is not None and not self._use_lfsr and self._stock_sampler
             else None
         )
 
@@ -189,7 +200,29 @@ class FaultInjector:
     def _draw_bit(self) -> int:
         if self._use_lfsr:
             return self._bit_distribution.sample_scalar(self._lfsr)
+        if self._stock_sampler:
+            # BitPositionDistribution.sample(rng, size=1)[0] for one draw:
+            # rng.random() consumes the same double as rng.random(1).
+            return int(
+                self._bit_distribution.cdf().searchsorted(
+                    self._rng.random(), side="right"
+                )
+            )
         return int(self._bit_distribution.sample(self._rng, size=1)[0])
+
+    def _round(self, value: float) -> float:
+        """``value`` rounded to the datapath dtype, as a Python float.
+
+        Only a float32 cast of a value outside the finite float32 range (or
+        of NaN / inf) can raise a floating-point warning, so only those
+        values pay for an ``np.errstate`` scope.
+        """
+        if not self._f32:
+            return float(value)
+        if -_F32_MAX <= value <= _F32_MAX:
+            return float(np.float32(value))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.float32(value))
 
     def corrupt_scalar(self, value: float) -> float:
         """Pass one scalar FPU result through the injector.
@@ -198,15 +231,16 @@ class FaultInjector:
         expires, the value with one randomly chosen bit flipped.
         """
         self._ops_observed += 1
+        if self._ops_until_fault < 0:
+            return self._round(value)
+        self._ops_until_fault -= 1
+        if self._ops_until_fault > 0:
+            return self._round(value)
+        self._schedule_next_fault()
+        self._faults_injected += 1
+        bit = self._draw_bit()
         with np.errstate(over="ignore", invalid="ignore"):
-            if self._ops_until_fault < 0:
-                return float(np.asarray(value, dtype=self._dtype))
-            self._ops_until_fault -= 1
-            if self._ops_until_fault > 0:
-                return float(np.asarray(value, dtype=self._dtype))
-            self._schedule_next_fault()
-            self._faults_injected += 1
-            return flip_bit_scalar(value, self._draw_bit(), dtype=self._dtype)
+            return flip_bit_scalar(value, bit, dtype=self._dtype)
 
     # ------------------------------------------------------------------ #
     # Vectorized path
@@ -218,39 +252,41 @@ class FaultInjector:
 
         Each element is treated as the final result of ``ops_per_element``
         floating-point operations; it is corrupted with probability
-        ``1 - (1 - fault_rate)**ops_per_element``.
+        ``1 - (1 - fault_rate)**ops_per_element``.  A negative
+        ``ops_per_element`` raises :class:`ValueError` before any draw.
 
-        Returns a new array of the injector's dtype; the input is unchanged.
+        Returns a new C-ordered array of the injector's dtype; the input is
+        unchanged.
         """
-        with np.errstate(over="ignore", invalid="ignore"):
-            arr = np.asarray(values, dtype=self._dtype)
-        n_elements = arr.size
-        ops = np.asarray(ops_per_element)
-        if ops.ndim == 0:
+        check_ops(ops_per_element)
+        # The datapath cast lands in the fresh C-ordered copy that is
+        # corrupted in place and returned; it is the call's only step that
+        # can raise a floating-point warning.
+        out = quiet_cast(values, self._dtype)
+        n_elements = out.size
+        ops = ops_per_element
+        scalar_ops = isinstance(ops, (int, np.integer))
+        if not scalar_ops:
+            ops = np.asarray(ops)
+            scalar_ops = ops.ndim == 0
+        if scalar_ops:
             self._ops_observed += int(ops) * n_elements
         else:
-            ops = np.broadcast_to(ops, arr.shape)
+            ops = np.broadcast_to(ops, out.shape)
             self._ops_observed += int(np.sum(ops))
         if self._fault_rate <= 0.0 or n_elements == 0:
-            return arr.copy()
-        if self._array_kernel is not None and ops.ndim == 0:
-            # Backend fast path: same draw protocol as the numpy kernel below
-            # (bit-identical tier), run as one compiled call on the native
-            # copy.  ndarray.copy() is C-ordered, matching the kernel's flat
-            # iteration.
-            out = arr.copy()
-            n_faults = self._array_kernel(self, out, int(ops))
-            self._faults_injected += int(n_faults)
             return out
-        corrupted, n_faults = corrupt_array(
-            arr,
-            fault_rate=self._fault_rate,
-            ops_per_element=ops,
-            bit_distribution=self._bit_distribution,
-            rng=self._rng,
-        )
+        if self._array_kernel is not None and scalar_ops:
+            # Backend fast path: same draw protocol as the numpy kernel,
+            # run as one compiled call over the C-ordered copy's flat
+            # iteration (bit-identical tier).
+            n_faults = self._array_kernel(self, out, int(ops))
+        else:
+            n_faults = corrupt_inplace(
+                out, self._fault_rate, ops, self._bit_distribution, self._rng
+            )
         self._faults_injected += int(n_faults)
-        return corrupted
+        return out
 
     def fault_probability(self, ops_per_element: Union[int, np.ndarray]) -> np.ndarray:
         """Probability that a result of ``ops_per_element`` FLOPs is corrupted."""

@@ -21,13 +21,58 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from repro.faults.bitflip import flip_bit_array
+from repro.exceptions import FaultModelError
+from repro.faults.bitflip import bit_width
 from repro.faults.distribution import BitPositionDistribution
 
 __all__ = [
+    "check_ops",
+    "quiet_cast",
     "effective_fault_probability",
     "corrupt_array",
+    "corrupt_inplace",
+    "flip_bits_at",
 ]
+
+#: Per float dtype: the same-width unsigned dtype, and its single-bit XOR
+#: masks indexed by bit position.
+_BIT_MASKS = {
+    np.dtype(float_dtype): (
+        uint_dtype,
+        np.left_shift(uint_dtype(1), np.arange(width, dtype=uint_dtype)),
+    )
+    for float_dtype, uint_dtype, width in (
+        (np.float32, np.uint32, 32),
+        (np.float64, np.uint64, 64),
+    )
+}
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def quiet_cast(values, dtype: np.dtype) -> np.ndarray:
+    """``values`` as a new C-ordered ``dtype`` array, without FP warnings.
+
+    Overflow to inf in a float32 cast, and the 'invalid' raised by casting a
+    signaling NaN (which a flip of a NaN or inf can produce), are part of the
+    fault model rather than errors.  As a decorator, ``np.errstate`` opens
+    its scope per call at about two thirds of the cost of a ``with`` block.
+    """
+    return np.array(values, dtype=dtype, order="C")
+
+
+def check_ops(ops_per_element: Union[int, np.ndarray]) -> None:
+    """Reject a negative FLOP count, scalar or per-element.
+
+    The corruption entry points call this first, so a bad count raises
+    before any draw or counter update.
+    """
+    if isinstance(ops_per_element, (int, np.integer)):
+        if ops_per_element < 0:
+            raise ValueError(f"flop count must be non-negative, got {ops_per_element}")
+        return
+    ops = np.asarray(ops_per_element)
+    if ops.size and ops.min() < 0:
+        raise ValueError(f"flop count must be non-negative, got {ops.min()}")
 
 
 def effective_fault_probability(
@@ -40,11 +85,88 @@ def effective_fault_probability(
     ``(1 - p)**k``; the effective corruption probability is therefore
     ``1 - (1 - p)**k``.
     """
+    if isinstance(ops_per_element, (int, np.integer)):
+        # Plain-float branch of the 0-d case below (same float, no arrays).
+        ops = float(max(ops_per_element, 0))
+        return np.float64(1.0 - (1.0 - float(fault_rate)) ** ops)
     ops = np.asarray(ops_per_element, dtype=np.float64)
     ops = np.maximum(ops, 0.0)
     if ops.ndim == 0:
         return np.float64(1.0 - (1.0 - float(fault_rate)) ** float(ops))
     return 1.0 - np.power(1.0 - float(fault_rate), ops)
+
+
+def flip_bits_at(
+    native: np.ndarray,
+    flat_indices: np.ndarray,
+    positions: np.ndarray,
+    check_range: bool,
+) -> None:
+    """XOR bit ``positions[k]`` into element ``flat_indices[k]``, in place.
+
+    The compact flip shared by :func:`corrupt_inplace` and the fused pass of
+    :meth:`repro.processor.batch.ProcessorBatch.corrupt`: ``native`` is a
+    C-contiguous float32/float64 array and ``flat_indices`` index its C-order
+    flattening.  Positions from the stock inverse-CDF sampler lie in
+    ``[0, width)`` by construction; pass ``check_range`` for any other
+    sampler, which raises :class:`FaultModelError` on an out-of-range
+    position exactly as :func:`repro.faults.bitflip.flip_bit_array` does.
+    """
+    if native.dtype not in _BIT_MASKS:
+        bit_width(native.dtype)  # raises FaultModelError: unsupported dtype
+    uint_dtype, masks = _BIT_MASKS[native.dtype]
+    if check_range:
+        positions = np.asarray(positions, dtype=np.int64)
+        width = masks.size
+        if positions.size and (positions.min() < 0 or positions.max() >= width):
+            raise FaultModelError(
+                f"bit positions must lie in [0, {width}); got range "
+                f"[{positions.min()}, {positions.max()}]"
+            )
+    flat_bits = native.view(uint_dtype).reshape(-1)
+    flat_bits[flat_indices] ^= masks[positions]
+
+
+def corrupt_inplace(
+    native: np.ndarray,
+    fault_rate: float,
+    ops_per_element: Union[int, np.ndarray],
+    bit_distribution: BitPositionDistribution,
+    rng: np.random.Generator,
+) -> int:
+    """Corrupt the C-contiguous array ``native`` in place; return the fault count.
+
+    The working half of :func:`corrupt_array` (same parameters), for callers
+    that already hold a fresh C-ordered copy —
+    :meth:`repro.faults.injector.FaultInjector.corrupt_array` casts to the
+    datapath dtype straight into one.
+    """
+    # NOTE: this is the per-trial draw protocol, the bit-identity contract of
+    # the whole fault layer: one uniform per element in C order for the
+    # fault mask, then exactly n_faults bit positions from
+    # bit_distribution.sample, assigned to the faulted elements in C order,
+    # and no draws at all when the rate is zero or the array is empty.  The
+    # fused pass of repro.processor.batch.ProcessorBatch.corrupt and the
+    # compiled backend kernels reproduce it draw for draw, as
+    # tests/test_tensor_backend.py, tests/test_backends.py and the frozen
+    # oracle in tests/test_fault_oracle.py pin.
+    if native.size == 0 or fault_rate <= 0.0:
+        return 0
+    probability = effective_fault_probability(fault_rate, ops_per_element)
+    if probability.ndim != 0:
+        probability = np.broadcast_to(probability, native.shape)
+    mask = rng.random(native.shape) < probability
+    fault_indices = mask.reshape(-1).nonzero()[0]
+    n_faults = fault_indices.size
+    if n_faults:
+        flip_bits_at(
+            native,
+            fault_indices,
+            bit_distribution.sample(rng, size=n_faults),
+            check_range=type(bit_distribution).sample
+            is not BitPositionDistribution.sample,
+        )
+    return n_faults
 
 
 def corrupt_array(
@@ -74,26 +196,11 @@ def corrupt_array(
     Returns
     -------
     (corrupted, n_faults):
-        A new array with faults applied, and the number of elements that were
-        corrupted.
+        A new C-ordered array with faults applied, and the number of elements
+        that were corrupted.
     """
-    # NOTE: the per-trial draw protocol below (uniform fault mask first, then
-    # exactly n_faults bit positions, and no draws at all when the rate is
-    # zero) is the bit-identity contract of the whole fault layer: the fused
-    # pass of repro.processor.batch.ProcessorBatch.corrupt and the compiled
-    # backend kernels reproduce it draw for draw, as
-    # tests/test_tensor_backend.py and tests/test_backends.py pin.
-    arr = np.asarray(values)
-    if arr.size == 0 or fault_rate <= 0.0:
-        return arr.copy(), 0
-    probability = effective_fault_probability(fault_rate, ops_per_element)
-    if probability.ndim != 0:
-        probability = np.broadcast_to(probability, arr.shape)
-    fault_mask = rng.random(arr.shape) < probability
-    n_faults = int(np.count_nonzero(fault_mask))
-    if n_faults == 0:
-        return arr.copy(), 0
-    bit_positions = np.zeros(arr.shape, dtype=np.int64)
-    bit_positions[fault_mask] = bit_distribution.sample(rng, size=n_faults)
-    corrupted = flip_bit_array(arr, bit_positions, mask=fault_mask)
+    corrupted = np.array(values, order="C")
+    n_faults = corrupt_inplace(
+        corrupted, fault_rate, ops_per_element, bit_distribution, rng
+    )
     return corrupted, n_faults

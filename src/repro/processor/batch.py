@@ -32,7 +32,11 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from repro.faults.vectorized import effective_fault_probability
+from repro.faults.vectorized import (
+    check_ops,
+    effective_fault_probability,
+    flip_bits_at,
+)
 from repro.processor.stochastic import StochasticProcessor
 
 __all__ = ["ProcessorBatch", "batch_sub", "batch_scale", "batch_matvec"]
@@ -71,7 +75,7 @@ class ProcessorBatch:
         # Consequently a processor's fault rate must not be mutated while it
         # is enrolled in a batch (executors build fresh processors per batch).
         self._rates = np.asarray([proc.fault_rate for proc in procs], dtype=np.float64)
-        self._active = np.flatnonzero(self._rates > 0.0)
+        self._active = np.flatnonzero(self._rates > 0.0).tolist()
         self._rngs = [proc.injector.rng for proc in procs]
         self._distributions = [proc.injector.bit_distribution for proc in procs]
         self._thresholds: dict = {}
@@ -138,91 +142,101 @@ class ProcessorBatch:
         ops_per_element)`` would treat it — same dtype round-trip through the
         datapath precision, same random draws from the trial's own injector
         generator, same counter updates — but the conversion, threshold
-        comparison, and bit-flip passes are fused across the stack.
+        comparison, and bit-flip passes are fused across the stack.  A
+        negative ``ops_per_element`` raises :class:`ValueError` before any
+        draw.
         """
+        check_ops(ops_per_element)
         arr = np.asarray(stacked, dtype=np.float64)
-        if arr.ndim < 1 or arr.shape[0] != len(self.procs):
+        n_trials = len(self.procs)
+        if arr.ndim < 1 or arr.shape[0] != n_trials:
             raise ValueError(
                 f"stacked tensor has shape {arr.shape}; expected leading "
-                f"dimension {len(self.procs)} (one row per trial)"
+                f"dimension {n_trials} (one row per trial)"
             )
-        row_shape = arr.shape[1:]
-        ops = np.asarray(ops_per_element)
-        if ops.ndim != 0 or not row_shape:
+        ops = ops_per_element
+        if not isinstance(ops, (int, np.integer)):
+            ops = np.asarray(ops)
+            if ops.ndim != 0:
+                return self._corrupt_general(arr, ops)
+        if arr.ndim == 1:
             return self._corrupt_general(arr, ops)
-        row_size = int(np.prod(row_shape, dtype=np.int64))
-        per_trial_ops = int(ops) * row_size
+        ops = int(ops)
+        row_size = arr.size // n_trials
+        self._pending_ops += ops * row_size
 
-        if self._batch_kernel is not None:
-            # Backend fast path: the whole mask/bit-flip pass in one compiled
-            # call over the native-dtype copy (bit-identical tier; see the
-            # kernel-binding note in __init__).
-            native = self._native_scratch(arr.shape)
-            with np.errstate(over="ignore", invalid="ignore"):
-                np.copyto(native, arr, casting="unsafe")
-            faults_per_trial = self._batch_kernel(self, native, row_size, int(ops))
-            self._pending_ops += per_trial_ops
-            self._pending_faults += faults_per_trial
-            with np.errstate(over="ignore", invalid="ignore"):
-                return native.astype(np.float64)
-
-        # This fused pass reproduces corrupt_array's per-trial draw protocol
-        # (uniform mask first, then exactly n_faults bit positions, nothing
-        # at rate zero) with reusable buffers and a compact index-based flip;
-        # tests/test_tensor_backend.py pins it against per-trial corruption.
-        # Bit positions come from the stock inverse-CDF sampler (guaranteed
-        # in [0, width) by construction, which is why the compact XOR can
-        # skip flip_bit_array's range check); custom distributions take the
-        # per-trial sample() branch.
-        uniforms, mask, native = self._workspace(arr.shape)
+        # One errstate scope per pass covers the two steps that can warn: the
+        # datapath cast, and widening a flipped value back (a flip can turn a
+        # NaN or inf into a signaling NaN).
         with np.errstate(over="ignore", invalid="ignore"):
-            np.copyto(native, arr, casting="unsafe")
+            if self._batch_kernel is not None:
+                # Backend fast path: the whole mask/bit-flip pass in one
+                # compiled call over the native-dtype copy (bit-identical
+                # tier; see the kernel-binding note in __init__).
+                native = self._native_scratch(arr.shape)
+                native[...] = arr
+                self._pending_faults += self._batch_kernel(self, native, row_size, ops)
+                return native.astype(np.float64)
+            return self._fused_pass(arr, ops, row_size)
+
+    def _fused_pass(self, arr: np.ndarray, ops: int, row_size: int) -> np.ndarray:
+        """The numpy tier of :meth:`corrupt`: one scalar ``ops`` over a >=2-D stack.
+
+        Reproduces :func:`~repro.faults.vectorized.corrupt_inplace`'s
+        per-trial draw protocol (uniform mask first, then exactly n_faults
+        bit positions, nothing at rate zero) with reusable buffers, and flips
+        through the compact XOR it shares with it
+        (:func:`~repro.faults.vectorized.flip_bits_at`), which range-checks
+        positions from custom samplers.  Runs inside :meth:`corrupt`'s
+        errstate scope.  tests/test_tensor_backend.py pins it against
+        per-trial corruption.
+        """
+        uniforms, mask, native, active_rows = self._workspace(arr.shape)
+        native[...] = arr
         # Per-trial uniform draws (serial order, none for rate-zero trials),
         # then one fused threshold comparison over the whole tensor.  Stale
         # buffer rows of inactive trials are harmless: uniforms are >= 0 and
         # their thresholds are 0, so they can never read as faults.
-        rngs = self._rngs
-        for trial in self._active:
-            rngs[trial].random(out=uniforms[trial])
-        np.less(uniforms, self._thresholds_for(int(ops), arr.ndim), out=mask)
-        # Per-trial fault counts fall out of the flat fault indices (C order is
-        # trial-major): count the indices below each row boundary.
+        for rng, row in active_rows:
+            rng.random(out=row)
+        np.less(uniforms, self._thresholds_for(ops, arr.ndim), out=mask)
         fault_indices = mask.reshape(-1).nonzero()[0]
-        cumulative = fault_indices.searchsorted(self._row_boundaries(row_size))
-        faults_per_trial = cumulative.copy()
-        faults_per_trial[1:] -= cumulative[:-1]
-        self._pending_ops += per_trial_ops
-        self._pending_faults += faults_per_trial
-
         if fault_indices.size:
-            # Compact bit flip: draw each faulted trial's bit positions from
-            # its own generator (serial draw order), then resolve the
-            # inverse-CDF lookup and the XOR once for the whole tensor — the
-            # same flips flip_bit_array would apply, without materializing a
-            # full bit-position tensor.
-            faulted = np.flatnonzero(faults_per_trial)
+            # Per-trial fault counts fall out of the flat fault indices (C
+            # order is trial-major): count the indices below each row
+            # boundary.
+            cumulative = fault_indices.searchsorted(self._row_boundaries(row_size))
+            faults_per_trial = cumulative.copy()
+            faults_per_trial[1:] -= cumulative[:-1]
+            self._pending_faults += faults_per_trial
+            # Each faulted trial draws its bit positions from its own
+            # generator (serial draw order); the inverse-CDF lookup and the
+            # XOR then run once for the whole tensor.
+            faulted = [
+                (trial, count)
+                for trial, count in enumerate(faults_per_trial.tolist())
+                if count
+            ]
+            rngs = self._rngs
             if self._shared_cdf is not None:
-                draws = [
-                    rngs[trial].random(int(faults_per_trial[trial]))
-                    for trial in faulted
-                ]
+                draws = [rngs[trial].random(count) for trial, count in faulted]
                 positions = self._shared_cdf.searchsorted(
                     np.concatenate(draws), side="right"
                 )
             else:
                 positions = np.concatenate(
                     [
-                        self._distributions[trial].sample(
-                            rngs[trial], size=int(faults_per_trial[trial])
-                        )
-                        for trial in faulted
+                        self._distributions[trial].sample(rngs[trial], size=count)
+                        for trial, count in faulted
                     ]
                 )
-            uint_dtype = np.uint32 if native.dtype == np.float32 else np.uint64
-            flat_bits = native.view(uint_dtype).reshape(-1)
-            flat_bits[fault_indices] ^= uint_dtype(1) << positions.astype(uint_dtype)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return native.astype(np.float64)
+            flip_bits_at(
+                native,
+                fault_indices,
+                positions,
+                check_range=self._shared_cdf is None,
+            )
+        return native.astype(np.float64)
 
     def flush(self) -> None:
         """Apply deferred FLOP/fault accounting to the wrapped processors.
@@ -255,13 +269,19 @@ class ProcessorBatch:
         return out
 
     def _workspace(self, shape) -> tuple:
-        """Reusable (uniforms, mask, native) buffers for one tensor shape."""
+        """Reusable (uniforms, mask, native, active_rows) buffers for one shape.
+
+        ``active_rows`` pairs each active trial's generator with its row of
+        the uniforms buffer, in trial order.
+        """
         buffers = self._scratch.get(shape)
         if buffers is None:
+            uniforms = np.zeros(shape, dtype=np.float64)
             buffers = (
-                np.zeros(shape, dtype=np.float64),
+                uniforms,
                 np.empty(shape, dtype=bool),
                 np.empty(shape, dtype=self.dtype),
+                [(self._rngs[trial], uniforms[trial]) for trial in self._active],
             )
             self._scratch[shape] = buffers
         return buffers
@@ -296,17 +316,19 @@ class ProcessorBatch:
         return boundaries
 
     def _thresholds_for(self, ops: int, ndim: int) -> np.ndarray:
-        """Per-trial fault thresholds for ``ops`` FLOPs/element, broadcastable."""
-        flat = self._thresholds.get(ops)
-        if flat is None:
+        """Per-trial fault thresholds for ``ops`` FLOPs/element, broadcastable
+        against an ``ndim``-dimensional stack (cached per ``(ops, ndim)``)."""
+        thresholds = self._thresholds.get((ops, ndim))
+        if thresholds is None:
             flat = np.array(
                 [
                     float(effective_fault_probability(rate, ops)) if rate > 0.0 else 0.0
-                    for rate in self._rates
+                    for rate in self._rates.tolist()
                 ]
             )
-            self._thresholds[ops] = flat
-        return flat.reshape((len(self.procs),) + (1,) * (ndim - 1))
+            thresholds = flat.reshape((len(self.procs),) + (1,) * (ndim - 1))
+            self._thresholds[(ops, ndim)] = thresholds
+        return thresholds
 
     def count_flops(self, n_per_trial: int) -> None:
         """Record ``n_per_trial`` reliable FLOPs on every processor of the batch."""

@@ -24,6 +24,7 @@ import numpy as np
 from repro.faults.injector import FaultInjector
 from repro.faults.fpu import StochasticFPU
 from repro.faults.models import FaultModel, get_fault_model
+from repro.faults.vectorized import check_ops, quiet_cast
 from repro.processor.energy import EnergyModel
 from repro.processor.voltage import VoltageErrorModel
 
@@ -201,7 +202,12 @@ class StochasticProcessor:
     def corrupt(
         self, values: np.ndarray, ops_per_element: Union[int, np.ndarray] = 1
     ) -> np.ndarray:
-        """Corrupt an array of results of a block of FLOPs and count the FLOPs."""
+        """Corrupt an array of results of a block of FLOPs and count the FLOPs.
+
+        Returns a new C-ordered float64 array.  A negative ``ops_per_element``
+        raises :class:`ValueError` before any draw or counter update.
+        """
+        check_ops(ops_per_element)
         if self._block_kernel is not None and type(ops_per_element) is int:
             # Backend fast path: the whole round trip (float64 view,
             # datapath cast, draws, widen back) as one compiled call with
@@ -209,18 +215,24 @@ class StochasticProcessor:
             out = self._block_kernel(self, values, ops_per_element)
             self._array_flops += ops_per_element * out.size
             return out
-        arr = np.asarray(values, dtype=np.float64)
-        ops = np.asarray(ops_per_element)
-        if ops.ndim == 0:
-            self._array_flops += int(ops) * arr.size
-        else:
-            ops = np.broadcast_to(ops, arr.shape)
-            self._array_flops += int(np.sum(ops))
-        corrupted = self._injector.corrupt_array(arr, ops_per_element=ops)
+        injector = self._injector
+        ops_before = injector._ops_observed
+        faults_before = injector._faults_injected
+        corrupted = injector.corrupt_array(
+            np.asarray(values, dtype=np.float64), ops_per_element
+        )
+        # The injector counted exactly this call's FLOPs.
+        self._array_flops += injector._ops_observed - ops_before
         # Work in float64 downstream even when the datapath is float32; the
         # corruption itself happened at datapath precision.
-        with np.errstate(invalid="ignore", over="ignore"):
+        if corrupted.dtype == np.float64:
+            return corrupted
+        if injector._faults_injected == faults_before:
             return corrupted.astype(np.float64)
+        # A flip can turn a NaN or inf into a signaling NaN, whose widening
+        # raises 'invalid'.  Unflipped values cannot (the datapath cast
+        # quiets NaNs), so only a call that flipped pays for the scope.
+        return quiet_cast(corrupted, np.float64)
 
     def count_flops(self, n: int) -> None:
         """Record ``n`` FLOPs that were executed reliably (no corruption)."""
