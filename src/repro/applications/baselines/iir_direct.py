@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.applications.iir import IIRFilter
 from repro.backends import active_backend
-from repro.faults.distribution import BitPositionDistribution
 from repro.processor.stochastic import StochasticProcessor
 
 __all__ = ["noisy_direct_form_filter"]
@@ -37,7 +36,7 @@ def _backend_kernel(proc: StochasticProcessor):
     if (
         injector.uses_lfsr
         or proc.fpu._protected_depth > 0
-        or type(injector.bit_distribution).sample is not BitPositionDistribution.sample
+        or not injector.bit_distribution.stock_sampler
     ):
         return None
     return kernel

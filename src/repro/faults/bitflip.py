@@ -27,6 +27,7 @@ __all__ = [
     "bits_to_float",
     "flip_bit_scalar",
     "flip_bit_array",
+    "flip_bits_at",
     "relative_error_magnitude",
 ]
 
@@ -38,6 +39,13 @@ _FLOAT_LAYOUT = {
 
 #: The floating-point dtypes the fault machinery supports.
 SUPPORTED_DTYPES = tuple(_FLOAT_LAYOUT)
+
+#: Per float dtype, the single-bit XOR masks of its unsigned layout, indexed
+#: by bit position.
+_BIT_MASKS = {
+    dtype: np.left_shift(uint_dtype(1), np.arange(width, dtype=uint_dtype))
+    for dtype, (uint_dtype, width) in _FLOAT_LAYOUT.items()
+}
 
 FloatLike = Union[float, np.floating]
 
@@ -52,6 +60,15 @@ def _layout(dtype: np.dtype) -> tuple[type, int]:
             f"unsupported floating-point dtype {dtype!r}; "
             f"supported dtypes are {sorted(str(d) for d in _FLOAT_LAYOUT)}"
         ) from exc
+
+
+def _check_positions(positions: np.ndarray, width: int) -> None:
+    """Raise :class:`FaultModelError` unless every position lies in ``[0, width)``."""
+    if positions.size and (positions.min() < 0 or positions.max() >= width):
+        raise FaultModelError(
+            f"bit positions must lie in [0, {width}); got range "
+            f"[{positions.min()}, {positions.max()}]"
+        )
 
 
 def bit_width(dtype: np.dtype) -> int:
@@ -129,11 +146,7 @@ def flip_bit_array(
     arr = np.asarray(values)
     uint_dtype, width = _layout(arr.dtype)
     positions = np.asarray(bit_positions)
-    if positions.size and (positions.min() < 0 or positions.max() >= width):
-        raise FaultModelError(
-            f"bit positions must lie in [0, {width}); got range "
-            f"[{positions.min()}, {positions.max()}]"
-        )
+    _check_positions(positions, width)
     bits = arr.view(uint_dtype).copy()
     flip_mask = np.left_shift(
         np.asarray(1, dtype=uint_dtype), positions.astype(uint_dtype)
@@ -144,6 +157,30 @@ def flip_bit_array(
         mask = np.asarray(mask, dtype=bool)
         bits[mask] ^= np.broadcast_to(flip_mask, bits.shape)[mask]
     return bits.view(arr.dtype)
+
+
+def flip_bits_at(
+    native: np.ndarray,
+    flat_indices: np.ndarray,
+    positions: np.ndarray,
+    check_range: bool,
+) -> None:
+    """XOR bit ``positions[k]`` into element ``flat_indices[k]``, in place.
+
+    The compact form of :func:`flip_bit_array` used by the fault kernels:
+    ``native`` is a C-contiguous float32/float64 array, ``flat_indices``
+    index its C-order flattening, and only the flipped elements are touched.
+    Positions from the stock inverse-CDF sampler lie in ``[0, width)`` by
+    construction; pass ``check_range`` for any other sampler, which applies
+    :func:`flip_bit_array`'s range check.
+    """
+    uint_dtype, width = _layout(native.dtype)
+    if check_range:
+        positions = np.asarray(positions)
+        _check_positions(positions, width)
+        positions = positions.astype(np.intp, copy=False)
+    flat_bits = native.view(uint_dtype).reshape(-1)
+    flat_bits[flat_indices] ^= _BIT_MASKS[native.dtype][positions]
 
 
 def relative_error_magnitude(original: FloatLike, corrupted: FloatLike) -> float:

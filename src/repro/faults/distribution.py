@@ -55,6 +55,38 @@ __all__ = [
 #: Number of explicit mantissa bits for each supported word width.
 _MANTISSA_BITS = {32: 23, 64: 52}
 
+#: Inverse-CDF lookups of at least this many uniforms go through the bucket
+#: table (below it, ``searchsorted``'s lower per-call cost wins), and the
+#: table has at most ``2**_MAX_TABLE_BITS`` buckets.
+_TABLE_MIN_SIZE = 1024
+_MAX_TABLE_BITS = 16
+
+
+def _bucket_table(cdf: np.ndarray):
+    """Bucket table for :meth:`BitPositionDistribution._inverse_cdf`, or ``()``.
+
+    Splits ``[0, 1)`` into ``K`` equal buckets, ``K`` the smallest power of
+    two (at least 32) for which the CDF entries strictly inside each bucket
+    share one value.  Per bucket it stores the count of entries at or below
+    its start, that inner value (2.0 when there is none, so it never
+    compares as reached) and the count of entries below its end.  Returns
+    ``()`` when no ``K`` up to ``2**_MAX_TABLE_BITS`` works, or when the CDF
+    is not finite and nondecreasing (``searchsorted`` then stays the rule).
+    """
+    if not (np.all(np.isfinite(cdf)) and np.all(cdf[1:] >= cdf[:-1])):
+        return ()
+    for bits in range(5, _MAX_TABLE_BITS + 1):
+        buckets = 1 << bits
+        bounds = np.arange(buckets + 1) / buckets
+        below = cdf.searchsorted(bounds[:-1], side="right")
+        through = cdf.searchsorted(bounds[1:], side="left")
+        inner = through > below
+        first = cdf[np.minimum(below, cdf.size - 1)]
+        last = cdf[np.maximum(through - 1, 0)]
+        if np.array_equal(first[inner], last[inner]):
+            return buckets, np.where(inner, first, 2.0), below, through
+    return ()
+
 
 class BitPositionDistribution(ABC):
     """Distribution over which bit of an FPU result a fault flips.
@@ -70,6 +102,7 @@ class BitPositionDistribution(ABC):
         self._width = int(width)
         self._pmf_cache: np.ndarray | None = None
         self._cdf_cache: np.ndarray | None = None
+        self._table_cache: tuple | None = None
 
     @property
     def width(self) -> int:
@@ -114,15 +147,43 @@ class BitPositionDistribution(ABC):
             self._cdf_cache[-1] = 1.0
         return self._cdf_cache
 
+    @property
+    def stock_sampler(self) -> bool:
+        """Whether :meth:`sample` is the stock inverse-CDF implementation.
+
+        The fault kernels that draw bit positions themselves (the scalar
+        commit, the fused batch pass, the compiled backends) reproduce only
+        this implementation.  A subclass that overrides :meth:`sample` is
+        called instead, and its positions are range-checked.
+        """
+        return type(self).sample is BitPositionDistribution.sample
+
     def sample(self, rng: np.random.Generator, size: int | tuple[int, ...] = 1) -> np.ndarray:
         """Draw bit positions using a numpy random generator.
 
-        Implemented by inverse-CDF lookup (``searchsorted``), which is much
-        faster than ``Generator.choice`` for the small per-call batch sizes
-        the injector uses.
+        Implemented by inverse-CDF lookup (one uniform per position), which
+        is much faster than ``Generator.choice`` for the small per-call batch
+        sizes the injector uses.
         """
-        uniforms = rng.random(size)
-        return self.cdf().searchsorted(uniforms, side="right").astype(np.int64, copy=False)
+        return self._inverse_cdf(rng.random(size)).astype(np.int64, copy=False)
+
+    def _inverse_cdf(self, uniforms: np.ndarray) -> np.ndarray:
+        """Bit positions for generator uniforms in ``[0, 1)``.
+
+        Equal, element for element, to ``cdf().searchsorted(uniforms,
+        side="right")``.  Large arrays go through a bucket table instead of
+        a binary search per element: with ``K`` a power of two, the bucket
+        ``floor(u * K)`` is exact, and one compare against the bucket's
+        single inner CDF value settles the count (see :func:`_bucket_table`).
+        """
+        if uniforms.size >= _TABLE_MIN_SIZE:
+            if self._table_cache is None:
+                self._table_cache = _bucket_table(self.cdf())
+            if self._table_cache:
+                buckets, values, below, through = self._table_cache
+                index = (uniforms * buckets).astype(np.intp)
+                return np.where(uniforms >= values[index], through[index], below[index])
+        return self.cdf().searchsorted(uniforms, side="right")
 
     def sample_scalar(self, lfsr) -> int:
         """Draw a single bit position using an :class:`repro.faults.lfsr.LFSR`."""

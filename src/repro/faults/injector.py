@@ -110,9 +110,7 @@ class FaultInjector:
         # generator-timed faults and the stock inverse-CDF bit sampler; any
         # other configuration stays on the numpy tier.
         self._backend = active_backend()
-        self._stock_sampler = (
-            type(self._bit_distribution).sample is BitPositionDistribution.sample
-        )
+        self._stock_sampler = self._bit_distribution.stock_sampler
         kernel = self._backend.kernel("corrupt_array")
         self._array_kernel = (
             kernel

@@ -21,8 +21,7 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from repro.exceptions import FaultModelError
-from repro.faults.bitflip import bit_width
+from repro.faults.bitflip import flip_bits_at
 from repro.faults.distribution import BitPositionDistribution
 
 __all__ = [
@@ -31,21 +30,7 @@ __all__ = [
     "effective_fault_probability",
     "corrupt_array",
     "corrupt_inplace",
-    "flip_bits_at",
 ]
-
-#: Per float dtype: the same-width unsigned dtype, and its single-bit XOR
-#: masks indexed by bit position.
-_BIT_MASKS = {
-    np.dtype(float_dtype): (
-        uint_dtype,
-        np.left_shift(uint_dtype(1), np.arange(width, dtype=uint_dtype)),
-    )
-    for float_dtype, uint_dtype, width in (
-        (np.float32, np.uint32, 32),
-        (np.float64, np.uint64, 64),
-    )
-}
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -96,37 +81,6 @@ def effective_fault_probability(
     return 1.0 - np.power(1.0 - float(fault_rate), ops)
 
 
-def flip_bits_at(
-    native: np.ndarray,
-    flat_indices: np.ndarray,
-    positions: np.ndarray,
-    check_range: bool,
-) -> None:
-    """XOR bit ``positions[k]`` into element ``flat_indices[k]``, in place.
-
-    The compact flip shared by :func:`corrupt_inplace` and the fused pass of
-    :meth:`repro.processor.batch.ProcessorBatch.corrupt`: ``native`` is a
-    C-contiguous float32/float64 array and ``flat_indices`` index its C-order
-    flattening.  Positions from the stock inverse-CDF sampler lie in
-    ``[0, width)`` by construction; pass ``check_range`` for any other
-    sampler, which raises :class:`FaultModelError` on an out-of-range
-    position exactly as :func:`repro.faults.bitflip.flip_bit_array` does.
-    """
-    if native.dtype not in _BIT_MASKS:
-        bit_width(native.dtype)  # raises FaultModelError: unsupported dtype
-    uint_dtype, masks = _BIT_MASKS[native.dtype]
-    if check_range:
-        positions = np.asarray(positions, dtype=np.int64)
-        width = masks.size
-        if positions.size and (positions.min() < 0 or positions.max() >= width):
-            raise FaultModelError(
-                f"bit positions must lie in [0, {width}); got range "
-                f"[{positions.min()}, {positions.max()}]"
-            )
-    flat_bits = native.view(uint_dtype).reshape(-1)
-    flat_bits[flat_indices] ^= masks[positions]
-
-
 def corrupt_inplace(
     native: np.ndarray,
     fault_rate: float,
@@ -144,10 +98,11 @@ def corrupt_inplace(
     # NOTE: this is the per-trial draw protocol, the bit-identity contract of
     # the whole fault layer: one uniform per element in C order for the
     # fault mask, then exactly n_faults bit positions from
-    # bit_distribution.sample, assigned to the faulted elements in C order,
-    # and no draws at all when the rate is zero or the array is empty.  The
-    # fused pass of repro.processor.batch.ProcessorBatch.corrupt and the
-    # compiled backend kernels reproduce it draw for draw, as
+    # bit_distribution.sample, assigned to the faulted elements in C order
+    # and XORed in by bitflip.flip_bits_at, and no draws at all when the rate
+    # is zero or the array is empty.  The fused pass of
+    # repro.processor.batch.ProcessorBatch.corrupt (which shares that XOR)
+    # and the compiled backend kernels reproduce it draw for draw, as
     # tests/test_tensor_backend.py, tests/test_backends.py and the frozen
     # oracle in tests/test_fault_oracle.py pin.
     if native.size == 0 or fault_rate <= 0.0:
@@ -163,8 +118,7 @@ def corrupt_inplace(
             native,
             fault_indices,
             bit_distribution.sample(rng, size=n_faults),
-            check_range=type(bit_distribution).sample
-            is not BitPositionDistribution.sample,
+            check_range=not bit_distribution.stock_sampler,
         )
     return n_faults
 

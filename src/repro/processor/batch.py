@@ -32,11 +32,8 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from repro.faults.vectorized import (
-    check_ops,
-    effective_fault_probability,
-    flip_bits_at,
-)
+from repro.faults.bitflip import flip_bits_at
+from repro.faults.vectorized import check_ops, effective_fault_probability
 from repro.processor.stochastic import StochasticProcessor
 
 __all__ = ["ProcessorBatch", "batch_sub", "batch_scale", "batch_matvec"]
@@ -85,12 +82,9 @@ class ProcessorBatch:
         # Bit positions can be drawn with one fused inverse-CDF lookup when
         # every trial shares the stock sampling implementation and CDF; a
         # custom distribution subclass falls back to per-trial sample().
-        from repro.faults.distribution import BitPositionDistribution
-
         first = self._distributions[0]
         if all(
-            type(dist).sample is BitPositionDistribution.sample
-            and np.array_equal(dist.cdf(), first.cdf())
+            dist.stock_sampler and np.array_equal(dist.cdf(), first.cdf())
             for dist in self._distributions
         ):
             self._shared_cdf = first.cdf()
@@ -146,7 +140,6 @@ class ProcessorBatch:
         negative ``ops_per_element`` raises :class:`ValueError` before any
         draw.
         """
-        check_ops(ops_per_element)
         arr = np.asarray(stacked, dtype=np.float64)
         n_trials = len(self.procs)
         if arr.ndim < 1 or arr.shape[0] != n_trials:
@@ -154,6 +147,9 @@ class ProcessorBatch:
                 f"stacked tensor has shape {arr.shape}; expected leading "
                 f"dimension {n_trials} (one row per trial)"
             )
+        # Stacks the fused pass does not cover go row by row through
+        # proc.corrupt, whose first row rejects a negative count before any
+        # draw; the fused pass checks its scalar count here.
         ops = ops_per_element
         if not isinstance(ops, (int, np.integer)):
             ops = np.asarray(ops)
@@ -162,6 +158,7 @@ class ProcessorBatch:
         if arr.ndim == 1:
             return self._corrupt_general(arr, ops)
         ops = int(ops)
+        check_ops(ops)
         row_size = arr.size // n_trials
         self._pending_ops += ops * row_size
 
@@ -186,7 +183,7 @@ class ProcessorBatch:
         per-trial draw protocol (uniform mask first, then exactly n_faults
         bit positions, nothing at rate zero) with reusable buffers, and flips
         through the compact XOR it shares with it
-        (:func:`~repro.faults.vectorized.flip_bits_at`), which range-checks
+        (:func:`~repro.faults.bitflip.flip_bits_at`), which range-checks
         positions from custom samplers.  Runs inside :meth:`corrupt`'s
         errstate scope.  tests/test_tensor_backend.py pins it against
         per-trial corruption.
@@ -220,8 +217,8 @@ class ProcessorBatch:
             rngs = self._rngs
             if self._shared_cdf is not None:
                 draws = [rngs[trial].random(count) for trial, count in faulted]
-                positions = self._shared_cdf.searchsorted(
-                    np.concatenate(draws), side="right"
+                positions = self._distributions[0]._inverse_cdf(
+                    np.concatenate(draws)
                 )
             else:
                 positions = np.concatenate(

@@ -207,31 +207,27 @@ class StochasticProcessor:
         Returns a new C-ordered float64 array.  A negative ``ops_per_element``
         raises :class:`ValueError` before any draw or counter update.
         """
-        check_ops(ops_per_element)
         if self._block_kernel is not None and type(ops_per_element) is int:
             # Backend fast path: the whole round trip (float64 view,
             # datapath cast, draws, widen back) as one compiled call with
             # the numpy tier's exact draw protocol.
+            check_ops(ops_per_element)
             out = self._block_kernel(self, values, ops_per_element)
             self._array_flops += ops_per_element * out.size
             return out
+        # The injector rejects a negative count before any draw.
         injector = self._injector
         ops_before = injector._ops_observed
-        faults_before = injector._faults_injected
         corrupted = injector.corrupt_array(
             np.asarray(values, dtype=np.float64), ops_per_element
         )
         # The injector counted exactly this call's FLOPs.
         self._array_flops += injector._ops_observed - ops_before
         # Work in float64 downstream even when the datapath is float32; the
-        # corruption itself happened at datapath precision.
+        # corruption itself happened at datapath precision.  A flip can turn
+        # a NaN or inf into a signaling NaN, whose widening raises 'invalid'.
         if corrupted.dtype == np.float64:
             return corrupted
-        if injector._faults_injected == faults_before:
-            return corrupted.astype(np.float64)
-        # A flip can turn a NaN or inf into a signaling NaN, whose widening
-        # raises 'invalid'.  Unflipped values cannot (the datapath cast
-        # quiets NaNs), so only a call that flipped pays for the scope.
         return quiet_cast(corrupted, np.float64)
 
     def count_flops(self, n: int) -> None:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.exceptions import FaultModelError
 from repro.faults.distribution import (
+    BitPositionDistribution,
     EmulatedBitDistribution,
     LowOrderBitDistribution,
     MeasuredBitDistribution,
@@ -145,3 +146,80 @@ def test_emulated_mass_split_property(high_fraction):
     pmf = dist.pmf()
     low_mass = pmf[: dist.low_bits].sum()
     assert low_mass == pytest.approx(1.0 - high_fraction, abs=1e-9)
+
+
+def _lookup_probes(dist: BitPositionDistribution, seed: int) -> np.ndarray:
+    """Uniforms in [0, 1) that stress an inverse-CDF lookup.
+
+    Random draws plus every CDF entry, its float neighbours, and each
+    bucket bound of a power-of-two grid and its lower neighbour: the points
+    where a bucket table and a binary search could disagree.
+    """
+    cdf = dist.cdf()
+    bounds = np.arange(1, 2**12) / 2**12
+    probes = np.concatenate(
+        [
+            np.random.default_rng(seed).random(4096),
+            cdf,
+            np.nextafter(cdf, 0.0),
+            np.nextafter(cdf, 2.0),
+            bounds,
+            np.nextafter(bounds, 0.0),
+            [0.0, np.nextafter(1.0, 0.0)],
+        ]
+    )
+    return probes[(probes >= 0.0) & (probes < 1.0)]
+
+
+class _SteepDistribution(BitPositionDistribution):
+    """Geometric weights 1e-9 apart: too fine for any bucket table."""
+
+    def _unnormalized_weights(self) -> np.ndarray:
+        weights = np.full(self.width, 1e-9)
+        weights[-1] = 1.0
+        return weights
+
+
+class TestInverseCDFLookup:
+    """The bucket-table lookup equals ``searchsorted`` element for element."""
+
+    @pytest.mark.parametrize("distribution_cls", ALL_DISTRIBUTIONS + [_SteepDistribution])
+    @pytest.mark.parametrize("width", [32, 64])
+    def test_matches_searchsorted(self, distribution_cls, width):
+        dist = distribution_cls(width=width)
+        uniforms = _lookup_probes(dist, seed=width)
+        expected = dist.cdf().searchsorted(uniforms, side="right")
+        np.testing.assert_array_equal(dist._inverse_cdf(uniforms), expected)
+        # Short arrays take searchsorted directly; same answer.
+        np.testing.assert_array_equal(dist._inverse_cdf(uniforms[:7]), expected[:7])
+
+    def test_sample_draws_through_the_lookup(self):
+        dist = MeasuredBitDistribution(width=64)
+        samples = dist.sample(np.random.default_rng(3), size=(40, 50))
+        uniforms = np.random.default_rng(3).random((40, 50))
+        assert samples.dtype == np.int64 and samples.shape == (40, 50)
+        np.testing.assert_array_equal(
+            samples, dist.cdf().searchsorted(uniforms, side="right")
+        )
+
+    def test_steep_cdf_keeps_the_binary_search(self):
+        dist = _SteepDistribution(width=32)
+        dist._inverse_cdf(np.zeros(4096))
+        assert dist._table_cache == ()
+
+    @given(
+        high_fraction=st.floats(min_value=0.0, max_value=1.0),
+        high_bits=st.integers(1, 12),
+        low_bits=st.integers(1, 11),
+        width=st.sampled_from([32, 64]),
+        seed=st.integers(0, 2**31),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_emulated_shapes_property(self, high_fraction, high_bits, low_bits, width, seed):
+        dist = EmulatedBitDistribution(
+            width=width, high_fraction=high_fraction, high_bits=high_bits, low_bits=low_bits
+        )
+        uniforms = _lookup_probes(dist, seed)
+        np.testing.assert_array_equal(
+            dist._inverse_cdf(uniforms), dist.cdf().searchsorted(uniforms, side="right")
+        )

@@ -8,7 +8,8 @@ tricks and no fused passes:
   element in C order, draws ``n_faults`` bit positions into the mask's C
   order, XORs them in and (for the processor) widens back to float64;
 * a scalar commit counts down to the next fault, and when it expires draws
-  the next interval, then the bit, then flips it.
+  the next interval, then the bit, then flips it;
+* a bit position is one uniform mapped through the CDF by ``searchsorted``.
 
 The properties below drive :meth:`StochasticProcessor.corrupt`,
 :meth:`FaultInjector.corrupt_array`, :meth:`FaultInjector.corrupt_scalar` and
@@ -65,6 +66,9 @@ class OracleSubstrate:
         upper = max(1, int(round(2.0 / self.rate)))
         return int(self.rng.integers(1, upper + 1))
 
+    def draw_bits(self, n):
+        return self.dist.cdf().searchsorted(self.rng.random(n), side="right")
+
     @contextlib.contextmanager
     def reliable(self):
         saved = self.rate
@@ -100,7 +104,7 @@ class OracleSubstrate:
         n_faults = int(np.count_nonzero(mask))
         if n_faults:
             positions = np.zeros(out.shape, dtype=np.int64)
-            positions[mask] = self.dist.sample(self.rng, size=n_faults)
+            positions[mask] = self.draw_bits(n_faults)
             bits = out.view(self.uint)
             bits[mask] ^= np.left_shift(self.uint(1), positions[mask].astype(self.uint))
         self.faults += n_faults
@@ -126,7 +130,7 @@ class OracleSubstrate:
             return self.round(value)
         self.until = self.draw_interval()
         self.faults += 1
-        bit = int(self.dist.sample(self.rng, size=1)[0])
+        bit = int(self.draw_bits(1)[0])
         with np.errstate(over="ignore", invalid="ignore"):
             pattern = np.asarray(value, dtype=self.dtype).view(self.uint)
             return float((pattern ^ self.uint(1 << bit)).view(self.dtype))
@@ -364,6 +368,36 @@ class TestScalarPathMatchesOracle:
             assert_same_scalar(actual, expected)
             assert proc.flops == fpu.flops == oracle.flops
             assert_same_state(proc.injector, oracle)
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_large_batch_matches_oracle(model):
+    """A fused pass big enough for the bucket-table bit lookup, row by row.
+
+    Thousands of faults per pass send the fused pass's concatenated bit
+    draws through the distribution's bucket table, while each trial's
+    oracle maps its own draws with ``searchsorted``.
+    """
+    rates = [0.0, 1e-3, 0.3, 1.0, 0.3, 0.05]
+    procs = [
+        StochasticProcessor(fault_rate=rate, fault_model=model, rng=seed)
+        for seed, rate in enumerate(rates)
+    ]
+    oracles = [
+        OracleSubstrate(rate, proc.dtype, proc.injector.bit_distribution, seed)
+        for seed, (rate, proc) in enumerate(zip(rates, procs))
+    ]
+    batch = ProcessorBatch(procs)
+    for step, ops in enumerate([1, 3, 1]):
+        stacked = np.random.default_rng(step).standard_normal((len(procs), 30, 40))
+        with runtime_warnings_as_errors():
+            actual = batch.corrupt(stacked, ops)
+        for row, oracle in enumerate(oracles):
+            assert_same_floats(actual[row], oracle.corrupt(stacked[row], ops))
+    batch.flush()
+    for proc, oracle in zip(procs, oracles):
+        assert proc.flops == oracle.flops
+        assert_same_state(proc.injector, oracle)
 
 
 class TestNegativeOpsRejected:
