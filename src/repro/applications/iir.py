@@ -60,6 +60,7 @@ __all__ = [
     "robust_iir_filter",
     "robust_iir_filter_batch",
     "baseline_iir_filter",
+    "baseline_iir_filter_batch",
     "default_iir_step",
 ]
 
@@ -389,15 +390,16 @@ def robust_iir_filter_batch(
 
     The batch entry point of the tensorized trial backend: the preconditioned
     variational problem is built once, the noisy feed-forward initialization
-    runs per trial (the direct-form recursion is sequentially data-dependent,
-    and its per-trial draws must match the serial path exactly), and the SGD
+    runs for every trial at once through
+    :func:`~repro.applications.baselines.iir_direct.noisy_direct_form_filter_batch`
+    (each trial's draws exactly as on the serial path), and the SGD
     phase advances every trial's iterate together through
     :func:`~repro.optimizers.sgd.stochastic_gradient_descent_batch` with a
     per-trial initial stack.  Trial ``t``'s :class:`IIRResult` is
     bit-identical to ``robust_iir_filter(filt, u, procs[t], ...)`` with the
     same arguments.
     """
-    from repro.applications.baselines.iir_direct import noisy_direct_form_filter
+    from repro.applications.baselines.iir_direct import noisy_direct_form_filter_batch
 
     u_arr = np.asarray(u, dtype=np.float64).ravel()
     batch = procs if isinstance(procs, ProcessorBatch) else ProcessorBatch(procs)
@@ -407,10 +409,10 @@ def robust_iir_filter_batch(
 
     noisy_inits: Optional[List[np.ndarray]] = None
     if use_baseline_initialization:
-        noisy_inits = []
-        for proc in batch.procs:
-            noisy_init = noisy_direct_form_filter(filt, u_arr, proc)
-            noisy_inits.append(np.where(np.isfinite(noisy_init), noisy_init, 0.0))
+        noisy_inits = [
+            np.where(np.isfinite(noisy_init), noisy_init, 0.0)
+            for noisy_init in noisy_direct_form_filter_batch(filt, u_arr, batch.procs)
+        ]
 
     if precondition:
         f, effective = precondition_iir(filt, taps=preconditioner_taps)
@@ -471,6 +473,39 @@ def baseline_iir_filter(
         filt, u, y, "baseline-direct-form",
         proc.flops - flops_before, proc.faults_injected - faults_before,
     )
+
+
+def baseline_iir_filter_batch(
+    filt: IIRFilter,
+    u: np.ndarray,
+    procs: Union[ProcessorBatch, Sequence[StochasticProcessor]],
+) -> List[IIRResult]:
+    """Run the direct-form baseline once per processor as a batch.
+
+    The batch entry point of the IIR ``Base`` series: every trial's
+    recursion advances together through
+    :func:`~repro.applications.baselines.iir_direct.noisy_direct_form_filter_batch`.
+    Trial ``t``'s :class:`IIRResult` is bit-identical to
+    ``baseline_iir_filter(filt, u, procs[t])``.
+    """
+    from repro.applications.baselines.iir_direct import noisy_direct_form_filter_batch
+
+    u_arr = np.asarray(u, dtype=np.float64).ravel()
+    batch = procs if isinstance(procs, ProcessorBatch) else ProcessorBatch(procs)
+    batch.flush()  # counters must be current before the baseline read
+    flops_before = [proc.flops for proc in batch.procs]
+    faults_before = [proc.faults_injected for proc in batch.procs]
+    Y = noisy_direct_form_filter_batch(filt, u_arr, batch.procs)
+    exact = exact_iir_filter(filt, u_arr)
+    return [
+        _score(
+            filt, u_arr, Y[trial], "baseline-direct-form",
+            proc.flops - flops_before[trial],
+            proc.faults_injected - faults_before[trial],
+            exact=exact,
+        )
+        for trial, proc in enumerate(batch.procs)
+    ]
 
 
 def _score(

@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.core.verification import relative_difference
 from repro.linalg.solve import least_squares_baseline
+from repro.linalg.svd import svd_least_squares_batch
 from repro.optimizers.base import OptimizationResult
 from repro.optimizers.conjugate_gradient import (
     CGOptions,
@@ -40,6 +41,7 @@ __all__ = [
     "robust_least_squares_cg",
     "robust_least_squares_cg_batch",
     "baseline_least_squares",
+    "baseline_svd_least_squares_batch",
 ]
 
 
@@ -285,3 +287,42 @@ def baseline_least_squares(
         flops=proc.flops - flops_before,
         faults=proc.faults_injected - faults_before,
     )
+
+
+def baseline_svd_least_squares_batch(
+    A: np.ndarray,
+    b: np.ndarray,
+    procs: Union[ProcessorBatch, Sequence[StochasticProcessor]],
+) -> List[LeastSquaresResult]:
+    """Run one SVD-baseline least-squares solve per processor as a batch.
+
+    The batch entry point of the ``Base: SVD`` series: every trial's one-sided
+    Jacobi solve advances together through
+    :func:`~repro.linalg.svd.svd_least_squares_batch` (a masked-batch sweep
+    loop).  Trial ``t``'s :class:`LeastSquaresResult` is bit-identical to
+    ``baseline_least_squares(A, b, procs[t], method="svd")``.
+    """
+    batch = procs if isinstance(procs, ProcessorBatch) else ProcessorBatch(procs)
+    batch.flush()  # counters must be current before the baseline read
+    flops_before = [proc.flops for proc in batch.procs]
+    faults_before = [proc.faults_injected for proc in batch.procs]
+    A_arr = np.asarray(A, dtype=np.float64)
+    b_arr = np.asarray(b, dtype=np.float64).ravel()
+    n_trials = len(batch)
+    X = svd_least_squares_batch(
+        batch,
+        np.broadcast_to(A_arr, (n_trials,) + A_arr.shape),
+        np.broadcast_to(b_arr, (n_trials,) + b_arr.shape),
+    )
+    batch.flush()
+    return [
+        _finish(
+            A,
+            b,
+            X[trial],
+            method="baseline-svd",
+            flops=proc.flops - flops_before[trial],
+            faults=proc.faults_injected - faults_before[trial],
+        )
+        for trial, proc in enumerate(batch.procs)
+    ]

@@ -43,11 +43,13 @@ import numpy as np
 from repro.applications.eigen import robust_eigenpairs, robust_eigenpairs_batch
 from repro.applications.iir import (
     baseline_iir_filter,
+    baseline_iir_filter_batch,
     robust_iir_filter,
     robust_iir_filter_batch,
 )
 from repro.applications.least_squares import (
     baseline_least_squares,
+    baseline_svd_least_squares_batch,
     default_least_squares_step,
     robust_least_squares_cg,
     robust_least_squares_cg_batch,
@@ -288,6 +290,19 @@ def sorting_trial_functions(
     }
 
 
+def _svd_baseline(A: np.ndarray, b: np.ndarray) -> TrialFunction:
+    """The ``Base: SVD`` trial: the noisy one-sided Jacobi least-squares solve.
+
+    It batches through
+    :func:`~repro.applications.least_squares.baseline_svd_least_squares_batch`.
+    """
+    return _trial_pair(
+        lambda proc, rng: baseline_least_squares(A, b, proc, method="svd"),
+        lambda procs, streams: baseline_svd_least_squares_batch(A, b, procs),
+        attrgetter("relative_error"),
+    )
+
+
 def least_squares_trial_functions(
     A: np.ndarray,
     b: np.ndarray,
@@ -297,14 +312,14 @@ def least_squares_trial_functions(
     """The Figure 6.2 trial functions: SGD variants vs the SVD baseline.
 
     Robust series batch through
-    :func:`~repro.applications.least_squares.robust_least_squares_sgd_batch`.
+    :func:`~repro.applications.least_squares.robust_least_squares_sgd_batch`,
+    and the SVD baseline through
+    :func:`~repro.applications.least_squares.baseline_svd_least_squares_batch`.
     """
     if series is None:
         series = {"Base: SVD": None, "SGD,LS": "SGD,LS", "SGD+AS,LS": "SGD+AS,LS"}
     base_step = default_least_squares_step(A)
-
-    def _svd(proc: StochasticProcessor, rng: np.random.Generator) -> float:
-        return baseline_least_squares(A, b, proc, method="svd").relative_error
+    _svd = _svd_baseline(A, b)
 
     def _sgd(variant: str) -> TrialFunction:
         options = partial(
@@ -334,8 +349,10 @@ def iir_trial_functions(
 
     Robust series batch through
     :func:`~repro.applications.iir.robust_iir_filter_batch` (batched SGD over
-    the preconditioned banded least-squares form; the per-trial noisy
-    feed-forward initialization runs serially inside the batch entry point).
+    the preconditioned banded least-squares form, initialized by the batched
+    noisy direct form).  The direct-form ``Base`` batches through
+    :func:`~repro.applications.iir.baseline_iir_filter_batch`, every trial's
+    recursion on one scalar-FPU batch.
     """
     if series is None:
         series = {
@@ -345,9 +362,11 @@ def iir_trial_functions(
             "SGD+AS,SQS": "SGD+AS,SQS",
         }
     signal = np.asarray(signal, dtype=np.float64).ravel()
-
-    def _base(proc: StochasticProcessor, rng: np.random.Generator) -> float:
-        return baseline_iir_filter(filt, signal, proc).error_to_signal
+    _base = _trial_pair(
+        lambda proc, rng: baseline_iir_filter(filt, signal, proc),
+        lambda procs, streams: baseline_iir_filter_batch(filt, signal, procs),
+        attrgetter("error_to_signal"),
+    )
 
     def _robust(variant: str) -> TrialFunction:
         options = partial(
@@ -415,7 +434,9 @@ def cg_least_squares_trial_functions(
 
     The CG series batches through
     :func:`~repro.applications.least_squares.robust_least_squares_cg_batch`
-    (the masked-batch CGNR driver); the QR/SVD/Cholesky baselines run per
+    (the masked-batch CGNR driver) and the SVD baseline through
+    :func:`~repro.applications.least_squares.baseline_svd_least_squares_batch`
+    (a masked-batch Jacobi solve); the QR and Cholesky baselines run per
     trial.
     """
 
@@ -429,7 +450,7 @@ def cg_least_squares_trial_functions(
 
     return {
         "Base: QR": _baseline("qr"),
-        "Base: SVD": _baseline("svd"),
+        "Base: SVD": _svd_baseline(A, b),
         "Base: Cholesky": _baseline("cholesky"),
         f"CG, N={cg_iterations}": _trial_pair(
             lambda proc, rng: robust_least_squares_cg(A, b, proc, options=options()),

@@ -19,17 +19,23 @@ The layering, bottom to top:
     each trial's fault mask and bit positions from its own generator in the
     order of :func:`repro.faults.vectorized.corrupt_array`, plus the
     row-wise noisy linear-algebra primitives, with per-trial accounting.
+``repro.faults.fpu.StochasticFPUBatch``
+    The scalar FPUs of a trial batch: one commit for every trial, each
+    trial's draws and counters exactly as its own FPU's.
 ``repro.optimizers.sgd.stochastic_gradient_descent_batch`` /
-``repro.core.transform.solve_penalized_lp_batch``
+``repro.core.transform.solve_penalized_lp_batch`` /
+``repro.linalg.svd.svd_least_squares_batch``
     Batched solver drivers (scheduled iterations as one tensor loop;
-    data-dependent phases fall back per trial).
+    data-dependent phases fall back per trial or run masked sub-batches).
 ``repro.applications.*_batch``
     Batch entry points of the hot application kernels — the sweep suite
     (``robust_sort_batch``, ``robust_least_squares_sgd_batch``,
     ``robust_least_squares_cg_batch``, ``robust_iir_filter_batch``,
-    ``robust_matching_batch``) and the extension applications
+    ``robust_matching_batch``), the extension applications
     (``robust_max_flow_batch``, ``robust_all_pairs_shortest_path_batch``,
-    ``robust_eigenpairs_batch``, ``robust_svm_train_sgd_batch``).
+    ``robust_eigenpairs_batch``, ``robust_svm_train_sgd_batch``) and two
+    scalar baselines (``baseline_svd_least_squares_batch``,
+    ``baseline_iir_filter_batch``).  The other baselines run per trial.
 *this module*
     Trial-batch construction (:func:`make_trial_batch`) and the cell runner
     (:func:`run_tensor_cell`) used by the ``batched`` and ``vectorized``

@@ -11,19 +11,37 @@ the error population the paper's baselines see.
 Control-phase work (loop counters, convergence checks, step-size updates) is
 assumed reliable in the paper; code models this by simply not routing those
 computations through the FPU, or by wrapping them in :meth:`protected`.
+
+:class:`StochasticFPUBatch` drives the FPUs of a trial batch together, one
+commit for every trial at once, with each trial's exact serial draws.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
-from typing import Iterator, Optional
+from array import array
+from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
+from repro.exceptions import FaultModelError
 from repro.faults.injector import FaultInjector
 
-__all__ = ["StochasticFPU"]
+__all__ = ["StochasticFPU", "StochasticFPUBatch"]
+
+
+def _divide(a: float, b: float) -> float:
+    """IEEE-754 ``a / b`` on Python floats: ±inf or NaN for a zero divisor.
+
+    ``b == 0.0`` also matches ``-0.0``; a zero divisor gives NaN for a zero
+    or NaN dividend and otherwise an infinity with the dividend's sign.
+    """
+    if b == 0.0:
+        if a == 0.0 or math.isnan(a):
+            return math.nan
+        return math.inf if a > 0 else -math.inf
+    return a / b
 
 
 class StochasticFPU:
@@ -120,15 +138,7 @@ class StochasticFPU:
         rather than raising, because that is what the hardware produces and
         the baselines must cope with it (or fail, which the metrics record).
         """
-        a_f, b_f = float(a), float(b)
-        if b_f == 0.0:
-            if a_f == 0.0 or math.isnan(a_f):
-                result = math.nan
-            else:
-                result = math.inf if a_f > 0 else -math.inf
-        else:
-            result = a_f / b_f
-        return self._commit(result)
+        return self._commit(_divide(float(a), float(b)))
 
     def sqrt(self, a: float) -> float:
         """Floating-point square root with possible corruption.
@@ -220,3 +230,164 @@ class StochasticFPU:
             f"StochasticFPU(fault_rate={self._injector.fault_rate!r}, "
             f"flops={self._flops}, faults={self.faults_injected})"
         )
+
+
+#: Array-module type codes of each datapath dtype: its float, and its bits.
+_TYPECODES = {np.dtype(np.float32): ("f", "I"), np.dtype(np.float64): ("d", "Q")}
+
+
+class StochasticFPUBatch:
+    """The scalar FPUs of a trial batch, one commit for every trial at once.
+
+    The scalar counterpart of :class:`~repro.processor.batch.ProcessorBatch`.
+    :meth:`add`, :meth:`sub`, :meth:`mul` and :meth:`div` take per-trial
+    operands and return a list of ``n_trials`` Python floats; element ``t``
+    is what ``fpus[t]``'s own operation would have returned, with the same
+    draws from its injector and the same counters.  An operand is a scalar
+    shared by every trial or a length-``n_trials`` sequence; a ``list`` must
+    hold Python floats (results of earlier operations do), anything else is
+    converted.  The arithmetic runs on Python floats, as in
+    :class:`StochasticFPU`, and a float32 datapath rounds a whole commit in
+    one ``array('f')`` pass.
+
+    Each live trial keeps its next fault as an absolute commit index, filed
+    under that index, so a commit with no fault due costs one round trip and
+    one dictionary lookup.  A trial whose fault falls due calls its own
+    injector's ``_schedule_next_fault`` and ``_draw_bit``, in the serial
+    order, and its element is XORed as :func:`flip_bit_scalar` would, range
+    check included.  Trials at fault rate zero, or inside
+    :meth:`StochasticFPU.protected` when the batch is built, draw nothing
+    and count no injector operations.
+
+    Counters are deferred: :meth:`flush` writes each trial's FLOPs, injector
+    operations, faults and remaining countdown back.  Every trial must own
+    its generator, and while a batch is live its FPUs must not run
+    operations of their own.
+    """
+
+    def __init__(self, fpus: Sequence[StochasticFPU]) -> None:
+        fpus = list(fpus)
+        if not fpus:
+            raise ValueError("StochasticFPUBatch requires at least one FPU")
+        dtypes = {fpu.injector.dtype for fpu in fpus}
+        if len(dtypes) != 1:
+            raise ValueError(
+                f"FPUs mix datapath dtypes {sorted(map(str, dtypes))}; "
+                "a batch must come from one fault model"
+            )
+        self.fpus = fpus
+        dtype = dtypes.pop()
+        self._f32 = dtype == np.dtype(np.float32)
+        self._float_code, self._bits_code = _TYPECODES[dtype]
+        self._width = dtype.itemsize * 8
+        self._n = len(fpus)
+        self._live = [
+            trial
+            for trial, fpu in enumerate(fpus)
+            if fpu._protected_depth == 0 and fpu.injector._fault_rate > 0.0
+        ]
+        # Commit index -> the trials whose next fault falls due there.  A
+        # countdown of c faults the c-th commit from now (index c - 1), one
+        # of 0 the next commit, a negative one never.
+        self._next: Dict[int, int] = {}
+        self._due: Dict[int, List[int]] = {}
+        for trial in self._live:
+            countdown = fpus[trial].injector._ops_until_fault
+            if countdown >= 0:
+                self._schedule(trial, max(countdown, 1) - 1)
+        self._commits = 0
+        self._faults = [0] * self._n
+
+    def __len__(self) -> int:
+        return self._n
+
+    def _schedule(self, trial: int, index: int) -> None:
+        self._next[trial] = index
+        self._due.setdefault(index, []).append(trial)
+
+    def _row(self, x) -> List[float]:
+        """One operand as a list of ``n_trials`` Python floats."""
+        kind = type(x)
+        if kind is float:
+            return [x] * self._n
+        row = x
+        if kind is not list:
+            arr = np.asarray(x, dtype=np.float64)
+            if arr.ndim == 0:
+                return [float(arr)] * self._n
+            row = arr.tolist()
+        if len(row) != self._n:
+            raise ValueError(
+                f"operand has {len(row)} rows; expected {self._n} (one per trial)"
+            )
+        return row
+
+    def _commit(self, values: List[float]) -> List[float]:
+        """Count one FLOP per trial and pass the results through the injectors."""
+        index = self._commits
+        self._commits = index + 1
+        rounded = array("f", values).tolist() if self._f32 else values
+        due = self._due.pop(index, None)
+        if due is not None:
+            for trial in due:
+                injector = self.fpus[trial].injector
+                injector._schedule_next_fault()
+                self._schedule(trial, index + injector._ops_until_fault)
+                rounded[trial] = self._flip(values[trial], injector._draw_bit())
+                self._faults[trial] += 1
+        return rounded
+
+    def _flip(self, value: float, bit: int) -> float:
+        """:func:`flip_bit_scalar` of a Python float, on the array module.
+
+        The datapath cast, the XOR and the widening back are the same C
+        conversions numpy makes, without its floating-point error scope.
+        """
+        if not 0 <= bit < self._width:
+            raise FaultModelError(f"bit position {bit} out of range [0, {self._width})")
+        cell = array(self._float_code, (value,))
+        memoryview(cell).cast("B").cast(self._bits_code)[0] ^= 1 << bit
+        return cell[0]
+
+    def flush(self) -> None:
+        """Write the deferred counters and countdowns back to each trial's FPU."""
+        commits = self._commits
+        if commits == 0:
+            return
+        for fpu in self.fpus:
+            fpu._flops += commits
+        for trial in self._live:
+            injector = self.fpus[trial].injector
+            injector._ops_observed += commits
+            injector._faults_injected += self._faults[trial]
+            self._faults[trial] = 0
+        # Rebase the fault schedule so the next commit is index 0 again.
+        due = self._due
+        self._next, self._due = {}, {}
+        for index in sorted(due):
+            for trial in due[index]:
+                self._schedule(trial, index - commits)
+                self.fpus[trial].injector._ops_until_fault = index - commits + 1
+        self._commits = 0
+
+    # ------------------------------------------------------------------ #
+    # Arithmetic (StochasticFPU's, row by row)
+    # ------------------------------------------------------------------ #
+    def add(self, a, b) -> List[float]:
+        """Row-wise :meth:`StochasticFPU.add`."""
+        return self._commit([x + y for x, y in zip(self._row(a), self._row(b))])
+
+    def sub(self, a, b) -> List[float]:
+        """Row-wise :meth:`StochasticFPU.sub`."""
+        return self._commit([x - y for x, y in zip(self._row(a), self._row(b))])
+
+    def mul(self, a, b) -> List[float]:
+        """Row-wise :meth:`StochasticFPU.mul`."""
+        return self._commit([x * y for x, y in zip(self._row(a), self._row(b))])
+
+    def div(self, a, b) -> List[float]:
+        """Row-wise :meth:`StochasticFPU.div`, with its zero-divisor rule."""
+        return self._commit([_divide(x, y) for x, y in zip(self._row(a), self._row(b))])
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"StochasticFPUBatch(n_trials={self._n}, f32={self._f32})"

@@ -75,9 +75,10 @@ def noisy_dot(proc: StochasticProcessor, x, y) -> float:
     if x_arr.size == 0:
         return 0.0
     products = proc.corrupt(x_arr * y_arr, ops_per_element=1)
-    total = proc.corrupt(
-        np.asarray([products.sum()]), ops_per_element=max(x_arr.size - 1, 1)
-    )
+    # +inf and -inf products summing to NaN are part of the fault model.
+    with np.errstate(invalid="ignore"):
+        total = products.sum()
+    total = proc.corrupt(np.asarray([total]), ops_per_element=max(x_arr.size - 1, 1))
     return float(total[0])
 
 

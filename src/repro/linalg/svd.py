@@ -6,18 +6,28 @@ exposed to FPU faults with no recovery mechanism.  We implement the one-sided
 Jacobi method: orthogonalize pairs of columns with plane rotations until the
 columns are mutually orthogonal; the column norms are the singular values and
 the accumulated rotations form ``V``.
+
+:func:`jacobi_svd_batch` and :func:`svd_least_squares_batch` are their batch
+twins over a stack of per-trial systems, bit-identical per trial.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Tuple
 
 import numpy as np
 
 from repro.linalg.ops import noisy_dot, noisy_matvec
+from repro.processor.batch import ProcessorBatch, batch_dot, batch_matvec
 from repro.processor.stochastic import StochasticProcessor
 
-__all__ = ["jacobi_svd", "svd_least_squares"]
+__all__ = [
+    "jacobi_svd",
+    "jacobi_svd_batch",
+    "svd_least_squares",
+    "svd_least_squares_batch",
+]
 
 
 def jacobi_svd(
@@ -128,3 +138,166 @@ def svd_least_squares(
     inverse_s = np.where(finite & (np.abs(s) > cutoff), 1.0 / s, 0.0)
     scaled = proc.corrupt(projected * inverse_s, ops_per_element=1)
     return noisy_matvec(proc, Vt.T, scaled)
+
+
+def _rotate_pair(
+    batch: ProcessorBatch,
+    columns: np.ndarray,
+    V: np.ndarray,
+    rows: np.ndarray,
+    p: int,
+    q: int,
+    tolerance: float,
+    off_diagonal: np.ndarray,
+) -> None:
+    """One column pair of :func:`jacobi_svd`'s sweep for trials ``rows``.
+
+    ``columns[t, j]`` is column ``j`` of trial ``t``'s ``U`` and ``V[t, j]``
+    column ``j`` of its ``V``; both are updated in place, as is the running
+    ``off_diagonal`` measure.  Each ``continue`` of the serial loop drops
+    rows from the pair; the 13 rotation-parameter FLOPs run per trial on its
+    own FPU.
+    """
+    sub = batch.narrow(rows)
+    Up, Uq = columns[rows, p], columns[rows, q]
+    alpha = batch_dot(sub, Up, Up)
+    beta = batch_dot(sub, Uq, Uq)
+    gamma = batch_dot(sub, Up, Uq)
+    candidates = np.flatnonzero(np.isfinite(alpha) & np.isfinite(beta) & np.isfinite(gamma))
+    # Python-float semantics of the serial scalars: a product may overflow
+    # to inf silently.
+    with np.errstate(over="ignore"):
+        denom = np.sqrt(np.abs(alpha[candidates] * beta[candidates]))
+    magnitude = np.abs(gamma[candidates])
+    keep = (denom > 0) & (magnitude > tolerance * denom)
+    candidates, denom = candidates[keep], denom[keep]
+    off_diagonal[rows[candidates]] = np.maximum(
+        off_diagonal[rows[candidates]], magnitude[keep] / denom
+    )
+    rotated, cosines, sines = [], [], []
+    for i in candidates.tolist():
+        fpu = batch.procs[rows[i]].fpu
+        a, b, g = float(alpha[i]), float(beta[i]), float(gamma[i])
+        zeta = fpu.div(fpu.sub(b, a), fpu.mul(2.0, g))
+        if not math.isfinite(zeta):
+            continue
+        sign = 1.0 if zeta >= 0 else -1.0
+        t = fpu.div(
+            sign, fpu.add(abs(zeta), fpu.sqrt(fpu.add(1.0, fpu.mul(zeta, zeta))))
+        )
+        c = fpu.div(1.0, fpu.sqrt(fpu.add(1.0, fpu.mul(t, t))))
+        s = fpu.mul(c, t)
+        if not (math.isfinite(c) and math.isfinite(s)):
+            continue
+        rotated.append(i)
+        cosines.append(c)
+        sines.append(s)
+    if not rotated:
+        return
+    trials = rows[rotated]
+    rot = batch.narrow(trials)
+    c = np.asarray(cosines)[:, np.newaxis]
+    s = np.asarray(sines)[:, np.newaxis]
+    Up, Uq = Up[rotated], Uq[rotated]
+    columns[trials, p] = rot.corrupt(c * Up - s * Uq, ops_per_element=3)
+    columns[trials, q] = rot.corrupt(s * Up + c * Uq, ops_per_element=3)
+    Vp, Vq = V[trials, p], V[trials, q]
+    V[trials, p] = rot.corrupt(c * Vp - s * Vq, ops_per_element=3)
+    V[trials, q] = rot.corrupt(s * Vp + c * Vq, ops_per_element=3)
+
+
+def jacobi_svd_batch(
+    batch: ProcessorBatch,
+    A: np.ndarray,
+    max_sweeps: int = 12,
+    tolerance: float = 1e-10,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`jacobi_svd` for every trial of ``batch``, as one masked sweep loop.
+
+    ``A`` is a ``(n_trials, m, n)`` stack, one matrix per trial.  Returns the
+    stacked ``(U, s, Vt)``; trial ``t``'s slices are bit-identical to
+    ``jacobi_svd(batch.procs[t], A[t], max_sweeps, tolerance)``, with the
+    same draws and counters once ``batch`` is flushed.
+
+    Each column pair computes α, β and γ with :func:`batch_dot` over the
+    trials still sweeping.  A trial leaves that set once a sweep ends under
+    ``tolerance``, as the serial ``break`` does.  The normalization runs
+    over every trial.  Shape errors raise before any draw.
+    """
+    A_arr = np.asarray(A, dtype=np.float64)
+    if A_arr.ndim != 3 or A_arr.shape[0] != len(batch):
+        raise ValueError(
+            f"batched SVD requires a ({len(batch)}, m, n) stack, got shape {A_arr.shape}"
+        )
+    n_trials, m, n = A_arr.shape
+    if m < n:
+        raise ValueError(
+            f"one-sided Jacobi SVD requires m >= n, got {A_arr.shape[1:]}"
+        )
+    # Column-major working copies: columns[t, j] is U[:, j] of trial t.
+    columns = np.ascontiguousarray(A_arr.transpose(0, 2, 1))
+    V = np.tile(np.eye(n), (n_trials, 1, 1))
+    running = np.arange(n_trials)
+    for _ in range(max_sweeps):
+        off_diagonal = np.zeros(n_trials)
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                _rotate_pair(batch, columns, V, running, p, q, tolerance, off_diagonal)
+        running = running[off_diagonal[running] >= tolerance]
+        if running.size == 0:
+            break
+    # Column norms are the singular values; normalize U's columns.
+    singular_values = np.zeros((n_trials, n))
+    for j in range(n):
+        norm_sq = batch_dot(batch, columns[:, j], columns[:, j])
+        norms = np.array(
+            [proc.fpu.sqrt(value) for proc, value in zip(batch.procs, norm_sq.tolist())]
+        )
+        singular_values[:, j] = norms
+        scaled = np.flatnonzero(np.isfinite(norms) & (norms > 0))
+        if scaled.size:
+            columns[scaled, j] = batch.narrow(scaled).corrupt(
+                columns[scaled, j] / norms[scaled, np.newaxis], ops_per_element=1
+            )
+    U = np.empty((n_trials, m, n))
+    Vt = np.empty_like(V)
+    for trial in range(n_trials):
+        s = singular_values[trial]
+        order = np.argsort(-np.where(np.isfinite(s), s, -np.inf))
+        U[trial] = columns[trial, order].T
+        singular_values[trial] = s[order]
+        Vt[trial] = V[trial, order]
+    return U, singular_values, Vt
+
+
+def svd_least_squares_batch(
+    batch: ProcessorBatch,
+    A: np.ndarray,
+    b: np.ndarray,
+    rcond: float = 1e-12,
+) -> np.ndarray:
+    """:func:`svd_least_squares` for every trial of ``batch``.
+
+    ``A`` is a ``(n_trials, m, n)`` stack and ``b`` a ``(n_trials, m)`` stack.
+    Returns the ``(n_trials, n)`` solutions; row ``t`` is bit-identical to
+    ``svd_least_squares(batch.procs[t], A[t], b[t], rcond)``.  ``Uᵀb`` and
+    ``V·scaled`` run as :func:`batch_matvec` over per-trial matrices.
+    """
+    A_arr = np.asarray(A, dtype=np.float64)
+    b_arr = np.asarray(b, dtype=np.float64)
+    if A_arr.ndim != 3 or b_arr.ndim != 2 or A_arr.shape[:2] != b_arr.shape:
+        raise ValueError(
+            f"least-squares shape mismatch: A {A_arr.shape}, b {b_arr.shape}"
+        )
+    U, s, Vt = jacobi_svd_batch(batch, A_arr)
+    projected = batch_matvec(batch, U.transpose(0, 2, 1), b_arr)
+    finite = np.isfinite(s)
+    cutoffs = np.array(
+        [
+            rcond * (np.max(row[keep]) if np.any(keep) else 0.0)
+            for row, keep in zip(s, finite)
+        ]
+    )
+    inverse_s = np.where(finite & (np.abs(s) > cutoffs[:, np.newaxis]), 1.0 / s, 0.0)
+    scaled = batch.corrupt(projected * inverse_s, ops_per_element=1)
+    return batch_matvec(batch, Vt.transpose(0, 2, 1), scaled)

@@ -18,7 +18,7 @@ equations ``AᵀA x = Aᵀ b``) with:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -218,9 +218,9 @@ def conjugate_gradient_least_squares_batch(
     are reliable control work and run per row; the data-dependent branches —
     the unusable-curvature restart and the periodic direction restart — run
     as *masked sub-batches*: the affected trials' rows are narrowed into a
-    sub-:class:`~repro.processor.batch.ProcessorBatch` so their generators
-    consume exactly the draws the serial control flow would consume, and no
-    others.  Trial ``t``'s result is therefore bit-identical to
+    sub-batch (:meth:`~repro.processor.batch.ProcessorBatch.narrow`) so their
+    generators consume exactly the draws the serial control flow would
+    consume, and no others.  Trial ``t``'s result is therefore bit-identical to
     ``conjugate_gradient_least_squares(A, b, procs[t], options, x0)``.
 
     ``record_history`` (per-trial instrumentation) falls back to per-trial
@@ -250,20 +250,6 @@ def conjugate_gradient_least_squares_batch(
     flops_before = [proc.flops for proc in batch.procs]
     faults_before = [proc.faults_injected for proc in batch.procs]
     tiny = float(np.finfo(float).tiny)
-
-    # Sub-batches for the masked branches, cached per trial-index subset.
-    # Deferred corruption tallies are additive per batch object, so every
-    # batch that saw a corrupt call is flushed before the final counter read.
-    all_trials = tuple(range(n_trials))
-    sub_batches: Dict[Tuple[int, ...], ProcessorBatch] = {all_trials: batch}
-
-    def _narrow(index: np.ndarray) -> ProcessorBatch:
-        key = tuple(int(t) for t in index)
-        sub = sub_batches.get(key)
-        if sub is None:
-            sub = ProcessorBatch([batch.procs[t] for t in key])
-            sub_batches[key] = sub
-        return sub
 
     def _reliable_dots(U: np.ndarray, V: np.ndarray, index: np.ndarray) -> np.ndarray:
         """Per-row reliable dot products, charged exactly as ``_reliable_dot``.
@@ -298,7 +284,7 @@ def conjugate_gradient_least_squares_batch(
         if bad.size:
             # The serial control flow restarts these trials from the
             # steepest-descent direction and skips the rest of the iteration.
-            sub = _narrow(bad)
+            sub = batch.narrow(bad)
             R_bad = _sanitize_rows(_normal_residuals(sub, X[bad]), options)
             R[bad] = R_bad
             P[bad] = R_bad
@@ -306,7 +292,7 @@ def conjugate_gradient_least_squares_batch(
         good = np.flatnonzero(usable)
         if good.size == 0:
             continue
-        sub_good = _narrow(good)
+        sub_good = batch.narrow(good)
         alphas = rs_old[good] / curvatures[good]
         alphas = np.where(np.isfinite(alphas), alphas, 0.0)
         X[good] = X[good] + alphas[:, np.newaxis] * P[good]
@@ -328,8 +314,7 @@ def conjugate_gradient_least_squares_batch(
         R[good] = R_good
         rs_old[good] = np.maximum(rs_new, tiny)
 
-    for sub in sub_batches.values():
-        sub.flush()  # deferred batched accounting -> per-processor counters
+    batch.flush()  # deferred batched accounting (sub-batches too) -> counters
     results: List[OptimizationResult] = []
     for trial, proc in enumerate(batch.procs):
         final_residual = A_arr @ X[trial] - b_arr

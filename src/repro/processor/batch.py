@@ -4,8 +4,10 @@
 backend (:mod:`repro.experiments.tensor`): it wraps the per-trial
 :class:`~repro.processor.stochastic.StochasticProcessor` instances of one
 executor batch and exposes the same noisy primitives — :meth:`corrupt` plus
-the :func:`batch_sub` / :func:`batch_scale` / :func:`batch_matvec` mirrors of
-:mod:`repro.linalg.ops` — over stacked ``(n_trials, ...)`` tensors.
+the :func:`batch_sub` / :func:`batch_scale` / :func:`batch_dot` /
+:func:`batch_matvec` mirrors of :mod:`repro.linalg.ops` — over stacked
+``(n_trials, ...)`` tensors.  Masked solvers run a subset of the rows through
+:meth:`ProcessorBatch.narrow`.
 
 Bit-identical contract
 ----------------------
@@ -36,7 +38,7 @@ from repro.faults.bitflip import flip_bits_at
 from repro.faults.vectorized import check_ops, effective_fault_probability
 from repro.processor.stochastic import StochasticProcessor
 
-__all__ = ["ProcessorBatch", "batch_sub", "batch_scale", "batch_matvec"]
+__all__ = ["ProcessorBatch", "batch_sub", "batch_scale", "batch_dot", "batch_matvec"]
 
 
 class ProcessorBatch:
@@ -79,6 +81,8 @@ class ProcessorBatch:
         self._scratch: dict = {}
         self._pending_ops = 0
         self._pending_faults = np.zeros(len(procs), dtype=np.int64)
+        self._rows = tuple(range(len(procs)))
+        self._sub_batches: dict = {}
         # Bit positions can be drawn with one fused inverse-CDF lookup when
         # every trial shares the stock sampling implementation and CDF; a
         # custom distribution subclass falls back to per-trial sample().
@@ -235,6 +239,23 @@ class ProcessorBatch:
             )
         return native.astype(np.float64)
 
+    def narrow(self, index) -> "ProcessorBatch":
+        """The sub-batch over rows ``index`` of this batch, cached per row set.
+
+        Masked solvers run a data-dependent subset of the trials through the
+        sub-batch, so those trials' generators consume exactly the draws their
+        serial control flow would, and no others.  The full row set is this
+        batch itself.  :meth:`flush` also flushes every sub-batch handed out.
+        """
+        key = tuple(np.asarray(index, dtype=np.intp).tolist())
+        if key == self._rows:
+            return self
+        sub = self._sub_batches.get(key)
+        if sub is None:
+            sub = ProcessorBatch([self.procs[t] for t in key])
+            self._sub_batches[key] = sub
+        return sub
+
     def flush(self) -> None:
         """Apply deferred FLOP/fault accounting to the wrapped processors.
 
@@ -242,10 +263,13 @@ class ProcessorBatch:
         (updating every processor object on every fused pass would dominate
         the hot loop); this pushes the tally into each processor's counters,
         leaving them exactly as per-trial ``corrupt`` calls would have.  The
+        tallies of every sub-batch from :meth:`narrow` are pushed too.  The
         batched solvers flush before any counter is read; call this after any
         direct :meth:`corrupt` usage before reading ``proc.flops`` /
         ``proc.faults_injected``.
         """
+        for sub in self._sub_batches.values():
+            sub.flush()
         if self._pending_ops == 0 and not self._pending_faults.any():
             return
         for proc, faults in zip(self.procs, self._pending_faults):
@@ -357,24 +381,50 @@ def batch_scale(batch: ProcessorBatch, alpha: float, x) -> np.ndarray:
     return batch.corrupt(float(alpha) * _as_float(x), ops_per_element=1)
 
 
-def batch_matvec(batch: ProcessorBatch, A, X) -> np.ndarray:
-    """Row-wise :func:`~repro.linalg.ops.noisy_matvec` against one shared matrix.
+def batch_dot(batch: ProcessorBatch, x, y) -> np.ndarray:
+    """Row-wise :func:`~repro.linalg.ops.noisy_dot` of two ``(n_trials, m)`` stacks.
 
-    Computes ``A @ X[t]`` for every trial row ``t`` with the serial kernel's
-    fault semantics — elementwise products corrupted individually, then each
-    row-sum corrupted once with the accumulation-chain probability.  The
-    products tensor and both corruption passes span the whole batch.
+    The products are corrupted individually, then the ``(n_trials, 1)`` stack
+    of row sums is corrupted once with ``max(m - 1, 1)`` FLOPs per sum.
+    Empty rows give 0 without a draw.  Returns the ``(n_trials,)`` dots.
+    """
+    x_arr, y_arr = _as_float(x), _as_float(y)
+    if x_arr.ndim != 2 or x_arr.shape != y_arr.shape:
+        raise ValueError(f"batched dot shape mismatch: {x_arr.shape} vs {y_arr.shape}")
+    m = x_arr.shape[1]
+    if m == 0:
+        return np.zeros(x_arr.shape[0])
+    products = batch.corrupt(x_arr * y_arr, ops_per_element=1)
+    # +inf and -inf products summing to NaN are part of the fault model.
+    with np.errstate(invalid="ignore"):
+        sums = products.sum(axis=1, keepdims=True)
+    return batch.corrupt(sums, ops_per_element=max(m - 1, 1))[:, 0]
+
+
+def batch_matvec(batch: ProcessorBatch, A, X) -> np.ndarray:
+    """Row-wise :func:`~repro.linalg.ops.noisy_matvec`: ``A @ X[t]`` per trial row.
+
+    ``A`` is one shared ``(r, c)`` matrix or one matrix per trial, shaped
+    ``(n_trials, r, c)``.  The serial kernel's fault semantics hold per row —
+    elementwise products corrupted individually, then each row-sum corrupted
+    once with the accumulation-chain probability.  The products tensor and
+    both corruption passes span the whole batch.
     """
     A_arr, X_arr = _as_float(A), _as_float(X)
-    if A_arr.ndim != 2 or X_arr.ndim != 2 or A_arr.shape[1] != X_arr.shape[1]:
+    if (
+        A_arr.ndim not in (2, 3)
+        or X_arr.ndim != 2
+        or A_arr.shape[-1] != X_arr.shape[1]
+        or (A_arr.ndim == 3 and A_arr.shape[0] != X_arr.shape[0])
+    ):
         raise ValueError(
             f"batched matvec shape mismatch: {A_arr.shape} @ per-trial {X_arr.shape}"
         )
-    n = A_arr.shape[1]
+    rows, n = A_arr.shape[-2:]
     if n == 0:
-        return np.zeros((X_arr.shape[0], A_arr.shape[0]))
-    shape = (X_arr.shape[0], A_arr.shape[0], n)
+        return np.zeros((X_arr.shape[0], rows))
+    shape = (X_arr.shape[0], rows, n)
     scratch = batch.f64_scratch(shape)
-    np.multiply(A_arr[np.newaxis, :, :], X_arr[:, np.newaxis, :], out=scratch)
+    np.multiply(A_arr, X_arr[:, np.newaxis, :], out=scratch)
     products = batch.corrupt(scratch, ops_per_element=1)
     return batch.corrupt(products.sum(axis=2), ops_per_element=max(n - 1, 1))

@@ -89,8 +89,12 @@ class TestCapabilityDispatch:
 
         functions = kernels.cg_least_squares_kernel(cg_iterations=4, shape=(12, 3))
         assert kernels.is_batchable(functions["CG, N=4"])
-        for name in ("Base: QR", "Base: SVD", "Base: Cholesky"):
+        assert kernels.is_batchable(functions["Base: SVD"])
+        for name in ("Base: QR", "Base: Cholesky"):
             assert not kernels.is_batchable(functions[name])
+
+        functions = kernels.iir_kernel(iterations=10, signal_length=20, n_taps=4)
+        assert all(kernels.is_batchable(fn) for fn in functions.values())
 
         functions = kernels.momentum_kernel(iterations=10)
         assert all(kernels.is_batchable(fn) for fn in functions.values())

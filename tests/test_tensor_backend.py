@@ -520,7 +520,9 @@ class TestNewlyBatchedKernelSweeps:
             )
 
         functions = sweep().trial_functions
-        assert [name for name in functions if is_batchable(functions[name])] == ["CG, N=8"]
+        assert [name for name in functions if is_batchable(functions[name])] == [
+            "Base: SVD", "CG, N=8"
+        ]
         serial = ExperimentEngine("serial").run_sweep(sweep())
         vectorized = ExperimentEngine("vectorized").run_sweep(sweep())
         assert [s.values for s in vectorized] == [s.values for s in serial]
