@@ -289,7 +289,6 @@ class StochasticFPUBatch:
         # Commit index -> the trials whose next fault falls due there.  A
         # countdown of c faults the c-th commit from now (index c - 1), one
         # of 0 the next commit, a negative one never.
-        self._next: Dict[int, int] = {}
         self._due: Dict[int, List[int]] = {}
         for trial in self._live:
             countdown = fpus[trial].injector._ops_until_fault
@@ -298,11 +297,7 @@ class StochasticFPUBatch:
         self._commits = 0
         self._faults = [0] * self._n
 
-    def __len__(self) -> int:
-        return self._n
-
     def _schedule(self, trial: int, index: int) -> None:
-        self._next[trial] = index
         self._due.setdefault(index, []).append(trial)
 
     def _row(self, x) -> List[float]:
@@ -362,10 +357,9 @@ class StochasticFPUBatch:
             injector._faults_injected += self._faults[trial]
             self._faults[trial] = 0
         # Rebase the fault schedule so the next commit is index 0 again.
-        due = self._due
-        self._next, self._due = {}, {}
-        for index in sorted(due):
-            for trial in due[index]:
+        due, self._due = self._due, {}
+        for index, trials in due.items():
+            for trial in trials:
                 self._schedule(trial, index - commits)
                 self.fpus[trial].injector._ops_until_fault = index - commits + 1
         self._commits = 0
