@@ -19,7 +19,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.applications.baselines.iir_direct import (
@@ -170,6 +170,7 @@ def resolve(operand, previous):
 
 
 class TestFPUBatchMatchesPerTrialFPU:
+    @settings(deadline=None)
     @given(
         model=st.sampled_from(MODELS),
         rates=st.lists(st.sampled_from(RATES), min_size=4, max_size=4),
@@ -253,6 +254,7 @@ def make_processors(model, rates, seed):
 
 
 class TestSVDBatchMatchesSerial:
+    @settings(deadline=None)
     @given(
         model=st.sampled_from(MODELS),
         rates=st.lists(st.sampled_from(FAULTY_RATES), min_size=1, max_size=4),
@@ -328,6 +330,7 @@ class TestSVDBatchMatchesSerial:
 # The batched direct form
 # --------------------------------------------------------------------------- #
 class TestDirectFormBatchMatchesSerial:
+    @settings(deadline=None)
     @given(
         model=st.sampled_from(MODELS),
         rates=st.lists(st.sampled_from(RATES), min_size=1, max_size=5),
