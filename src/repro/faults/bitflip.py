@@ -14,6 +14,7 @@ exactly the error population the robustified applications must tolerate.
 
 from __future__ import annotations
 
+from array import array
 from typing import Union
 
 import numpy as np
@@ -45,6 +46,13 @@ SUPPORTED_DTYPES = tuple(_FLOAT_LAYOUT)
 _BIT_MASKS = {
     dtype: np.left_shift(uint_dtype(1), np.arange(width, dtype=uint_dtype))
     for dtype, (uint_dtype, width) in _FLOAT_LAYOUT.items()
+}
+
+#: Per float dtype, the array-module type codes of the float and of its
+#: unsigned layout (numpy's type characters name the same C types).
+_TYPECODES = {
+    dtype: (dtype.char, np.dtype(uint_dtype).char)
+    for dtype, (uint_dtype, _) in _FLOAT_LAYOUT.items()
 }
 
 FloatLike = Union[float, np.floating]
@@ -110,13 +118,17 @@ def flip_bit_scalar(value: FloatLike, bit: int, dtype: np.dtype = np.float64) ->
         flipped; callers must not filter these out — they are part of the
         fault model.
     """
-    uint_dtype, width = _layout(np.dtype(dtype))
+    dtype = np.dtype(dtype)
+    _, width = _layout(dtype)
     if not 0 <= bit < width:
         raise FaultModelError(f"bit position {bit} out of range [0, {width})")
-    pattern = np.asarray(value, dtype=dtype).view(uint_dtype)
-    mask = uint_dtype(1) << uint_dtype(bit)
-    corrupted = (pattern ^ mask).view(np.dtype(dtype))
-    return float(corrupted)
+    # The datapath cast, the XOR and the widening back are the C conversions
+    # numpy makes, on the array module: no numpy scalar, and no
+    # floating-point warning from a cast that overflows or meets a NaN.
+    float_code, bits_code = _TYPECODES[dtype]
+    cell = array(float_code, (value,))
+    memoryview(cell).cast("B").cast(bits_code)[0] ^= 1 << int(bit)
+    return cell[0]
 
 
 def flip_bit_array(

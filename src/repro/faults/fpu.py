@@ -25,7 +25,7 @@ from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from repro.exceptions import FaultModelError
+from repro.faults.bitflip import flip_bit_scalar
 from repro.faults.injector import FaultInjector
 
 __all__ = ["StochasticFPU", "StochasticFPUBatch"]
@@ -232,10 +232,6 @@ class StochasticFPU:
         )
 
 
-#: Array-module type codes of each datapath dtype: its float, and its bits.
-_TYPECODES = {np.dtype(np.float32): ("f", "I"), np.dtype(np.float64): ("d", "Q")}
-
-
 class StochasticFPUBatch:
     """The scalar FPUs of a trial batch, one commit for every trial at once.
 
@@ -254,7 +250,7 @@ class StochasticFPUBatch:
     under that index, so a commit with no fault due costs one round trip and
     one dictionary lookup.  A trial whose fault falls due calls its own
     injector's ``_schedule_next_fault`` and ``_draw_bit``, in the serial
-    order, and its element is XORed as :func:`flip_bit_scalar` would, range
+    order, and its element goes through :func:`flip_bit_scalar`, range
     check included.  Trials at fault rate zero, or inside
     :meth:`StochasticFPU.protected` when the batch is built, draw nothing
     and count no injector operations.
@@ -276,10 +272,8 @@ class StochasticFPUBatch:
                 "a batch must come from one fault model"
             )
         self.fpus = fpus
-        dtype = dtypes.pop()
-        self._f32 = dtype == np.dtype(np.float32)
-        self._float_code, self._bits_code = _TYPECODES[dtype]
-        self._width = dtype.itemsize * 8
+        self._dtype = dtypes.pop()
+        self._f32 = self._dtype == np.dtype(np.float32)
         self._n = len(fpus)
         self._live = [
             trial
@@ -328,21 +322,11 @@ class StochasticFPUBatch:
                 injector = self.fpus[trial].injector
                 injector._schedule_next_fault()
                 self._schedule(trial, index + injector._ops_until_fault)
-                rounded[trial] = self._flip(values[trial], injector._draw_bit())
+                rounded[trial] = flip_bit_scalar(
+                    values[trial], injector._draw_bit(), self._dtype
+                )
                 self._faults[trial] += 1
         return rounded
-
-    def _flip(self, value: float, bit: int) -> float:
-        """:func:`flip_bit_scalar` of a Python float, on the array module.
-
-        The datapath cast, the XOR and the widening back are the same C
-        conversions numpy makes, without its floating-point error scope.
-        """
-        if not 0 <= bit < self._width:
-            raise FaultModelError(f"bit position {bit} out of range [0, {self._width})")
-        cell = array(self._float_code, (value,))
-        memoryview(cell).cast("B").cast(self._bits_code)[0] ^= 1 << bit
-        return cell[0]
 
     def flush(self) -> None:
         """Write the deferred counters and countdowns back to each trial's FPU."""

@@ -236,9 +236,7 @@ class FaultInjector:
             return self._round(value)
         self._schedule_next_fault()
         self._faults_injected += 1
-        bit = self._draw_bit()
-        with np.errstate(over="ignore", invalid="ignore"):
-            return flip_bit_scalar(value, bit, dtype=self._dtype)
+        return flip_bit_scalar(value, self._draw_bit(), dtype=self._dtype)
 
     # ------------------------------------------------------------------ #
     # Vectorized path

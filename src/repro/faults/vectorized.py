@@ -27,6 +27,7 @@ from repro.faults.distribution import BitPositionDistribution
 __all__ = [
     "check_ops",
     "quiet_cast",
+    "quiet_sum",
     "effective_fault_probability",
     "corrupt_array",
     "corrupt_inplace",
@@ -43,6 +44,16 @@ def quiet_cast(values, dtype: np.dtype) -> np.ndarray:
     its scope per call at about two thirds of the cost of a ``with`` block.
     """
     return np.array(values, dtype=dtype, order="C")
+
+
+@np.errstate(invalid="ignore")
+def quiet_sum(values: np.ndarray) -> np.ndarray:
+    """Sums of ``values`` along the last axis, kept as a length-one axis.
+
+    A +inf and a -inf (or a signaling NaN) met in the sum give NaN without
+    the 'invalid' warning: non-finite products are part of the fault model.
+    """
+    return np.add.reduce(values, axis=-1, keepdims=True)
 
 
 def check_ops(ops_per_element: Union[int, np.ndarray]) -> None:

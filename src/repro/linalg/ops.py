@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.faults.vectorized import quiet_sum
 from repro.processor.stochastic import StochasticProcessor
 
 __all__ = [
@@ -75,10 +76,7 @@ def noisy_dot(proc: StochasticProcessor, x, y) -> float:
     if x_arr.size == 0:
         return 0.0
     products = proc.corrupt(x_arr * y_arr, ops_per_element=1)
-    # +inf and -inf products summing to NaN are part of the fault model.
-    with np.errstate(invalid="ignore"):
-        total = products.sum()
-    total = proc.corrupt(np.asarray([total]), ops_per_element=max(x_arr.size - 1, 1))
+    total = proc.corrupt(quiet_sum(products), ops_per_element=max(x_arr.size - 1, 1))
     return float(total[0])
 
 

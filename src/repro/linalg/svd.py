@@ -29,12 +29,17 @@ __all__ = [
     "svd_least_squares_batch",
 ]
 
+#: Defaults of the serial solvers, which the batch twins always use.
+_MAX_SWEEPS = 12
+_TOLERANCE = 1e-10
+_RCOND = 1e-12
+
 
 def jacobi_svd(
     proc: StochasticProcessor,
     A: np.ndarray,
-    max_sweeps: int = 12,
-    tolerance: float = 1e-10,
+    max_sweeps: int = _MAX_SWEEPS,
+    tolerance: float = _TOLERANCE,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One-sided Jacobi SVD ``A = U diag(s) Vᵀ`` executed on the noisy FPU.
 
@@ -118,7 +123,7 @@ def svd_least_squares(
     proc: StochasticProcessor,
     A: np.ndarray,
     b: np.ndarray,
-    rcond: float = 1e-12,
+    rcond: float = _RCOND,
 ) -> np.ndarray:
     """Least-squares solution via the (noisy) one-sided Jacobi SVD.
 
@@ -147,7 +152,6 @@ def _rotate_pair(
     rows: np.ndarray,
     p: int,
     q: int,
-    tolerance: float,
     off_diagonal: np.ndarray,
 ) -> None:
     """One column pair of :func:`jacobi_svd`'s sweep for trials ``rows``.
@@ -169,7 +173,7 @@ def _rotate_pair(
     with np.errstate(over="ignore"):
         denom = np.sqrt(np.abs(alpha[candidates] * beta[candidates]))
     magnitude = np.abs(gamma[candidates])
-    keep = (denom > 0) & (magnitude > tolerance * denom)
+    keep = (denom > 0) & (magnitude > _TOLERANCE * denom)
     candidates, denom = candidates[keep], denom[keep]
     off_diagonal[rows[candidates]] = np.maximum(
         off_diagonal[rows[candidates]], magnitude[keep] / denom
@@ -207,21 +211,18 @@ def _rotate_pair(
 
 
 def jacobi_svd_batch(
-    batch: ProcessorBatch,
-    A: np.ndarray,
-    max_sweeps: int = 12,
-    tolerance: float = 1e-10,
+    batch: ProcessorBatch, A: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`jacobi_svd` for every trial of ``batch``, as one masked sweep loop.
 
     ``A`` is a ``(n_trials, m, n)`` stack, one matrix per trial.  Returns the
     stacked ``(U, s, Vt)``; trial ``t``'s slices are bit-identical to
-    ``jacobi_svd(batch.procs[t], A[t], max_sweeps, tolerance)``, with the
-    same draws and counters once ``batch`` is flushed.
+    ``jacobi_svd(batch.procs[t], A[t])``, with the same draws and counters
+    once ``batch`` is flushed.
 
     Each column pair computes α, β and γ with :func:`batch_dot` over the
     trials still sweeping.  A trial leaves that set once a sweep ends under
-    ``tolerance``, as the serial ``break`` does.  The normalization runs
+    the tolerance, as the serial ``break`` does.  The normalization runs
     over every trial.  Shape errors raise before any draw.
     """
     A_arr = np.asarray(A, dtype=np.float64)
@@ -238,12 +239,12 @@ def jacobi_svd_batch(
     columns = np.ascontiguousarray(A_arr.transpose(0, 2, 1))
     V = np.tile(np.eye(n), (n_trials, 1, 1))
     running = np.arange(n_trials)
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         off_diagonal = np.zeros(n_trials)
         for p in range(n - 1):
             for q in range(p + 1, n):
-                _rotate_pair(batch, columns, V, running, p, q, tolerance, off_diagonal)
-        running = running[off_diagonal[running] >= tolerance]
+                _rotate_pair(batch, columns, V, running, p, q, off_diagonal)
+        running = running[off_diagonal[running] >= _TOLERANCE]
         if running.size == 0:
             break
     # Column norms are the singular values; normalize U's columns.
@@ -271,16 +272,13 @@ def jacobi_svd_batch(
 
 
 def svd_least_squares_batch(
-    batch: ProcessorBatch,
-    A: np.ndarray,
-    b: np.ndarray,
-    rcond: float = 1e-12,
+    batch: ProcessorBatch, A: np.ndarray, b: np.ndarray
 ) -> np.ndarray:
     """:func:`svd_least_squares` for every trial of ``batch``.
 
     ``A`` is a ``(n_trials, m, n)`` stack and ``b`` a ``(n_trials, m)`` stack.
     Returns the ``(n_trials, n)`` solutions; row ``t`` is bit-identical to
-    ``svd_least_squares(batch.procs[t], A[t], b[t], rcond)``.  ``Uᵀb`` and
+    ``svd_least_squares(batch.procs[t], A[t], b[t])``.  ``Uᵀb`` and
     ``V·scaled`` run as :func:`batch_matvec` over per-trial matrices.
     """
     A_arr = np.asarray(A, dtype=np.float64)
@@ -294,7 +292,7 @@ def svd_least_squares_batch(
     finite = np.isfinite(s)
     cutoffs = np.array(
         [
-            rcond * (np.max(row[keep]) if np.any(keep) else 0.0)
+            _RCOND * (np.max(row[keep]) if np.any(keep) else 0.0)
             for row, keep in zip(s, finite)
         ]
     )

@@ -35,7 +35,7 @@ from typing import Iterator, Sequence, Union
 import numpy as np
 
 from repro.faults.bitflip import flip_bits_at
-from repro.faults.vectorized import check_ops, effective_fault_probability
+from repro.faults.vectorized import check_ops, effective_fault_probability, quiet_sum
 from repro.processor.stochastic import StochasticProcessor
 
 __all__ = ["ProcessorBatch", "batch_sub", "batch_scale", "batch_dot", "batch_matvec"]
@@ -395,10 +395,7 @@ def batch_dot(batch: ProcessorBatch, x, y) -> np.ndarray:
     if m == 0:
         return np.zeros(x_arr.shape[0])
     products = batch.corrupt(x_arr * y_arr, ops_per_element=1)
-    # +inf and -inf products summing to NaN are part of the fault model.
-    with np.errstate(invalid="ignore"):
-        sums = products.sum(axis=1, keepdims=True)
-    return batch.corrupt(sums, ops_per_element=max(m - 1, 1))[:, 0]
+    return batch.corrupt(quiet_sum(products), ops_per_element=max(m - 1, 1))[:, 0]
 
 
 def batch_matvec(batch: ProcessorBatch, A, X) -> np.ndarray:

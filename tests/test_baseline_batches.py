@@ -32,6 +32,7 @@ from repro.applications.least_squares import (
     baseline_svd_least_squares_batch,
 )
 from repro.exceptions import FaultModelError
+from repro.faults.bitflip import flip_bit_scalar
 from repro.faults.distribution import EmulatedBitDistribution
 from repro.faults.fpu import StochasticFPUBatch
 from repro.faults.models import FaultModel, get_fault_model
@@ -243,6 +244,33 @@ class TestFPUBatchMatchesPerTrialFPU:
         assert state(proc) == before
 
 
+def numpy_flip(value, bit, dtype):
+    """A bit flip through numpy's reinterpreting view: the reference."""
+    uint = np.uint32 if dtype == np.float32 else np.uint64
+    with np.errstate(over="ignore", invalid="ignore"):
+        pattern = np.asarray(value, dtype=dtype).view(uint)
+    return float((pattern ^ uint(1 << bit)).view(dtype))
+
+
+float_patterns = st.one_of(
+    special_floats,
+    st.integers(0, 2**64 - 1).map(
+        lambda pattern: float(np.array([pattern], dtype=np.uint64).view(np.float64)[0])
+    ),
+)
+
+
+@given(float_patterns, st.sampled_from([np.float32, np.float64]), st.integers(0, 63))
+@settings(max_examples=300, deadline=None)
+def test_scalar_flip_matches_numpy_bit_view(value, dtype, bit):
+    """The flip the FPU batch and the serial injector share, on any float64
+    pattern (signaling NaN payloads and values past float32's range too)."""
+    bit %= np.dtype(dtype).itemsize * 8
+    with runtime_warnings_as_errors():
+        flipped = flip_bit_scalar(value, bit, dtype)
+    assert bits([flipped]) == bits([numpy_flip(value, bit, dtype)])
+
+
 # --------------------------------------------------------------------------- #
 # The masked-batch Jacobi SVD
 # --------------------------------------------------------------------------- #
@@ -288,9 +316,9 @@ class TestSVDBatchMatchesSerial:
         serial = make_processors(model, rates, 40)
         batched = make_processors(model, rates, 40)
         with runtime_warnings_as_errors():
-            want = [jacobi_svd(proc, A[t], max_sweeps=5) for t, proc in enumerate(serial)]
+            want = [jacobi_svd(proc, A[t]) for t, proc in enumerate(serial)]
             batch = ProcessorBatch(batched)
-            U, s, Vt = jacobi_svd_batch(batch, A, max_sweeps=5)
+            U, s, Vt = jacobi_svd_batch(batch, A)
             batch.flush()
         for factor, stacked in zip(zip(*want), (U, s, Vt)):
             assert_same_bits(stacked, np.stack(factor))
