@@ -49,10 +49,11 @@ _BIT_MASKS = {
 }
 
 #: Per float dtype, the array-module type codes of the float and of its
-#: unsigned layout (numpy's type characters name the same C types).
-_TYPECODES = {
-    dtype: (dtype.char, np.dtype(uint_dtype).char)
-    for dtype, (uint_dtype, _) in _FLOAT_LAYOUT.items()
+#: unsigned layout (numpy's type characters name the same C types), and its
+#: bit width.
+_SCALAR_LAYOUT = {
+    dtype: (dtype.char, np.dtype(uint_dtype).char, width)
+    for dtype, (uint_dtype, width) in _FLOAT_LAYOUT.items()
 }
 
 FloatLike = Union[float, np.floating]
@@ -118,14 +119,15 @@ def flip_bit_scalar(value: FloatLike, bit: int, dtype: np.dtype = np.float64) ->
         flipped; callers must not filter these out — they are part of the
         fault model.
     """
-    dtype = np.dtype(dtype)
-    _, width = _layout(dtype)
+    layout = _SCALAR_LAYOUT.get(np.dtype(dtype))
+    if layout is None:
+        _layout(dtype)  # raises the unsupported-dtype error
+    float_code, bits_code, width = layout
     if not 0 <= bit < width:
         raise FaultModelError(f"bit position {bit} out of range [0, {width})")
     # The datapath cast, the XOR and the widening back are the C conversions
     # numpy makes, on the array module: no numpy scalar, and no
     # floating-point warning from a cast that overflows or meets a NaN.
-    float_code, bits_code = _TYPECODES[dtype]
     cell = array(float_code, (value,))
     memoryview(cell).cast("B").cast(bits_code)[0] ^= 1 << int(bit)
     return cell[0]
