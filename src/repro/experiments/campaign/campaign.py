@@ -129,9 +129,12 @@ class Campaign:
         Shards already in the store are *reused*, never recomputed — this is
         simultaneously the resume path (rerun a killed campaign) and the
         cross-campaign dedupe path (another campaign computed the shard).
-        Each newly computed shard publishes to the store as it completes, so
-        killing this call mid-run loses only in-flight shards.  ``on_shard``
-        (called per computed shard, after publication) may raise to abort.
+        Each newly computed shard publishes to the store on its own, so
+        killing this call mid-run loses only unpublished shards: on the
+        serial pool those of the running (series, scenario) unit, whose
+        pending shards run as one batch; on the process pool the in-flight
+        ones.  ``on_shard`` (called per computed shard, after publication)
+        may raise to abort.
         """
         progress_state = {"trials": 0}
         reused_ids = self.store.completed(self.shards)

@@ -3,9 +3,10 @@
 A *shard* is a sub-batch of a sweep's grid points — the unit the campaign
 scheduler dispatches to workers and the :class:`~.store.ShardStore` persists.
 Shards use the same (series, scenario[, rate]) grouping the batched executor
-tiers already use (see :meth:`SweepSpec.point_groups`), so a shard never
-splits a vectorized batch: the sharded fast path is exactly the unsharded
-one, restricted to fewer points.
+tiers already use (see :meth:`SweepSpec.point_groups`).  A ``series`` shard
+is one whole vectorized batch; ``cell`` shards split it per rate, and the
+serial pool joins a batch's pending cells back into one engine call, while
+the process pool runs each cell on its own.
 
 Shard ids are *content addresses*: the SHA-256 of the sweep fingerprint, the
 caller's workload key, and the shard's own point list (the same strict
@@ -82,7 +83,9 @@ class ShardPlanner:
         ``"series"`` (default) shards by (series, scenario), the vectorized
         executor's batch unit, so each shard keeps the whole tensorized fast
         path.  ``"cell"`` shards by (series, scenario, rate) for wider
-        fan-out on large rate grids.
+        fan-out on large rate grids: the process pool then runs one tensor
+        call per rate, while the serial pool still runs a unit's pending
+        cells as one batch.
 
     Seed sub-streams need no planning work: every trial and every bootstrap
     stream derives from its own grid coordinates (never from execution

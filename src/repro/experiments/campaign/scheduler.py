@@ -5,7 +5,11 @@
 pools:
 
 ``serial``
-    Shards run inline, one at a time — the reference pool and the default.
+    Shards run inline — the reference pool and the default.  The pending
+    shards of one executor batch unit (a ``"series"`` group of
+    :meth:`SweepSpec.point_groups`: one series, one scenario) run as a single
+    engine call, so the ``cell`` shards of one series share one tensor batch;
+    the result is then cut per shard and published shard by shard.
 ``process``
     A fork-context ``ProcessPoolExecutor``: one OS process per worker, with
     **retry-on-worker-death** — a died worker breaks the pool, which is
@@ -35,7 +39,7 @@ import sys
 import threading
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.experiments.engine import run_adaptive_points, run_point_block
 from repro.experiments.executors import Executor, get_executor
@@ -83,6 +87,48 @@ def execute_shard(sweep: SweepSpec, shard: Shard, executor: Executor) -> ShardRe
         values=tuple(tuple(collected[point]) for point in points),
         halted=halted,
     )
+
+
+def _units(sweep: SweepSpec, shards: Sequence[Shard]) -> List[List[Shard]]:
+    """``shards`` grouped by the executor's batch unit, in plan order.
+
+    The unit of a shard is the ``"series"`` group of
+    :meth:`SweepSpec.point_groups` holding its first point — the (series,
+    scenario) batch the ``vectorized`` executor runs as one tensor cell.
+    """
+    unit_of = {
+        point: unit
+        for unit, points in enumerate(sweep.point_groups("series"))
+        for point in points
+    }
+    units: Dict[int, List[Shard]] = {}
+    for shard in shards:
+        units.setdefault(unit_of[shard.points[0]], []).append(shard)
+    return list(units.values())
+
+
+def _join(shards: Sequence[Shard]) -> Shard:
+    """One shard over the points of ``shards``, in order; it is never stored."""
+    return Shard(
+        shard_id="+".join(shard.shard_id for shard in shards),
+        index=shards[0].index,
+        points=tuple(point for shard in shards for point in shard.points),
+    )
+
+
+def _split(
+    result: ShardResult, shards: Sequence[Shard]
+) -> Iterator[Tuple[Shard, ShardResult]]:
+    """Cut the result of ``_join(shards)`` back into each shard's own result."""
+    start = 0
+    for shard in shards:
+        stop = start + shard.n_points
+        yield shard, ShardResult(
+            points=shard.points,
+            values=result.values[start:stop],
+            halted=None if result.halted is None else result.halted[start:stop],
+        )
+        start = stop
 
 
 # --------------------------------------------------------------------------- #
@@ -154,10 +200,12 @@ class CampaignScheduler:
     ) -> Dict[str, Any]:
         """Execute every shard not already in the store; return run stats.
 
-        Completed shards publish to ``store`` as they finish (atomic,
-        content-addressed), so a killed run loses at most the in-flight
-        shards — everything already published is skipped by the next run.
-        Returns ``{"total", "reused", "computed", "retries", "pool"}``.
+        Completed shards publish to ``store`` one by one, in plan order on
+        the serial pool (atomic, content-addressed), so a killed run loses at
+        most the running unit's unpublished shards (serial) or the in-flight
+        shards (process) — everything already published is skipped by the
+        next run.  Returns ``{"total", "reused", "computed", "retries",
+        "pool"}``.
         """
         completed_ids = store.completed(shards)
         pending = [shard for shard in shards if shard.shard_id not in completed_ids]
@@ -178,9 +226,10 @@ class CampaignScheduler:
                 on_shard(shard, result)
 
         if stats["pool"] == "serial":
-            for shard in pending:
-                result = execute_shard(sweep, shard, get_executor(executor))
-                publish(shard, result)
+            for unit in _units(sweep, pending):
+                joined = execute_shard(sweep, _join(unit), get_executor(executor))
+                for shard, result in _split(joined, unit):
+                    publish(shard, result)
         else:
             self._run_process_pool(sweep, shards, pending, executor, publish, stats)
         return stats

@@ -195,8 +195,10 @@ class SweepSpec:
         grouping the ``vectorized`` executor batches by, so a shard keeps
         the whole tensorized fast path.  ``granularity="cell"`` groups by
         (series, scenario, rate) — the ``batched`` tier's finer cells, for
-        wider fan-out at the cost of one tensor call per rate.  Every grid
-        point appears in exactly one group.
+        wider fan-out on the campaign ``process`` pool at the cost of one
+        tensor call per rate (the ``serial`` pool joins a series group's
+        cells back into one call).  Every grid point appears in exactly one
+        group.
         """
         if granularity not in ("series", "cell"):
             raise ValueError(

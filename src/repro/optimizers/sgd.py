@@ -31,7 +31,7 @@ construction — no backend-specific code lives here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -415,17 +415,12 @@ def _aggressive_phase_batch(
     # the serial phase below, which is bit-identical by construction.
     straggler_cutoff = 4
 
-    sub_batch = batch
-    sub_index: Optional[Tuple[int, ...]] = tuple(range(n_trials))
     for _ in range(aggressive.max_iterations):
         index = np.flatnonzero(active)
         if index.size == 0 or index.size <= straggler_cutoff:
             break
         key = tuple(int(t) for t in index)
-        if key != sub_index:
-            sub_batch.flush()  # hand pending accounting over before narrowing
-            sub_batch = ProcessorBatch([batch.procs[t] for t in key])
-            sub_index = key
+        sub_batch = batch.narrow(index)
         X_active = np.stack([iterates[t] for t in key])
         gradients = _sanitize_gradient_rows(
             problem.gradient_batch(X_active, sub_batch), options
@@ -456,7 +451,7 @@ def _aggressive_phase_batch(
                 if steps[trial] < tiny:
                     messages[trial] = "aggressive stepping step size underflowed"
                     active[trial] = False
-    sub_batch.flush()
+    batch.flush()  # deferred accounting (sub-batches too) -> counters
     for trial in np.flatnonzero(active):
         remaining = aggressive.max_iterations - iterations_used[trial]
         if remaining <= 0:

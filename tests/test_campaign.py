@@ -8,6 +8,8 @@ The load-bearing claims pinned here:
   foreign artifacts degrade to recomputation) with atomic writes;
 * the scheduler reuses existing artifacts, retries across worker death, and
   every pool (serial/process) produces byte-identical merges;
+* the serial pool runs the pending ``cell`` shards of one (series, scenario)
+  unit as one tensor batch and still publishes them shard by shard;
 * the merged campaign equals the single-process serial engine run —
   byte-for-byte, via ``series_digest`` — for fixed-count AND adaptive
   sweeps, and resuming recomputes only the missing shards;
@@ -16,6 +18,7 @@ The load-bearing claims pinned here:
 """
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -35,11 +38,15 @@ from repro.experiments.campaign import (
     list_pools,
     prune_artifacts,
 )
+from repro.experiments import executors
 from repro.experiments.engine import ExperimentEngine
+from repro.experiments.executors import get_executor
 from repro.experiments.results import series_digest
 from repro.experiments.runner import run_campaign
 from repro.experiments.sequential import ConfidenceTarget
 from repro.experiments.spec import SweepSpec
+from repro.experiments.tensor import run_tensor_cell
+from repro.experiments.trials import make_noisy_sum_trial
 
 
 def noisy_metric(proc, stream):
@@ -422,3 +429,131 @@ class TestManifestRetention:
         report = prune_artifacts(tmp_path, max_bytes=shard_bytes)
         assert report.removed_count == 0
         assert report.kept_bytes == shard_bytes
+
+
+#: A batchable trial (``repro.experiments.kernels.batchable``), so the
+#: vectorized executor runs each (series, scenario) unit as one tensor cell.
+SUM_TRIAL = make_noisy_sum_trial(n=16, ops_per_element=2)
+
+#: Points of one unit stop after different rounds (2, 4 or 6 trials), some
+#: early and some at the cap.
+GROUPED_POLICY = ConfidenceTarget(half_width=1.0, batch=2, max_trials=6, metric="mean")
+
+
+def grouped_sweep(**kwargs):
+    defaults = dict(
+        trial_functions={"a": SUM_TRIAL, "b": SUM_TRIAL},
+        fault_rates=(0.0, 0.01, 0.05, 0.2),
+        trials=3,
+        seed=37,
+    )
+    defaults.update(kwargs)
+    return SweepSpec(**defaults)
+
+
+def unit_of(point):
+    series_index, scenario_index, _ = point
+    return series_index, scenario_index
+
+
+class TestGroupedSerialPool:
+    """The serial pool runs a unit's pending ``cell`` shards as one batch.
+
+    A unit is a (series, scenario) group of ``SweepSpec.point_groups``; its
+    pending shards go through one engine call and publish one by one.
+    """
+
+    @pytest.fixture
+    def tensor_calls(self, monkeypatch):
+        """The grid points of every ``run_tensor_cell`` call, in call order."""
+        calls = []
+
+        def counting(sweep, specs):
+            calls.append(list(dict.fromkeys(
+                (s.series_index, s.scenario_index, s.rate_index) for s in specs
+            )))
+            return run_tensor_cell(sweep, specs)
+
+        monkeypatch.setattr(executors, "run_tensor_cell", counting)
+        return calls
+
+    def runner(self, tmp_path):
+        return CampaignRunner(
+            store=tmp_path, planner=ShardPlanner("cell"), pool="serial"
+        )
+
+    @pytest.mark.parametrize("policy", [None, GROUPED_POLICY], ids=["fixed", "adaptive"])
+    @pytest.mark.parametrize(
+        "scenarios", [None, ("nominal", "low-order-seu")], ids=["plain", "scenarios"]
+    )
+    def test_cell_campaign_matches_serial_engine(
+        self, tmp_path, tensor_calls, policy, scenarios
+    ):
+        kwargs = dict(policy=policy, scenarios=scenarios)
+        reference = ExperimentEngine("serial").run_sweep(grouped_sweep(**kwargs))
+        campaign = self.runner(tmp_path).submit(grouped_sweep(**kwargs))
+        series = campaign.run()
+        assert series_digest(series) == series_digest(reference)
+        assert campaign.stats["computed"] == len(campaign.shards)
+        assert len(campaign.shards) == len(grouped_sweep(**kwargs).point_keys())
+        # Each tensor cell stays inside one unit; a fixed-count unit is one
+        # cell, an adaptive one is one cell per round of its longest point.
+        assert all(len({unit_of(p) for p in call}) == 1 for call in tensor_calls)
+        rounds = Counter()
+        for shard in campaign.shards:
+            (point,) = shard.points
+            (values,) = campaign.store.load_shard(shard).values
+            point_rounds = 1 if policy is None else -(-len(values) // policy.batch)
+            rounds[unit_of(point)] = max(rounds[unit_of(point)], point_rounds)
+        assert Counter(unit_of(call[0]) for call in tensor_calls) == rounds
+        if policy is None:
+            n_units = len(grouped_sweep(**kwargs).point_groups("series"))
+            assert len(tensor_calls) == n_units < len(campaign.shards)
+
+    def test_abort_after_first_publication_keeps_one_artifact(
+        self, tmp_path, tensor_calls
+    ):
+        class Abort(Exception):
+            pass
+
+        def abort(shard, result):
+            raise Abort(shard.shard_id)
+
+        runner = self.runner(tmp_path)
+        killed = runner.submit(grouped_sweep())
+        with pytest.raises(Abort):
+            killed.run(on_shard=abort)
+        assert killed.status().shards_completed == 1
+        assert len(list((tmp_path / "shards").glob("*.json"))) == 1
+        assert killed.store.has_shard(killed.shards[0])
+
+        del tensor_calls[:]
+        resumed = runner.submit(grouped_sweep())
+        series = resumed.run()
+        assert resumed.stats["reused"] == 1
+        assert resumed.stats["computed"] == len(resumed.shards) - 1
+        computed = [point for call in tensor_calls for point in call]
+        assert computed == [point for shard in resumed.shards[1:] for point in shard.points]
+        reference = ExperimentEngine("serial").run_sweep(grouped_sweep())
+        assert series_digest(series) == series_digest(reference)
+
+    def test_stored_shard_of_a_unit_runs_only_the_pending_points(
+        self, tmp_path, tensor_calls
+    ):
+        sweep = grouped_sweep()
+        runner = self.runner(tmp_path)
+        shards = runner.planner.plan(sweep)
+        stored = shards[1]  # series "a", second rate: mid-unit
+        runner.store.store_shard(
+            stored, execute_shard(sweep, stored, get_executor("vectorized"))
+        )
+        del tensor_calls[:]
+        campaign = runner.submit(grouped_sweep())
+        series = campaign.run()
+        assert campaign.stats["reused"] == 1
+        assert campaign.stats["computed"] == len(shards) - 1
+        pending_a = [s.points[0] for s in shards if s is not stored and s.points[0][0] == 0]
+        pending_b = [s.points[0] for s in shards if s.points[0][0] == 1]
+        assert tensor_calls == [pending_a, pending_b]
+        reference = ExperimentEngine("serial").run_sweep(grouped_sweep())
+        assert series_digest(series) == series_digest(reference)
