@@ -83,6 +83,7 @@ class ProcessorBatch:
         self._pending_faults = np.zeros(len(procs), dtype=np.int64)
         self._rows = tuple(range(len(procs)))
         self._sub_batches: dict = {}
+        self._recent: list = []
         # Bit positions can be drawn with one fused inverse-CDF lookup when
         # every trial shares the stock sampling implementation and CDF; a
         # custom distribution subclass falls back to per-trial sample().
@@ -246,6 +247,13 @@ class ProcessorBatch:
         sub-batch, so those trials' generators consume exactly the draws their
         serial control flow would, and no others.  The full row set is this
         batch itself.  :meth:`flush` also flushes every sub-batch handed out.
+
+        Only the two sub-batches narrowed to most recently keep their scratch
+        buffers; an older one rebuilds them on its next pass.  Two cover a
+        pair of row sets used in turn (the Jacobi SVD's sweep rows and their
+        rotated subset), while a row set that only shrinks (SGD's active
+        trials) would otherwise hold every past set's buffers until the batch
+        is dropped.
         """
         key = tuple(np.asarray(index, dtype=np.intp).tolist())
         if key == self._rows:
@@ -254,6 +262,12 @@ class ProcessorBatch:
         if sub is None:
             sub = ProcessorBatch([self.procs[t] for t in key])
             self._sub_batches[key] = sub
+        recent = self._recent
+        if sub in recent:
+            recent.remove(sub)
+        recent.append(sub)
+        if len(recent) > 2:
+            recent.pop(0)._scratch.clear()
         return sub
 
     def flush(self) -> None:

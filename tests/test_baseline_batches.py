@@ -473,3 +473,27 @@ class TestBatchedPrimitives:
         assert procs[0].flops == 0
         batch.flush()
         assert [proc.flops for proc in procs] == [4, 0, 4]
+
+    def test_narrow_keeps_scratch_of_the_two_latest_row_sets(self):
+        # A row set that only shrinks (SGD's active trials) must not keep
+        # every past set's buffers; a sub-batch that lost them rebuilds them,
+        # stays cached and bit-identical, and flush still reaches it.
+        rates = [0.3, 0.3, 0.3]
+        procs = make_processors("leon3-fpu", rates, 17)
+        serial = make_processors("leon3-fpu", rates, 17)
+        batch = ProcessorBatch(procs)
+        data = np.linspace(0.5, 2.0, 3 * 6).reshape(3, 6)
+        got, want, subs = [], [], []
+        for rows in ([0, 1], [1, 2], [1], [0, 1]):
+            sub = batch.narrow(rows)
+            got.append(sub.corrupt(data[rows], ops_per_element=2))
+            want.append(np.stack([serial[t].corrupt(data[t], 2) for t in rows]))
+            subs.append(sub)
+            if len(subs) == 3:
+                assert [bool(s._scratch) for s in subs] == [False, True, True]
+        assert subs[3] is subs[0]
+        assert [bool(s._scratch) for s in subs[:3]] == [True, False, True]
+        batch.flush()
+        for actual, expected in zip(got, want):
+            assert_same_bits(actual, expected)
+        assert_same_states(procs, serial)
