@@ -140,7 +140,8 @@ def svd_least_squares(
     projected = noisy_matvec(proc, U.T, b_arr)
     finite = np.isfinite(s)
     cutoff = rcond * (np.max(s[finite]) if np.any(finite) else 0.0)
-    inverse_s = np.where(finite & (np.abs(s) > cutoff), 1.0 / s, 0.0)
+    usable = finite & (np.abs(s) > cutoff)
+    inverse_s = np.divide(1.0, s, out=np.zeros_like(s), where=usable)
     scaled = proc.corrupt(projected * inverse_s, ops_per_element=1)
     return noisy_matvec(proc, Vt.T, scaled)
 
@@ -296,6 +297,7 @@ def svd_least_squares_batch(
             for row, keep in zip(s, finite)
         ]
     )
-    inverse_s = np.where(finite & (np.abs(s) > cutoffs[:, np.newaxis]), 1.0 / s, 0.0)
+    usable = finite & (np.abs(s) > cutoffs[:, np.newaxis])
+    inverse_s = np.divide(1.0, s, out=np.zeros_like(s), where=usable)
     scaled = batch.corrupt(projected * inverse_s, ops_per_element=1)
     return batch_matvec(batch, Vt.transpose(0, 2, 1), scaled)

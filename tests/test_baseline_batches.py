@@ -307,6 +307,24 @@ class TestSVDBatchMatchesSerial:
         assert_same_bits(got, np.stack(want))
         assert_same_states(batched, serial)
 
+    def test_least_squares_with_a_zero_singular_value_is_quiet(self):
+        # Hypothesis found this draw: a faulted trial's SVD ends with a
+        # singular value of exactly 0, whose reciprocal used to be taken
+        # (and warn) before the pseudo-inverse cutoff discarded it.
+        model, rates, seed = "leon3-fpu", [0.0, 0.001, 0.3], 343
+        data = np.random.default_rng(seed)
+        A = data.standard_normal((len(rates), 6, 4))
+        b = data.standard_normal((len(rates), 6))
+        serial = make_processors(model, rates, seed)
+        batched = make_processors(model, rates, seed)
+        with runtime_warnings_as_errors():
+            want = [svd_least_squares(proc, A[t], b[t]) for t, proc in enumerate(serial)]
+            batch = ProcessorBatch(batched)
+            got = svd_least_squares_batch(batch, A, b)
+            batch.flush()
+        assert_same_bits(got, np.stack(want))
+        assert_same_states(batched, serial)
+
     @pytest.mark.parametrize("model", MODELS)
     def test_jacobi_factors(self, model):
         rates = [0.0, 0.0, 1e-3, 0.05, 0.3]
