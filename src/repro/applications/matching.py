@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-import scipy.optimize
 
+from repro.applications.assignment import linear_sum_assignment
 from repro.core.transform import (
     RobustSolveConfig,
     solve_penalized_lp,
@@ -119,7 +119,7 @@ def round_to_matching(
     affinity = np.full((graph.n_left, graph.n_right), -1.0)
     for index, (u, v) in enumerate(graph.edges):
         affinity[u, v] = max(affinity[u, v], sanitized[index])
-    rows, cols = scipy.optimize.linear_sum_assignment(-affinity)
+    rows, cols = linear_sum_assignment(-affinity)
     edge_set = set(graph.edges)
     selected = {
         (int(u), int(v))
@@ -139,7 +139,7 @@ def optimal_matching(graph: BipartiteGraph) -> Tuple[FrozenSet[Tuple[int, int]],
     weight_matrix = np.zeros((graph.n_left, graph.n_right))
     for (u, v), w in zip(graph.edges, graph.weights):
         weight_matrix[u, v] = max(weight_matrix[u, v], w)
-    rows, cols = scipy.optimize.linear_sum_assignment(-weight_matrix)
+    rows, cols = linear_sum_assignment(-weight_matrix)
     edges = frozenset(
         (int(u), int(v)) for u, v in zip(rows, cols) if weight_matrix[u, v] > 0
     )

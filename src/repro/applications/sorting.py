@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
-import scipy.optimize
 
+from repro.applications.assignment import linear_sum_assignment
 from repro.core.transform import (
     RobustSolveConfig,
     solve_penalized_lp,
@@ -110,7 +110,7 @@ def round_to_permutation(X: np.ndarray) -> np.ndarray:
             f"rounding requires a square matrix, got {X_arr.shape}"
         )
     sanitized = np.where(np.isfinite(X_arr), X_arr, -1.0e12)
-    rows, cols = scipy.optimize.linear_sum_assignment(-sanitized)
+    rows, cols = linear_sum_assignment(-sanitized)
     permutation = np.zeros_like(X_arr)
     permutation[rows, cols] = 1.0
     return permutation

@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from repro.exceptions import ProblemSpecificationError
 from repro.optimizers.problem import LinearConstraints, LinearProgram
@@ -73,10 +72,14 @@ class QRPreconditioner:
                 "constraint matrix is (numerically) rank deficient; "
                 "QR preconditioning is not applicable"
             )
+        # SciPy is imported here, not at module level, so that only
+        # preconditioned solves pay for its import time and memory.
+        from scipy.linalg import solve_triangular
+
         self._R = R
-        R_inv = scipy.linalg.solve_triangular(R, np.eye(n), lower=False)
+        R_inv = solve_triangular(R, np.eye(n), lower=False)
         # New cost vector: Rᵀ c_new = c.
-        c_new = scipy.linalg.solve_triangular(R.T, lp.c, lower=True)
+        c_new = solve_triangular(R.T, lp.c, lower=True)
         new_constraints = LinearConstraints(
             A_eq=None if constraints.A_eq is None else constraints.A_eq @ R_inv,
             b_eq=None if constraints.b_eq is None else constraints.b_eq.copy(),
@@ -103,4 +106,6 @@ class QRPreconditioner:
             raise ProblemSpecificationError(
                 f"solution has dimension {y_arr.shape[0]}, expected {self._R.shape[0]}"
             )
-        return scipy.linalg.solve_triangular(self._R, y_arr, lower=False)
+        from scipy.linalg import solve_triangular
+
+        return solve_triangular(self._R, y_arr, lower=False)
