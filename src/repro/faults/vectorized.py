@@ -26,34 +26,36 @@ from repro.faults.distribution import BitPositionDistribution
 
 __all__ = [
     "check_ops",
+    "quiet",
     "quiet_cast",
-    "quiet_sum",
     "effective_fault_probability",
     "corrupt_array",
     "corrupt_inplace",
 ]
 
 
-@np.errstate(over="ignore", invalid="ignore")
+def quiet(func):
+    """Run ``func`` with numpy's 'overflow' and 'invalid' warnings off.
+
+    A bit flip can make any value inf, NaN or huge, so overflow to inf and
+    the NaN of ``inf - inf``, ``0 * inf`` or a signaling NaN are part of the
+    fault model rather than errors.  The datapath cast and the noisy
+    primitives of ``linalg/ops.py`` and ``processor/batch.py`` run under it.
+    As a decorator, ``np.errstate`` opens its scope per call at about two
+    thirds of the cost of a ``with`` block; each decorated function gets its
+    own instance, so nesting is safe.
+    """
+    return np.errstate(over="ignore", invalid="ignore")(func)
+
+
+@quiet
 def quiet_cast(values, dtype: np.dtype) -> np.ndarray:
     """``values`` as a new C-ordered ``dtype`` array, without FP warnings.
 
     Overflow to inf in a float32 cast, and the 'invalid' raised by casting a
-    signaling NaN (which a flip of a NaN or inf can produce), are part of the
-    fault model rather than errors.  As a decorator, ``np.errstate`` opens
-    its scope per call at about two thirds of the cost of a ``with`` block.
+    signaling NaN (which a flip of a NaN or inf can produce), do not warn.
     """
     return np.array(values, dtype=dtype, order="C")
-
-
-@np.errstate(invalid="ignore")
-def quiet_sum(values: np.ndarray) -> np.ndarray:
-    """Sums of ``values`` along the last axis, kept as a length-one axis.
-
-    A +inf and a -inf (or a signaling NaN) met in the sum give NaN without
-    the 'invalid' warning: non-finite products are part of the fault model.
-    """
-    return np.add.reduce(values, axis=-1, keepdims=True)
 
 
 def check_ops(ops_per_element: Union[int, np.ndarray]) -> None:

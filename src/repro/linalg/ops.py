@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.faults.vectorized import quiet_sum
+from repro.faults.vectorized import quiet
 from repro.processor.stochastic import StochasticProcessor
 
 __all__ = [
@@ -47,16 +47,19 @@ def _as_float(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
+@quiet
 def noisy_add(proc: StochasticProcessor, x, y) -> np.ndarray:
     """Elementwise addition ``x + y`` on the noisy FPU."""
     return proc.corrupt(_as_float(x) + _as_float(y), ops_per_element=1)
 
 
+@quiet
 def noisy_sub(proc: StochasticProcessor, x, y) -> np.ndarray:
     """Elementwise subtraction ``x - y`` on the noisy FPU."""
     return proc.corrupt(_as_float(x) - _as_float(y), ops_per_element=1)
 
 
+@quiet
 def noisy_scale(proc: StochasticProcessor, alpha: float, x) -> np.ndarray:
     """Scalar-vector product ``alpha * x`` on the noisy FPU."""
     return proc.corrupt(float(alpha) * _as_float(x), ops_per_element=1)
@@ -68,6 +71,7 @@ def noisy_axpy(proc: StochasticProcessor, alpha: float, x, y) -> np.ndarray:
     return noisy_add(proc, scaled, y)
 
 
+@quiet
 def noisy_dot(proc: StochasticProcessor, x, y) -> float:
     """Dot product with per-product corruption and one accumulation corruption."""
     x_arr, y_arr = _as_float(x).ravel(), _as_float(y).ravel()
@@ -76,7 +80,7 @@ def noisy_dot(proc: StochasticProcessor, x, y) -> float:
     if x_arr.size == 0:
         return 0.0
     products = proc.corrupt(x_arr * y_arr, ops_per_element=1)
-    total = proc.corrupt(quiet_sum(products), ops_per_element=max(x_arr.size - 1, 1))
+    total = proc.corrupt(products.sum(keepdims=True), ops_per_element=max(x_arr.size - 1, 1))
     return float(total[0])
 
 
@@ -92,6 +96,7 @@ def noisy_norm2(proc: StochasticProcessor, x) -> float:
     return float(proc.corrupt(np.asarray([value]), ops_per_element=1)[0])
 
 
+@quiet
 def noisy_matvec(proc: StochasticProcessor, A, x) -> np.ndarray:
     """Matrix-vector product with per-row accumulation corruption."""
     A_arr, x_arr = _as_float(A), _as_float(x).ravel()
@@ -110,6 +115,7 @@ def noisy_matvec(proc: StochasticProcessor, A, x) -> np.ndarray:
 _MATMUL_EXACT_LIMIT = 2_000_000
 
 
+@quiet
 def noisy_matmul(proc: StochasticProcessor, A, B) -> np.ndarray:
     """Matrix-matrix product on the noisy FPU.
 
@@ -134,6 +140,7 @@ def noisy_matmul(proc: StochasticProcessor, A, B) -> np.ndarray:
     return proc.corrupt(A_arr @ B_arr, ops_per_element=2 * k - 1)
 
 
+@quiet
 def noisy_outer(proc: StochasticProcessor, x, y) -> np.ndarray:
     """Outer product ``x yᵀ`` with each entry corrupted independently."""
     x_arr, y_arr = _as_float(x).ravel(), _as_float(y).ravel()

@@ -35,7 +35,7 @@ from typing import Iterator, Sequence, Union
 import numpy as np
 
 from repro.faults.bitflip import flip_bits_at
-from repro.faults.vectorized import check_ops, effective_fault_probability, quiet_sum
+from repro.faults.vectorized import check_ops, effective_fault_probability, quiet
 from repro.processor.stochastic import StochasticProcessor
 
 __all__ = ["ProcessorBatch", "batch_sub", "batch_scale", "batch_dot", "batch_matvec"]
@@ -381,6 +381,7 @@ def _as_float(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
+@quiet
 def batch_sub(batch: ProcessorBatch, x, y) -> np.ndarray:
     """Row-wise :func:`~repro.linalg.ops.noisy_sub`: ``x - y`` on the noisy FPU.
 
@@ -390,11 +391,13 @@ def batch_sub(batch: ProcessorBatch, x, y) -> np.ndarray:
     return batch.corrupt(_as_float(x) - _as_float(y), ops_per_element=1)
 
 
+@quiet
 def batch_scale(batch: ProcessorBatch, alpha: float, x) -> np.ndarray:
     """Row-wise :func:`~repro.linalg.ops.noisy_scale`: ``alpha * x`` on the noisy FPU."""
     return batch.corrupt(float(alpha) * _as_float(x), ops_per_element=1)
 
 
+@quiet
 def batch_dot(batch: ProcessorBatch, x, y) -> np.ndarray:
     """Row-wise :func:`~repro.linalg.ops.noisy_dot` of two ``(n_trials, m)`` stacks.
 
@@ -409,9 +412,12 @@ def batch_dot(batch: ProcessorBatch, x, y) -> np.ndarray:
     if m == 0:
         return np.zeros(x_arr.shape[0])
     products = batch.corrupt(x_arr * y_arr, ops_per_element=1)
-    return batch.corrupt(quiet_sum(products), ops_per_element=max(m - 1, 1))[:, 0]
+    return batch.corrupt(
+        products.sum(axis=1, keepdims=True), ops_per_element=max(m - 1, 1)
+    )[:, 0]
 
 
+@quiet
 def batch_matvec(batch: ProcessorBatch, A, X) -> np.ndarray:
     """Row-wise :func:`~repro.linalg.ops.noisy_matvec`: ``A @ X[t]`` per trial row.
 

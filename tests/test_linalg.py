@@ -1,5 +1,9 @@
 """Unit and property tests for the noisy linear-algebra substrate."""
 
+import warnings
+from types import SimpleNamespace
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.linalg.cholesky import cholesky_decompose, cholesky_least_squares
+from repro.linalg import ops
 from repro.linalg.ops import (
     noisy_add,
     noisy_axpy,
@@ -25,6 +30,13 @@ from repro.linalg.solve import BASELINE_METHODS, least_squares_baseline
 from repro.linalg.svd import jacobi_svd, svd_least_squares
 from repro.linalg.triangular import back_substitution, forward_substitution
 from repro.exceptions import ProblemSpecificationError
+from repro.processor.batch import (
+    ProcessorBatch,
+    batch_dot,
+    batch_matvec,
+    batch_scale,
+    batch_sub,
+)
 from repro.processor.stochastic import StochasticProcessor
 from repro.workloads.generators import random_least_squares, random_spd_matrix
 
@@ -109,6 +121,77 @@ class TestNoisyOpsUnderFaults:
         A = rng.standard_normal((30, 30))
         noisy_matmul(proc, A, A)
         assert proc.faults_injected > 50
+
+
+#: Operand entries for the non-finite property: ±inf and NaN about half the
+#: time, otherwise any finite double (huge ones overflow in products).
+NONFINITE_OR_ANY = st.one_of(
+    st.sampled_from([np.inf, -np.inf, np.nan]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def _large_matmul(c):
+    # The path that corrupts only the final entries of a big product.
+    with mock.patch.object(ops, "_MATMUL_EXACT_LIMIT", 0):
+        return noisy_matmul(c.proc, c.vec(c.m, c.k), c.vec(c.k, c.n))
+
+
+#: Every noisy primitive of linalg/ops.py and processor/batch.py, called on
+#: drawn operands (see ``TestNonFiniteOperands``).
+PRIMITIVES = {
+    "noisy_add": lambda c: noisy_add(c.proc, c.vec(c.n), c.vec(c.n)),
+    "noisy_sub": lambda c: noisy_sub(c.proc, c.vec(c.n), c.vec(c.n)),
+    "noisy_scale": lambda c: noisy_scale(c.proc, c.alpha, c.vec(c.n)),
+    "noisy_axpy": lambda c: noisy_axpy(c.proc, c.alpha, c.vec(c.n), c.vec(c.n)),
+    "noisy_dot": lambda c: noisy_dot(c.proc, c.vec(c.n), c.vec(c.n)),
+    "noisy_norm2_squared": lambda c: noisy_norm2_squared(c.proc, c.vec(c.n)),
+    "noisy_norm2": lambda c: noisy_norm2(c.proc, c.vec(c.n)),
+    "noisy_matvec": lambda c: noisy_matvec(c.proc, c.vec(c.m, c.n), c.vec(c.n)),
+    "noisy_matmul": lambda c: noisy_matmul(c.proc, c.vec(c.m, c.k), c.vec(c.k, c.n)),
+    "noisy_matmul large": _large_matmul,
+    "noisy_outer": lambda c: noisy_outer(c.proc, c.vec(c.m), c.vec(c.n)),
+    "ProcessorBatch.corrupt": lambda c: c.batch.corrupt(c.vec(c.t, c.n)),
+    "batch_sub": lambda c: batch_sub(c.batch, c.vec(c.t, c.n), c.vec(c.t, c.n)),
+    "batch_scale": lambda c: batch_scale(c.batch, c.alpha, c.vec(c.t, c.n)),
+    "batch_dot": lambda c: batch_dot(c.batch, c.vec(c.t, c.n), c.vec(c.t, c.n)),
+    "batch_matvec": lambda c: batch_matvec(c.batch, c.vec(c.m, c.n), c.vec(c.t, c.n)),
+    "batch_matvec per trial": lambda c: batch_matvec(
+        c.batch, c.vec(c.t, c.m, c.n), c.vec(c.t, c.n)
+    ),
+}
+
+
+class TestNonFiniteOperands:
+    """±inf/NaN operands (a bit flip can make any value one) never warn."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(PRIMITIVES)),
+        rate=st.sampled_from([0.0, 0.3]),
+        data=st.data(),
+    )
+    def test_no_runtime_warning(self, name, rate, data):
+        m, n, k, t = (data.draw(st.integers(1, 3)) for _ in range(4))
+        operands = SimpleNamespace(
+            m=m, n=n, k=k, t=t,
+            alpha=data.draw(NONFINITE_OR_ANY),
+            vec=lambda *shape: data.draw(arrays(np.float64, shape, elements=NONFINITE_OR_ANY)),
+            proc=StochasticProcessor(fault_rate=rate, rng=data.draw(st.integers(0, 2**16))),
+            batch=ProcessorBatch(
+                [StochasticProcessor(fault_rate=rate, rng=seed) for seed in range(t)]
+            ),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            PRIMITIVES[name](operands)
+
+    def test_opposite_infinities_in_a_row_sum(self):
+        # A row sum that meets inf and -inf is NaN, with no 'invalid' warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = noisy_matvec(reliable(), np.ones((1, 2)), [np.inf, -np.inf])
+        assert np.isnan(result).all()
 
 
 class TestTriangularSolves:
