@@ -1,7 +1,8 @@
 #!/usr/bin/env python
 """CI gate over the perf-trajectory histories (benchmarks/history/*.jsonl).
 
-Compares each kernel's **latest** history record against a robust baseline —
+Compares the **latest** record of each kernel's history, once per compute
+backend, against a robust baseline —
 a pinned entry from ``BASELINES.json`` when one is compatible, otherwise the
 median of the last N params/machine-compatible prior records — and exits
 nonzero when:
@@ -96,7 +97,7 @@ def explain_line(entry: dict) -> str:
         )
         if entry.get("speedup_floor") is not None:
             parts.append(f"speedup floor x{entry['speedup_floor']:.2f}")
-    return f"  {entry['kernel']}: " + ", ".join(parts)
+    return f"  {entry['kernel']} [{latest['backend']}]: " + ", ".join(parts)
 
 
 def registry_names() -> list:
@@ -134,7 +135,7 @@ def main(argv=None) -> int:
 
     judged = sum(1 for entry in explanations if entry.get("judged"))
     print(
-        f"[bench-gate] {len(explanations)} kernels, {judged} judged against a "
+        f"[bench-gate] {len(explanations)} kernel/backend groups, {judged} judged against a "
         f"baseline (wall band +{policy.wall_band:.0%}, speedup band "
         f"-{policy.speedup_band:.0%}, window {policy.window})"
     )

@@ -506,10 +506,12 @@ def check_histories(
 ) -> Tuple[List[Finding], List[Dict[str, Any]]]:
     """Run the gate over every history (or an explicit kernel subset).
 
-    ``registry_kernels`` enables the vanished-kernel check: a history whose
-    kernel is neither registered nor tombstoned fails the gate, so a kernel
-    cannot silently drop out of benchmarking.  Pass ``None`` to skip the
-    check (e.g. over a scratch directory in tests).
+    Each history is judged once per backend, on that backend's newest
+    record, so a ``cnative`` append cannot hide a ``numpy`` regression just
+    before it.  ``registry_kernels`` enables the vanished-kernel check: a
+    history whose kernel is neither registered nor tombstoned fails the
+    gate, so a kernel cannot silently drop out of benchmarking.  Pass
+    ``None`` to skip the check (e.g. over a scratch directory in tests).
     """
     findings: List[Finding] = []
     explanations: List[Dict[str, Any]] = []
@@ -533,11 +535,15 @@ def check_histories(
                 )
             )
             continue
-        kernel_findings, explanation = check_kernel(
-            kernel, records, policy, pinned.get(kernel)
-        )
-        findings.extend(kernel_findings)
-        explanations.append(explanation)
+        by_backend: Dict[str, List[Mapping[str, Any]]] = {}
+        for record in records:
+            by_backend.setdefault(backend_key(record), []).append(record)
+        for backend_records in by_backend.values():
+            kernel_findings, explanation = check_kernel(
+                kernel, backend_records, policy, pinned.get(kernel)
+            )
+            findings.extend(kernel_findings)
+            explanations.append(explanation)
     return findings, explanations
 
 

@@ -241,6 +241,20 @@ class TestHistoriesAndTombstones:
         assert any(e.get("tombstoned") for e in explanations)
         assert bh.load_tombstones(tmp_path) == {"retired": "replaced by sorting_v2"}
 
+    def test_cnative_append_does_not_hide_numpy_regression(self, tmp_path):
+        # Histories interleave backends; each backend's newest line is judged.
+        for record in (
+            make_record(wall=1.0),
+            dict(make_record(wall=0.5), backend="cnative"),
+            make_record(wall=1.5),
+            dict(make_record(wall=0.5), backend="cnative"),
+        ):
+            bh.append_record(tmp_path, record)
+        findings, explanations = bh.check_histories(tmp_path, None)
+        assert [f.kind for f in findings] == ["wall-regression"]
+        assert [e["latest"]["backend"] for e in explanations] == ["numpy", "cnative"]
+        assert all(e["judged"] for e in explanations)
+
     def test_kernel_subset_selection(self, tmp_path):
         bh.append_record(tmp_path, make_record(kernel="a", bit_identical=False))
         bh.append_record(tmp_path, make_record(kernel="b"))
