@@ -2,10 +2,9 @@
 """CI gate over the perf-trajectory histories (benchmarks/history/*.jsonl).
 
 Compares the **latest** record of each kernel's history, once per compute
-backend, against a robust baseline —
-a pinned entry from ``BASELINES.json`` when one is compatible, otherwise the
-median of the last N params/machine-compatible prior records — and exits
-nonzero when:
+backend, against a robust baseline — a pinned entry from ``BASELINES.json``
+when one is compatible, otherwise the median of the last N
+params/machine-compatible prior records — and exits nonzero when:
 
 * wall time regressed beyond the noise band (default +25 %),
 * vectorized-vs-serial speedup regressed beyond its band (default −15 %),
