@@ -1018,8 +1018,8 @@ class KernelSpec:
 
         ``scale=1.0`` reproduces the paper's configuration exactly; smaller
         fractions shrink each kernel's own iteration budget (respecting its
-        floor), so a reduced run never conflates the combinatorial,
-        numerical, and momentum budgets.
+        floor, and never below one iteration), so a reduced run never
+        conflates the combinatorial, numerical, and momentum budgets.
         """
         kwargs: Dict[str, Any] = {}
         if self.takes_trials:
@@ -1028,7 +1028,7 @@ class KernelSpec:
             )
         if self.paper_iterations is not None:
             kwargs["iterations"] = max(
-                int(self.paper_iterations * scale), self.min_iterations
+                int(self.paper_iterations * scale), self.min_iterations, 1
             )
         return kwargs
 

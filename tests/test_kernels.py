@@ -179,6 +179,18 @@ class TestKernelSpecDerivations:
             "iterations": 250,
         }
 
+    def test_zero_scale_keeps_one_iteration(self):
+        # bench_all's cnative warm-up builds each kernel at
+        # reduced_kwargs(1, 0.0); a kernel without a floor must not get an
+        # iteration budget of 0, which its builder rejects.
+        for spec in kernels.list_kernels():
+            kwargs = spec.reduced_kwargs(1, 0.0)
+            if spec.paper_iterations is not None:
+                assert kwargs["iterations"] >= 1, spec.name
+        sorting = kernels.get_kernel("sorting")
+        figure = sorting.build(**sorting.reduced_kwargs(1, 0.0))
+        assert isinstance(figure, FigureResult)
+
     def test_paper_scale_matches_each_generators_documented_defaults(self):
         """scale=1.0 must reproduce the paper budgets the docstrings state."""
         import inspect
