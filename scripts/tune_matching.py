@@ -9,6 +9,7 @@ import time
 import repro
 from repro.applications.matching import (
     matching_linear_program,
+    matching_margin,
     optimal_matching,
     round_to_matching,
 )
@@ -16,23 +17,6 @@ from repro.optimizers.annealing import PenaltyAnnealing
 from repro.optimizers.penalty import PenaltyKind
 from repro.optimizers.step_schedules import AggressiveStepping
 from repro.workloads import random_bipartite_graph
-
-
-def matching_margin(graph):
-    """Relative weight gap between the best and second-best matching."""
-    edges = list(graph.edges)
-    weights = dict(zip(graph.edges, graph.weights))
-    best, second = 0.0, 0.0
-    # brute force over subsets is too big; greedy approximation: use optimal and
-    # best matching excluding one optimal edge at a time.
-    opt_edges, opt_w = optimal_matching(graph)
-    for removed in opt_edges:
-        sub_edges = tuple(e for e in edges if e != removed)
-        sub_w = tuple(weights[e] for e in sub_edges)
-        g2 = type(graph)(graph.n_left, graph.n_right, sub_edges, sub_w)
-        _, w2 = optimal_matching(g2)
-        second = max(second, w2)
-    return (opt_w - second) / opt_w
 
 
 def main():
