@@ -1,27 +1,25 @@
 #!/usr/bin/env python
-"""Benchmark every registered kernel and record the perf trajectory.
+"""Benchmark every registered kernel into one ``BENCH_<kernel>.json`` each.
 
 For each kernel in the application-kernel registry
 (``repro.experiments.kernels``) this script regenerates the figure once at a
 reduced scale and emits a ``BENCH_<kernel>.json`` record containing the wall
 time, the tensorized-backend speedup over the serial reference (for sweep
 kernels with a batch tier), a bit-identity verdict, and the current commit
-hash — so the performance trajectory of the suite is tracked across PRs as
-checked-in artefacts.
+hash.  The checked-in records are the latest known numbers; git history
+holds their trajectory.
 
 Run from the repository root:
 
     PYTHONPATH=src python scripts/bench_all.py [--only NAME ...]
-        [--output-dir DIR] [--trials N] [--scale FRACTION]
-        [--backend NAME] [--append-history] [--history-dir DIR]
+        [--output-dir DIR] [--trials N] [--scale FRACTION] [--backend NAME]
 
 ``--scale`` shrinks every kernel's own paper iteration budget by the given
 fraction (respecting per-kernel floors); there are no per-family iteration
-flags.  With ``--append-history`` each record is additionally appended to
-the per-kernel perf-trajectory history
-(``benchmarks/history/<kernel>.jsonl`` — see
-``repro.experiments.benchhistory`` and ``docs/benchmarks.md``), which is
-what ``scripts/check_bench_regression.py`` gates CI on.
+flags.  The CI bench gate runs this script from a change and from its
+parent commit on one runner, each into its own ``--output-dir``, and
+``scripts/check_bench_regression.py`` judges the two sets of records (see
+``docs/benchmarks.md``).
 
 ``--backend`` selects the compute backend (see ``docs/backends.md``) for
 every timed run; the default follows the ambient ``REPRO_BACKEND`` /
@@ -30,9 +28,8 @@ provider ``backend_version``, and one *untimed* warm-up runs per kernel
 before its timed builds so one-time compile/JIT cost never pollutes
 measured wall time — the warm-up's own cost is recorded separately as
 ``warmup_seconds``.  Non-default backends write ``BENCH_<kernel>.<backend>
-.json`` (the plain name stays reserved for the numpy reference records) and
-their history records are compatibility-partitioned by backend, so a
-``cnative`` trajectory is never judged against a numpy baseline.
+.json`` (the plain name stays reserved for the numpy reference records), so
+the bench gate never compares a ``cnative`` record with a numpy one.
 
 Sweep kernels run twice — once under the ``serial`` reference executor and
 once under ``vectorized`` (the tensorized trial backend) — and the two series
@@ -75,11 +72,8 @@ both crossing estimates and whether they agree within tolerance, a
 memoized-rerun leg that must recompute zero probes, and the
 workload-construction memo saving (first build vs memoized rebuild).
 
-The full pseudo-kernel list lives in one place —
-``repro.experiments.benchhistory.PSEUDO_KERNELS`` — and this script's
-``--only`` handling plus ``scripts/check_bench_regression.py``'s registry
-check both derive from it, so adding a pseudo-kernel there automatically
-routes it through the bench gate.
+The pseudo-kernel names are listed in :data:`PSEUDO_KERNELS`, which
+``--only`` handling derives from.
 """
 
 from __future__ import annotations
@@ -95,7 +89,7 @@ import time
 from pathlib import Path
 
 from repro.backends import DEFAULT_BACKEND, list_backends, resolve_backend, use_backend
-from repro.experiments import benchhistory, kernels
+from repro.experiments import kernels
 from repro.experiments.campaign import CampaignRunner, ShardPlanner
 from repro.experiments.engine import ExperimentEngine
 from repro.experiments.runner import run_scenario_grid
@@ -105,8 +99,8 @@ from repro.experiments.spec import SweepSpec
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: Default location of the per-kernel perf-trajectory histories.
-DEFAULT_HISTORY_DIR = REPO_ROOT / "benchmarks" / "history"
+#: Pseudo-kernels benchmarked here outside the kernel registry.
+PSEUDO_KERNELS = ("scenario_grid", "adaptive", "campaign", "search")
 
 #: Scenario presets of the BENCH_scenario_grid record (one float64 scenario,
 #: so the record also covers mixed-dtype sub-batching).
@@ -140,12 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="compute backend for every timed run "
                         f"(one of {list_backends()}; default: ambient "
                         "REPRO_BACKEND / numpy precedence)")
-    parser.add_argument("--append-history", action="store_true",
-                        help="also append each record to the per-kernel "
-                        "perf-trajectory history (benchmarks/history/*.jsonl)")
-    parser.add_argument("--history-dir", type=Path, default=DEFAULT_HISTORY_DIR,
-                        help="where history JSONL files live "
-                        "(default: benchmarks/history)")
     return parser
 
 
@@ -631,27 +619,17 @@ def bench_search(args, backend) -> dict:
     }
 
 
-def main() -> int:
-    args = build_parser().parse_args()
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     try:
         backend = resolve_backend(args.backend)
     except ValueError as error:
         raise SystemExit(str(error))
-    # Pseudo-kernel selection derives from the shared registry constant so a
-    # new pseudo-kernel cannot be silently dropped from --only handling.
     requested = {
-        name: args.only is None or name in args.only
-        for name in benchhistory.PSEUDO_KERNELS
+        name: args.only is None or name in args.only for name in PSEUDO_KERNELS
     }
-    grid_requested = requested["scenario_grid"]
-    adaptive_requested = requested["adaptive"]
-    campaign_requested = requested["campaign"]
-    search_requested = requested["search"]
     if args.only:
-        names = [
-            name for name in args.only
-            if name not in benchhistory.PSEUDO_KERNELS
-        ]
+        names = [name for name in args.only if name not in PSEUDO_KERNELS]
         try:
             specs = [kernels.get_kernel(name) for name in names]
         except KeyError as error:
@@ -660,82 +638,64 @@ def main() -> int:
         specs = kernels.list_kernels()
 
     args.output_dir.mkdir(parents=True, exist_ok=True)
+    failures = []
 
-    def record_history(record: dict) -> None:
-        if not args.append_history:
-            return
-        history_record = benchhistory.history_record_from_bench(record)
-        path = benchhistory.append_record(args.history_dir, history_record)
-        print(f"  history -> {path}")
-
-    def mismatched(record: dict) -> bool:
-        return (
+    def emit(record: dict, summary: str) -> None:
+        """Write one record, print its summary line and note a mismatch."""
+        path = bench_path(args.output_dir, record["kernel"], backend)
+        path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+        print(summary)
+        if (
             record.get("bit_identical_to_serial") is False
             or record.get("bit_identical_to_numpy") is False
-        )
+        ):
+            failures.append(record["kernel"])
 
-    failures = []
+    def verdict(identical) -> str:
+        return "ok" if identical else "MISMATCH"
+
     print(
         f"[bench_all] backend {backend.name} "
         f"(version {backend.version() or 'n/a'})",
         flush=True,
     )
     with use_backend(backend):
-        if grid_requested:
+        if requested["scenario_grid"]:
             print("[bench_all] scenario_grid (ScenarioGrid path) ...", flush=True)
             record = bench_scenario_grid(args, backend)
-            path = bench_path(args.output_dir, "scenario_grid", backend)
-            path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-            record_history(record)
-            verdict = "ok" if record["bit_identical_to_serial"] else "MISMATCH"
-            print(
+            emit(record, (
                 f"  serial {record['serial_seconds']:.2f}s, batched "
                 f"{record['batched_seconds']:.2f}s (x{record['batched_speedup_vs_serial']:.2f}), "
                 f"vectorized {record['wall_seconds']:.2f}s "
-                f"(x{record['speedup_vs_serial']:.2f}), bit-identity {verdict}"
-            )
-            if mismatched(record):
-                failures.append("scenario_grid")
-        if campaign_requested:
+                f"(x{record['speedup_vs_serial']:.2f}), bit-identity "
+                f"{verdict(record['bit_identical_to_serial'])}"
+            ))
+        if requested["campaign"]:
             print("[bench_all] campaign (sharded sweep service) ...", flush=True)
             record = bench_campaign(args, backend)
-            path = bench_path(args.output_dir, "campaign", backend)
-            path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-            record_history(record)
-            verdict = "ok" if record["bit_identical_to_serial"] else "MISMATCH"
-            print(
+            emit(record, (
                 f"  serial {record['serial_seconds']:.2f}s, campaign "
                 f"{record['wall_seconds']:.2f}s "
                 f"(x{record['speedup_vs_serial']:.2f}, "
                 f"{record['shards_total']} shards), resume "
-                f"{record['resume_seconds']:.2f}s, bit-identity {verdict}"
-            )
-            if mismatched(record):
-                failures.append("campaign")
-        if adaptive_requested:
+                f"{record['resume_seconds']:.2f}s, bit-identity "
+                f"{verdict(record['bit_identical_to_serial'])}"
+            ))
+        if requested["adaptive"]:
             print("[bench_all] adaptive (confidence-target budget) ...", flush=True)
             record = bench_adaptive(args, backend)
-            path = bench_path(args.output_dir, "adaptive", backend)
-            path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-            record_history(record)
-            verdict = "ok" if record["bit_identical_to_serial"] else "MISMATCH"
-            print(
+            emit(record, (
                 f"  fixed {record['fixed_seconds']:.2f}s "
                 f"({record['trials_fixed']} trials), adaptive "
                 f"{record['wall_seconds']:.2f}s ({record['trials_adaptive']} trials), "
                 f"speedup x{record['speedup_vs_fixed']:.2f} at half-width "
-                f"{record['target_half_width']:.3f}, determinism {verdict}"
-            )
-            if mismatched(record):
-                failures.append("adaptive")
-        if search_requested:
+                f"{record['target_half_width']:.3f}, determinism "
+                f"{verdict(record['bit_identical_to_serial'])}"
+            ))
+        if requested["search"]:
             print("[bench_all] search (bisection vs dense grid) ...", flush=True)
             record = bench_search(args, backend)
-            path = bench_path(args.output_dir, "search", backend)
-            path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-            record_history(record)
-            verdict = "ok" if record["bit_identical_to_serial"] else "MISMATCH"
-            print(
+            emit(record, (
                 f"  grid {record['serial_seconds']:.2f}s "
                 f"({record['grid_points']} points, {record['trials_grid']} "
                 f"trials), bisection {record['wall_seconds']:.2f}s "
@@ -743,36 +703,28 @@ def main() -> int:
                 f"trials, x{record['trial_ratio']:.1f} fewer), resume "
                 f"{record['resume_seconds']:.2f}s "
                 f"({record['resume_probes_computed']} recomputed), "
-                f"agreement+determinism {verdict}"
-            )
-            if mismatched(record):
-                failures.append("search")
+                f"agreement+determinism {verdict(record['bit_identical_to_serial'])}"
+            ))
         for spec in specs:
             print(f"[bench_all] {spec.name} ({spec.figure_id}) ...", flush=True)
             record = bench_kernel(spec, args, backend)
-            path = bench_path(args.output_dir, spec.name, backend)
-            path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-            record_history(record)
             if not record["sweep"]:
-                print(f"  wall {record['wall_seconds']:.2f}s")
+                summary = f"  wall {record['wall_seconds']:.2f}s"
             elif record.get("numpy_seconds") is not None:
-                verdict = "ok" if record["bit_identical_to_numpy"] else "MISMATCH"
-                print(
+                summary = (
                     f"  numpy-vectorized {record['numpy_seconds']:.2f}s, "
                     f"{backend.name} {record['wall_seconds']:.2f}s, speedup "
-                    f"x{record['speedup_vs_numpy']:.2f}, bit-identity {verdict}"
+                    f"x{record['speedup_vs_numpy']:.2f}, bit-identity "
+                    f"{verdict(record['bit_identical_to_numpy'])}"
                 )
-                if mismatched(record):
-                    failures.append(spec.name)
             else:
-                verdict = "ok" if record["bit_identical_to_serial"] else "MISMATCH"
-                print(
+                summary = (
                     f"  serial {record['serial_seconds']:.2f}s, vectorized "
                     f"{record['wall_seconds']:.2f}s, speedup "
-                    f"x{record['speedup_vs_serial']:.2f}, bit-identity {verdict}"
+                    f"x{record['speedup_vs_serial']:.2f}, bit-identity "
+                    f"{verdict(record['bit_identical_to_serial'])}"
                 )
-                if mismatched(record):
-                    failures.append(spec.name)
+            emit(record, summary)
     if failures:
         print(f"[bench_all] BIT-IDENTITY FAILURES: {failures}", file=sys.stderr)
         return 1

@@ -1,152 +1,129 @@
 #!/usr/bin/env python
-"""CI gate over the perf-trajectory histories (benchmarks/history/*.jsonl).
+"""Same-host bench gate: judge a change's BENCH records against its parent's.
 
-Compares the **latest** record of each kernel's history, once per compute
-backend, against a robust baseline — a pinned entry from ``BASELINES.json``
-when one is compatible, otherwise the median of the last N
-params/machine-compatible prior records — and exits nonzero when:
+CI runs ``scripts/bench_all.py`` of the parent commit and of the change on
+one runner, in alternating rounds, each run into its own directory, then:
 
-* wall time regressed beyond the noise band (default +25 %),
-* vectorized-vs-serial speedup regressed beyond its band (default −15 %),
-* the latest record flipped ``bit_identical`` to ``false``, or
-* a history's kernel vanished from the registry without a tombstone in
-  ``benchmarks/history/TOMBSTONES``.
+    PYTHONPATH=src python scripts/check_bench_regression.py \\
+        --base DIR [DIR ...] --change DIR [DIR ...]
 
-Records with no compatible baseline (first run at a new scale or on a new
-machine) extend the history without being judged.  The **compute backend**
-is part of the compatibility key alongside the benchmark parameters:
-records produced under different backends (``numpy`` vs ``cnative``) are
-never compared, even with ``--ignore-machine``, and
-pre-backend records count as ``numpy`` (see ``docs/backends.md``).  Run
-from the repository root:
+Records are matched by file name (``BENCH_<kernel>[.<backend>].json``) and
+each side is summarised by its median over the runs.  The gate exits 1 on:
 
-    PYTHONPATH=src python scripts/check_bench_regression.py [--explain]
-        [--kernel NAME ...] [--history-dir DIR] [--window N]
-        [--wall-band FRACTION] [--speedup-band FRACTION]
-        [--ignore-machine] [--no-registry-check] [--write-baseline]
+* a **wall regression**: the change's median ``wall_seconds`` is above
+  1.25 × the base median *and* every change run is slower than every base
+  run, so one slow run on a shared host does not fail it;
+* a **speedup regression**: the change's median ``speedup_vs_serial`` is
+  below 0.85 × the base median *and* every change run is below every base
+  run;
+* a **bit-identity** failure: any change record with
+  ``bit_identical_to_serial`` or ``bit_identical_to_numpy`` false;
+* a **vanished** record: present in the base runs, missing from a change
+  run.
 
-``--write-baseline`` pins each kernel's latest record as its baseline (the
-"accept an intentional perf change" workflow) instead of gating.
-``--explain`` prints the latest-vs-baseline comparison for every kernel even
-when the gate is green.  Exit codes: 0 clean, 1 regression findings, 2 bad
-invocation or unreadable history.  See ``docs/benchmarks.md``.
+A record found only in the change runs, or whose ``params`` differ between
+the two sides, is printed as unjudged.  Exit 2: a directory without any
+``BENCH_*.json``, or a record that cannot be read.  See
+``docs/benchmarks.md``.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import math
+import statistics
 import sys
 from pathlib import Path
 
-from repro.experiments import benchhistory
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-DEFAULT_HISTORY_DIR = REPO_ROOT / "benchmarks" / "history"
-
-#: Pseudo-kernels benchmarked by scripts/bench_all.py outside the registry —
-#: one source of truth, shared with bench_all.py's --only handling.
-EXTRA_KERNELS = benchhistory.PSEUDO_KERNELS
+#: (field, direction, band): a field regresses when the change median passes
+#: ``band`` × the base median in the worse direction (+1: higher is worse)
+#: and every change run is worse than every base run.
+RULES = (("wall_seconds", +1, 1.25), ("speedup_vs_serial", -1, 0.85))
+IDENTITY_FIELDS = ("bit_identical_to_serial", "bit_identical_to_numpy")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--history-dir", type=Path, default=DEFAULT_HISTORY_DIR,
-                        help="history directory (default: benchmarks/history)")
-    parser.add_argument("--kernel", action="append", default=None, metavar="NAME",
-                        help="gate only this kernel (repeatable; default: every "
-                        "history file)")
-    parser.add_argument("--window", type=int, default=5,
-                        help="rolling-median baseline window (default: 5)")
-    parser.add_argument("--wall-band", type=float, default=0.25,
-                        help="tolerated fractional wall-time increase "
-                        "(default: 0.25)")
-    parser.add_argument("--speedup-band", type=float, default=0.15,
-                        help="tolerated fractional speedup loss (default: 0.15)")
-    parser.add_argument("--ignore-machine", action="store_true",
-                        help="compare records across machine fingerprints")
-    parser.add_argument("--no-registry-check", action="store_true",
-                        help="skip the vanished-kernel check (scratch dirs)")
-    parser.add_argument("--explain", action="store_true",
-                        help="print latest-vs-baseline detail for every kernel")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="pin each kernel's latest record as its baseline "
-                        "and exit (no gating)")
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    for side in ("base", "change"):
+        parser.add_argument(f"--{side}", nargs="+", type=Path, required=True,
+                            metavar="DIR", help=f"bench_all output, one directory "
+                            f"per {side} run")
     return parser
 
 
-def explain_line(entry: dict) -> str:
-    if entry.get("tombstoned"):
-        return f"  {entry['kernel']}: tombstoned, skipped"
-    latest = entry["latest"]
-    parts = [f"wall {latest['wall_seconds']:.4f}s"]
-    if latest.get("speedup_vs_serial") is not None:
-        parts.append(f"speedup x{latest['speedup_vs_serial']:.2f}")
-    if latest.get("bit_identical") is not None:
-        parts.append(f"bit-identical {latest['bit_identical']}")
-    if not entry.get("judged"):
-        parts.append(
-            f"UNJUDGED (no compatible baseline among "
-            f"{entry.get('compatible_prior_records', 0)} prior records)"
-        )
-    else:
-        baseline = entry["baseline"]
-        parts.append(
-            f"baseline[{entry['baseline_source']}] wall "
-            f"{baseline['wall_seconds']:.4f}s (limit {entry['wall_limit']:.4f}s)"
-        )
-        if entry.get("speedup_floor") is not None:
-            parts.append(f"speedup floor x{entry['speedup_floor']:.2f}")
-    return f"  {entry['kernel']} [{latest['backend']}]: " + ", ".join(parts)
+def load_run(directory: Path) -> dict:
+    """One run's records by name; ``ValueError`` when missing or unreadable."""
+    paths = sorted(directory.glob("BENCH_*.json"))
+    if not paths:
+        raise ValueError(f"no BENCH_*.json records in {directory}")
+    run = {}
+    for path in paths:
+        try:
+            record = json.loads(path.read_text())
+            valid = isinstance(record["params"], dict) and isinstance(
+                record["wall_seconds"], (int, float))
+        except (OSError, ValueError, KeyError, TypeError):
+            valid = False
+        if not valid:
+            raise ValueError(f"unreadable record {path}")
+        run[path.name[len("BENCH_"):-len(".json")]] = record
+    return run
 
 
-def registry_names() -> list:
-    from repro.experiments import kernels
-
-    return kernels.kernel_names() + list(EXTRA_KERNELS)
+def compare(base: list, change: list) -> tuple:
+    """The median comparison text of each rule, and the rules regressed."""
+    parts, regressed = [], []
+    for field, sign, band in RULES:
+        old, new = [r.get(field) for r in base], [r.get(field) for r in change]
+        if None in old + new:
+            continue
+        old_median, new_median = statistics.median(old), statistics.median(new)
+        ratio = new_median / old_median if old_median else math.inf
+        parts.append(f"{field} {old_median:.4g} -> {new_median:.4g} (x{ratio:.3f})")
+        if sign * (ratio - band) > 0 and (
+            min(sign * v for v in new) > max(sign * v for v in old)
+        ):
+            regressed.append(f"{field} median x{ratio:.3f}, past x{band}, "
+                             f"every change run worse than every base run")
+    return ", ".join(parts), regressed
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if not args.history_dir.is_dir():
-        print(f"[bench-gate] no history directory at {args.history_dir}",
-              file=sys.stderr)
-        return 2
-
-    if args.write_baseline:
-        path = benchhistory.write_baselines(args.history_dir, args.kernel)
-        print(f"[bench-gate] pinned latest records as baselines -> {path}")
-        return 0
-
-    policy = benchhistory.RegressionPolicy(
-        wall_band=args.wall_band,
-        speedup_band=args.speedup_band,
-        window=args.window,
-        match_machine=not args.ignore_machine,
-    )
-    registry = None if args.no_registry_check else registry_names()
     try:
-        findings, explanations = benchhistory.check_histories(
-            args.history_dir, registry, policy, kernels=args.kernel,
-        )
-    except (OSError, ValueError) as error:
-        print(f"[bench-gate] unreadable history: {error}", file=sys.stderr)
+        base_runs = [load_run(path) for path in args.base]
+        change_runs = [load_run(path) for path in args.change]
+    except ValueError as error:
+        print(f"[bench-gate] {error}", file=sys.stderr)
         return 2
-
-    judged = sum(1 for entry in explanations if entry.get("judged"))
-    print(
-        f"[bench-gate] {len(explanations)} kernel/backend groups, {judged} judged against a "
-        f"baseline (wall band +{policy.wall_band:.0%}, speedup band "
-        f"-{policy.speedup_band:.0%}, window {policy.window})"
-    )
-    if args.explain:
-        for entry in explanations:
-            print(explain_line(entry))
+    print(f"[bench-gate] {len(base_runs)} base run(s) against "
+          f"{len(change_runs)} change run(s)")
+    findings = []
+    for name in sorted(set().union(*base_runs, *change_runs)):
+        base = [run[name] for run in base_runs if name in run]
+        change = [run[name] for run in change_runs if name in run]
+        findings += [f"{name} [bit-identity]: {field} is false"
+                     for record in change for field in IDENTITY_FIELDS
+                     if record.get(field) is False]
+        if base and len(change) < len(change_runs):
+            findings.append(f"{name} [vanished]: missing from "
+                            f"{len(change_runs) - len(change)} change run(s)")
+        elif not base or any(r["params"] != base[0]["params"] for r in base + change):
+            reason = "params differ" if base else "only in the change runs"
+            print(f"  {name}: unjudged ({reason})")
+        else:
+            text, regressed = compare(base, change)
+            print(f"  {name}: {text}")
+            findings += [f"{name} [regression]: {why}" for why in regressed]
+    for finding in findings:
+        print(f"REGRESSION {finding}", file=sys.stderr)
     if findings:
-        for finding in findings:
-            print(str(finding), file=sys.stderr)
         print(f"[bench-gate] FAILED: {len(findings)} finding(s)", file=sys.stderr)
         return 1
-    print("[bench-gate] clean: no perf-trajectory regressions")
+    print("[bench-gate] clean")
     return 0
 
 

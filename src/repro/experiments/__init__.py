@@ -88,7 +88,6 @@ from repro.experiments.spec import (
 )
 from repro.experiments.runner import run_campaign, run_fault_rate_sweep, run_scenario_grid
 from repro.experiments.reporting import format_figure, figure_to_rows, save_figure_report
-from repro.experiments import benchhistory
 from repro.experiments import campaign
 from repro.experiments import figures
 from repro.experiments import kernels
@@ -135,7 +134,6 @@ __all__ = [
     "format_figure",
     "figure_to_rows",
     "save_figure_report",
-    "benchhistory",
     "figures",
     "kernels",
     "tensor",

@@ -2,15 +2,15 @@
 
 CI trusts these scripts to turn red at the right moment:
 ``scripts/smoke_scenario_grid.py`` (executor bit-identity),
-``scripts/check_bench_regression.py`` (perf trajectory),
+``scripts/check_bench_regression.py`` (same-host bench A/B),
 ``scripts/run_campaign.py`` (sharded campaigns: bit-identity, kill+resume),
 ``scripts/run_search.py`` (search drivers: grid agreement, memoized
 resume), and ``scripts/prune_cache.py`` (store retention).  These tests pin the
 contract — a regression or mismatch yields a nonzero exit that *names the
 offense*, a clean run yields zero, deliberate campaign aborts yield the
 distinct code 3 — by driving the scripts' ``main()`` directly (tiny grids
-for the real path, monkeypatched sweeps and scratch histories for the
-failure injections).
+for the real path, monkeypatched sweeps and fabricated record directories
+for the failure injections).
 """
 
 import importlib.util
@@ -20,14 +20,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import benchhistory as bh
 from repro.experiments.cache import ResultCache, spec_hash
 from repro.experiments.campaign import ShardPlanner, ShardStore
 from repro.experiments.results import SeriesResult
 from repro.experiments.spec import SweepSpec
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-HISTORY_DIR = REPO_ROOT / "benchmarks" / "history"
 
 
 def load_script(name: str):
@@ -150,99 +148,143 @@ class TestReproduceFiguresBudgetFlags:
         capsys.readouterr()
 
 
-def seed_history(tmp_path, kernel="sorting", wall=1.0, **overrides):
-    record = {
-        "schema": bh.SCHEMA_VERSION,
-        "kernel": kernel,
-        "commit": None,
-        "timestamp": "2026-08-07T00:00:00+00:00",
-        "generated_by": "tests",
-        "params": {"trials": 3, "iterations": 2000},
-        "machine": {"source": "test"},
-        "wall_seconds": wall,
-        "serial_seconds": wall * 4,
-        "speedup_vs_serial": 4.0,
-        "bit_identical": True,
-    }
-    record.update(overrides)
-    bh.append_record(tmp_path, record)
-    return record
+def write_runs(root, side, walls, speedups=None, kernel="sorting", **overrides):
+    """A fabricated record in one bench_all output directory per wall time.
+
+    Run ``i`` of a side lives in ``root/<side><i>``, so several kernels can
+    be written into the same runs.  Returns the directories.
+    """
+    paths = []
+    for index, wall in enumerate(walls):
+        record = {
+            "kernel": kernel,
+            "params": {"trials": 2, "iterations": 2000},
+            "wall_seconds": wall,
+            "serial_seconds": wall * 4,
+            "speedup_vs_serial": speedups[index] if speedups else 4.0,
+            "bit_identical_to_serial": True,
+        }
+        record.update(overrides)
+        path = root / f"{side}{index}"
+        path.mkdir(exist_ok=True)
+        (path / f"BENCH_{kernel}.json").write_text(json.dumps(record))
+        paths.append(str(path))
+    return paths
+
+
+def gate_args(base, change):
+    return ["--base", *base, "--change", *change]
+
+
+@pytest.fixture(scope="module")
+def bench_all():
+    return load_script("bench_all")
 
 
 class TestCheckBenchRegression:
-    def test_backfilled_repo_histories_are_clean(self, gate, capsys):
-        # The checked-in seed histories must pass the gate: this is the
-        # acceptance bar for shipping the backfill.
-        assert HISTORY_DIR.is_dir(), "benchmarks/history backfill is missing"
-        code = gate.main(["--history-dir", str(HISTORY_DIR), "--explain"])
-        assert code == 0
-        assert "clean" in capsys.readouterr().out
-
     def test_injected_wall_regression_names_kernel(self, gate, tmp_path, capsys):
-        seed_history(tmp_path, wall=1.0)
-        seed_history(tmp_path, wall=2.0)  # 2x the seed: outside the +25% band
-        code = gate.main(
-            ["--history-dir", str(tmp_path), "--no-registry-check"]
-        )
-        assert code == 1
+        base = write_runs(tmp_path, "base", [1.0, 1.1, 0.9])
+        change = write_runs(tmp_path, "change", [1.5, 1.65, 1.35])
+        assert gate.main(gate_args(base, change)) == 1
         err = capsys.readouterr().err
-        assert "sorting" in err and "wall" in err
+        assert "sorting" in err and "wall_seconds" in err
 
-    def test_bit_identity_flip_names_kernel(self, gate, tmp_path, capsys):
-        seed_history(tmp_path, kernel="svm")
-        seed_history(tmp_path, kernel="svm", bit_identical=False)
-        code = gate.main(["--history-dir", str(tmp_path), "--no-registry-check"])
-        assert code == 1
+    def test_single_slow_run_is_not_a_regression(self, gate, tmp_path):
+        # A noisy host: one slow change run, and even a median past the band,
+        # do not fail while the two sides' runs overlap.
+        base = write_runs(tmp_path, "base", [1.0, 1.1, 0.9])
+        change = write_runs(tmp_path, "change", [3.0, 1.0, 1.05])
+        assert gate.main(gate_args(base, change)) == 0
+        overlapping = write_runs(tmp_path, "slow", [1.3, 1.4, 0.95])
+        assert gate.main(gate_args(base, overlapping)) == 0
+
+    def test_slowdown_inside_the_band_passes(self, gate, tmp_path):
+        # Every change run is slower, but the median ratio is x1.2.
+        base = write_runs(tmp_path, "base", [1.0, 1.0, 1.0])
+        change = write_runs(tmp_path, "change", [1.2, 1.2, 1.2])
+        assert gate.main(gate_args(base, change)) == 0
+
+    def test_speedup_regression_names_kernel(self, gate, tmp_path, capsys):
+        walls = [1.0, 1.0, 1.0]
+        base = write_runs(tmp_path, "base", walls, speedups=[4.0, 4.2, 3.9])
+        change = write_runs(tmp_path, "change", walls, speedups=[3.3, 3.0, 3.4])
+        assert gate.main(gate_args(base, change)) == 1
         err = capsys.readouterr().err
-        assert "svm" in err and "bit" in err
+        assert "sorting" in err and "speedup_vs_serial" in err
+        # The median is past the band, but one change run is not below
+        # every base run: noise, not a regression.
+        spread = write_runs(tmp_path, "spread", walls, speedups=[3.0, 3.3, 4.1])
+        assert gate.main(gate_args(base, spread)) == 0
 
-    def test_clean_scratch_history_exits_zero(self, gate, tmp_path):
-        seed_history(tmp_path, wall=1.0)
-        seed_history(tmp_path, wall=1.1)
-        code = gate.main(["--history-dir", str(tmp_path), "--no-registry-check"])
-        assert code == 0
+    @pytest.mark.parametrize(
+        "field", ["bit_identical_to_serial", "bit_identical_to_numpy"]
+    )
+    def test_bit_identity_flip_names_kernel(self, gate, tmp_path, capsys, field):
+        base = write_runs(tmp_path, "base", [1.0], kernel="svm")
+        change = write_runs(tmp_path, "change", [1.0], kernel="svm", **{field: False})
+        assert gate.main(gate_args(base, change)) == 1
+        err = capsys.readouterr().err
+        assert "svm" in err and field in err
 
-    def test_vanished_kernel_fails_against_registry(self, gate, tmp_path, capsys):
-        seed_history(tmp_path, kernel="long_gone_kernel")
-        code = gate.main(["--history-dir", str(tmp_path)])
-        assert code == 1
-        assert "long_gone_kernel" in capsys.readouterr().err
+    def test_vanished_record_fails(self, gate, tmp_path, capsys):
+        base = write_runs(tmp_path, "base", [1.0, 1.0])
+        write_runs(tmp_path, "base", [1.0, 1.0], kernel="svm")
+        change = write_runs(tmp_path, "change", [1.0, 1.0], kernel="svm")
+        write_runs(tmp_path, "change", [1.0])  # sorting in one change run only
+        assert gate.main(gate_args(base, change)) == 1
+        err = capsys.readouterr().err
+        assert "sorting [vanished]" in err and "svm" not in err
 
-    def test_write_baseline_accepts_intentional_change(self, gate, tmp_path):
-        seed_history(tmp_path, wall=1.0)
-        seed_history(tmp_path, wall=1.0)
-        seed_history(tmp_path, wall=3.0)  # intentional slowdown
-        assert gate.main(
-            ["--history-dir", str(tmp_path), "--no-registry-check"]
-        ) == 1
-        assert gate.main(
-            ["--history-dir", str(tmp_path), "--write-baseline"]
+    def test_new_and_reparametrised_records_are_unjudged(self, gate, tmp_path, capsys):
+        base = write_runs(tmp_path, "base", [1.0])
+        change = write_runs(tmp_path, "change", [9.0], params={"trials": 3})
+        write_runs(tmp_path, "change", [9.0], kernel="search")
+        assert gate.main(gate_args(base, change)) == 0
+        out = capsys.readouterr().out
+        assert "sorting: unjudged (params differ)" in out
+        assert "search: unjudged (only in the change runs)" in out
+
+    def test_every_kernel_prints_both_medians_and_ratio(self, gate, tmp_path, capsys):
+        base = write_runs(tmp_path, "base", [1.0, 2.0, 3.0])
+        change = write_runs(tmp_path, "change", [2.0, 2.2, 1.8])
+        assert gate.main(gate_args(base, change)) == 0
+        out = capsys.readouterr().out
+        assert "sorting: wall_seconds 2 -> 2 (x1.000)" in out
+        assert "speedup_vs_serial 4 -> 4 (x1.000)" in out
+
+    def test_directory_without_records_is_usage_error(self, gate, tmp_path, capsys):
+        base = write_runs(tmp_path, "base", [1.0])
+        (tmp_path / "empty").mkdir()
+        assert gate.main(gate_args(base, [str(tmp_path / "empty")])) == 2
+        assert gate.main(gate_args(base, [str(tmp_path / "absent")])) == 2
+        assert "no BENCH_*.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text", ['{"kernel": "sorting"', "[]", '{"params": {}, "wall_seconds": null}']
+    )
+    def test_unreadable_record_is_usage_error(self, gate, tmp_path, capsys, text):
+        base = write_runs(tmp_path, "base", [1.0])
+        change = write_runs(tmp_path, "change", [1.0])
+        (Path(change[0]) / "BENCH_sorting.json").write_text(text)
+        assert gate.main(gate_args(base, change)) == 2
+        assert "unreadable record" in capsys.readouterr().err
+
+    def test_gate_reads_a_real_bench_all_run(self, gate, bench_all, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert bench_all.main(
+            ["--only", "sorting", "--trials", "1", "--scale", "0",
+             "--output-dir", str(out)]
         ) == 0
-        assert (tmp_path / bh.BASELINES_FILENAME).is_file()
-        seed_history(tmp_path, wall=3.1)
-        assert gate.main(
-            ["--history-dir", str(tmp_path), "--no-registry-check"]
-        ) == 0
+        assert gate.main(gate_args([str(out)], [str(out)])) == 0
+        assert "sorting: wall_seconds" in capsys.readouterr().out
 
-    def test_missing_history_dir_is_usage_error(self, gate, tmp_path):
-        assert gate.main(["--history-dir", str(tmp_path / "absent")]) == 2
-
-    def test_corrupt_history_is_usage_error(self, gate, tmp_path, capsys):
-        path = bh.history_path(tmp_path, "sorting")
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text('{"schema": 1, "kernel": "sorting"\n')
-        code = gate.main(["--history-dir", str(tmp_path), "--no-registry-check"])
-        assert code == 2
-        assert "unreadable" in capsys.readouterr().err
-
-    def test_gate_matches_bench_all_append_format(self, gate, tmp_path):
-        # A record appended the way bench_all.py does it (via
-        # history_record_from_bench) must be gate-readable as-is.
-        bench = json.loads((REPO_ROOT / "BENCH_svm.json").read_text())
-        record = bh.history_record_from_bench(bench)
-        bh.append_record(tmp_path, record)
-        code = gate.main(["--history-dir", str(tmp_path), "--no-registry-check"])
-        assert code == 0
+    def test_bench_all_has_no_history_options(self, bench_all):
+        options = {
+            option
+            for action in bench_all.build_parser()._actions
+            for option in action.option_strings
+        } - {"-h", "--help"}
+        assert options == {"--only", "--output-dir", "--trials", "--scale", "--backend"}
 
 
 @pytest.fixture(scope="module")

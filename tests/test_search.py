@@ -369,25 +369,16 @@ class TestWorkloadMemo:
 
 class TestPseudoKernelRegistry:
     def test_search_is_a_registered_pseudo_kernel(self):
-        from repro.experiments.benchhistory import PSEUDO_KERNELS
-
-        assert PSEUDO_KERNELS == (
-            "scenario_grid", "adaptive", "campaign", "search"
-        )
-
-    def test_gate_registry_derives_from_the_shared_constant(self):
         import importlib.util
         import sys
         from pathlib import Path
 
-        path = Path(__file__).resolve().parents[1] / "scripts" / (
-            "check_bench_regression.py"
-        )
-        spec = importlib.util.spec_from_file_location("_gate_for_search", path)
+        path = Path(__file__).resolve().parents[1] / "scripts" / "bench_all.py"
+        spec = importlib.util.spec_from_file_location("_bench_all_for_search", path)
         module = importlib.util.module_from_spec(spec)
         sys.modules[spec.name] = module
         spec.loader.exec_module(module)
-        from repro.experiments.benchhistory import PSEUDO_KERNELS
 
-        assert tuple(module.EXTRA_KERNELS) == PSEUDO_KERNELS
-        assert "search" in module.registry_names()
+        assert module.PSEUDO_KERNELS == (
+            "scenario_grid", "adaptive", "campaign", "search"
+        )
