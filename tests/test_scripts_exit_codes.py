@@ -216,15 +216,15 @@ class TestCheckBenchRegression:
         spread = write_runs(tmp_path, "spread", walls, speedups=[3.0, 3.3, 4.1])
         assert gate.main(gate_args(base, spread)) == 0
 
-    @pytest.mark.parametrize(
-        "field", ["bit_identical_to_serial", "bit_identical_to_numpy"]
-    )
-    def test_bit_identity_flip_names_kernel(self, gate, tmp_path, capsys, field):
+    def test_bit_identity_flip_names_kernel(self, gate, tmp_path, capsys):
         base = write_runs(tmp_path, "base", [1.0], kernel="svm")
-        change = write_runs(tmp_path, "change", [1.0], kernel="svm", **{field: False})
-        assert gate.main(gate_args(base, change)) == 1
-        err = capsys.readouterr().err
-        assert "svm" in err and field in err
+        for field in ("bit_identical_to_serial", "bit_identical_to_numpy"):
+            change = write_runs(
+                tmp_path, f"change_{field}", [1.0], kernel="svm", **{field: False}
+            )
+            assert gate.main(gate_args(base, change)) == 1
+            err = capsys.readouterr().err
+            assert "svm" in err and field in err
 
     def test_vanished_record_fails(self, gate, tmp_path, capsys):
         base = write_runs(tmp_path, "base", [1.0, 1.0])
@@ -235,7 +235,7 @@ class TestCheckBenchRegression:
         err = capsys.readouterr().err
         assert "sorting [vanished]" in err and "svm" not in err
 
-    def test_new_and_reparametrised_records_are_unjudged(self, gate, tmp_path, capsys):
+    def test_new_and_changed_params_are_unjudged(self, gate, tmp_path, capsys):
         base = write_runs(tmp_path, "base", [1.0])
         change = write_runs(tmp_path, "change", [9.0], params={"trials": 3})
         write_runs(tmp_path, "change", [9.0], kernel="search")
@@ -244,7 +244,7 @@ class TestCheckBenchRegression:
         assert "sorting: unjudged (params differ)" in out
         assert "search: unjudged (only in the change runs)" in out
 
-    def test_every_kernel_prints_both_medians_and_ratio(self, gate, tmp_path, capsys):
+    def test_prints_both_medians_and_ratio(self, gate, tmp_path, capsys):
         base = write_runs(tmp_path, "base", [1.0, 2.0, 3.0])
         change = write_runs(tmp_path, "change", [2.0, 2.2, 1.8])
         assert gate.main(gate_args(base, change)) == 0
@@ -252,22 +252,21 @@ class TestCheckBenchRegression:
         assert "sorting: wall_seconds 2 -> 2 (x1.000)" in out
         assert "speedup_vs_serial 4 -> 4 (x1.000)" in out
 
-    def test_directory_without_records_is_usage_error(self, gate, tmp_path, capsys):
+    def test_empty_directory_is_usage_error(self, gate, tmp_path, capsys):
         base = write_runs(tmp_path, "base", [1.0])
         (tmp_path / "empty").mkdir()
         assert gate.main(gate_args(base, [str(tmp_path / "empty")])) == 2
         assert gate.main(gate_args(base, [str(tmp_path / "absent")])) == 2
         assert "no BENCH_*.json" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "text", ['{"kernel": "sorting"', "[]", '{"params": {}, "wall_seconds": null}']
-    )
-    def test_unreadable_record_is_usage_error(self, gate, tmp_path, capsys, text):
+    def test_unreadable_record_is_usage_error(self, gate, tmp_path, capsys):
         base = write_runs(tmp_path, "base", [1.0])
         change = write_runs(tmp_path, "change", [1.0])
-        (Path(change[0]) / "BENCH_sorting.json").write_text(text)
-        assert gate.main(gate_args(base, change)) == 2
-        assert "unreadable record" in capsys.readouterr().err
+        for text in ('{"kernel": "sorting"', "[]",
+                     '{"params": {}, "wall_seconds": null}'):
+            (Path(change[0]) / "BENCH_sorting.json").write_text(text)
+            assert gate.main(gate_args(base, change)) == 2
+            assert "unreadable record" in capsys.readouterr().err
 
     def test_gate_reads_a_real_bench_all_run(self, gate, bench_all, tmp_path, capsys):
         out = tmp_path / "run"
