@@ -274,8 +274,11 @@ class TestCheckBenchRegression:
             ["--only", "sorting", "--trials", "1", "--scale", "0",
              "--output-dir", str(out)]
         ) == 0
+        capsys.readouterr()
         assert gate.main(gate_args([str(out)], [str(out)])) == 0
-        assert "sorting: wall_seconds" in capsys.readouterr().out
+        # The record is BENCH_sorting[.<backend>].json under the ambient backend.
+        printed = capsys.readouterr().out
+        assert "  sorting" in printed and ": wall_seconds" in printed
 
     def test_bench_all_has_no_history_options(self, bench_all):
         options = {
