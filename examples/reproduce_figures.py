@@ -139,7 +139,7 @@ def resolve_scenarios(names):
 
 
 def resolve_policy(parser, args):
-    """Build the BudgetPolicy selected by the ``--budget*`` flags (or None)."""
+    """Build the ConfidenceTarget selected by the ``--budget*`` flags (or None)."""
     tuning = {
         "--budget-half-width": args.budget_half_width,
         "--budget-max-trials": args.budget_max_trials,

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.exceptions import ProblemSpecificationError
 from repro.linalg.ops import noisy_matvec
-from repro.processor.batch import ProcessorBatch
+from repro.processor.batch import ProcessorBatch, batch_matvec
 from repro.processor.stochastic import StochasticProcessor
 
 __all__ = [
@@ -76,21 +76,38 @@ def robust_top_eigenpair(
             y = generator.standard_normal(n)
             norm = np.linalg.norm(y)
         x = y / norm
-    eigenvalue = float(x @ M_arr @ x)
+    return _scored(
+        M_arr, x, iterations, proc.flops - flops_before,
+        proc.faults_injected - faults_before,
+    )
 
+
+def _scored(
+    M_arr: np.ndarray, x: np.ndarray, iterations: int, flops: int, faults: int
+) -> EigenResult:
+    """Score the unit iterate ``x`` as ``M_arr``'s top eigenpair (reliable)."""
+    eigenvalue = float(x @ M_arr @ x)
     exact_values, exact_vectors = np.linalg.eigh(M_arr)
     top_index = int(np.argmax(np.abs(exact_values)))
     exact_value = float(exact_values[top_index])
-    exact_vector = exact_vectors[:, top_index]
     return EigenResult(
         eigenvalue=eigenvalue,
         eigenvector=x,
         eigenvalue_error=abs(eigenvalue - exact_value) / max(abs(exact_value), 1e-30),
-        eigenvector_alignment=float(abs(x @ exact_vector)),
+        eigenvector_alignment=float(abs(x @ exact_vectors[:, top_index])),
         iterations=iterations,
-        flops=proc.flops - flops_before,
-        faults_injected=proc.faults_injected - faults_before,
+        flops=flops,
+        faults_injected=faults,
     )
+
+
+def _deflation_error(result: EigenResult, target: float) -> float:
+    """The error of a pair found on a deflated matrix.
+
+    It is measured against ``target``, the original spectrum's matching
+    magnitude.
+    """
+    return abs(abs(result.eigenvalue) - target) / max(target, 1e-30)
 
 
 def robust_eigenpairs(
@@ -118,8 +135,7 @@ def robust_eigenpairs(
         result = robust_top_eigenpair(deflated, proc, iterations=iterations, rng=generator)
         # Score against the original matrix's spectrum rather than the deflated one.
         exact_values = np.sort(np.abs(np.linalg.eigvalsh(M_arr)))[::-1]
-        target = float(exact_values[index])
-        result.eigenvalue_error = abs(abs(result.eigenvalue) - target) / max(target, 1e-30)
+        result.eigenvalue_error = _deflation_error(result, float(exact_values[index]))
         results.append(result)
         deflated = deflated - result.eigenvalue * np.outer(result.eigenvector, result.eigenvector)
     return results
@@ -148,8 +164,8 @@ def robust_eigenpairs_batch(
     The batch entry point of the tensorized trial backend for the §4.7
     eigenpair kernel.  Every trial's power iteration advances together: the
     noisy matrix-vector product — the only corruptible work of the serial
-    loop — is evaluated for the whole stack with one fused corruption pass
-    per iteration (row ``t`` drawn from trial ``t``'s own generator in
+    loop — is one :func:`~repro.processor.batch.batch_matvec` over the whole
+    stack per iteration (row ``t`` drawn from trial ``t``'s own generator in
     serial order, see :class:`~repro.processor.batch.ProcessorBatch`), while
     the reliable control phase (zeroing non-finite components,
     normalization, random restarts from the trial's own stream) runs per
@@ -196,11 +212,7 @@ def robust_eigenpairs_batch(
             x = generator.standard_normal(n)
             X[trial] = x / np.linalg.norm(x)
         for _ in range(iterations):
-            # The stacked twin of noisy_matvec, with a per-trial matrix: the
-            # elementwise products and the row-sum accumulations are each
-            # corrupted once for the whole batch.
-            products = batch.corrupt(deflated * X[:, np.newaxis, :], ops_per_element=1)
-            Y = batch.corrupt(products.sum(axis=2), ops_per_element=max(n - 1, 1))
+            Y = batch_matvec(batch, deflated, X)
             Y = np.where(np.isfinite(Y), Y, 0.0)
             for trial in range(n_trials):
                 y = Y[trial]
@@ -217,24 +229,14 @@ def robust_eigenpairs_batch(
         # deflated one, exactly as robust_eigenpairs does.
         target = float(exact_magnitudes[index])
         for trial, proc in enumerate(batch.procs):
-            x = X[trial]
-            D = deflated[trial]
-            eigenvalue = float(x @ D @ x)
-            # The deflated matrix's eigendecomposition only supplies the
-            # alignment reference vector.
-            exact_values, exact_vectors = np.linalg.eigh(D)
-            exact_vector = exact_vectors[:, int(np.argmax(np.abs(exact_values)))]
-            result = EigenResult(
-                eigenvalue=eigenvalue,
-                eigenvector=x,
-                eigenvalue_error=abs(abs(eigenvalue) - target) / max(target, 1e-30),
-                eigenvector_alignment=float(abs(x @ exact_vector)),
-                iterations=iterations,
-                flops=proc.flops - flops_before[trial],
-                faults_injected=proc.faults_injected - faults_before[trial],
+            result = _scored(
+                deflated[trial], X[trial], iterations,
+                proc.flops - flops_before[trial],
+                proc.faults_injected - faults_before[trial],
             )
+            result.eigenvalue_error = _deflation_error(result, target)
             outcomes[trial].append(result)
-            deflated[trial] = D - result.eigenvalue * np.outer(
+            deflated[trial] = deflated[trial] - result.eigenvalue * np.outer(
                 result.eigenvector, result.eigenvector
             )
     return outcomes

@@ -308,72 +308,96 @@ def default_iir_step(filt: IIRFilter) -> float:
     return 0.5 / (bound**2)
 
 
+def _sgd_setup(
+    filt: IIRFilter,
+    u: np.ndarray,
+    options: Optional[SGDOptions],
+    precondition: bool,
+) -> Tuple[IIRVariationalProblem, SGDOptions, Optional[np.ndarray]]:
+    """The problem SGD minimizes, its options, and the read-out filter ``f``.
+
+    Preconditioned, the problem is over ``y`` with ``x = F y`` and ``f`` is
+    the truncated inverse impulse response; otherwise ``f`` is ``None``.
+    Omitted ``options`` mean 1,000 iterations of 1/t stepping at the
+    problem's stable base step.
+    """
+    f: Optional[np.ndarray] = None
+    step_filter = filt
+    if precondition:
+        f, effective = precondition_iir(filt)
+        step_filter = IIRFilter(feedforward=filt.feedforward, feedback=effective)
+    if options is None:
+        options = SGDOptions(
+            iterations=1000, schedule="ls", base_step=default_iir_step(step_filter)
+        )
+    return IIRVariationalProblem(step_filter, u), options, f
+
+
+def _sgd_start(
+    filt: IIRFilter,
+    u: np.ndarray,
+    noisy_output: np.ndarray,
+    problem: IIRVariationalProblem,
+    f: Optional[np.ndarray],
+) -> np.ndarray:
+    """One trial's SGD start from its noisy feed-forward output.
+
+    Non-finite samples are zeroed.  Preconditioned, ``y ≈ B x`` maps the
+    output into the solve's coordinates (reliable transformation work), and
+    a control-phase sanity bound falls back to the problem's zero initial
+    point when the noisy recursion has blown up beyond any gain the filter
+    could legitimately produce.
+    """
+    x0 = np.where(np.isfinite(noisy_output), noisy_output, 0.0)
+    if f is None:
+        return x0
+    y0 = np.convolve(x0, filt.feedback)[: u.size]
+    gain_bound = float(np.sum(np.abs(filt.feedforward)) * max(np.linalg.norm(u), 1.0))
+    if not np.isfinite(np.linalg.norm(y0)) or np.linalg.norm(y0) > 10.0 * gain_bound:
+        return problem.initial_point()
+    return y0
+
+
+def _read_out(x: np.ndarray, f: Optional[np.ndarray]) -> np.ndarray:
+    """The filter output ``x = F y`` of a preconditioned solve's iterate.
+
+    Reliable control work, like ``QRPreconditioner.recover``; without a
+    preconditioner (``f`` is ``None``) the iterate is the output.
+    """
+    return x if f is None else np.convolve(x, f)[: x.size]
+
+
 def robust_iir_filter(
     filt: IIRFilter,
     u: np.ndarray,
     proc: StochasticProcessor,
     options: Optional[SGDOptions] = None,
-    use_baseline_initialization: bool = True,
     precondition: bool = True,
-    preconditioner_taps: int = 64,
 ) -> IIRResult:
     """Filter ``u`` robustly by solving the variational form on the noisy FPU.
 
     With the defaults this reproduces the Figure 6.3 configuration: 1,000
     iterations of 1/t stepping on the (preconditioned) least-squares form,
-    initialized from the noisy feed-forward output.
+    initialized from the noisy feed-forward output.  The result's FLOPs and
+    faults cover that initialization as well as the solve.
 
     Parameters
     ----------
     precondition:
-        Apply the impulse-response preconditioner (§3.2) so that the banded
-        system is well conditioned regardless of the filter's pole radii.
-        Disable to study the raw (possibly ill-conditioned) formulation.
-    preconditioner_taps:
-        Truncation length of the inverse impulse response.
+        Apply the impulse-response preconditioner (§3.2, 64 taps) so that the
+        banded system is well conditioned regardless of the filter's pole
+        radii.  Disable to study the raw (possibly ill-conditioned)
+        formulation.
     """
     from repro.applications.baselines.iir_direct import noisy_direct_form_filter
 
     u_arr = np.asarray(u, dtype=np.float64).ravel()
     flops_before, faults_before = proc.flops, proc.faults_injected
-
-    noisy_init: Optional[np.ndarray] = None
-    if use_baseline_initialization:
-        noisy_init = noisy_direct_form_filter(filt, u_arr, proc)
-        noisy_init = np.where(np.isfinite(noisy_init), noisy_init, 0.0)
-
-    if precondition:
-        f, effective = precondition_iir(filt, taps=preconditioner_taps)
-        step_filter = IIRFilter(feedforward=filt.feedforward, feedback=effective)
-        problem = IIRVariationalProblem(step_filter, u_arr)
-        x0 = None
-        if noisy_init is not None:
-            # y ≈ B x maps the noisy feed-forward output into the
-            # preconditioned coordinates (reliable transformation work).  A
-            # control-phase sanity bound discards the initializer when the
-            # noisy recursion has blown up beyond any gain the filter could
-            # legitimately produce — starting from zero is then safer.
-            x0 = np.convolve(noisy_init, filt.feedback)[: u_arr.size]
-            gain_bound = float(
-                np.sum(np.abs(filt.feedforward)) * max(np.linalg.norm(u_arr), 1.0)
-            )
-            if not np.isfinite(np.linalg.norm(x0)) or np.linalg.norm(x0) > 10.0 * gain_bound:
-                x0 = None
-    else:
-        step_filter = filt
-        problem = IIRVariationalProblem(filt, u_arr)
-        x0 = noisy_init
-
-    if options is None:
-        options = SGDOptions(
-            iterations=1000, schedule="ls", base_step=default_iir_step(step_filter)
-        )
+    noisy_output = noisy_direct_form_filter(filt, u_arr, proc)
+    problem, options, f = _sgd_setup(filt, u_arr, options, precondition)
+    x0 = _sgd_start(filt, u_arr, noisy_output, problem, f)
     result = stochastic_gradient_descent(problem, proc, options=options, x0=x0)
-    y = result.x
-    if precondition:
-        # Reliable read-out x = F y (control phase, like QRPreconditioner.recover).
-        y = np.convolve(result.x, f)[: u_arr.size]
-    return _score(filt, u_arr, y, "sgd", proc.flops - flops_before,
+    return _score(filt, u_arr, _read_out(result.x, f), "sgd", proc.flops - flops_before,
                   proc.faults_injected - faults_before, result)
 
 
@@ -382,9 +406,7 @@ def robust_iir_filter_batch(
     u: np.ndarray,
     procs: Union[ProcessorBatch, Sequence[StochasticProcessor]],
     options: Optional[SGDOptions] = None,
-    use_baseline_initialization: bool = True,
     precondition: bool = True,
-    preconditioner_taps: int = 64,
 ) -> List[IIRResult]:
     """Run one robust IIR filtering trial per processor as a tensorized solve.
 
@@ -406,59 +428,22 @@ def robust_iir_filter_batch(
     batch.flush()  # counters must be current before the baseline read
     flops_before = [proc.flops for proc in batch.procs]
     faults_before = [proc.faults_injected for proc in batch.procs]
-
-    noisy_inits: Optional[List[np.ndarray]] = None
-    if use_baseline_initialization:
-        noisy_inits = [
-            np.where(np.isfinite(noisy_init), noisy_init, 0.0)
-            for noisy_init in noisy_direct_form_filter_batch(filt, u_arr, batch.procs)
-        ]
-
-    if precondition:
-        f, effective = precondition_iir(filt, taps=preconditioner_taps)
-        step_filter = IIRFilter(feedforward=filt.feedforward, feedback=effective)
-        problem = IIRVariationalProblem(step_filter, u_arr)
-        X0: Optional[np.ndarray] = None
-        if noisy_inits is not None:
-            # Per-trial y ≈ B x mapping with the same control-phase sanity
-            # bound as the serial path; a discarded initializer falls back to
-            # the problem's zero initial point, exactly as x0=None would.
-            gain_bound = float(
-                np.sum(np.abs(filt.feedforward)) * max(np.linalg.norm(u_arr), 1.0)
-            )
-            rows = []
-            for noisy_init in noisy_inits:
-                x0 = np.convolve(noisy_init, filt.feedback)[: u_arr.size]
-                if not np.isfinite(np.linalg.norm(x0)) or np.linalg.norm(x0) > 10.0 * gain_bound:
-                    x0 = problem.initial_point()
-                rows.append(x0)
-            X0 = np.stack(rows)
-    else:
-        step_filter = filt
-        problem = IIRVariationalProblem(filt, u_arr)
-        X0 = np.stack(noisy_inits) if noisy_inits is not None else None
-
-    if options is None:
-        options = SGDOptions(
-            iterations=1000, schedule="ls", base_step=default_iir_step(step_filter)
-        )
+    noisy_outputs = noisy_direct_form_filter_batch(filt, u_arr, batch.procs)
+    problem, options, f = _sgd_setup(filt, u_arr, options, precondition)
+    X0 = np.stack(
+        [_sgd_start(filt, u_arr, output, problem, f) for output in noisy_outputs]
+    )
     results = stochastic_gradient_descent_batch(problem, batch, options=options, x0=X0)
-
     exact = exact_iir_filter(filt, u_arr)
-    outcomes: List[IIRResult] = []
-    for trial, (proc, result) in enumerate(zip(batch.procs, results)):
-        y = result.x
-        if precondition:
-            y = np.convolve(result.x, f)[: u_arr.size]
-        outcomes.append(
-            _score(
-                filt, u_arr, y, "sgd",
-                proc.flops - flops_before[trial],
-                proc.faults_injected - faults_before[trial],
-                result, exact=exact,
-            )
+    return [
+        _score(
+            filt, u_arr, _read_out(result.x, f), "sgd",
+            proc.flops - flops_before[trial],
+            proc.faults_injected - faults_before[trial],
+            result, exact=exact,
         )
-    return outcomes
+        for trial, (proc, result) in enumerate(zip(batch.procs, results))
+    ]
 
 
 def baseline_iir_filter(

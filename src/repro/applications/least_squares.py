@@ -11,7 +11,7 @@ gradient method (Figures 6.6 and 6.7), with the gradient
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -131,17 +131,20 @@ def _finish(
     )
 
 
-def robust_least_squares_sgd(
-    A: np.ndarray,
-    b: np.ndarray,
-    proc: StochasticProcessor,
-    options: Optional[SGDOptions] = None,
-    x0: Optional[np.ndarray] = None,
+def _solved(
+    A: np.ndarray, b: np.ndarray, result: OptimizationResult, method: str
 ) -> LeastSquaresResult:
-    """Solve ``min ||Ax - b||²`` by stochastic gradient descent on the noisy FPU.
+    """Score one robust solve, with the solver's FLOP and fault accounting."""
+    return _finish(A, b, result.x, method, result.flops, result.faults_injected, result)
 
-    When ``options`` is omitted, 1,000 iterations of 1/t ("LS") stepping with
-    a stability-derived base step are used — the Figure 6.2 configuration.
+
+def _sgd_setup(
+    A: np.ndarray, b: np.ndarray, options: Optional[SGDOptions]
+) -> Tuple[QuadraticProblem, SGDOptions, str]:
+    """The quadratic problem, SGD options and method label of both SGD twins.
+
+    Omitted ``options`` mean 1,000 iterations of 1/t ("LS") stepping with a
+    stability-derived base step — the Figure 6.2 configuration.
     """
     if options is None:
         options = SGDOptions(
@@ -149,18 +152,24 @@ def robust_least_squares_sgd(
             schedule="ls",
             base_step=default_least_squares_step(A),
         )
-    problem = QuadraticProblem(A, b)
-    flops_before, faults_before = proc.flops, proc.faults_injected
-    result = stochastic_gradient_descent(problem, proc, options=options, x0=x0)
-    return _finish(
-        A,
-        b,
-        result.x,
-        method=f"sgd[{options.schedule if isinstance(options.schedule, str) else 'custom'}]",
-        flops=proc.flops - flops_before,
-        faults=proc.faults_injected - faults_before,
-        optimizer_result=result,
-    )
+    schedule = options.schedule if isinstance(options.schedule, str) else "custom"
+    return QuadraticProblem(A, b), options, f"sgd[{schedule}]"
+
+
+def robust_least_squares_sgd(
+    A: np.ndarray,
+    b: np.ndarray,
+    proc: StochasticProcessor,
+    options: Optional[SGDOptions] = None,
+) -> LeastSquaresResult:
+    """Solve ``min ||Ax - b||²`` by stochastic gradient descent on the noisy FPU.
+
+    When ``options`` is omitted, 1,000 iterations of 1/t ("LS") stepping with
+    a stability-derived base step are used — the Figure 6.2 configuration.
+    """
+    problem, options, method = _sgd_setup(A, b, options)
+    result = stochastic_gradient_descent(problem, proc, options=options)
+    return _solved(A, b, result, method)
 
 
 def robust_least_squares_sgd_batch(
@@ -168,7 +177,6 @@ def robust_least_squares_sgd_batch(
     b: np.ndarray,
     procs: Union[ProcessorBatch, Sequence[StochasticProcessor]],
     options: Optional[SGDOptions] = None,
-    x0: Optional[np.ndarray] = None,
 ) -> List[LeastSquaresResult]:
     """Run one SGD least-squares solve per processor as a single tensor loop.
 
@@ -176,33 +184,12 @@ def robust_least_squares_sgd_batch(
     problem is built once and every trial's iterate advances together through
     :func:`~repro.optimizers.sgd.stochastic_gradient_descent_batch`.  Trial
     ``t``'s :class:`LeastSquaresResult` is bit-identical to
-    ``robust_least_squares_sgd(A, b, procs[t], options, x0)``.
+    ``robust_least_squares_sgd(A, b, procs[t], options)``.
     """
-    if options is None:
-        options = SGDOptions(
-            iterations=1000,
-            schedule="ls",
-            base_step=default_least_squares_step(A),
-        )
+    problem, options, method = _sgd_setup(A, b, options)
     batch = procs if isinstance(procs, ProcessorBatch) else ProcessorBatch(procs)
-    batch.flush()  # counters must be current before the baseline read
-    problem = QuadraticProblem(A, b)
-    flops_before = [proc.flops for proc in batch.procs]
-    faults_before = [proc.faults_injected for proc in batch.procs]
-    results = stochastic_gradient_descent_batch(problem, batch, options=options, x0=x0)
-    method = f"sgd[{options.schedule if isinstance(options.schedule, str) else 'custom'}]"
-    return [
-        _finish(
-            A,
-            b,
-            result.x,
-            method=method,
-            flops=proc.flops - flops_before[trial],
-            faults=proc.faults_injected - faults_before[trial],
-            optimizer_result=result,
-        )
-        for trial, (proc, result) in enumerate(zip(batch.procs, results))
-    ]
+    results = stochastic_gradient_descent_batch(problem, batch, options=options)
+    return [_solved(A, b, result, method) for result in results]
 
 
 def robust_least_squares_cg(
@@ -210,24 +197,14 @@ def robust_least_squares_cg(
     b: np.ndarray,
     proc: StochasticProcessor,
     options: Optional[CGOptions] = None,
-    x0: Optional[np.ndarray] = None,
 ) -> LeastSquaresResult:
     """Solve ``min ||Ax - b||²`` by restarted conjugate gradient on the noisy FPU.
 
     The default is 10 iterations, the configuration of Figures 6.6 and 6.7.
     """
     options = options if options is not None else CGOptions(iterations=10)
-    flops_before, faults_before = proc.flops, proc.faults_injected
-    result = conjugate_gradient_least_squares(A, b, proc, options=options, x0=x0)
-    return _finish(
-        A,
-        b,
-        result.x,
-        method=f"cg[{options.iterations}]",
-        flops=proc.flops - flops_before,
-        faults=proc.faults_injected - faults_before,
-        optimizer_result=result,
-    )
+    result = conjugate_gradient_least_squares(A, b, proc, options=options)
+    return _solved(A, b, result, f"cg[{options.iterations}]")
 
 
 def robust_least_squares_cg_batch(
@@ -235,7 +212,6 @@ def robust_least_squares_cg_batch(
     b: np.ndarray,
     procs: Union[ProcessorBatch, Sequence[StochasticProcessor]],
     options: Optional[CGOptions] = None,
-    x0: Optional[np.ndarray] = None,
 ) -> List[LeastSquaresResult]:
     """Run one restarted-CG least-squares solve per processor as a tensor loop.
 
@@ -243,27 +219,11 @@ def robust_least_squares_cg_batch(
     together through
     :func:`~repro.optimizers.conjugate_gradient.conjugate_gradient_least_squares_batch`
     (a masked-batch CGNR driver).  Trial ``t``'s :class:`LeastSquaresResult`
-    is bit-identical to ``robust_least_squares_cg(A, b, procs[t], options,
-    x0)``.
+    is bit-identical to ``robust_least_squares_cg(A, b, procs[t], options)``.
     """
     options = options if options is not None else CGOptions(iterations=10)
-    batch = procs if isinstance(procs, ProcessorBatch) else ProcessorBatch(procs)
-    batch.flush()  # counters must be current before the baseline read
-    flops_before = [proc.flops for proc in batch.procs]
-    faults_before = [proc.faults_injected for proc in batch.procs]
-    results = conjugate_gradient_least_squares_batch(A, b, batch, options=options, x0=x0)
-    return [
-        _finish(
-            A,
-            b,
-            result.x,
-            method=f"cg[{options.iterations}]",
-            flops=proc.flops - flops_before[trial],
-            faults=proc.faults_injected - faults_before[trial],
-            optimizer_result=result,
-        )
-        for trial, (proc, result) in enumerate(zip(batch.procs, results))
-    ]
+    results = conjugate_gradient_least_squares_batch(A, b, procs, options=options)
+    return [_solved(A, b, result, f"cg[{options.iterations}]") for result in results]
 
 
 def baseline_least_squares(

@@ -213,29 +213,45 @@ def _matching_weight(graph: BipartiteGraph, edges: FrozenSet[Tuple[int, int]]) -
     return float(sum(lookup.get(edge, 0.0) for edge in edges))
 
 
+def _setup(
+    graph: BipartiteGraph, config: Optional[RobustSolveConfig]
+) -> Tuple[LinearProgram, RobustSolveConfig]:
+    """The matching LP and the solver configuration of both twins."""
+    lp = matching_linear_program(graph)
+    return lp, config if config is not None else default_matching_config(graph=graph)
+
+
+def _scored(
+    graph: BipartiteGraph,
+    solution: np.ndarray,
+    result: OptimizationResult,
+    optimal: Tuple[FrozenSet[Tuple[int, int]], float],
+    variant: str,
+) -> MatchingResult:
+    """Round one relaxed solution to a matching and score it against ``optimal``."""
+    optimal_edges, optimal_weight = optimal
+    selected = round_to_matching(graph, solution)
+    return MatchingResult(
+        edges=selected,
+        weight=_matching_weight(graph, selected),
+        optimal_weight=optimal_weight,
+        success=selected == optimal_edges,
+        flops=result.flops,
+        faults_injected=result.faults_injected,
+        method=f"robust[{variant}]",
+        optimizer_result=result,
+    )
+
+
 def robust_matching(
     graph: BipartiteGraph,
     proc: StochasticProcessor,
     config: Optional[RobustSolveConfig] = None,
 ) -> MatchingResult:
     """Maximum-weight matching via the penalized LP on the noisy processor."""
-    lp = matching_linear_program(graph)
-    config = config if config is not None else default_matching_config(graph=graph)
-    flops_before, faults_before = proc.flops, proc.faults_injected
+    lp, config = _setup(graph, config)
     solution, result = solve_penalized_lp(lp, proc, config=config)
-    selected = round_to_matching(graph, solution)
-    optimal_edges, optimal_weight = optimal_matching(graph)
-    weight = _matching_weight(graph, selected)
-    return MatchingResult(
-        edges=selected,
-        weight=weight,
-        optimal_weight=optimal_weight,
-        success=selected == optimal_edges,
-        flops=proc.flops - flops_before,
-        faults_injected=proc.faults_injected - faults_before,
-        method=f"robust[{config.variant}]",
-        optimizer_result=result,
-    )
+    return _scored(graph, solution, result, optimal_matching(graph), config.variant)
 
 
 def robust_matching_batch(
@@ -245,39 +261,22 @@ def robust_matching_batch(
 ) -> List[MatchingResult]:
     """Run one robust matching per processor as a single tensorized solve.
 
-    The batch entry point of the tensorized trial backend: the matching LP
-    and solver configuration are built once (they depend only on ``graph``),
-    the stochastic solve runs through
+    The batch entry point of the tensorized trial backend: the matching LP,
+    solver configuration and optimal matching are computed once (they depend
+    only on ``graph``), the stochastic solve runs through
     :func:`~repro.core.transform.solve_penalized_lp_batch` as one batched
     numpy loop over every trial's iterate, and only the cheap reliable
-    control-phase steps (greedy rounding, success check) run per trial.
+    control-phase steps (rounding, success check) run per trial.
     Trial ``t``'s :class:`MatchingResult` is bit-identical to
     ``robust_matching(graph, procs[t], config)``.
     """
-    lp = matching_linear_program(graph)
-    config = config if config is not None else default_matching_config(graph=graph)
-    batch = procs if isinstance(procs, ProcessorBatch) else ProcessorBatch(procs)
-    batch.flush()  # counters must be current before the baseline read
-    flops_before = [proc.flops for proc in batch.procs]
-    faults_before = [proc.faults_injected for proc in batch.procs]
-    solutions, results = solve_penalized_lp_batch(lp, batch, config=config)
-    optimal_edges, optimal_weight = optimal_matching(graph)
-    outcomes: List[MatchingResult] = []
-    for trial, proc in enumerate(batch.procs):
-        selected = round_to_matching(graph, solutions[trial])
-        outcomes.append(
-            MatchingResult(
-                edges=selected,
-                weight=_matching_weight(graph, selected),
-                optimal_weight=optimal_weight,
-                success=selected == optimal_edges,
-                flops=proc.flops - flops_before[trial],
-                faults_injected=proc.faults_injected - faults_before[trial],
-                method=f"robust[{config.variant}]",
-                optimizer_result=results[trial],
-            )
-        )
-    return outcomes
+    lp, config = _setup(graph, config)
+    solutions, results = solve_penalized_lp_batch(lp, procs, config=config)
+    optimal = optimal_matching(graph)
+    return [
+        _scored(graph, solution, result, optimal, config.variant)
+        for solution, result in zip(solutions, results)
+    ]
 
 
 def baseline_matching(

@@ -17,7 +17,7 @@ executed on the noisy FPU.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -42,6 +42,10 @@ __all__ = [
     "baseline_max_flow",
     "default_maxflow_config",
 ]
+
+#: Conservation and capacity slack a feasible flow may show, as a fraction of
+#: the largest capacity (robust and baseline results alike).
+_FEASIBILITY_TOLERANCE = 0.05
 
 
 @dataclass
@@ -161,89 +165,79 @@ def _is_feasible(network: FlowNetwork, flow: np.ndarray, tolerance: float) -> bo
     return True
 
 
-def robust_max_flow(
-    network: FlowNetwork,
-    proc: StochasticProcessor,
-    config: Optional[RobustSolveConfig] = None,
-    feasibility_tolerance: float = 0.05,
-) -> MaxFlowResult:
-    """Maximum flow via the penalized LP on the noisy processor.
-
-    The relaxed edge flows are clipped into ``[0, capacity]`` by the reliable
-    control phase before the flow value is read out.
-    """
+def _setup(
+    network: FlowNetwork, config: Optional[RobustSolveConfig]
+) -> Tuple[LinearProgram, RobustSolveConfig]:
+    """The flow LP and the solver configuration of both twins."""
     lp = maxflow_linear_program(network)
-    config = config if config is not None else default_maxflow_config(network=network)
-    flops_before, faults_before = proc.flops, proc.faults_injected
-    solution, result = solve_penalized_lp(lp, proc, config=config)
+    return lp, config if config is not None else default_maxflow_config(network=network)
+
+
+def _scored(
+    network: FlowNetwork,
+    solution: np.ndarray,
+    result: OptimizationResult,
+    exact: float,
+    variant: str,
+) -> MaxFlowResult:
+    """Clip one relaxed solution into ``[0, capacity]`` and score its flow.
+
+    The clipping is reliable control-phase work done before the flow value
+    is read out.
+    """
     capacities = np.asarray(network.capacities, dtype=np.float64)
     flow = np.clip(np.where(np.isfinite(solution), solution, 0.0), 0.0, capacities)
-    exact = exact_max_flow(network)
     value = _flow_value(network, flow)
-    relative_error = abs(value - exact) / max(abs(exact), np.finfo(float).tiny)
     scale = float(np.max(capacities))
     return MaxFlowResult(
         flow_value=value,
         exact_value=exact,
-        relative_error=relative_error,
-        feasible=_is_feasible(network, flow, feasibility_tolerance * scale),
+        relative_error=abs(value - exact) / max(abs(exact), np.finfo(float).tiny),
+        feasible=_is_feasible(network, flow, _FEASIBILITY_TOLERANCE * scale),
         flow=flow,
-        flops=proc.flops - flops_before,
-        faults_injected=proc.faults_injected - faults_before,
-        method=f"robust[{config.variant}]",
+        flops=result.flops,
+        faults_injected=result.faults_injected,
+        method=f"robust[{variant}]",
         optimizer_result=result,
     )
+
+
+def robust_max_flow(
+    network: FlowNetwork,
+    proc: StochasticProcessor,
+    config: Optional[RobustSolveConfig] = None,
+) -> MaxFlowResult:
+    """Maximum flow via the penalized LP on the noisy processor."""
+    lp, config = _setup(network, config)
+    solution, result = solve_penalized_lp(lp, proc, config=config)
+    return _scored(network, solution, result, exact_max_flow(network), config.variant)
 
 
 def robust_max_flow_batch(
     network: FlowNetwork,
     procs: Union[ProcessorBatch, Sequence[StochasticProcessor]],
     config: Optional[RobustSolveConfig] = None,
-    feasibility_tolerance: float = 0.05,
 ) -> List[MaxFlowResult]:
     """Run one robust max-flow per processor as a single tensorized solve.
 
     The batch entry point of the tensorized trial backend: like
-    :func:`~repro.applications.matching.robust_matching_batch`, the flow LP
-    and solver configuration are built once (they depend only on
-    ``network``), the stochastic solve runs through
+    :func:`~repro.applications.matching.robust_matching_batch`, the flow LP,
+    solver configuration and exact flow value are computed once (they depend
+    only on ``network``), the stochastic solve runs through
     :func:`~repro.core.transform.solve_penalized_lp_batch` as one masked
     batched numpy loop over every trial's iterate, and only the cheap
     reliable control-phase steps (clipping into ``[0, capacity]``, the flow
     value read-out, the feasibility check) run per trial.  Trial ``t``'s
     :class:`MaxFlowResult` is bit-identical to
-    ``robust_max_flow(network, procs[t], config, feasibility_tolerance)``.
+    ``robust_max_flow(network, procs[t], config)``.
     """
-    lp = maxflow_linear_program(network)
-    config = config if config is not None else default_maxflow_config(network=network)
-    batch = procs if isinstance(procs, ProcessorBatch) else ProcessorBatch(procs)
-    batch.flush()  # counters must be current before the baseline read
-    flops_before = [proc.flops for proc in batch.procs]
-    faults_before = [proc.faults_injected for proc in batch.procs]
-    solutions, results = solve_penalized_lp_batch(lp, batch, config=config)
-    capacities = np.asarray(network.capacities, dtype=np.float64)
+    lp, config = _setup(network, config)
+    solutions, results = solve_penalized_lp_batch(lp, procs, config=config)
     exact = exact_max_flow(network)
-    scale = float(np.max(capacities))
-    outcomes: List[MaxFlowResult] = []
-    for trial, proc in enumerate(batch.procs):
-        solution = solutions[trial]
-        flow = np.clip(np.where(np.isfinite(solution), solution, 0.0), 0.0, capacities)
-        value = _flow_value(network, flow)
-        relative_error = abs(value - exact) / max(abs(exact), np.finfo(float).tiny)
-        outcomes.append(
-            MaxFlowResult(
-                flow_value=value,
-                exact_value=exact,
-                relative_error=relative_error,
-                feasible=_is_feasible(network, flow, feasibility_tolerance * scale),
-                flow=flow,
-                flops=proc.flops - flops_before[trial],
-                faults_injected=proc.faults_injected - faults_before[trial],
-                method=f"robust[{config.variant}]",
-                optimizer_result=results[trial],
-            )
-        )
-    return outcomes
+    return [
+        _scored(network, solution, result, exact, config.variant)
+        for solution, result in zip(solutions, results)
+    ]
 
 
 def baseline_max_flow(network: FlowNetwork, proc: StochasticProcessor) -> MaxFlowResult:
@@ -261,7 +255,9 @@ def baseline_max_flow(network: FlowNetwork, proc: StochasticProcessor) -> MaxFlo
     else:
         relative_error = float("inf")
     scale = float(np.max(np.asarray(network.capacities)))
-    feasible = np.all(np.isfinite(flow)) and _is_feasible(network, flow, 0.05 * scale)
+    feasible = np.all(np.isfinite(flow)) and _is_feasible(
+        network, flow, _FEASIBILITY_TOLERANCE * scale
+    )
     return MaxFlowResult(
         flow_value=float(value),
         exact_value=exact,

@@ -17,7 +17,7 @@ executed on the noisy FPU.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -168,6 +168,36 @@ def _score(
     )
 
 
+def _setup(
+    graph: WeightedGraph, config: Optional[RobustSolveConfig]
+) -> Tuple[LinearProgram, RobustSolveConfig]:
+    """The triangle-inequality LP and the solver configuration of both twins."""
+    lp = apsp_linear_program(graph)
+    return lp, config if config is not None else default_apsp_config(graph=graph)
+
+
+def _scored(
+    graph: WeightedGraph,
+    solution: np.ndarray,
+    result: OptimizationResult,
+    variant: str,
+    success_tolerance: float,
+) -> ShortestPathResult:
+    """Score one relaxed solution as a distance matrix (non-finite entries NaN)."""
+    distances = np.where(np.isfinite(solution), solution, np.nan).reshape(
+        graph.n_nodes, graph.n_nodes
+    )
+    return _score(
+        graph,
+        distances,
+        method=f"robust[{variant}]",
+        flops=result.flops,
+        faults=result.faults_injected,
+        success_tolerance=success_tolerance,
+        optimizer_result=result,
+    )
+
+
 def robust_all_pairs_shortest_path(
     graph: WeightedGraph,
     proc: StochasticProcessor,
@@ -175,22 +205,9 @@ def robust_all_pairs_shortest_path(
     success_tolerance: float = 0.05,
 ) -> ShortestPathResult:
     """APSP via the penalized LP on the noisy processor."""
-    lp = apsp_linear_program(graph)
-    config = config if config is not None else default_apsp_config(graph=graph)
-    flops_before, faults_before = proc.flops, proc.faults_injected
+    lp, config = _setup(graph, config)
     solution, result = solve_penalized_lp(lp, proc, config=config)
-    distances = np.where(np.isfinite(solution), solution, np.nan).reshape(
-        graph.n_nodes, graph.n_nodes
-    )
-    return _score(
-        graph,
-        distances,
-        method=f"robust[{config.variant}]",
-        flops=proc.flops - flops_before,
-        faults=proc.faults_injected - faults_before,
-        success_tolerance=success_tolerance,
-        optimizer_result=result,
-    )
+    return _scored(graph, solution, result, config.variant, success_tolerance)
 
 
 def robust_all_pairs_shortest_path_batch(
@@ -211,30 +228,12 @@ def robust_all_pairs_shortest_path_batch(
     ``robust_all_pairs_shortest_path(graph, procs[t], config,
     success_tolerance)``.
     """
-    lp = apsp_linear_program(graph)
-    config = config if config is not None else default_apsp_config(graph=graph)
-    batch = procs if isinstance(procs, ProcessorBatch) else ProcessorBatch(procs)
-    batch.flush()  # counters must be current before the baseline read
-    flops_before = [proc.flops for proc in batch.procs]
-    faults_before = [proc.faults_injected for proc in batch.procs]
-    solutions, results = solve_penalized_lp_batch(lp, batch, config=config)
-    outcomes: List[ShortestPathResult] = []
-    for trial, proc in enumerate(batch.procs):
-        distances = np.where(
-            np.isfinite(solutions[trial]), solutions[trial], np.nan
-        ).reshape(graph.n_nodes, graph.n_nodes)
-        outcomes.append(
-            _score(
-                graph,
-                distances,
-                method=f"robust[{config.variant}]",
-                flops=proc.flops - flops_before[trial],
-                faults=proc.faults_injected - faults_before[trial],
-                success_tolerance=success_tolerance,
-                optimizer_result=results[trial],
-            )
-        )
-    return outcomes
+    lp, config = _setup(graph, config)
+    solutions, results = solve_penalized_lp_batch(lp, procs, config=config)
+    return [
+        _scored(graph, solution, result, config.variant, success_tolerance)
+        for solution, result in zip(solutions, results)
+    ]
 
 
 def baseline_all_pairs_shortest_path(

@@ -16,7 +16,7 @@ array (NaNs or any inversion count as failure).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -154,30 +154,42 @@ def default_sorting_config(
     )
 
 
+def _setup(
+    values: np.ndarray, config: Optional[RobustSolveConfig]
+) -> Tuple[np.ndarray, LinearProgram, RobustSolveConfig]:
+    """The input, its sorting LP and the solver configuration of both twins."""
+    u = np.asarray(values, dtype=np.float64).ravel()
+    lp = sorting_linear_program(u)
+    return u, lp, config if config is not None else default_sorting_config(values=u)
+
+
+def _scored(
+    u: np.ndarray, solution: np.ndarray, result: OptimizationResult, variant: str
+) -> SortResult:
+    """Round one relaxed solution to a permutation and score its output."""
+    n = u.size
+    permutation = round_to_permutation(solution.reshape(n, n))
+    output = permutation @ u
+    return SortResult(
+        output=output,
+        success=is_valid_sorted_output(output, u),
+        permutation=permutation,
+        flops=result.flops,
+        faults_injected=result.faults_injected,
+        method=f"robust[{variant}]",
+        optimizer_result=result,
+    )
+
+
 def robust_sort(
     values: np.ndarray,
     proc: StochasticProcessor,
     config: Optional[RobustSolveConfig] = None,
 ) -> SortResult:
     """Sort ``values`` ascending via the penalized LP on the noisy processor."""
-    u = np.asarray(values, dtype=np.float64).ravel()
-    lp = sorting_linear_program(u)
-    config = config if config is not None else default_sorting_config(values=u)
-    flops_before, faults_before = proc.flops, proc.faults_injected
+    u, lp, config = _setup(values, config)
     solution, result = solve_penalized_lp(lp, proc, config=config)
-    n = u.size
-    X = solution.reshape(n, n)
-    permutation = round_to_permutation(X)
-    output = permutation @ u
-    return SortResult(
-        output=output,
-        success=is_valid_sorted_output(output, u),
-        permutation=permutation,
-        flops=proc.flops - flops_before,
-        faults_injected=proc.faults_injected - faults_before,
-        method=f"robust[{config.variant}]",
-        optimizer_result=result,
-    )
+    return _scored(u, solution, result, config.variant)
 
 
 def robust_sort_batch(
@@ -196,32 +208,12 @@ def robust_sort_batch(
     Trial ``t``'s :class:`SortResult` — output, success flag, FLOP and fault
     accounting — is bit-identical to ``robust_sort(values, procs[t], config)``.
     """
-    u = np.asarray(values, dtype=np.float64).ravel()
-    lp = sorting_linear_program(u)
-    config = config if config is not None else default_sorting_config(values=u)
-    batch = procs if isinstance(procs, ProcessorBatch) else ProcessorBatch(procs)
-    batch.flush()  # counters must be current before the baseline read
-    flops_before = [proc.flops for proc in batch.procs]
-    faults_before = [proc.faults_injected for proc in batch.procs]
-    solutions, results = solve_penalized_lp_batch(lp, batch, config=config)
-    n = u.size
-    outcomes: List[SortResult] = []
-    for trial, proc in enumerate(batch.procs):
-        X = solutions[trial].reshape(n, n)
-        permutation = round_to_permutation(X)
-        output = permutation @ u
-        outcomes.append(
-            SortResult(
-                output=output,
-                success=is_valid_sorted_output(output, u),
-                permutation=permutation,
-                flops=proc.flops - flops_before[trial],
-                faults_injected=proc.faults_injected - faults_before[trial],
-                method=f"robust[{config.variant}]",
-                optimizer_result=results[trial],
-            )
-        )
-    return outcomes
+    u, lp, config = _setup(values, config)
+    solutions, results = solve_penalized_lp_batch(lp, procs, config=config)
+    return [
+        _scored(u, solution, result, config.variant)
+        for solution, result in zip(solutions, results)
+    ]
 
 
 def baseline_sort(

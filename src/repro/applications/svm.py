@@ -23,12 +23,13 @@ work.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.exceptions import ProblemSpecificationError
 from repro.linalg.ops import noisy_dot, noisy_matvec
+from repro.optimizers.base import OptimizationResult
 from repro.optimizers.problem import UnconstrainedProblem
 from repro.optimizers.sgd import (
     SGDOptions,
@@ -233,11 +234,39 @@ def robust_svm_train(
     )
 
 
-def _default_hinge_options(X: np.ndarray, regularization: float) -> SGDOptions:
-    return SGDOptions(
-        iterations=1000,
-        schedule="ls",
-        base_step=default_svm_step(X, regularization),
+def _sgd_setup(
+    X: np.ndarray,
+    y: np.ndarray,
+    options: Optional[SGDOptions],
+    regularization: float,
+) -> Tuple[SVMHingeProblem, SGDOptions]:
+    """The hinge problem and the SGD options of both hinge-loss twins.
+
+    Omitted ``options`` mean 1,000 iterations of 1/t stepping with a
+    stability-derived base step.
+    """
+    problem = SVMHingeProblem(X, y, regularization)
+    if options is None:
+        options = SGDOptions(
+            iterations=1000,
+            schedule="ls",
+            base_step=default_svm_step(problem.X, regularization),
+        )
+    return problem, options
+
+
+def _trained(problem: SVMHingeProblem, result: OptimizationResult) -> SVMResult:
+    """Score one solve's weights (non-finite entries zeroed) on the training set."""
+    weights = np.where(np.isfinite(result.x), result.x, 0.0)
+    return SVMResult(
+        weights=weights,
+        train_accuracy=svm_accuracy(weights, problem.X, problem.y),
+        objective=_hinge_objective(
+            weights, problem.X, problem.y, problem.regularization
+        ),
+        iterations=result.iterations,
+        flops=result.flops,
+        faults_injected=result.faults_injected,
     )
 
 
@@ -247,32 +276,19 @@ def robust_svm_train_sgd(
     proc: StochasticProcessor,
     options: Optional[SGDOptions] = None,
     regularization: float = 0.01,
-    x0: Optional[np.ndarray] = None,
 ) -> SVMResult:
     """Train a linear SVM by full-batch hinge-loss subgradient descent.
 
     The variational twin of :func:`robust_svm_train`: the regularized hinge
     loss (:class:`SVMHingeProblem`) is minimized with the shared
-    :func:`~repro.optimizers.sgd.stochastic_gradient_descent` engine, so the
-    trainer inherits every solver variant (step schedules, aggressive
-    stepping, momentum) and the tensorized batch tier.  When ``options`` is
-    omitted, 1,000 iterations of 1/t stepping with a stability-derived base
-    step are used.
+    :func:`~repro.optimizers.sgd.stochastic_gradient_descent` engine from
+    zero weights, so the trainer inherits every solver variant (step
+    schedules, aggressive stepping, momentum) and the tensorized batch tier.
+    When ``options`` is omitted, 1,000 iterations of 1/t stepping with a
+    stability-derived base step are used.
     """
-    problem = SVMHingeProblem(X, y, regularization)
-    if options is None:
-        options = _default_hinge_options(problem.X, regularization)
-    flops_before, faults_before = proc.flops, proc.faults_injected
-    result = stochastic_gradient_descent(problem, proc, options=options, x0=x0)
-    weights = np.where(np.isfinite(result.x), result.x, 0.0)
-    return SVMResult(
-        weights=weights,
-        train_accuracy=svm_accuracy(weights, problem.X, problem.y),
-        objective=_hinge_objective(weights, problem.X, problem.y, regularization),
-        iterations=result.iterations,
-        flops=proc.flops - flops_before,
-        faults_injected=proc.faults_injected - faults_before,
-    )
+    problem, options = _sgd_setup(X, y, options, regularization)
+    return _trained(problem, stochastic_gradient_descent(problem, proc, options=options))
 
 
 def robust_svm_train_sgd_batch(
@@ -281,7 +297,6 @@ def robust_svm_train_sgd_batch(
     procs: Union[ProcessorBatch, Sequence[StochasticProcessor]],
     options: Optional[SGDOptions] = None,
     regularization: float = 0.01,
-    x0: Optional[np.ndarray] = None,
 ) -> List[SVMResult]:
     """Run one hinge-loss SVM training per processor as a single tensor loop.
 
@@ -289,29 +304,9 @@ def robust_svm_train_sgd_batch(
     is built once and every trial's weight vector advances together through
     :func:`~repro.optimizers.sgd.stochastic_gradient_descent_batch`.  Trial
     ``t``'s :class:`SVMResult` is bit-identical to
-    ``robust_svm_train_sgd(X, y, procs[t], options, regularization, x0)``.
+    ``robust_svm_train_sgd(X, y, procs[t], options, regularization)``.
     """
-    problem = SVMHingeProblem(X, y, regularization)
-    if options is None:
-        options = _default_hinge_options(problem.X, regularization)
+    problem, options = _sgd_setup(X, y, options, regularization)
     batch = procs if isinstance(procs, ProcessorBatch) else ProcessorBatch(procs)
-    batch.flush()  # counters must be current before the baseline read
-    flops_before = [proc.flops for proc in batch.procs]
-    faults_before = [proc.faults_injected for proc in batch.procs]
-    results = stochastic_gradient_descent_batch(problem, batch, options=options, x0=x0)
-    outcomes: List[SVMResult] = []
-    for trial, (proc, result) in enumerate(zip(batch.procs, results)):
-        weights = np.where(np.isfinite(result.x), result.x, 0.0)
-        outcomes.append(
-            SVMResult(
-                weights=weights,
-                train_accuracy=svm_accuracy(weights, problem.X, problem.y),
-                objective=_hinge_objective(
-                    weights, problem.X, problem.y, regularization
-                ),
-                iterations=result.iterations,
-                flops=proc.flops - flops_before[trial],
-                faults_injected=proc.faults_injected - faults_before[trial],
-            )
-        )
-    return outcomes
+    results = stochastic_gradient_descent_batch(problem, batch, options=options)
+    return [_trained(problem, result) for result in results]

@@ -77,8 +77,6 @@ class RobustSolveConfig:
         Reliable-control-phase clip applied to noisy gradient components.
     annealing / aggressive:
         Concrete schedules used when the variant enables them.
-    record_history:
-        Record a per-iteration objective trace.
     """
 
     variant: str = "SGD,LS"
@@ -89,7 +87,6 @@ class RobustSolveConfig:
     gradient_clip: Optional[float] = 1.0e3
     annealing: PenaltyAnnealing = field(default_factory=PenaltyAnnealing)
     aggressive: AggressiveStepping = field(default_factory=AggressiveStepping)
-    record_history: bool = False
 
     def sgd_options(self) -> SGDOptions:
         """The :class:`SGDOptions` implied by this configuration."""
@@ -100,7 +97,6 @@ class RobustSolveConfig:
             gradient_clip=self.gradient_clip,
             annealing=self.annealing,
             aggressive=self.aggressive,
-            record_history=self.record_history,
         )
 
     def uses_preconditioning(self) -> bool:
@@ -108,54 +104,72 @@ class RobustSolveConfig:
         return get_variant(self.variant).precondition
 
 
+def _penalized(
+    lp: LinearProgram, config: RobustSolveConfig
+) -> Tuple[ExactPenaltyProblem, Optional[QRPreconditioner]]:
+    """The penalty form SGD minimizes, and the variant's QR preconditioner.
+
+    The preconditioner is ``None`` unless the variant preconditions, in which
+    case the penalty form is over the preconditioned coordinates.
+    """
+    preconditioner: Optional[QRPreconditioner] = None
+    working_lp = lp
+    if config.uses_preconditioning():
+        preconditioner = QRPreconditioner()
+        working_lp = preconditioner.fit(lp)
+    penalized = to_penalty_form(working_lp, penalty=config.penalty, kind=config.penalty_kind)
+    return penalized, preconditioner
+
+
+def _recover(
+    lp: LinearProgram,
+    config: RobustSolveConfig,
+    penalized: ExactPenaltyProblem,
+    preconditioner: Optional[QRPreconditioner],
+    results: Sequence[OptimizationResult],
+) -> None:
+    """Map each result back to the LP's coordinates, in place.
+
+    Preconditioned results get their iterate recovered and their objective
+    re-evaluated reliably on the original problem's penalty form, at the
+    penalty the (possibly annealed) solve ended with.
+    """
+    if preconditioner is None:
+        return
+    original = to_penalty_form(lp, penalty=penalized.penalty, kind=config.penalty_kind)
+    for result in results:
+        result.x = preconditioner.recover(result.x)
+        result.objective = float(original.value(result.x))
+
+
 def solve_penalized_lp(
     lp: LinearProgram,
     proc: StochasticProcessor,
     config: Optional[RobustSolveConfig] = None,
-    x0: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, OptimizationResult]:
     """Solve a linear program robustly on a stochastic processor.
 
     Pipeline: (optionally) QR-precondition the LP, convert it to the exact
     penalty form, run stochastic gradient descent with the variant's
-    enhancements, and map the solution back to the original coordinates.
+    enhancements from the LP's initial point, and map the solution back to
+    the original coordinates.
 
     Returns the solution in the original coordinates together with the
-    :class:`~repro.optimizers.base.OptimizationResult` of the inner solve.
+    :class:`~repro.optimizers.base.OptimizationResult` of the inner solve,
+    whose ``flops`` and ``faults_injected`` are all the noisy work of the
+    call (the transformation steps are reliable).
     """
     config = config if config is not None else RobustSolveConfig()
-    preconditioner: Optional[QRPreconditioner] = None
-    working_lp = lp
-    initial = x0
-    if config.uses_preconditioning():
-        preconditioner = QRPreconditioner()
-        working_lp = preconditioner.fit(lp)
-        if x0 is not None:
-            initial = preconditioner._R @ np.asarray(x0, dtype=np.float64)
-
-    penalized = to_penalty_form(
-        working_lp, penalty=config.penalty, kind=config.penalty_kind
-    )
-    result = stochastic_gradient_descent(
-        penalized, proc, options=config.sgd_options(), x0=initial
-    )
-    solution = result.x
-    if preconditioner is not None:
-        solution = preconditioner.recover(solution)
-        result.x = solution
-        # Objective in the original coordinates, reliably evaluated.
-        original_penalized = to_penalty_form(
-            lp, penalty=penalized.penalty, kind=config.penalty_kind
-        )
-        result.objective = float(original_penalized.value(solution))
-    return solution, result
+    penalized, preconditioner = _penalized(lp, config)
+    result = stochastic_gradient_descent(penalized, proc, options=config.sgd_options())
+    _recover(lp, config, penalized, preconditioner, [result])
+    return result.x, result
 
 
 def solve_penalized_lp_batch(
     lp: LinearProgram,
     procs: Union[ProcessorBatch, Sequence[StochasticProcessor]],
     config: Optional[RobustSolveConfig] = None,
-    x0: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, List[OptimizationResult]]:
     """Solve one penalized-LP trial per processor as a single tensor pipeline.
 
@@ -165,7 +179,7 @@ def solve_penalized_lp_batch(
     through :func:`~repro.optimizers.sgd.stochastic_gradient_descent_batch`,
     which updates every trial's iterate in one batched numpy loop.  Trial
     ``t``'s solution and accounting are bit-identical to
-    ``solve_penalized_lp(lp, procs[t], config, x0)``.
+    ``solve_penalized_lp(lp, procs[t], config)``.
 
     Returns the stacked solutions (``(n_trials, dimension)``, original
     coordinates) and one :class:`~repro.optimizers.base.OptimizationResult`
@@ -173,32 +187,9 @@ def solve_penalized_lp_batch(
     """
     config = config if config is not None else RobustSolveConfig()
     batch = procs if isinstance(procs, ProcessorBatch) else ProcessorBatch(procs)
-    preconditioner: Optional[QRPreconditioner] = None
-    working_lp = lp
-    initial = x0
-    if config.uses_preconditioning():
-        preconditioner = QRPreconditioner()
-        working_lp = preconditioner.fit(lp)
-        if x0 is not None:
-            initial = preconditioner._R @ np.asarray(x0, dtype=np.float64)
-
-    penalized = to_penalty_form(
-        working_lp, penalty=config.penalty, kind=config.penalty_kind
-    )
+    penalized, preconditioner = _penalized(lp, config)
     results = stochastic_gradient_descent_batch(
-        penalized, batch, options=config.sgd_options(), x0=initial
+        penalized, batch, options=config.sgd_options()
     )
-    solutions: List[np.ndarray] = []
-    original_penalized: Optional[ExactPenaltyProblem] = None
-    for result in results:
-        solution = result.x
-        if preconditioner is not None:
-            solution = preconditioner.recover(solution)
-            result.x = solution
-            if original_penalized is None:
-                original_penalized = to_penalty_form(
-                    lp, penalty=penalized.penalty, kind=config.penalty_kind
-                )
-            result.objective = float(original_penalized.value(solution))
-        solutions.append(solution)
-    return np.stack(solutions), results
+    _recover(lp, config, penalized, preconditioner, results)
+    return np.stack([result.x for result in results]), results

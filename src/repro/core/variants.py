@@ -144,7 +144,6 @@ def sgd_options_for_variant(
     gradient_clip: Optional[float] = None,
     annealing: Optional[PenaltyAnnealing] = None,
     aggressive: Optional[AggressiveStepping] = None,
-    record_history: bool = False,
 ) -> SGDOptions:
     """Build :class:`~repro.optimizers.sgd.SGDOptions` for a named variant.
 
@@ -155,7 +154,7 @@ def sgd_options_for_variant(
     caller.
     """
     spec = get_variant(name)
-    options = SGDOptions(
+    return SGDOptions(
         iterations=iterations,
         schedule=spec.schedule,
         base_step=base_step,
@@ -163,9 +162,7 @@ def sgd_options_for_variant(
         aggressive=(aggressive or AggressiveStepping()) if spec.aggressive else None,
         annealing=(annealing or PenaltyAnnealing()) if spec.annealing else None,
         gradient_clip=gradient_clip,
-        record_history=record_history,
     )
-    return options
 
 
 def variant_uses_preconditioning(name: str) -> bool:

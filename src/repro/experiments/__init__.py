@@ -74,9 +74,7 @@ from repro.experiments.scenarios import (
     voltage_scenario,
 )
 from repro.experiments.sequential import (
-    BudgetPolicy,
     ConfidenceTarget,
-    FixedCount,
     bootstrap_interval,
     wilson_half_width,
     wilson_interval,
@@ -120,9 +118,7 @@ __all__ = [
     "register_scenario",
     "scenario_series_name",
     "voltage_scenario",
-    "BudgetPolicy",
     "ConfidenceTarget",
-    "FixedCount",
     "wilson_interval",
     "wilson_half_width",
     "bootstrap_interval",

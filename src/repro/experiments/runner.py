@@ -26,7 +26,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 from repro.experiments.engine import ExperimentEngine
 from repro.experiments.results import FigureResult, SeriesResult
 from repro.experiments.scenarios import Scenario
-from repro.experiments.sequential import BudgetPolicy
+from repro.experiments.sequential import ConfidenceTarget
 from repro.experiments.spec import DEFAULT_FAULT_RATES, SweepSpec, TrialFunction
 
 __all__ = [
@@ -57,7 +57,7 @@ def run_fault_rate_sweep(
     seed: int = 0,
     fault_model: str = "leon3-fpu",
     engine: Optional[Union[str, ExperimentEngine]] = None,
-    policy: Optional[BudgetPolicy] = None,
+    policy: Optional[ConfidenceTarget] = None,
 ) -> List[SeriesResult]:
     """Run each named trial function over the fault-rate grid.
 
@@ -72,9 +72,8 @@ def run_fault_rate_sweep(
     ready-built :class:`~repro.experiments.engine.ExperimentEngine` is used
     as-is.  The choice affects throughput only — results are identical.
 
-    ``policy`` selects the trial budget: ``None`` (or
-    :class:`~repro.experiments.sequential.FixedCount`) runs the classic
-    fixed ``trials`` grid bit-identically, while a
+    ``policy`` selects the trial budget: ``None`` runs the classic fixed
+    ``trials`` grid bit-identically, while a
     :class:`~repro.experiments.sequential.ConfidenceTarget` streams trials
     in rounds and stops each grid point once its confidence interval
     reaches the target half-width (``trials`` is then ignored in favour of
@@ -102,7 +101,7 @@ def run_scenario_grid(
     trials: int = 5,
     seed: int = 0,
     engine: Optional[Union[str, ExperimentEngine]] = None,
-    policy: Optional[BudgetPolicy] = None,
+    policy: Optional[ConfidenceTarget] = None,
 ) -> List[SeriesResult]:
     """Run each trial function across a scenario × fault-rate grid.
 
@@ -142,7 +141,7 @@ def run_campaign(
     trials: int = 5,
     seed: int = 0,
     fault_model: str = "leon3-fpu",
-    policy: Optional[BudgetPolicy] = None,
+    policy: Optional[ConfidenceTarget] = None,
     key: Optional[Mapping[str, Any]] = None,
     pool: str = "serial",
     workers: Optional[int] = None,

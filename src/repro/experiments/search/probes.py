@@ -39,7 +39,7 @@ from repro.experiments.campaign.planner import Shard, ShardPlanner
 from repro.experiments.campaign.scheduler import CampaignScheduler
 from repro.experiments.campaign.store import ShardResult, ShardStore
 from repro.experiments.scenarios import voltage_scenario
-from repro.experiments.sequential import BudgetPolicy
+from repro.experiments.sequential import ConfidenceTarget
 from repro.experiments.spec import SweepSpec, TrialFunction
 
 __all__ = ["ProbeResult", "ProbeRunner"]
@@ -110,7 +110,7 @@ class ProbeRunner:
         series: str,
         trials: int = 5,
         seed: int = 0,
-        policy: Optional[BudgetPolicy] = None,
+        policy: Optional[ConfidenceTarget] = None,
         fault_model: str = "leon3-fpu",
         key: Optional[Mapping[str, Any]] = None,
         executor: str = "vectorized",

@@ -16,9 +16,9 @@ produce:
   (mean error), seeded deterministically so adaptive runs stay
   byte-reproducible.
 
-A :class:`BudgetPolicy` attaches to :class:`~repro.experiments.spec.SweepSpec`:
-:class:`FixedCount` is the bit-identical classic behaviour (an explicit
-spelling of the default), :class:`ConfidenceTarget` is the adaptive mode.  The
+A :class:`ConfidenceTarget` attached to
+:class:`~repro.experiments.spec.SweepSpec` selects the adaptive mode; with
+no policy the sweep runs the classic fixed-count grid.  The
 determinism contract: point stopping depends only on (spec, target, seed) —
 never on the executor or on wall-clock — because every trial value derives
 from its grid coordinates and the bootstrap streams derive from the point
@@ -39,8 +39,6 @@ __all__ = [
     "wilson_half_width",
     "bootstrap_interval",
     "normal_quantile",
-    "BudgetPolicy",
-    "FixedCount",
     "ConfidenceTarget",
     "PointStatus",
 ]
@@ -171,46 +169,8 @@ class PointStatus:
     target_met: bool
 
 
-class BudgetPolicy:
-    """Base class for trial-budget policies attached to a sweep.
-
-    ``adaptive`` distinguishes the two families: fixed-count policies run the
-    classic pre-planned grid (and stay out of the sweep fingerprint, so cache
-    entries of historical runs remain valid), adaptive policies enable the
-    engine's round loop and contribute a ``budget`` block to the fingerprint
-    so adaptive and fixed cache entries can never collide.
-    """
-
-    adaptive: bool = False
-
-    def fingerprint(self) -> dict:
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class FixedCount(BudgetPolicy):
-    """The classic budget, spelled explicitly: ``trials`` per point.
-
-    ``FixedCount(trials=n)`` on a sweep is byte-identical to setting
-    ``SweepSpec.trials = n`` with no policy — same expansion, same seeding,
-    same fingerprint, same cache hash.  ``trials=None`` keeps the sweep's own
-    count.
-    """
-
-    trials: Optional[int] = None
-
-    adaptive = False
-
-    def __post_init__(self) -> None:
-        if self.trials is not None and self.trials < 0:
-            raise ValueError(f"trials must be non-negative, got {self.trials}")
-
-    def fingerprint(self) -> dict:
-        return {"kind": "fixed-count", "trials": self.trials}
-
-
-@dataclass(frozen=True)
-class ConfidenceTarget(BudgetPolicy):
+class ConfidenceTarget:
     """Run each grid point until its CI half-width reaches ``half_width``.
 
     Trials stream in rounds of ``batch``; after each round every still-active
@@ -234,8 +194,6 @@ class ConfidenceTarget(BudgetPolicy):
     min_trials: int = 2
     max_trials: int = 1000
     bootstrap_resamples: int = 200
-
-    adaptive = True
 
     def __post_init__(self) -> None:
         if not self.half_width > 0.0:

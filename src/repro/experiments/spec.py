@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.experiments.scenarios import Scenario, get_scenario
-from repro.experiments.sequential import BudgetPolicy, FixedCount
+from repro.experiments.sequential import ConfidenceTarget
 from repro.faults.models import FaultModel
 from repro.processor.stochastic import StochasticProcessor
 
@@ -140,22 +140,17 @@ class SweepSpec:
     seed: int = 0
     fault_model: Union[str, FaultModel] = "leon3-fpu"
     scenarios: Optional[Sequence[Union[str, Scenario]]] = None
-    policy: Optional[BudgetPolicy] = None
+    policy: Optional[ConfidenceTarget] = None
     _specs: List[TrialSpec] = field(default=None, repr=False, compare=False)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         self.fault_rates = tuple(float(rate) for rate in self.fault_rates)
         if self.trials < 0:
             raise ValueError(f"trials must be non-negative, got {self.trials}")
-        if self.policy is not None:
-            if not isinstance(self.policy, BudgetPolicy):
-                raise TypeError(
-                    f"policy must be a BudgetPolicy, got {type(self.policy).__name__}"
-                )
-            if isinstance(self.policy, FixedCount) and self.policy.trials is not None:
-                # An explicit fixed count is just the classic grid with that
-                # trial count — same expansion, fingerprint, and cache hash.
-                self.trials = int(self.policy.trials)
+        if self.policy is not None and not isinstance(self.policy, ConfidenceTarget):
+            raise TypeError(
+                f"policy must be a ConfidenceTarget, got {type(self.policy).__name__}"
+            )
         if self.scenarios is not None:
             resolved = tuple(get_scenario(scenario) for scenario in self.scenarios)
             if not resolved:
@@ -174,7 +169,7 @@ class SweepSpec:
     @property
     def adaptive(self) -> bool:
         """Whether this sweep runs under an adaptive (round-based) budget."""
-        return self.policy is not None and self.policy.adaptive
+        return self.policy is not None
 
     def point_keys(self) -> List[PointKey]:
         """Every (series, scenario, rate) grid point, in plan order."""
@@ -328,9 +323,9 @@ class SweepSpec:
                 scenario.fingerprint() for scenario in self.scenarios
             ]
         if self.adaptive:
-            # Only adaptive policies enter the payload: the no-policy and
-            # FixedCount forms keep the historical fingerprint byte for
-            # byte, while adaptive runs hash to distinct cache entries.
+            # Only adaptive policies enter the payload: the no-policy form
+            # keeps the historical fingerprint byte for byte, while adaptive
+            # runs hash to distinct cache entries.
             payload["budget"] = self.policy.fingerprint()
         return payload
 

@@ -14,7 +14,7 @@ twins over a stack of per-trial systems, bit-identical per trial.
 from __future__ import annotations
 
 import math
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -29,19 +29,22 @@ __all__ = [
     "svd_least_squares_batch",
 ]
 
-#: Defaults of the serial solvers, which the batch twins always use.
+#: Sweep cap, relative off-diagonal threshold below which a column pair is
+#: skipped (and a sweep ends the loop), and the pseudo-inverse's relative
+#: singular-value cutoff, shared by the serial solvers and their batch twins.
 _MAX_SWEEPS = 12
 _TOLERANCE = 1e-10
 _RCOND = 1e-12
 
 
 def jacobi_svd(
-    proc: StochasticProcessor,
-    A: np.ndarray,
-    max_sweeps: int = _MAX_SWEEPS,
-    tolerance: float = _TOLERANCE,
+    proc: StochasticProcessor, A: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One-sided Jacobi SVD ``A = U diag(s) Vᵀ`` executed on the noisy FPU.
+
+    Runs at most ``_MAX_SWEEPS`` full column-pair sweeps.  The loop structure
+    and the convergence test are control-phase work (reliable); every
+    numerical operation inside a sweep runs on the noisy FPU.
 
     Parameters
     ----------
@@ -49,12 +52,6 @@ def jacobi_svd(
         Stochastic processor supplying the (possibly faulty) arithmetic.
     A:
         Matrix of shape ``(m, n)`` with ``m >= n``.
-    max_sweeps:
-        Maximum number of full column-pair sweeps.  The loop structure and
-        the convergence test are control-phase work (reliable); every
-        numerical operation inside a sweep runs on the noisy FPU.
-    tolerance:
-        Relative off-diagonal threshold below which a column pair is skipped.
 
     Returns
     -------
@@ -72,7 +69,7 @@ def jacobi_svd(
     fpu = proc.fpu
     U = A_arr.copy()
     V = np.eye(n, dtype=np.float64)
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         off_diagonal = 0.0
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -82,22 +79,13 @@ def jacobi_svd(
                 if not (np.isfinite(alpha) and np.isfinite(beta) and np.isfinite(gamma)):
                     continue
                 denom = np.sqrt(abs(alpha * beta))
-                if denom <= 0 or abs(gamma) <= tolerance * denom:
+                if denom <= 0 or abs(gamma) <= _TOLERANCE * denom:
                     continue
                 off_diagonal = max(off_diagonal, abs(gamma) / denom)
-                # Rotation parameters (two subtractions, one division, one
-                # square root, two more divisions: all noisy FLOPs).
-                zeta = fpu.div(fpu.sub(beta, alpha), fpu.mul(2.0, gamma))
-                if not np.isfinite(zeta):
+                rotation = _rotation(fpu, alpha, beta, gamma)
+                if rotation is None:
                     continue
-                sign = 1.0 if zeta >= 0 else -1.0
-                t = fpu.div(
-                    sign, fpu.add(abs(zeta), fpu.sqrt(fpu.add(1.0, fpu.mul(zeta, zeta))))
-                )
-                c = fpu.div(1.0, fpu.sqrt(fpu.add(1.0, fpu.mul(t, t))))
-                s = fpu.mul(c, t)
-                if not (np.isfinite(c) and np.isfinite(s)):
-                    continue
+                c, s = rotation
                 # Apply the rotation to the column pairs of U and V.
                 up = proc.corrupt(c * U[:, p] - s * U[:, q], ops_per_element=3)
                 uq = proc.corrupt(s * U[:, p] + c * U[:, q], ops_per_element=3)
@@ -105,7 +93,7 @@ def jacobi_svd(
                 vp = proc.corrupt(c * V[:, p] - s * V[:, q], ops_per_element=3)
                 vq = proc.corrupt(s * V[:, p] + c * V[:, q], ops_per_element=3)
                 V[:, p], V[:, q] = vp, vq
-        if off_diagonal < tolerance:
+        if off_diagonal < _TOLERANCE:
             break
     # Column norms are the singular values; normalize U's columns.
     singular_values = np.zeros(n, dtype=np.float64)
@@ -119,11 +107,27 @@ def jacobi_svd(
     return U[:, order], singular_values[order], V[:, order].T
 
 
+def _rotation(fpu, alpha, beta, gamma) -> Optional[Tuple[float, float]]:
+    """The Jacobi rotation ``(c, s)`` that zeroes the column pair's ``γ``.
+
+    Its 13 FLOPs (two subtractions, one division, one square root, two more
+    divisions, and the adds and multiplies between them) all run on
+    ``fpu``.  ``None`` means a non-finite parameter; the pair is skipped.
+    """
+    zeta = fpu.div(fpu.sub(beta, alpha), fpu.mul(2.0, gamma))
+    if not math.isfinite(zeta):
+        return None
+    sign = 1.0 if zeta >= 0 else -1.0
+    t = fpu.div(sign, fpu.add(abs(zeta), fpu.sqrt(fpu.add(1.0, fpu.mul(zeta, zeta)))))
+    c = fpu.div(1.0, fpu.sqrt(fpu.add(1.0, fpu.mul(t, t))))
+    s = fpu.mul(c, t)
+    if not (math.isfinite(c) and math.isfinite(s)):
+        return None
+    return c, s
+
+
 def svd_least_squares(
-    proc: StochasticProcessor,
-    A: np.ndarray,
-    b: np.ndarray,
-    rcond: float = _RCOND,
+    proc: StochasticProcessor, A: np.ndarray, b: np.ndarray
 ) -> np.ndarray:
     """Least-squares solution via the (noisy) one-sided Jacobi SVD.
 
@@ -139,7 +143,7 @@ def svd_least_squares(
     U, s, Vt = jacobi_svd(proc, A_arr)
     projected = noisy_matvec(proc, U.T, b_arr)
     finite = np.isfinite(s)
-    cutoff = rcond * (np.max(s[finite]) if np.any(finite) else 0.0)
+    cutoff = _RCOND * (np.max(s[finite]) if np.any(finite) else 0.0)
     usable = finite & (np.abs(s) > cutoff)
     inverse_s = np.divide(1.0, s, out=np.zeros_like(s), where=usable)
     scaled = proc.corrupt(projected * inverse_s, ops_per_element=1)
@@ -181,22 +185,11 @@ def _rotate_pair(
     )
     rotated, cosines, sines = [], [], []
     for i in candidates.tolist():
-        fpu = batch.procs[rows[i]].fpu
-        a, b, g = float(alpha[i]), float(beta[i]), float(gamma[i])
-        zeta = fpu.div(fpu.sub(b, a), fpu.mul(2.0, g))
-        if not math.isfinite(zeta):
-            continue
-        sign = 1.0 if zeta >= 0 else -1.0
-        t = fpu.div(
-            sign, fpu.add(abs(zeta), fpu.sqrt(fpu.add(1.0, fpu.mul(zeta, zeta))))
-        )
-        c = fpu.div(1.0, fpu.sqrt(fpu.add(1.0, fpu.mul(t, t))))
-        s = fpu.mul(c, t)
-        if not (math.isfinite(c) and math.isfinite(s)):
-            continue
-        rotated.append(i)
-        cosines.append(c)
-        sines.append(s)
+        rotation = _rotation(batch.procs[rows[i]].fpu, alpha[i], beta[i], gamma[i])
+        if rotation is not None:
+            rotated.append(i)
+            cosines.append(rotation[0])
+            sines.append(rotation[1])
     if not rotated:
         return
     trials = rows[rotated]

@@ -33,6 +33,7 @@ from typing import Optional
 import numpy as np
 
 from repro.exceptions import ProblemSpecificationError
+from repro.faults.vectorized import quiet
 from repro.linalg.ops import noisy_dot, noisy_matvec, noisy_sub
 from repro.optimizers.problem import ConstrainedProblem
 from repro.processor.batch import ProcessorBatch, batch_matvec, batch_sub
@@ -177,6 +178,7 @@ class ExactPenaltyProblem:
             total += self.penalty * contribution
         return float(total)
 
+    @quiet
     def _gradient_noisy(self, x: np.ndarray, proc: StochasticProcessor) -> np.ndarray:
         constraints = self.problem.constraints
         grad = self.problem.objective.gradient(x, proc)
@@ -212,6 +214,7 @@ class ExactPenaltyProblem:
         """Whether the underlying objective carries a tensorized gradient."""
         return self.problem.objective.has_batch_gradient
 
+    @quiet
     def gradient_batch(self, X: np.ndarray, batch: ProcessorBatch) -> np.ndarray:
         """Noisy penalty (sub)gradients for a stacked ``(n_trials, dim)`` iterate.
 

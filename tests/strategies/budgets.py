@@ -7,13 +7,13 @@ The adaptive axes the property suites need:
 * :func:`unreachable_targets` — targets whose half-width goal can never be
   met, so the round loop must run exactly to ``max_trials`` (the degenerate
   twin of a fixed-count sweep);
-* :func:`budget_policies` — the full policy axis: no policy, an explicit
-  :class:`FixedCount`, or an adaptive :class:`ConfidenceTarget`.
+* :func:`budget_policies` — the full policy axis: no policy or an adaptive
+  :class:`ConfidenceTarget`.
 """
 
 from hypothesis import strategies as st
 
-from repro.experiments.sequential import ConfidenceTarget, FixedCount
+from repro.experiments.sequential import ConfidenceTarget
 
 #: Half-width goals that every executor can reach quickly at tiny scale.
 _REACHABLE_WIDTHS = (0.2, 0.35, 0.5)
@@ -70,11 +70,8 @@ def unreachable_targets(draw, max_trials_cap: int = 6):
 
 
 def budget_policies(max_trials_cap: int = 8):
-    """The whole policy axis: absent, explicit fixed count, or adaptive."""
+    """The whole policy axis: absent (fixed count) or adaptive."""
     return st.one_of(
         st.none(),
-        st.builds(FixedCount, trials=st.one_of(
-            st.none(), st.integers(min_value=1, max_value=4),
-        )),
         confidence_targets(max_trials_cap=max_trials_cap),
     )

@@ -24,13 +24,11 @@ import numpy as np
 import pytest
 
 from repro.experiments.campaign import (
-    Campaign,
     CampaignRunner,
     CampaignScheduler,
     IncompleteCampaignError,
     Shard,
     ShardPlanner,
-    ShardResult,
     ShardStore,
     WorkerPoolError,
     campaign_status,

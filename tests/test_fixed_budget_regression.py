@@ -1,9 +1,8 @@
 """Regression pins: fixed-count mode is byte-identical to pre-budget main.
 
 The adaptive budget work must not perturb the default path in any way: a
-spec with no policy (or an explicit :class:`FixedCount`) has to produce the
-same fingerprints, the same cache hashes, and the same figure values as the
-engine did before budgets existed.  The literals below were computed on the
+spec with no policy has to produce the same fingerprints, the same cache
+hashes, and the same figure values as the engine did before budgets existed.  The literals below were computed on the
 commit immediately before the policy field landed; if any of them moves,
 cached results and the perf-trajectory history silently invalidate.
 """
@@ -11,7 +10,6 @@ cached results and the perf-trajectory history silently invalidate.
 from repro.experiments.cache import spec_hash
 from repro.experiments.kernels import sorting_kernel
 from repro.experiments.runner import run_fault_rate_sweep, run_scenario_grid
-from repro.experiments.sequential import FixedCount
 from repro.experiments.spec import SweepSpec
 from repro.experiments.trials import make_noisy_sum_trial
 
@@ -24,18 +22,17 @@ SINGLE_AXIS_HASH = (
 GRID_HASH = "080f01cb652309f6e01a258cf8f52be4aa047acfd90cc7eabc91beb86ab46568"
 
 
-def single_axis_spec(policy=None):
+def single_axis_spec():
     fn = make_noisy_sum_trial(n=8, ops_per_element=4)
     return SweepSpec(
         {"Base": fn, "SGD+AS,SQS": fn},
         fault_rates=(0.001, 0.01, 0.1),
         trials=3,
         seed=2010,
-        policy=policy,
     )
 
 
-def grid_spec(policy=None):
+def grid_spec():
     fn = make_noisy_sum_trial(n=8, ops_per_element=4)
     return SweepSpec(
         {"Base": fn},
@@ -43,7 +40,6 @@ def grid_spec(policy=None):
         trials=2,
         seed=2010,
         scenarios=("nominal", "low-order-seu"),
-        policy=policy,
     )
 
 
@@ -62,23 +58,6 @@ class TestFingerprintPins:
 
     def test_grid_hash_unchanged(self):
         assert spec_hash(grid_spec().fingerprint()) == GRID_HASH
-
-    def test_fixed_count_policy_hashes_identically_to_no_policy(self):
-        """FixedCount is presentation-free: same payload, same cache key."""
-        for make, pinned in (
-            (single_axis_spec, SINGLE_AXIS_HASH),
-            (grid_spec, GRID_HASH),
-        ):
-            plain = make()
-            fixed = make(policy=FixedCount(trials=plain.trials))
-            assert fixed.fingerprint() == plain.fingerprint()
-            assert spec_hash(fixed.fingerprint()) == pinned
-
-    def test_fixed_count_trials_override_folds_into_spec(self):
-        spec = single_axis_spec(policy=FixedCount(trials=5))
-        assert spec.trials == 5
-        assert spec.fingerprint()["trials"] == 5
-        assert not spec.adaptive
 
 
 class TestFigureValuePins:

@@ -9,6 +9,8 @@ sub-batches, and the scenario-aware sweep fingerprints that key the figure
 cache.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -307,6 +309,28 @@ class TestScenarioFingerprints:
             0.80, 0.75, 0.70, 0.65, 0.60,
         ]
         assert spec_hash({"params": params})  # strictly JSON-hashable
+
+
+class TestUniformPresetsRunQuiet:
+    """Bit flips anywhere in a word give inf and NaN gradients, not warnings.
+
+    The uniform presets flip exponent bits, so the penalized-LP gradients
+    meet ``inf - inf``, ``0 * inf`` and overflow.  Those values are the fault
+    model, and the serial and batched gradients run under
+    :func:`~repro.faults.vectorized.quiet`.
+    """
+
+    @pytest.mark.parametrize("engine", ["serial", "vectorized"])
+    @pytest.mark.parametrize("kernel", ["matching", "maxflow"])
+    def test_lp_kernel_raises_no_runtime_warning(self, kernel, engine):
+        functions = get_kernel(kernel).sweep_functions(iterations=50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            series = run_scenario_grid(
+                functions, ("uniform-32", "uniform-64"),
+                fault_rates=(0.1, 0.5), trials=2, engine=engine,
+            )
+        assert all(len(s.values) == 2 for s in series)
 
 
 class TestScenarioGridEntryPoints:

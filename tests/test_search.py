@@ -33,7 +33,6 @@ from repro.experiments.search import (
     successive_halving,
     trace_frontier,
 )
-from repro.processor.voltage import MIN_VOLTAGE, NOMINAL_VOLTAGE
 
 
 @pytest.fixture(scope="module")
