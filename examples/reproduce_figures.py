@@ -35,8 +35,8 @@ half-width reaches ``--budget-half-width``, capped at
 under budget-aware keys, so they never collide with fixed-count entries.
 
 ``--only`` accepts registry kernel names (``sorting``, ``cg_least_squares``,
-...; see ``--list``) or the historical figure generator names
-(``figure_6_1``, ...).
+...; see ``--list``) or the figure names that key the figure cache
+(``figure_6_1``, ``momentum_study``, ...); both come from the registry.
 
 ``--grid`` runs the selected sweep kernels as **scenario-grid studies**
 instead of their stock figures: each kernel's series line-up is crossed with
@@ -53,7 +53,7 @@ from repro.backends import resolve_backend, use_backend
 from repro.experiments import kernels
 from repro.experiments.engine import ExperimentEngine
 from repro.experiments.executors import list_executors
-from repro.experiments.figures import DEFAULT_CROSS_MODEL_SCENARIOS
+from repro.experiments.kernels import DEFAULT_CROSS_MODEL_SCENARIOS
 from repro.experiments.reporting import format_figure, save_figure_report
 from repro.experiments.scenarios import get_scenario, list_scenarios
 

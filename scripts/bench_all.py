@@ -261,7 +261,9 @@ def warm_up_grid(backend) -> float:
     start = time.perf_counter()
     if backend.kernels():
         backend.warmup()
-        functions = kernels.sorting_kernel(iterations=500, series={"Base": None})
+        functions = kernels.get_kernel("sorting").sweep_functions(
+            iterations=500, series={"Base": None}
+        )
         run_scenario_grid(
             functions, ("nominal",), fault_rates=(0.01,), trials=1,
             seed=kernels.WORKLOAD_SEED, engine=ExperimentEngine("vectorized"),
@@ -279,7 +281,7 @@ def bench_scenario_grid(args, backend) -> dict:
     """
     warmup_seconds = warm_up_grid(backend)
     iterations = max(int(10000 * args.scale), 500)
-    functions = kernels.sorting_kernel(
+    functions = kernels.get_kernel("sorting").sweep_functions(
         iterations=iterations,
         series={"Base": None, "SGD+AS,SQS": "SGD+AS,SQS"},
     )
@@ -340,7 +342,7 @@ def bench_campaign(args, backend) -> dict:
     """
     warmup_seconds = warm_up_grid(backend)
     iterations = max(int(10000 * args.scale), 500)
-    functions = kernels.sorting_kernel(
+    functions = kernels.get_kernel("sorting").sweep_functions(
         iterations=iterations,
         series={"Base": None, "SGD+AS,SQS": "SGD+AS,SQS"},
     )
@@ -434,7 +436,7 @@ def bench_adaptive(args, backend) -> dict:
     warmup_seconds = warm_up_grid(backend)
     iterations = max(int(10000 * args.scale), 500)
     fixed_trials = max(args.trials * 8, 16)
-    functions = kernels.sorting_kernel(
+    functions = kernels.get_kernel("sorting").sweep_functions(
         iterations=iterations,
         series={"Base": None, "SGD+AS,SQS": "SGD+AS,SQS"},
     )

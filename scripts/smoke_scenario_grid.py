@@ -32,7 +32,7 @@ import argparse
 import sys
 
 from repro.experiments.engine import ExperimentEngine
-from repro.experiments.kernels import sorting_kernel
+from repro.experiments.kernels import get_kernel
 from repro.experiments.runner import run_scenario_grid
 from repro.experiments.sequential import ConfidenceTarget
 
@@ -68,7 +68,7 @@ def main(argv=None) -> int:
         print("[smoke] need at least one executor besides the serial "
               "reference", file=sys.stderr)
         return 2
-    functions = sorting_kernel(
+    functions = get_kernel("sorting").sweep_functions(
         iterations=args.iterations, series={"Base": None, "SGD+AS,SQS": "SGD+AS,SQS"}
     )
     policy = None

@@ -1,39 +1,40 @@
 """Experiment harness: fault-rate sweeps and per-figure reproductions.
 
-Every table and figure of the paper's evaluation has a generator here:
+Every table and figure of the paper's evaluation is a kernel of the
+application-kernel registry (:mod:`repro.experiments.kernels`), built by
+``get_kernel(name).build(**overrides)``:
 
-========  ==========================================================
-Figure    Generator
-========  ==========================================================
-5.1       :func:`repro.experiments.figures.figure_5_1`
-5.2       :func:`repro.experiments.figures.figure_5_2`
-6.1       :func:`repro.experiments.figures.figure_6_1`
-6.2       :func:`repro.experiments.figures.figure_6_2`
-6.3       :func:`repro.experiments.figures.figure_6_3`
-6.4       :func:`repro.experiments.figures.figure_6_4`
-6.5       :func:`repro.experiments.figures.figure_6_5`
-6.6       :func:`repro.experiments.figures.figure_6_6`
-6.7       :func:`repro.experiments.figures.figure_6_7`
-§6.2.2    :func:`repro.experiments.figures.momentum_study`
-§6.3      :func:`repro.experiments.figures.flop_cost_comparison`
-§7        :func:`repro.experiments.figures.overhead_table`
-========  ==========================================================
+========  ===========================  ==================================
+Figure    Kernel                       Built by
+========  ===========================  ==================================
+5.1       ``fault_distribution``       :func:`~repro.experiments.figures.figure_5_1`
+5.2       ``voltage_curve``            :func:`~repro.experiments.figures.figure_5_2`
+6.1       ``sorting``                  :meth:`~repro.experiments.kernels.KernelSpec.build`
+6.2       ``least_squares_sgd``        :meth:`~repro.experiments.kernels.KernelSpec.build`
+6.3       ``iir``                      :meth:`~repro.experiments.kernels.KernelSpec.build`
+6.4       ``matching``                 :meth:`~repro.experiments.kernels.KernelSpec.build`
+6.5       ``matching_enhancements``    :meth:`~repro.experiments.kernels.KernelSpec.build`
+6.6       ``cg_least_squares``         :meth:`~repro.experiments.kernels.KernelSpec.build`
+6.7       ``energy``                   :func:`~repro.experiments.figures.figure_6_7`
+§6.2.2    ``momentum``                 :meth:`~repro.experiments.kernels.KernelSpec.build`
+§6.3      ``flop_costs``               :func:`~repro.experiments.figures.flop_cost_comparison`
+§7        ``overhead``                 :func:`~repro.experiments.figures.overhead_table`
+========  ===========================  ==================================
 
 Beyond the paper's own figures, the suite ships **scenario-grid studies**
 (cross-fault-model and voltage-vs-quality comparisons for sorting, least
-squares, and matching: :func:`~repro.experiments.figures.sorting_scenario_study`,
-:func:`~repro.experiments.figures.matching_voltage_study`, ...) built on the
-scenario axis of :class:`~repro.experiments.spec.SweepSpec` — see
+squares, and matching: the ``sorting_cross_model`` … ``matching_voltage``
+kernels) built on the scenario axis of
+:class:`~repro.experiments.spec.SweepSpec` — see
 :mod:`repro.experiments.scenarios` and ``docs/scenarios.md``.
 
-Each generator returns a :class:`repro.experiments.results.FigureResult` whose
+Each build returns a :class:`repro.experiments.results.FigureResult` whose
 series can be printed with :func:`repro.experiments.reporting.format_figure`.
-The ``trials`` / ``iterations`` arguments default to laptop-scale settings;
-the docstrings state the paper's full-scale values.  The generators are thin
-specs over the application-kernel registry
-(:mod:`repro.experiments.kernels`), which records each workload's trial
-factory, metric, batch capability, and reduced-scale parameters under a
-stable kernel name (``"sorting"``, ``"cg_least_squares"``, ...).
+The kernel's registration holds the paper value of every parameter
+(``KernelSpec.defaults``); ``KernelSpec.reduced_kwargs`` scales it down to
+laptop-scale settings.  The registry also records each workload's trial
+factory, metric, batch capability, and presentation metadata under a stable
+kernel name (``"sorting"``, ``"cg_least_squares"``, ...).
 
 Sweeps execute through the :class:`~repro.experiments.engine.ExperimentEngine`
 plan/execute subsystem: a sweep is expanded into seeded

@@ -20,11 +20,15 @@ collapses that coupling into one registry:
   label → trial-function mapping here, with the batch tier wired in where
   the application exposes one.
 * **Kernel specs.**  :class:`KernelSpec` records, under a stable name, each
-  kernel's figure generator, metric, series line-up, trial factory, and
-  reduced-scale floor; the rest it reads from the figure generator's
-  signature.  ``examples/reproduce_figures.py``,
-  ``benchmarks/conftest.py``, ``scripts/bench_all.py``, and the figure cache
-  key derivation all consume this registry instead of parallel tables.
+  kernel's figure name and presentation metadata, metric, series line-up,
+  workload factory, reduced-scale floor, and the paper value of every
+  parameter its figure takes (``defaults``).  :meth:`KernelSpec.build` runs
+  every sweep figure — a fault-rate sweep, a cross-model study or a voltage
+  study — from that one registration; only the non-sweep figures keep a
+  builder in :mod:`repro.experiments.figures`.
+  ``examples/reproduce_figures.py``, ``benchmarks/conftest.py``,
+  ``scripts/bench_all.py``, and the figure cache key derivation all consume
+  this registry instead of parallel tables.
 
 The registry is populated at import time; :func:`get_kernel` /
 :func:`list_kernels` are the lookup API.
@@ -33,7 +37,7 @@ The registry is populated at import time; :func:`get_kernel` /
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from operator import attrgetter
 from typing import Any, Callable, Dict, List, Mapping, Optional
@@ -105,6 +109,9 @@ from repro.workloads.signals import random_stable_iir, sum_of_sinusoids
 
 __all__ = [
     "WORKLOAD_SEED",
+    "DEFAULT_CROSS_MODEL_SCENARIOS",
+    "DEFAULT_CROSS_MODEL_RATES",
+    "DEFAULT_STUDY_VOLTAGES",
     "workload_memo_stats",
     "clear_workload_memo",
     "batchable",
@@ -131,6 +138,30 @@ __all__ = [
 
 #: Workload seed shared by every figure so results are reproducible.
 WORKLOAD_SEED = 2010
+
+#: Scenario presets compared by the cross-fault-model studies.
+DEFAULT_CROSS_MODEL_SCENARIOS = (
+    "nominal",
+    "measured-bits",
+    "low-order-seu",
+    "double-precision-64",
+)
+
+#: Fault-rate grid of the cross-fault-model studies (the paper's low /
+#: moderate / extreme operating points).
+DEFAULT_CROSS_MODEL_RATES = (0.01, 0.1, 0.5)
+
+#: Voltage operating points of the voltage-vs-quality studies; the fault
+#: rate at each point comes from the Figure 5.2 voltage/error-rate curve.
+DEFAULT_STUDY_VOLTAGES = (0.80, 0.75, 0.70, 0.65, 0.60)
+
+#: Parameters that shape a sweep figure's grid (trial count, workload seed,
+#: and its rate, scenario or voltage axis) rather than its workload; every
+#: other entry of a sweep kernel's ``defaults`` is a workload-factory
+#: parameter.
+_GRID_PARAMETERS = frozenset(
+    ("trials", "seed", "fault_rates", "fault_rate", "scenarios", "voltages")
+)
 
 # ---------------------------------------------------------------------------
 # Workload-construction memo
@@ -640,13 +671,16 @@ def momentum_trial_functions(
 
 
 # --------------------------------------------------------------------------- #
-# Workload-level kernel factories (workload construction + trial functions)
+# Workload factories (workload construction + trial functions).  They hold no
+# defaults: KernelSpec.sweep_functions fills every parameter a caller leaves
+# out from the kernel's registered paper values, and ``series=None`` selects
+# the trial-function builder's own line-up.
 # --------------------------------------------------------------------------- #
+_LineUp = Optional[Mapping[str, Any]]
+
+
 def sorting_kernel(
-    iterations: int = 10000,
-    array_size: int = 5,
-    seed: int = WORKLOAD_SEED,
-    series: Optional[Mapping[str, Optional[str]]] = None,
+    *, iterations: int, array_size: int, seed: int, series: _LineUp
 ) -> Dict[str, TrialFunction]:
     """Build the Figure 6.1 sorting workload and its trial functions."""
     values = random_array(array_size, rng=seed, min_gap=0.08)
@@ -654,10 +688,7 @@ def sorting_kernel(
 
 
 def least_squares_kernel(
-    iterations: int = 1000,
-    shape: tuple = (100, 10),
-    seed: int = WORKLOAD_SEED,
-    series: Optional[Mapping[str, Optional[str]]] = None,
+    *, iterations: int, shape: tuple, seed: int, series: _LineUp
 ) -> Dict[str, TrialFunction]:
     """Build the Figure 6.2 least-squares workload and its trial functions."""
     A, b, _ = random_least_squares(shape[0], shape[1], rng=seed)
@@ -665,11 +696,7 @@ def least_squares_kernel(
 
 
 def iir_kernel(
-    iterations: int = 1000,
-    signal_length: int = 500,
-    n_taps: int = 10,
-    seed: int = WORKLOAD_SEED,
-    series: Optional[Mapping[str, Optional[str]]] = None,
+    *, iterations: int, signal_length: int, n_taps: int, seed: int, series: _LineUp
 ) -> Dict[str, TrialFunction]:
     """Build the Figure 6.3 IIR workload and its trial functions."""
     filt = random_stable_iir(n_taps, rng=seed, pole_radius=0.8)
@@ -678,9 +705,7 @@ def iir_kernel(
 
 
 def matching_kernel(
-    iterations: int = 10000,
-    seed: int = WORKLOAD_SEED,
-    series: Optional[Mapping[str, Optional[str]]] = None,
+    *, iterations: int, seed: int, series: _LineUp
 ) -> Dict[str, TrialFunction]:
     """Build the Figure 6.4/6.5 matching workload and its trial functions."""
     graph = matching_workload(seed)
@@ -688,18 +713,14 @@ def matching_kernel(
 
 
 def cg_least_squares_kernel(
-    cg_iterations: int = 10,
-    shape: tuple = (100, 10),
-    seed: int = WORKLOAD_SEED,
+    *, cg_iterations: int, shape: tuple, seed: int
 ) -> Dict[str, TrialFunction]:
     """Build the Figure 6.6 CG least-squares workload and its trial functions."""
     A, b, _ = random_least_squares(shape[0], shape[1], rng=seed)
     return cg_least_squares_trial_functions(A, b, cg_iterations)
 
 
-def momentum_kernel(
-    iterations: int = 5000, seed: int = WORKLOAD_SEED
-) -> Dict[str, TrialFunction]:
+def momentum_kernel(*, iterations: int, seed: int) -> Dict[str, TrialFunction]:
     """Build the §6.2.2 momentum-study workloads and trial functions."""
     values = random_array(5, rng=seed, min_gap=0.08)
     graph = matching_workload(seed)
@@ -707,11 +728,8 @@ def momentum_kernel(
 
 
 def eigen_kernel(
-    iterations: int = 200,
-    matrix_size: int = 8,
-    condition_number: float = 10.0,
-    seed: int = WORKLOAD_SEED,
-    series: Optional[Mapping[str, int]] = None,
+    *, iterations: int, matrix_size: int, condition_number: float, seed: int,
+    series: _LineUp,
 ) -> Dict[str, TrialFunction]:
     """Build the §4.7 eigenpair workload and its trial functions."""
     M = random_spd_matrix(matrix_size, rng=seed, condition_number=condition_number)
@@ -719,11 +737,7 @@ def eigen_kernel(
 
 
 def maxflow_kernel(
-    iterations: int = 5000,
-    n_nodes: int = 6,
-    n_edges: int = 12,
-    seed: int = WORKLOAD_SEED,
-    series: Optional[Mapping[str, Optional[str]]] = None,
+    *, iterations: int, n_nodes: int, n_edges: int, seed: int, series: _LineUp
 ) -> Dict[str, TrialFunction]:
     """Build the §4.5 max-flow workload and its trial functions."""
     network = random_flow_network(n_nodes, n_edges, rng=seed)
@@ -731,11 +745,7 @@ def maxflow_kernel(
 
 
 def apsp_kernel(
-    iterations: int = 5000,
-    n_nodes: int = 5,
-    n_edges: int = 10,
-    seed: int = WORKLOAD_SEED,
-    series: Optional[Mapping[str, Optional[str]]] = None,
+    *, iterations: int, n_nodes: int, n_edges: int, seed: int, series: _LineUp
 ) -> Dict[str, TrialFunction]:
     """Build the §4.6 all-pairs shortest-path workload and its trial functions."""
     graph = random_weighted_graph(n_nodes, n_edges, rng=seed)
@@ -743,12 +753,8 @@ def apsp_kernel(
 
 
 def svm_kernel(
-    iterations: int = 1000,
-    n_samples: int = 60,
-    n_features: int = 5,
-    regularization: float = 0.01,
-    seed: int = WORKLOAD_SEED,
-    series: Optional[Mapping[str, Optional[str]]] = None,
+    *, iterations: int, n_samples: int, n_features: int, regularization: float,
+    seed: int, series: _LineUp,
 ) -> Dict[str, TrialFunction]:
     """Build the §4.7 SVM workload and its trial functions."""
     X, y, _ = random_svm_data(n_samples, n_features, rng=seed)
@@ -767,9 +773,11 @@ class KernelSpec:
     name:
         Stable registry name (``"sorting"``, ``"cg_least_squares"``, ...).
     figure:
-        Name of the figure generator in :mod:`repro.experiments.figures`
-        (resolved lazily so the registry can be imported below the figure
-        layer).
+        The figure's name (``"figure_6_1"``, ``"momentum_study"``, ...): a
+        lookup alias of :func:`get_kernel` and part of every figure cache
+        key.  A non-sweep kernel's builder in :mod:`repro.experiments.figures`
+        carries this name (resolved lazily so the registry can be imported
+        below the figure layer).
     figure_id / title:
         Presentation metadata of the generated :class:`FigureResult`.
     x_label / y_label:
@@ -784,17 +792,22 @@ class KernelSpec:
         :meth:`sweep_functions` applies it, so the figure, an ad-hoc grid
         and a campaign over the kernel all run the same series.
     trial_factory:
-        The workload-level factory building the series label →
-        trial-function mapping (sweep kernels only).
+        The workload factory building the series label → trial-function
+        mapping (sweep kernels only).
     min_iterations:
         Floor applied to the scaled budget (the numerical kernels stay at
         ≥500 iterations so their solves still converge at reduced scale).
     reduce_trials:
         Optional adjustment of the requested trial count at reduced scale
         (e.g. the Figure 6.7 energy search uses one fewer trial).
+    defaults:
+        The paper value of every parameter the figure takes: exactly the
+        names :meth:`build` accepts (sweep kernels also take ``engine``),
+        and the base of every cache key (:meth:`cache_params`).
 
     ``sweep`` derives from ``trial_factory``; ``takes_trials``,
-    ``scenario_study`` and ``paper_iterations`` from the builder's signature.
+    ``takes_engine``, ``scenario_study`` and ``paper_iterations`` from
+    ``defaults``.
     """
 
     name: str
@@ -808,6 +821,7 @@ class KernelSpec:
     trial_factory: Optional[Callable[..., Dict[str, TrialFunction]]] = None
     min_iterations: int = 0
     reduce_trials: Optional[Callable[[int], int]] = None
+    defaults: Mapping[str, Any] = field(default_factory=dict)
 
     @property
     def use_success_rate(self) -> bool:
@@ -821,54 +835,122 @@ class KernelSpec:
 
     @property
     def takes_engine(self) -> bool:
-        """Whether the figure builder accepts an ``engine`` keyword.
+        """Whether :meth:`build` accepts an ``engine`` keyword.
 
         True for every sweep kernel, and for non-sweep builders that still
         run trials through the engine (e.g. ``figure_5_2``'s Monte-Carlo
         scenario grid), so CLI executor selection reaches them.
         """
-        return self.sweep or "engine" in self._builder_parameters()
+        return self.sweep or "engine" in self.defaults
 
     @property
     def takes_trials(self) -> bool:
-        """Whether the figure builder accepts a ``trials`` keyword."""
-        return "trials" in self._builder_parameters()
+        """Whether :meth:`build` accepts a ``trials`` keyword."""
+        return "trials" in self.defaults
 
     @property
     def scenario_study(self) -> bool:
         """Whether the kernel's figure *is already* a scenario-grid study.
 
-        True when the builder takes ``scenarios`` or ``voltages`` (the
+        True when the figure takes ``scenarios`` or ``voltages`` (the
         cross-model and voltage comparisons).  Such kernels are excluded from
         ``reproduce_figures.py --grid``'s default selection — wrapping a
         scenario study in another ad-hoc grid would recompute the same
         workload under a second key with mislabeled axes.
         """
-        parameters = self._builder_parameters()
-        return "scenarios" in parameters or "voltages" in parameters
+        return "scenarios" in self.defaults or "voltages" in self.defaults
 
     @property
     def paper_iterations(self) -> Optional[int]:
-        """The paper's iteration budget: the builder's ``iterations`` default.
+        """The paper's iteration budget: the ``iterations`` default.
 
-        ``None`` when the builder takes no ``iterations`` argument;
+        ``None`` when the figure takes no ``iterations`` argument;
         reduced-scale runs multiply it by the requested scale fraction.
         """
-        parameter = self._builder_parameters().get("iterations")
-        return None if parameter is None else parameter.default
-
-    def _builder_parameters(self) -> Mapping[str, inspect.Parameter]:
-        return inspect.signature(self.builder()).parameters
+        return self.defaults.get("iterations")
 
     def builder(self) -> Callable[..., FigureResult]:
-        """The figure generator (resolved lazily from the figures module)."""
+        """A non-sweep kernel's figure builder (resolved from the figures module)."""
         from repro.experiments import figures
 
         return getattr(figures, self.figure)
 
-    def build(self, **kwargs: Any) -> FigureResult:
-        """Generate the kernel's figure with the given parameter overrides."""
-        return self.builder()(**kwargs)
+    def build(self, **overrides: Any) -> FigureResult:
+        """Generate the kernel's figure: its ``defaults`` with ``overrides``.
+
+        A name outside ``defaults`` (and, for sweep kernels, ``engine``)
+        raises ``TypeError`` before anything runs.  A non-sweep kernel hands
+        the merged values to its builder.  A sweep kernel runs one of three
+        things through the engine, then stamps the series with its metadata:
+
+        * a cross-model study when its defaults hold ``scenarios``
+          (:meth:`build_scenario_study` over the ``fault_rates`` grid);
+        * a voltage study when they hold ``voltages``: one voltage-pinned
+          scenario per point, with voltage as the x axis;
+        * otherwise a fault-rate sweep over ``fault_rates``, or over the
+          single ``fault_rate`` of the momentum study.
+        """
+        accepted = set(self.defaults) | ({"engine"} if self.sweep else set())
+        unknown = sorted(set(overrides) - accepted)
+        if unknown:
+            raise TypeError(
+                f"kernel {self.name!r} got unexpected parameter(s) "
+                f"{', '.join(map(repr, unknown))}"
+            )
+        params = {**self.defaults, **overrides}
+        if not self.sweep:
+            return self.builder()(**params)
+        engine = params.pop("engine", None)
+        grid = {"trials": params["trials"], "seed": params["seed"], "engine": engine}
+        workload = {
+            name: value for name, value in params.items()
+            if name not in _GRID_PARAMETERS
+        }
+        if "scenarios" in params:
+            series = self.build_scenario_study(
+                params["scenarios"], fault_rates=params["fault_rates"],
+                **grid, **workload,
+            ).series
+        elif "voltages" in params:
+            series = self._voltage_series(params["voltages"], grid, workload)
+        else:
+            from repro.experiments.runner import run_fault_rate_sweep
+
+            series = run_fault_rate_sweep(
+                self.sweep_functions(seed=grid["seed"], **workload),
+                fault_rates=(
+                    params["fault_rates"] if "fault_rates" in params
+                    else (params["fault_rate"],)
+                ),
+                **grid,
+            )
+        return self.make_figure(series, **params)
+
+    def _voltage_series(
+        self, voltages, grid: Mapping[str, Any], workload: Mapping[str, Any]
+    ) -> List[SeriesResult]:
+        """Run the kernel across voltage operating points; x axis = voltage.
+
+        Each voltage becomes a voltage-pinned scenario (fault rate from the
+        Figure 5.2 curve), executed through :meth:`build_scenario_study`
+        (whose pinned path runs each scenario at its single operating
+        point); the study's series — ordered series-major, then scenario —
+        are then re-indexed so every solver series runs over the voltage
+        axis.
+        """
+        from repro.experiments.scenarios import voltage_scenario
+
+        scenarios = [voltage_scenario(float(voltage)) for voltage in voltages]
+        study = self.build_scenario_study(scenarios, **grid, **workload)
+        reshaped = []
+        for series_index, label in enumerate(self.series):
+            entry = SeriesResult(name=label)
+            for scenario_index, voltage in enumerate(voltages):
+                row = study.series[series_index * len(scenarios) + scenario_index]
+                entry.fault_rates.append(float(voltage))
+                entry.values.append(list(row.values[0]))
+            reshaped.append(entry)
+        return reshaped
 
     def make_figure(
         self, series: List[SeriesResult], notes: str = "", **title_format: Any
@@ -890,13 +972,14 @@ class KernelSpec:
         """Build this kernel's series label → trial-function mapping.
 
         Resolves the registered trial factory with the kernel's own series
-        line-up (when one is registered) and the given workload parameters.
-        This is the single entry point callers outside the figure layer —
-        ``scripts/run_campaign.py``, ad-hoc scenario studies — use to turn a
-        registry name into sweep-ready trial functions.  Only sweep-shaped
-        kernels have one; others raise ``ValueError``, as does a parameter
-        the trial factory does not take (e.g. ``iterations`` for
-        ``cg_least_squares``).
+        line-up (when one is registered) and the given workload parameters;
+        every factory parameter left out takes the kernel's paper value from
+        ``defaults``.  This is the single entry point callers outside the
+        registry — ``scripts/run_campaign.py``, ad-hoc scenario studies —
+        use to turn a registry name into sweep-ready trial functions.  Only
+        sweep-shaped kernels have one; others raise ``ValueError``, as does
+        a parameter the trial factory does not take (e.g. ``iterations``
+        for ``cg_least_squares``).
 
         Construction is memoized per process on (kernel, seed, factory
         parameters) — see :func:`workload_memo_stats` — because workload
@@ -919,12 +1002,20 @@ class KernelSpec:
         if cached is not None:
             _WORKLOAD_MEMO_STATS["hits"] += 1
             return dict(cached)
+        kwargs = {
+            name: value for name, value in self.defaults.items()
+            if name not in _GRID_PARAMETERS
+        }
+        kwargs.update(factory_kwargs)
+        signature = inspect.signature(self.trial_factory)
+        if "series" in signature.parameters:
+            kwargs.setdefault("series", None)
         try:
-            inspect.signature(self.trial_factory).bind(seed=seed, **factory_kwargs)
+            signature.bind(seed=seed, **kwargs)
         except TypeError as error:
             raise ValueError(f"kernel {self.name!r}: {error}") from None
         _WORKLOAD_MEMO_STATS["misses"] += 1
-        functions = self.trial_factory(seed=seed, **factory_kwargs)
+        functions = self.trial_factory(seed=seed, **kwargs)
         _WORKLOAD_MEMO[memo_key] = dict(functions)
         return functions
 
@@ -947,7 +1038,7 @@ class KernelSpec:
         :class:`~repro.experiments.scenarios.Scenario` objects) through
         :func:`~repro.experiments.runner.run_scenario_grid`.  This is how
         ``examples/reproduce_figures.py --grid`` runs any kernel over any
-        scenario selection without a dedicated figure generator.
+        scenario selection without a study registration of its own.
 
         Scenarios that pin their own fault rate (explicitly or via a voltage
         operating point) have no rate axis: they run on a single grid point
@@ -1014,7 +1105,7 @@ class KernelSpec:
         )
 
     def reduced_kwargs(self, trials: int, scale: float = 1.0) -> Dict[str, Any]:
-        """Builder overrides for one run at ``scale`` × the paper's budget.
+        """:meth:`build` overrides for one run at ``scale`` × the paper's budget.
 
         ``scale=1.0`` reproduces the paper's configuration exactly; smaller
         fractions shrink each kernel's own iteration budget (respecting its
@@ -1037,9 +1128,9 @@ class KernelSpec:
 
         The payload must cover every parameter that shapes the figure's
         values, including the ones left at their defaults (workload seed,
-        fault-rate grid, problem sizes): the builder's signature defaults are
-        merged with the explicit overrides so editing a default invalidates
-        the cache.  ``scenarios`` / ``voltages`` parameters are resolved to
+        fault-rate grid, problem sizes): the kernel's ``defaults`` are merged
+        with the explicit overrides so editing a default invalidates the
+        cache.  ``scenarios`` / ``voltages`` parameters are resolved to
         full scenario fingerprints (model name, dtype, bit-position pmf,
         rate/voltage pin) rather than keyed by preset name alone, so editing
         a scenario or fault-model preset invalidates cached studies.  The
@@ -1048,12 +1139,7 @@ class KernelSpec:
         """
         from repro.experiments.scenarios import get_scenario, voltage_scenario
 
-        params = {
-            name: parameter.default
-            for name, parameter in self._builder_parameters().items()
-            if parameter.default is not inspect.Parameter.empty
-        }
-        params.update(kwargs)
+        params = {**self.defaults, **kwargs}
         params.pop("engine", None)
         if "scenarios" in params:
             params["scenarios"] = [
@@ -1080,7 +1166,7 @@ def register_kernel(spec: KernelSpec) -> KernelSpec:
 
 
 def get_kernel(name: str) -> KernelSpec:
-    """Look up a kernel by registry name (or by its figure generator name)."""
+    """Look up a kernel by registry name (or by its figure name)."""
     spec = _REGISTRY.get(name)
     if spec is not None:
         return spec
@@ -1108,6 +1194,23 @@ def sweep_kernels() -> List[KernelSpec]:
 # --------------------------------------------------------------------------- #
 # Registrations — the single source of truth for the figure suite
 # --------------------------------------------------------------------------- #
+#: Paper values shared by every registration of one workload.
+_SORTING = {"iterations": 10000, "array_size": 5}
+_LEAST_SQUARES = {"iterations": 1000, "shape": (100, 10)}
+_MATCHING = {"iterations": 10000}
+#: The rate grid and scenario presets of the cross-fault-model studies.
+_CROSS_MODEL = {
+    "fault_rates": DEFAULT_CROSS_MODEL_RATES,
+    "scenarios": DEFAULT_CROSS_MODEL_SCENARIOS,
+}
+
+
+def _sweep_defaults(**params: Any) -> Dict[str, Any]:
+    """A sweep kernel's paper defaults: ``params``, 5 trials a point, the
+    shared workload seed."""
+    return {"trials": 5, **params, "seed": WORKLOAD_SEED}
+
+
 register_kernel(KernelSpec(
     name="fault_distribution",
     figure="figure_5_1",
@@ -1115,6 +1218,7 @@ register_kernel(KernelSpec(
     title="Distribution of fault bit positions (measured vs emulated)",
     x_label="bit position",
     y_label="probability mass",
+    defaults={"width": 32},
 ))
 register_kernel(KernelSpec(
     name="voltage_curve",
@@ -1123,6 +1227,10 @@ register_kernel(KernelSpec(
     title="Error rate of an FPU as the voltage is scaled",
     x_label="supply voltage (V)",
     y_label="errors per FLOP",
+    defaults={
+        "n_points": 10, "trials": 3, "ops_per_trial": 4000,
+        "seed": WORKLOAD_SEED, "engine": None,
+    },
 ))
 register_kernel(KernelSpec(
     name="sorting",
@@ -1133,6 +1241,7 @@ register_kernel(KernelSpec(
     y_label="success rate",
     metric="success_rate",
     trial_factory=sorting_kernel,
+    defaults=_sweep_defaults(**_SORTING, fault_rates=DEFAULT_FAULT_RATES),
 ))
 register_kernel(KernelSpec(
     name="least_squares_sgd",
@@ -1143,6 +1252,7 @@ register_kernel(KernelSpec(
     y_label="relative error w.r.t. ideal (lower is better)",
     trial_factory=least_squares_kernel,
     min_iterations=500,
+    defaults=_sweep_defaults(**_LEAST_SQUARES, fault_rates=DEFAULT_FAULT_RATES),
 ))
 register_kernel(KernelSpec(
     name="iir",
@@ -1153,6 +1263,10 @@ register_kernel(KernelSpec(
     y_label="error energy / signal energy (lower is better)",
     trial_factory=iir_kernel,
     min_iterations=500,
+    defaults=_sweep_defaults(
+        iterations=1000, fault_rates=DEFAULT_FAULT_RATES,
+        signal_length=500, n_taps=10,
+    ),
 ))
 register_kernel(KernelSpec(
     name="matching",
@@ -1163,6 +1277,7 @@ register_kernel(KernelSpec(
     y_label="success rate",
     metric="success_rate",
     trial_factory=matching_kernel,
+    defaults=_sweep_defaults(**_MATCHING, fault_rates=DEFAULT_FAULT_RATES),
 ))
 register_kernel(KernelSpec(
     name="matching_enhancements",
@@ -1181,6 +1296,7 @@ register_kernel(KernelSpec(
         "ANNEAL": "ANNEAL",
         "ALL": "ALL",
     },
+    defaults=_sweep_defaults(**_MATCHING, fault_rates=(0.01, 0.05, 0.1, 0.2, 0.5)),
 ))
 register_kernel(KernelSpec(
     name="cg_least_squares",
@@ -1190,6 +1306,9 @@ register_kernel(KernelSpec(
     x_label="fault rate (fraction of FLOPs)",
     y_label="relative error w.r.t. ideal (lower is better)",
     trial_factory=cg_least_squares_kernel,
+    defaults=_sweep_defaults(
+        cg_iterations=10, fault_rates=DEFAULT_FAULT_RATES, shape=(100, 10)
+    ),
 ))
 register_kernel(KernelSpec(
     name="energy",
@@ -1199,6 +1318,14 @@ register_kernel(KernelSpec(
     x_label="accuracy target (relative error)",
     y_label="energy (power x #FLOPs, nominal-FLOP units)",
     reduce_trials=lambda trials: max(trials - 1, 2),
+    defaults={
+        "accuracy_targets": (1e-7, 1e-5, 1e-3, 1e-1),
+        "trials": 3,
+        "cg_iteration_grid": (2, 5, 10, 20, 40),
+        "error_rate_grid": (1e-7, 1e-5, 1e-3, 1e-2, 5e-2),
+        "shape": (100, 10),
+        "seed": WORKLOAD_SEED,
+    },
 ))
 register_kernel(KernelSpec(
     name="momentum",
@@ -1209,6 +1336,7 @@ register_kernel(KernelSpec(
     y_label="success rate",
     metric="success_rate",
     trial_factory=momentum_kernel,
+    defaults=_sweep_defaults(iterations=5000, fault_rate=0.1),
 ))
 register_kernel(KernelSpec(
     name="flop_costs",
@@ -1217,6 +1345,7 @@ register_kernel(KernelSpec(
     title="FLOP cost of least-squares implementations (fault-free)",
     x_label="(single workload)",
     y_label="FLOPs",
+    defaults={"shape": (100, 10), "seed": WORKLOAD_SEED},
 ))
 register_kernel(KernelSpec(
     name="overhead",
@@ -1225,6 +1354,9 @@ register_kernel(KernelSpec(
     title="FLOP overhead of robust implementations (robust / baseline)",
     x_label="(single workload)",
     y_label="overhead factor",
+    defaults={
+        "iterations_sorting": 10000, "iterations_lsq": 1000, "seed": WORKLOAD_SEED,
+    },
 ))
 register_kernel(KernelSpec(
     name="eigen",
@@ -1235,6 +1367,10 @@ register_kernel(KernelSpec(
     y_label="relative eigenvalue error (lower is better)",
     trial_factory=eigen_kernel,
     min_iterations=50,
+    defaults=_sweep_defaults(
+        iterations=200, fault_rates=DEFAULT_FAULT_RATES,
+        matrix_size=8, condition_number=10.0,
+    ),
 ))
 register_kernel(KernelSpec(
     name="maxflow",
@@ -1245,6 +1381,9 @@ register_kernel(KernelSpec(
     y_label="relative flow-value error (lower is better)",
     trial_factory=maxflow_kernel,
     min_iterations=500,
+    defaults=_sweep_defaults(
+        iterations=5000, fault_rates=DEFAULT_FAULT_RATES, n_nodes=6, n_edges=12
+    ),
 ))
 register_kernel(KernelSpec(
     name="apsp",
@@ -1255,6 +1394,9 @@ register_kernel(KernelSpec(
     y_label="mean relative distance error (lower is better)",
     trial_factory=apsp_kernel,
     min_iterations=500,
+    defaults=_sweep_defaults(
+        iterations=5000, fault_rates=DEFAULT_FAULT_RATES, n_nodes=5, n_edges=10
+    ),
 ))
 register_kernel(KernelSpec(
     name="svm",
@@ -1265,6 +1407,10 @@ register_kernel(KernelSpec(
     y_label="training accuracy (higher is better)",
     trial_factory=svm_kernel,
     min_iterations=200,
+    defaults=_sweep_defaults(
+        iterations=1000, fault_rates=DEFAULT_FAULT_RATES,
+        n_samples=60, n_features=5, regularization=0.01,
+    ),
 ))
 # --------------------------------------------------------------------------- #
 # Scenario-grid studies — cross-fault-model and voltage operating-point
@@ -1283,6 +1429,7 @@ register_kernel(KernelSpec(
     metric="success_rate",
     trial_factory=sorting_kernel,
     series={"Base": None, "SGD+AS,SQS": "SGD+AS,SQS"},
+    defaults=_sweep_defaults(**_SORTING, **_CROSS_MODEL),
 ))
 register_kernel(KernelSpec(
     name="least_squares_cross_model",
@@ -1294,6 +1441,7 @@ register_kernel(KernelSpec(
     trial_factory=least_squares_kernel,
     series={"Base: SVD": None, "SGD+AS,LS": "SGD+AS,LS"},
     min_iterations=500,
+    defaults=_sweep_defaults(**_LEAST_SQUARES, **_CROSS_MODEL),
 ))
 register_kernel(KernelSpec(
     name="matching_cross_model",
@@ -1305,6 +1453,7 @@ register_kernel(KernelSpec(
     metric="success_rate",
     trial_factory=matching_kernel,
     series={"Base": None, "SGD+AS,SQS": "SGD+AS,SQS"},
+    defaults=_sweep_defaults(**_MATCHING, **_CROSS_MODEL),
 ))
 register_kernel(KernelSpec(
     name="sorting_voltage",
@@ -1316,6 +1465,7 @@ register_kernel(KernelSpec(
     metric="success_rate",
     trial_factory=sorting_kernel,
     series={"Base": None, "SGD+AS,SQS": "SGD+AS,SQS"},
+    defaults=_sweep_defaults(**_SORTING, voltages=DEFAULT_STUDY_VOLTAGES),
 ))
 register_kernel(KernelSpec(
     name="least_squares_voltage",
@@ -1327,6 +1477,7 @@ register_kernel(KernelSpec(
     trial_factory=least_squares_kernel,
     series={"Base: SVD": None, "SGD+AS,LS": "SGD+AS,LS"},
     min_iterations=500,
+    defaults=_sweep_defaults(**_LEAST_SQUARES, voltages=DEFAULT_STUDY_VOLTAGES),
 ))
 register_kernel(KernelSpec(
     name="matching_voltage",
@@ -1338,4 +1489,5 @@ register_kernel(KernelSpec(
     metric="success_rate",
     trial_factory=matching_kernel,
     series={"Base": None, "SGD+AS,SQS": "SGD+AS,SQS"},
+    defaults=_sweep_defaults(**_MATCHING, voltages=DEFAULT_STUDY_VOLTAGES),
 ))

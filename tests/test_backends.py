@@ -232,8 +232,13 @@ class TestCnativeBitIdentity:
         # corrupt_block (noisy BLAS), commit_scalar, and — under the
         # vectorized executor — batch_corrupt.
         for functions, executor in (
-            (kernels.iir_kernel(iterations=40, signal_length=30, n_taps=3), "serial"),
-            (kernels.sorting_kernel(iterations=120), "vectorized"),
+            (
+                kernels.get_kernel("iir").sweep_functions(
+                    iterations=40, signal_length=30, n_taps=3
+                ),
+                "serial",
+            ),
+            (kernels.get_kernel("sorting").sweep_functions(iterations=120), "vectorized"),
         ):
             results = {}
             for backend in ("numpy", "cnative"):
@@ -251,7 +256,7 @@ class TestCnativeBitIdentity:
             assert results["cnative"] == results["numpy"]
 
     def test_scenario_grid_equivalence(self):
-        functions = kernels.sorting_kernel(iterations=120)
+        functions = kernels.get_kernel("sorting").sweep_functions(iterations=120)
         scenarios = ("nominal", "uniform-32", "double-precision-64")
         results = {}
         for backend in ("numpy", "cnative"):

@@ -8,7 +8,7 @@ cached results and the perf-trajectory history silently invalidate.
 """
 
 from repro.experiments.cache import spec_hash
-from repro.experiments.kernels import sorting_kernel
+from repro.experiments.kernels import get_kernel
 from repro.experiments.runner import run_fault_rate_sweep, run_scenario_grid
 from repro.experiments.spec import SweepSpec
 from repro.experiments.trials import make_noisy_sum_trial
@@ -64,7 +64,7 @@ class TestFigureValuePins:
     """Figure values computed before the budget work — must never move."""
 
     def test_single_axis_sweep_values_unchanged(self):
-        fns = sorting_kernel(
+        fns = get_kernel("sorting").sweep_functions(
             iterations=60, series={"Base": None, "SGD+AS,SQS": "SGD+AS,SQS"}
         )
         series = run_fault_rate_sweep(
@@ -83,7 +83,7 @@ class TestFigureValuePins:
             assert "halted_early" not in s.to_dict()
 
     def test_scenario_grid_values_unchanged(self):
-        fns = sorting_kernel(
+        fns = get_kernel("sorting").sweep_functions(
             iterations=60, series={"Base": None, "SGD+AS,SQS": "SGD+AS,SQS"}
         )
         series = run_scenario_grid(

@@ -73,7 +73,8 @@ class TestRegistryContents:
 
     def test_builders_resolve(self):
         for spec in kernels.list_kernels():
-            assert callable(spec.builder()), spec.name
+            if not spec.sweep:
+                assert callable(spec.builder()), spec.name
 
     def test_sweep_kernels_have_trial_factories(self):
         for spec in kernels.sweep_kernels():
@@ -82,39 +83,45 @@ class TestRegistryContents:
 
 class TestCapabilityDispatch:
     def test_trial_factories_declare_expected_batch_tiers(self):
-        functions = kernels.sorting_kernel(iterations=10, array_size=3)
+        functions = kernels.get_kernel("sorting").sweep_functions(iterations=10, array_size=3)
         assert not kernels.is_batchable(functions["Base"])
         for name in ("SGD", "SGD+AS,LS", "SGD+AS,SQS"):
             assert kernels.is_batchable(functions[name])
 
-        functions = kernels.cg_least_squares_kernel(cg_iterations=4, shape=(12, 3))
+        functions = kernels.get_kernel("cg_least_squares").sweep_functions(
+            cg_iterations=4, shape=(12, 3)
+        )
         assert kernels.is_batchable(functions["CG, N=4"])
         assert kernels.is_batchable(functions["Base: SVD"])
         for name in ("Base: QR", "Base: Cholesky"):
             assert not kernels.is_batchable(functions[name])
 
-        functions = kernels.iir_kernel(iterations=10, signal_length=20, n_taps=4)
+        functions = kernels.get_kernel("iir").sweep_functions(
+            iterations=10, signal_length=20, n_taps=4
+        )
         assert all(kernels.is_batchable(fn) for fn in functions.values())
 
-        functions = kernels.momentum_kernel(iterations=10)
+        functions = kernels.get_kernel("momentum").sweep_functions(iterations=10)
         assert all(kernels.is_batchable(fn) for fn in functions.values())
 
     def test_extension_factories_declare_expected_batch_tiers(self):
-        functions = kernels.maxflow_kernel(iterations=10)
+        functions = kernels.get_kernel("maxflow").sweep_functions(iterations=10)
         assert not kernels.is_batchable(functions["Base"])
         assert kernels.is_batchable(functions["SGD,SQS"])
         assert kernels.is_batchable(functions["SGD+AS,SQS"])
 
-        functions = kernels.apsp_kernel(iterations=10)
+        functions = kernels.get_kernel("apsp").sweep_functions(iterations=10)
         assert not kernels.is_batchable(functions["Base"])
         assert kernels.is_batchable(functions["SGD,SQS"])
 
         # Every eigen series batches; the SVM Pegasos baseline cannot (its
         # per-sample control flow is data-dependent) but the SGD series do.
-        functions = kernels.eigen_kernel(iterations=10, matrix_size=4)
+        functions = kernels.get_kernel("eigen").sweep_functions(iterations=10, matrix_size=4)
         assert all(kernels.is_batchable(fn) for fn in functions.values())
 
-        functions = kernels.svm_kernel(iterations=10, n_samples=12, n_features=3)
+        functions = kernels.get_kernel("svm").sweep_functions(
+            iterations=10, n_samples=12, n_features=3
+        )
         assert not kernels.is_batchable(functions["Base: Pegasos"])
         assert kernels.is_batchable(functions["SGD,LS"])
         assert kernels.is_batchable(functions["SGD+AS,LS"])
@@ -192,16 +199,22 @@ class TestKernelSpecDerivations:
         assert isinstance(figure, FigureResult)
 
     def test_paper_scale_matches_each_generators_documented_defaults(self):
-        """scale=1.0 must reproduce the paper budgets the docstrings state."""
-        import inspect
-
-        for name in ("sorting", "least_squares_sgd", "iir", "matching",
-                     "matching_enhancements", "momentum",
-                     "eigen", "maxflow", "apsp", "svm"):
-            spec = kernels.get_kernel(name)
-            kwargs = spec.reduced_kwargs(5, 1.0)
-            default = inspect.signature(spec.builder()).parameters["iterations"].default
-            assert kwargs["iterations"] == default, name
+        """scale=1.0 must reproduce the paper budgets docs/figures.md states."""
+        paper_budgets = {
+            "sorting": 10000,
+            "least_squares_sgd": 1000,
+            "iir": 1000,
+            "matching": 10000,
+            "matching_enhancements": 10000,
+            "momentum": 5000,
+            "eigen": 200,
+            "maxflow": 5000,
+            "apsp": 5000,
+            "svm": 1000,
+        }
+        for name, budget in paper_budgets.items():
+            kwargs = kernels.get_kernel(name).reduced_kwargs(5, 1.0)
+            assert kwargs["iterations"] == budget, name
 
     def test_cache_params_cover_builder_defaults(self):
         spec = kernels.get_kernel("sorting")
@@ -221,6 +234,26 @@ class TestKernelSpecDerivations:
         assert "123 iterations" in figure.title
         assert figure.y_label == "success rate"
         assert spec.use_success_rate
+
+    @pytest.mark.parametrize("name, parameter, value", [
+        ("cg_least_squares", "iterations", 5),
+        ("sorting", "voltages", (0.8,)),
+        ("flop_costs", "engine", "serial"),
+    ])
+    def test_build_rejects_a_parameter_the_kernel_does_not_take(
+        self, name, parameter, value, monkeypatch
+    ):
+        """build accepts exactly the kernel's ``defaults`` (sweeps add
+        ``engine``) and refuses anything else before any work starts: every
+        figure runs through a non-sweep builder or the workload factory."""
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a rejected build must not run anything")
+
+        monkeypatch.setattr(kernels.KernelSpec, "builder", must_not_run)
+        monkeypatch.setattr(kernels.KernelSpec, "sweep_functions", must_not_run)
+        with pytest.raises(TypeError, match=f"{name}.*{parameter}"):
+            kernels.get_kernel(name).build(**{parameter: value})
 
     def test_build_runs_a_cheap_kernel(self):
         figure = kernels.get_kernel("voltage_curve").build(n_points=5)

@@ -18,7 +18,7 @@ from repro.exceptions import FaultModelError
 from repro.experiments.cache import spec_hash
 from repro.experiments.engine import ExperimentEngine
 from repro.experiments.executors import get_executor
-from repro.experiments.kernels import get_kernel, sorting_kernel
+from repro.experiments.kernels import get_kernel
 from repro.experiments.runner import run_scenario_grid
 from repro.experiments.scenarios import (
     Scenario,
@@ -335,7 +335,7 @@ class TestUniformPresetsRunQuiet:
 
 class TestScenarioGridEntryPoints:
     def test_run_scenario_grid_shapes(self):
-        functions = sorting_kernel(
+        functions = get_kernel("sorting").sweep_functions(
             iterations=100, series={"Base": None, "SGD+AS,SQS": "SGD+AS,SQS"}
         )
         series = run_scenario_grid(
@@ -400,9 +400,7 @@ class TestScenarioGridEntryPoints:
         assert figure.fault_rates == [0.05, 0.2]
 
     def test_cross_model_figure_miniature(self):
-        from repro.experiments import figures
-
-        figure = figures.matching_scenario_study(
+        figure = get_kernel("matching_cross_model").build(
             trials=1, iterations=150, fault_rates=(0.0,),
             scenarios=("nominal", "measured-bits"),
         )
@@ -415,9 +413,7 @@ class TestScenarioGridEntryPoints:
         assert figure.series_named("Base @ nominal").values[0][0] == 1.0
 
     def test_voltage_figure_miniature(self):
-        from repro.experiments import figures
-
-        figure = figures.least_squares_voltage_study(
+        figure = get_kernel("least_squares_voltage").build(
             trials=1, iterations=150, voltages=(0.95, 0.70), shape=(20, 4),
         )
         assert [s.name for s in figure.series] == ["Base: SVD", "SGD+AS,LS"]
@@ -427,9 +423,9 @@ class TestScenarioGridEntryPoints:
         assert figure.series_named("Base: SVD").values[0][0] < 1e-6
 
     def test_figure_5_2_is_a_scenario_grid_study(self):
-        from repro.experiments import figures
-
-        figure = figures.figure_5_2(n_points=6, trials=2, ops_per_trial=500)
+        figure = get_kernel("voltage_curve").build(
+            n_points=6, trials=2, ops_per_trial=500
+        )
         analytic, empirical = figure.series
         assert len(analytic.values) == len(empirical.values) == 6
         model = VoltageErrorModel()
