@@ -105,7 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--refresh", action="store_true",
                         help="recompute even when a cached figure exists")
     parser.add_argument("--progress", action="store_true",
-                        help="stream per-fault-rate progress to stderr")
+                        help="print a progress line to stderr as each grid "
+                        "point finishes (per round under --budget adaptive)")
     return parser
 
 
@@ -201,8 +202,7 @@ def main(argv=None) -> None:
     trials = args.trials if args.trials is not None else (5 if args.paper_scale else 3)
 
     def progress(event) -> None:
-        if event.cell_done:
-            print(f"  {event}", file=sys.stderr)
+        print(f"  {event}", file=sys.stderr)
 
     engine = ExperimentEngine(
         executor=args.executor,

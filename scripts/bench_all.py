@@ -92,7 +92,6 @@ from repro.backends import DEFAULT_BACKEND, list_backends, resolve_backend, use_
 from repro.experiments import kernels
 from repro.experiments.campaign import CampaignRunner, ShardPlanner
 from repro.experiments.engine import ExperimentEngine
-from repro.experiments.runner import run_scenario_grid
 from repro.experiments.search import CriticalVoltageBisector, ProbeRunner
 from repro.experiments.sequential import ConfidenceTarget, wilson_half_width
 from repro.experiments.spec import SweepSpec
@@ -264,10 +263,10 @@ def warm_up_grid(backend) -> float:
         functions = kernels.get_kernel("sorting").sweep_functions(
             iterations=500, series={"Base": None}
         )
-        run_scenario_grid(
-            functions, ("nominal",), fault_rates=(0.01,), trials=1,
-            seed=kernels.WORKLOAD_SEED, engine=ExperimentEngine("vectorized"),
-        )
+        ExperimentEngine("vectorized").run_sweep(SweepSpec(
+            functions, fault_rates=(0.01,), trials=1,
+            seed=kernels.WORKLOAD_SEED, scenarios=("nominal",),
+        ))
     return round(time.perf_counter() - start, 4)
 
 
@@ -288,10 +287,10 @@ def bench_scenario_grid(args, backend) -> dict:
 
     def timed(executor: str):
         start = time.perf_counter()
-        series = run_scenario_grid(
-            functions, GRID_SCENARIOS, trials=args.trials,
-            seed=kernels.WORKLOAD_SEED, engine=ExperimentEngine(executor),
-        )
+        series = ExperimentEngine(executor).run_sweep(SweepSpec(
+            functions, trials=args.trials, seed=kernels.WORKLOAD_SEED,
+            scenarios=GRID_SCENARIOS,
+        ))
         return [s.values for s in series], time.perf_counter() - start
 
     serial_values, serial_seconds = timed("serial")
@@ -300,7 +299,7 @@ def bench_scenario_grid(args, backend) -> dict:
     identical = serial_values == batched_values == vectorized_values
     return {
         "kernel": "scenario_grid",
-        "figure": "run_scenario_grid",
+        "figure": "ExperimentEngine.run_sweep",
         "figure_id": "ScenarioGrid (sorting cross-model)",
         "params": {
             "scenarios": list(GRID_SCENARIOS),
@@ -443,11 +442,10 @@ def bench_adaptive(args, backend) -> dict:
 
     def timed(policy, executor="vectorized"):
         start = time.perf_counter()
-        series = run_scenario_grid(
-            functions, ADAPTIVE_SCENARIOS, trials=fixed_trials,
-            seed=kernels.WORKLOAD_SEED, engine=ExperimentEngine(executor),
-            policy=policy,
-        )
+        series = ExperimentEngine(executor).run_sweep(SweepSpec(
+            functions, trials=fixed_trials, seed=kernels.WORKLOAD_SEED,
+            scenarios=ADAPTIVE_SCENARIOS, policy=policy,
+        ))
         return series, time.perf_counter() - start
 
     fixed_series, fixed_seconds = timed(None)
@@ -482,7 +480,7 @@ def bench_adaptive(args, backend) -> dict:
     )
     return {
         "kernel": "adaptive",
-        "figure": "run_scenario_grid",
+        "figure": "ExperimentEngine.run_sweep",
         "figure_id": "AdaptiveBudget (confidence target vs fixed count)",
         "params": {
             "scenarios": list(ADAPTIVE_SCENARIOS),

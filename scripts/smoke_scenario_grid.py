@@ -33,8 +33,8 @@ import sys
 
 from repro.experiments.engine import ExperimentEngine
 from repro.experiments.kernels import get_kernel
-from repro.experiments.runner import run_scenario_grid
 from repro.experiments.sequential import ConfidenceTarget
+from repro.experiments.spec import SweepSpec
 
 SCENARIOS = ("nominal", "low-order-seu")
 FAULT_RATES = (0.05, 0.2)
@@ -77,17 +77,16 @@ def main(argv=None) -> int:
             half_width=0.2, batch=2, min_trials=2,
             max_trials=max(args.trials, 2) * 4,
         )
+
+    def make_sweep(sweep_policy) -> SweepSpec:
+        return SweepSpec(
+            functions, fault_rates=FAULT_RATES, trials=args.trials, seed=2010,
+            scenarios=SCENARIOS, policy=sweep_policy,
+        )
+
     results = {}
     for executor in executors:
-        series = run_scenario_grid(
-            functions,
-            SCENARIOS,
-            fault_rates=FAULT_RATES,
-            trials=args.trials,
-            seed=2010,
-            engine=ExperimentEngine(executor),
-            policy=policy,
-        )
+        series = ExperimentEngine(executor).run_sweep(make_sweep(policy))
         results[executor] = [
             (s.name, s.fault_rates, s.values, s.trials_used, s.halted_early)
             for s in series
@@ -114,11 +113,7 @@ def main(argv=None) -> int:
             half_width=1e-9, batch=2, min_trials=1, max_trials=args.trials
         )
         twins = {
-            label: run_scenario_grid(
-                functions, SCENARIOS, fault_rates=FAULT_RATES,
-                trials=args.trials, seed=2010,
-                engine=ExperimentEngine(executors[0]), policy=twin_policy,
-            )
+            label: ExperimentEngine(executors[0]).run_sweep(make_sweep(twin_policy))
             for label, twin_policy in (("fixed", None), ("degenerate", degenerate))
         }
         fixed_view = [

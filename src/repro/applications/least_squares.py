@@ -16,6 +16,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.verification import relative_difference
+from repro.faults.vectorized import quiet
 from repro.linalg.solve import least_squares_baseline
 from repro.linalg.svd import svd_least_squares_batch
 from repro.optimizers.base import OptimizationResult
@@ -97,6 +98,7 @@ def default_least_squares_step(A: np.ndarray) -> float:
     return 0.5 / (spectral_norm**2)
 
 
+@quiet
 def _finish(
     A: np.ndarray,
     b: np.ndarray,

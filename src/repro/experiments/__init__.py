@@ -36,15 +36,20 @@ laptop-scale settings.  The registry also records each workload's trial
 factory, metric, batch capability, and presentation metadata under a stable
 kernel name (``"sorting"``, ``"cg_least_squares"``, ...).
 
-Sweeps execute through the :class:`~repro.experiments.engine.ExperimentEngine`
-plan/execute subsystem: a sweep is expanded into seeded
-:class:`~repro.experiments.spec.TrialSpec` entries and handed to a pluggable
-executor (``serial``, ``batched``, or ``vectorized``), all of which produce
-bit-identical results.  The ``vectorized`` executor is
-the tensorized trial backend (:mod:`repro.experiments.tensor`): it runs a
-whole (fault-rate × trials) series grid as one stacked numpy computation for
-trial functions that declare a batch implementation.  Completed figures can
-be cached on disk through :class:`~repro.experiments.cache.ResultCache`.
+A sweep is one :class:`~repro.experiments.spec.SweepSpec` — trial
+functions, fault rates, trials, seed, and optionally a scenario axis and an
+adaptive budget policy — run in one of two ways:
+:meth:`ExperimentEngine.run_sweep <repro.experiments.engine.ExperimentEngine.run_sweep>`
+in this process, or ``CampaignRunner(store).submit(sweep).run()``
+(:mod:`repro.experiments.campaign`) as sharded, resumable work on a worker
+pool.  Both expand the sweep into seeded
+:class:`~repro.experiments.spec.TrialSpec` entries and hand them to a
+pluggable executor (``serial``, ``batched``, or ``vectorized``), all of
+which produce bit-identical results.  The ``vectorized`` executor is the
+tensorized trial backend (:mod:`repro.experiments.tensor`): it runs a whole
+(fault-rate × trials) series grid as one stacked numpy computation for trial
+functions that declare a batch implementation.  Completed figures can be
+cached on disk through :class:`~repro.experiments.cache.ResultCache`.
 """
 
 from repro.experiments.engine import ExperimentEngine, ProgressEvent
@@ -85,7 +90,6 @@ from repro.experiments.spec import (
     SweepSpec,
     TrialSpec,
 )
-from repro.experiments.runner import run_campaign, run_fault_rate_sweep, run_scenario_grid
 from repro.experiments.reporting import format_figure, figure_to_rows, save_figure_report
 from repro.experiments import campaign
 from repro.experiments import figures
@@ -123,9 +127,6 @@ __all__ = [
     "wilson_interval",
     "wilson_half_width",
     "bootstrap_interval",
-    "run_fault_rate_sweep",
-    "run_scenario_grid",
-    "run_campaign",
     "campaign",
     "DEFAULT_FAULT_RATES",
     "format_figure",

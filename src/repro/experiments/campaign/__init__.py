@@ -9,12 +9,15 @@ shared artifact store (:mod:`~repro.experiments.campaign.store`), and merged
 deterministically back into ``SeriesResult`` lists byte-identical to the
 serial path (:mod:`~repro.experiments.campaign.campaign`).
 
-The engine's ``run_sweep`` is the degenerate case — one implicit shard
-spanning the whole grid, executed inline — and both paths share the same
-execution and assembly functions (:func:`~repro.experiments.engine.run_point_block`,
-:func:`~repro.experiments.engine.run_adaptive_points`,
+The engine's ``run_sweep`` is the degenerate case — one implicit shard per
+(series, scenario) unit, executed inline — and both paths share the same
+execution, progress and assembly functions
+(:func:`~repro.experiments.engine.run_points`,
+:func:`~repro.experiments.engine.progress_reporter`,
 :func:`~repro.experiments.engine.assemble_series`), so bit-identity between
 them is structural, not coincidental.
+``CampaignRunner(store).submit(sweep).run()`` is the whole programmatic
+interface.
 
 See ``docs/campaigns.md`` for the shard model, id derivation, store layout,
 and resume semantics; ``scripts/run_campaign.py`` is the CLI front-end.

@@ -23,8 +23,10 @@ The merge is :func:`~repro.experiments.engine.assemble_series` over the
 union of the shard artifacts' per-point values — the exact function the
 engine runs for a single-process sweep — so the merged ``SeriesResult`` list
 is byte-identical to the serial path for fixed-count and adaptive sweeps
-alike.  Progress streams through the existing
-:class:`~repro.experiments.engine.ProgressEvent` callback as shards land.
+alike.  Progress reaches the same
+:class:`~repro.experiments.engine.ProgressEvent` callback the engine takes,
+built by the engine's own :func:`~repro.experiments.engine.progress_reporter`:
+one event per point as its shard lands.
 """
 
 from __future__ import annotations
@@ -37,12 +39,7 @@ from repro.experiments.cache import spec_hash
 from repro.experiments.campaign.planner import Shard, ShardPlanner
 from repro.experiments.campaign.scheduler import CampaignScheduler, ShardCallback
 from repro.experiments.campaign.store import ShardResult, ShardStore
-from repro.experiments.engine import (
-    ProgressEvent,
-    assemble_series,
-    point_label,
-    point_rate,
-)
+from repro.experiments.engine import ProgressEvent, assemble_series, progress_reporter
 from repro.experiments.results import SeriesResult
 from repro.experiments.spec import SweepSpec
 
@@ -136,18 +133,23 @@ class Campaign:
         ones.  ``on_shard`` (called per computed shard, after publication)
         may raise to abort.
         """
-        progress_state = {"trials": 0}
+        report = progress_reporter(self.sweep, self.progress)
+
+        def land(shard: Shard, result: ShardResult) -> None:
+            self._loaded[shard.shard_id] = result
+            if report is not None:
+                for point, trial_values in zip(shard.points, result.values):
+                    report(point, trial_values, None)
+
         reused_ids = self.store.completed(self.shards)
         for shard in self.shards:
             if shard.shard_id in reused_ids:
                 result = self.store.load_shard(shard)
                 if result is not None:
-                    self._loaded[shard.shard_id] = result
-                    self._emit_shard_progress(shard, result, progress_state)
+                    land(shard, result)
 
         def hook(shard: Shard, result: ShardResult) -> None:
-            self._loaded[shard.shard_id] = result
-            self._emit_shard_progress(shard, result, progress_state)
+            land(shard, result)
             if on_shard is not None:
                 on_shard(shard, result)
 
@@ -159,30 +161,6 @@ class Campaign:
             on_shard=hook,
         )
         return self.result()
-
-    def _emit_shard_progress(
-        self, shard: Shard, result: ShardResult, state: Dict[str, int]
-    ) -> None:
-        """One ProgressEvent per grid point, as its shard completes."""
-        if self.progress is None:
-            return
-        sweep = self.sweep
-        per_point_total = (
-            sweep.policy.max_trials if sweep.adaptive else sweep.trials
-        )
-        sweep_total = len(sweep.point_keys()) * per_point_total
-        for point, trial_values in zip(shard.points, result.values):
-            state["trials"] += len(trial_values)
-            self.progress(
-                ProgressEvent(
-                    series_name=point_label(sweep, point),
-                    fault_rate=point_rate(sweep, point),
-                    completed=len(trial_values),
-                    total=per_point_total,
-                    sweep_completed=state["trials"],
-                    sweep_total=sweep_total,
-                )
-            )
 
     # ------------------------------------------------------------------ #
     # Merge

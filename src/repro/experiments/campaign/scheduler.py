@@ -19,8 +19,10 @@ pools:
     unsupported or unsafe (see :meth:`CampaignScheduler.resolved_pool`).
 
 These pools are where parallelism lives: an executor runs a shard's trials
-in one process, and the engine's ``run_sweep`` is the single-shard, inline
-case.  Within a shard, trials run through the ordinary executor stack
+in one process, and the engine's ``run_sweep`` is the inline case that runs
+each (series, scenario) unit through the same
+:func:`~repro.experiments.engine.run_points`.  Within a shard, trials run
+through the ordinary executor stack
 (:func:`~repro.experiments.executors.get_executor` by name, so the choice
 ships to forked workers as a plain string); forked workers inherit the
 ambient compute backend.  Results are bit-identical across pools for the
@@ -41,7 +43,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.experiments.engine import run_adaptive_points, run_point_block
+from repro.experiments.engine import run_points
 from repro.experiments.executors import Executor, get_executor
 from repro.experiments.campaign.planner import Shard
 from repro.experiments.campaign.store import ShardResult, ShardStore
@@ -70,22 +72,16 @@ class WorkerPoolError(RuntimeError):
 def execute_shard(sweep: SweepSpec, shard: Shard, executor: Executor) -> ShardResult:
     """Run one shard's points through the shared engine execution path.
 
-    This is the whole worker loop body: the same
-    :func:`~repro.experiments.engine.run_point_block` /
-    :func:`~repro.experiments.engine.run_adaptive_points` calls the engine
-    makes for the full grid, restricted to the shard's points.
+    This is the whole worker loop body: the
+    :func:`~repro.experiments.engine.run_points` call the engine makes for
+    each (series, scenario) unit, restricted to the shard's points.
     """
-    points = list(shard.points)
-    if sweep.adaptive:
-        collected, halted_map = run_adaptive_points(sweep, points, executor)
-        halted = tuple(bool(halted_map[point]) for point in points)
-    else:
-        collected = run_point_block(sweep, points, executor)
-        halted = None
+    points = shard.points
+    collected, halted = run_points(sweep, points, executor)
     return ShardResult(
-        points=tuple(points),
+        points=points,
         values=tuple(tuple(collected[point]) for point in points),
-        halted=halted,
+        halted=None if halted is None else tuple(halted[point] for point in points),
     )
 
 

@@ -1,4 +1,4 @@
-"""The experiment engine: plan, execute, stream progress, cache figures.
+"""The experiment engine: plan, execute, report progress, cache figures.
 
 :class:`ExperimentEngine` is the front door of the experiments subsystem.  A
 sweep is first expanded into seeded :class:`~repro.experiments.spec.TrialSpec`
@@ -12,11 +12,12 @@ all executors produce bit-identical results; choosing an executor is purely a
 throughput decision.  ``serial`` is the reference, ``batched`` vectorizes per
 (series, rate) cell, and ``vectorized`` runs the tensorized trial backend
 (one stacked computation per series, spanning the whole rate grid — see
-:mod:`repro.experiments.tensor`).  Parallel runs go through the campaign
-layer (:mod:`repro.experiments.campaign`), whose worker pools run shards
-through these same executors.  The engine additionally streams per-(series,
-rate) progress events to an optional callback and memoizes completed figures
-on disk through :class:`~repro.experiments.cache.ResultCache`.
+:mod:`repro.experiments.tensor`).  The engine runs a sweep one (series,
+scenario) unit at a time through :func:`run_points`, the same call a
+campaign shard makes (:mod:`repro.experiments.campaign`, whose worker pools
+are where parallel runs live).  It reports one progress event per grid point
+as the point's unit or adaptive round finishes, and memoizes completed
+figures on disk through :class:`~repro.experiments.cache.ResultCache`.
 """
 
 from __future__ import annotations
@@ -28,17 +29,18 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.experiments.cache import ResultCache
 from repro.experiments.executors import Executor, get_executor
 from repro.experiments.results import FigureResult, SeriesResult
+from repro.experiments.scenarios import scenario_series_name
 from repro.experiments.sequential import PointStatus
-from repro.experiments.spec import PointKey, SweepSpec, TrialSpec
+from repro.experiments.spec import PointKey, SweepSpec
 
 __all__ = [
     "ProgressEvent",
     "ExperimentEngine",
+    "progress_reporter",
+    "run_points",
     "run_point_block",
     "run_adaptive_points",
     "assemble_series",
-    "point_label",
-    "point_rate",
 ]
 
 #: Per-point trial values, keyed by (series_index, scenario_index, rate_index).
@@ -47,14 +49,15 @@ PointValues = Dict[PointKey, List[float]]
 
 @dataclass(frozen=True)
 class ProgressEvent:
-    """One progress update: trials completed for a (series, fault-rate) cell.
+    """One progress update: the trials a (series, fault-rate) point has so far.
 
-    Adaptive (confidence-target) sweeps additionally emit one event per
-    point per round carrying ``ci_half_width`` — the point's current
-    interval half-width after the round — with ``total`` set to the policy's
-    ``max_trials`` cap and ``sweep_total`` to the worst-case trial count, so
-    an adaptive sweep typically *finishes* with ``sweep_completed`` below
-    ``sweep_total``.
+    Every sweep reports one event per grid point as the point's (series,
+    scenario) unit, campaign shard or adaptive round finishes (see
+    :func:`progress_reporter`).  Adaptive (confidence-target) rounds also
+    carry ``ci_half_width`` — the point's interval half-width after the
+    round — with ``total`` set to the policy's ``max_trials`` cap and
+    ``sweep_total`` to the worst-case trial count, so an adaptive sweep
+    typically *finishes* with ``sweep_completed`` below ``sweep_total``.
     """
 
     series_name: str
@@ -64,11 +67,6 @@ class ProgressEvent:
     sweep_completed: int
     sweep_total: int
     ci_half_width: Optional[float] = None
-
-    @property
-    def cell_done(self) -> bool:
-        """Whether every trial of this (series, fault-rate) cell has finished."""
-        return self.completed >= self.total
 
     def __str__(self) -> str:
         text = (
@@ -84,53 +82,101 @@ class ProgressEvent:
 #: Progress callback signature.
 ProgressCallback = Callable[[ProgressEvent], None]
 
+#: Called as a grid point finishes a unit, shard or adaptive round:
+#: ``report(point, values, status)`` with every trial value the point has so
+#: far and, after an adaptive round, its :class:`PointStatus`.
+PointReport = Callable[[PointKey, Sequence[float], Optional[PointStatus]], None]
+
+
+def progress_reporter(
+    sweep: SweepSpec, progress: Optional[ProgressCallback]
+) -> Optional[PointReport]:
+    """The :data:`PointReport` that turns finished points into ``progress`` events.
+
+    ``None`` when there is no callback.  ``sweep_completed`` counts each
+    point's trials once, however often the point reports; the engine and
+    the campaign layer both build their events here.
+    """
+    if progress is None:
+        return None
+    total = sweep.policy.max_trials if sweep.adaptive else sweep.trials
+    sweep_total = len(sweep.point_keys()) * total
+    counted: Dict[PointKey, int] = {}
+    done = 0
+
+    def report(
+        point: PointKey, values: Sequence[float], status: Optional[PointStatus]
+    ) -> None:
+        nonlocal done
+        done += len(values) - counted.get(point, 0)
+        counted[point] = len(values)
+        series_index, scenario_index, rate_index = point
+        name = sweep.series_names[series_index]
+        rate = sweep.fault_rates[rate_index]
+        if scenario_index is not None:
+            scenario = sweep.scenarios[scenario_index]
+            name = scenario_series_name(name, scenario)
+            rate = scenario.effective_fault_rate(rate)
+        progress(
+            ProgressEvent(
+                series_name=name,
+                fault_rate=rate,
+                completed=len(values),
+                total=total,
+                sweep_completed=done,
+                sweep_total=sweep_total,
+                ci_half_width=None if status is None else status.half_width,
+            )
+        )
+
+    return report
+
 
 # --------------------------------------------------------------------------- #
 # Point-restricted execution (shared by the engine and the campaign layer)
 # --------------------------------------------------------------------------- #
 # The engine's two sweep modes — the pre-planned fixed-count grid and the
 # adaptive round loop — are expressed below as free functions over an
-# arbitrary *subset* of grid points.  ``ExperimentEngine.run_sweep`` is the
-# all-points call (one implicit shard spanning the whole grid);
-# ``repro.experiments.campaign`` runs the same functions per shard and merges
-# with the same :func:`assemble_series`, which is why a sharded campaign is
-# bit-identical to the serial path by construction rather than by accident.
+# arbitrary *subset* of grid points.  ``ExperimentEngine.run_sweep`` calls
+# :func:`run_points` once per (series, scenario) unit; the campaign layer
+# calls it once per shard and merges with the same :func:`assemble_series`,
+# which is why a sharded campaign is bit-identical to the serial path by
+# construction rather than by accident.
 
 
-def point_label(sweep: SweepSpec, point: PointKey) -> str:
-    """The display name of one grid point's series (scenario-qualified)."""
-    series_index, scenario_index, _ = point
-    name = sweep.series_names[series_index]
-    if scenario_index is not None:
-        name = f"{name} @ {sweep.scenarios[scenario_index].name}"
-    return name
-
-
-def point_rate(sweep: SweepSpec, point: PointKey) -> float:
-    """The effective fault rate of one grid point."""
-    series_index, scenario_index, rate_index = point
-    rate = sweep.fault_rates[rate_index]
-    if scenario_index is not None:
-        rate = sweep.scenarios[scenario_index].effective_fault_rate(rate)
-    return rate
-
-
-def run_point_block(
+def run_points(
     sweep: SweepSpec,
     points: Sequence[PointKey],
     executor: Executor,
-    make_emitter: Optional[Callable[[Sequence[TrialSpec]], Callable[[int, float], None]]] = None,
+    report: Optional[PointReport] = None,
+) -> Tuple[PointValues, Optional[Dict[PointKey, bool]]]:
+    """Run ``sweep`` restricted to ``points``: fixed-count or adaptive.
+
+    Returns each point's trial values and, for an adaptive sweep, the
+    per-point early-halt flags (``None`` for a fixed-count sweep).
+    ``report`` hears about each point once its fixed-count block, or each
+    of its adaptive rounds, has run.
+    """
+    if sweep.adaptive:
+        return run_adaptive_points(sweep, points, executor, report)
+    collected = run_point_block(sweep, points, executor)
+    if report is not None:
+        for point in points:
+            report(point, collected[point], None)
+    return collected, None
+
+
+def run_point_block(
+    sweep: SweepSpec, points: Sequence[PointKey], executor: Executor
 ) -> PointValues:
     """Run the fixed-count grid restricted to ``points``.
 
     Expands trial indices ``[0, sweep.trials)`` for exactly the given grid
     points (in plan order, with the same coordinate-derived seeds the full
     grid would carry) and returns each point's trial values in trial order.
-    With ``points = sweep.point_keys()`` this is the whole fixed-count sweep.
     """
     specs = sweep.expand_trials(0, sweep.trials, points=points)
-    emit = make_emitter(specs) if make_emitter is not None else None
-    values = executor.run(sweep, specs, emit)
+    values = executor.run(sweep, specs)
     collected: PointValues = {point: [] for point in points}
     for spec, value in zip(specs, values):
         point = (spec.series_index, spec.scenario_index, spec.rate_index)
@@ -142,10 +188,7 @@ def run_adaptive_points(
     sweep: SweepSpec,
     points: Sequence[PointKey],
     executor: Executor,
-    make_round_emitter: Optional[
-        Callable[[Sequence[TrialSpec], PointValues], Callable[[int, float], None]]
-    ] = None,
-    on_point_status: Optional[Callable[[PointKey, PointStatus], None]] = None,
+    report: Optional[PointReport] = None,
 ) -> Tuple[PointValues, Dict[PointKey, bool]]:
     """Run the adaptive (confidence-target) round loop restricted to ``points``.
 
@@ -153,13 +196,14 @@ def run_adaptive_points(
     still-active points (via :meth:`SweepSpec.expand_trials`, so the trials
     carry exactly the coordinate-derived seeds the fixed grid would give
     them) and runs it through ``executor`` unchanged.  After the round,
-    every active point recomputes its interval and stops independently once
-    the target half-width is met — or unconditionally at the policy's
-    ``max_trials`` cap.  Because trial values and bootstrap streams depend
-    only on coordinates, a point's stopping pattern is independent of which
-    other points share its batch: running a subset of the grid (a campaign
-    shard) reproduces exactly the trials and stopping decisions the
-    full-grid loop would give those points.
+    every active point recomputes its interval, is reported, and stops
+    independently once the target half-width is met — or unconditionally
+    at the policy's ``max_trials`` cap.  Because trial values and bootstrap
+    streams depend only on coordinates, a point's stopping pattern is
+    independent of which other points share its batch: running a subset of
+    the grid (a campaign shard, an engine unit) reproduces exactly the
+    trials and stopping decisions the full-grid loop would give those
+    points.
 
     Returns the per-point trial values and the per-point early-halt flags.
     """
@@ -172,12 +216,7 @@ def run_adaptive_points(
         start = round_index * policy.batch
         stop = min(start + policy.batch, policy.max_trials)
         specs = sweep.expand_trials(start, stop, points=active)
-        emit = (
-            make_round_emitter(specs, collected)
-            if make_round_emitter is not None
-            else None
-        )
-        values = executor.run(sweep, specs, emit)
+        values = executor.run(sweep, specs)
         for spec, value in zip(specs, values):
             point = (spec.series_index, spec.scenario_index, spec.rate_index)
             collected[point].append(float(value))
@@ -198,8 +237,8 @@ def run_adaptive_points(
                 halted[point] = False
             else:
                 still_active.append(point)
-            if on_point_status is not None:
-                on_point_status(point, status)
+            if report is not None:
+                report(point, trial_values, status)
         active = still_active
         round_index += 1
     return collected, halted
@@ -243,8 +282,6 @@ def assemble_series(
             build_series(name, list(sweep.fault_rates), series_index, None)
             for series_index, name in enumerate(sweep.series_names)
         ]
-    from repro.experiments.scenarios import scenario_series_name
-
     return [
         build_series(
             scenario_series_name(name, scenario),
@@ -268,8 +305,9 @@ class ExperimentEngine:
     cache_dir:
         Enables :meth:`run_figure` memoization when set.
     progress:
-        Callback receiving a :class:`ProgressEvent` after every completed
-        trial, in completion order.
+        Callback receiving one :class:`ProgressEvent` per grid point as the
+        point's (series, scenario) unit, or each of its adaptive rounds,
+        finishes.
 
     Trials run on the ambient compute backend (see
     :func:`repro.backends.use_backend`).
@@ -308,102 +346,19 @@ class ExperimentEngine:
         round loop instead of the pre-planned grid: same series layout, but
         each point's trial list is as long as the policy needed, and
         ``trials_used`` / ``halted_early`` are populated per point.
+
+        Each (series, scenario) unit of :meth:`SweepSpec.point_groups` runs
+        as one :func:`run_points` call: one executor batch for a fixed-count
+        sweep, one per round for an adaptive one.
         """
-        points = sweep.point_keys()
-        if sweep.adaptive:
-            return self._run_adaptive(sweep, points)
-        make_emitter = None
-        if self.progress is not None:
-            def make_emitter(specs):
-                return self._make_emitter(specs, {}, sweep.trials, len(specs), {"count": 0})
-        collected = run_point_block(sweep, points, self.executor, make_emitter)
-        return assemble_series(sweep, collected)
-
-    def _run_adaptive(
-        self, sweep: SweepSpec, points: Sequence[PointKey]
-    ) -> List[SeriesResult]:
-        """Confidence-target sweeps: the shared round loop plus progress.
-
-        Delegates to :func:`run_adaptive_points` over the full grid (see its
-        docstring for the determinism contract) and wires the engine's
-        progress machinery through the loop's emitter hooks.
-        """
-        policy = sweep.policy
-        sweep_total = len(points) * policy.max_trials
-        done = {"count": 0}
-        make_round_emitter = None
-        on_point_status = None
-        if self.progress is not None:
-            def make_round_emitter(specs, collected):
-                return self._make_emitter(
-                    specs, collected, policy.max_trials, sweep_total, done
-                )
-
-            def on_point_status(point, status):
-                self._emit_round_event(sweep, point, status, done, sweep_total)
-
-        collected, halted = run_adaptive_points(
-            sweep, points, self.executor, make_round_emitter, on_point_status
-        )
-        return assemble_series(sweep, collected, halted)
-
-    def _emit_round_event(
-        self,
-        sweep: SweepSpec,
-        point: Tuple[int, Optional[int], int],
-        status: "PointStatus",
-        done: Dict[str, int],
-        sweep_total: int,
-    ) -> None:
-        self.progress(
-            ProgressEvent(
-                series_name=point_label(sweep, point),
-                fault_rate=point_rate(sweep, point),
-                completed=status.trials_used,
-                total=sweep.policy.max_trials,
-                sweep_completed=done["count"],
-                sweep_total=sweep_total,
-                ci_half_width=status.half_width,
-            )
-        )
-
-    def _make_emitter(
-        self,
-        specs: Sequence[TrialSpec],
-        collected: Mapping[PointKey, Sequence[float]],
-        total: int,
-        sweep_total: int,
-        done: Dict[str, int],
-    ) -> Callable[[int, float], None]:
-        """A per-trial progress emitter for one block of trial specs.
-
-        Each point's count starts from the values ``collected`` already holds
-        for it (earlier adaptive rounds), and ``done`` is the sweep-wide
-        completed-trial counter shared by every block of the sweep.
-        """
-        progress = self.progress
-        counts = {point: len(values) for point, values in collected.items()}
-
-        def emit(index: int, value: float) -> None:
-            spec = specs[index]
-            point = (spec.series_index, spec.scenario_index, spec.rate_index)
-            counts[point] = counts.get(point, 0) + 1
-            done["count"] += 1
-            name = spec.series_name
-            if spec.scenario_name:
-                name = f"{name} @ {spec.scenario_name}"
-            progress(
-                ProgressEvent(
-                    series_name=name,
-                    fault_rate=spec.fault_rate,
-                    completed=counts[point],
-                    total=total,
-                    sweep_completed=done["count"],
-                    sweep_total=sweep_total,
-                )
-            )
-
-        return emit
+        report = progress_reporter(sweep, self.progress)
+        collected: PointValues = {}
+        halted: Dict[PointKey, bool] = {}
+        for unit in sweep.point_groups("series"):
+            unit_values, unit_halted = run_points(sweep, unit, self.executor, report)
+            collected.update(unit_values)
+            halted.update(unit_halted or {})
+        return assemble_series(sweep, collected, halted if sweep.adaptive else None)
 
     # ------------------------------------------------------------------ #
     # Cached figure reproduction

@@ -33,7 +33,6 @@ from repro.experiments.spec import SweepSpec, TrialSpec, run_trial
 from repro.experiments.tensor import run_tensor_cell
 
 __all__ = [
-    "EmitFunction",
     "Executor",
     "SerialExecutor",
     "BatchedExecutor",
@@ -43,21 +42,12 @@ __all__ = [
     "list_executors",
 ]
 
-#: Callback invoked as each trial completes: ``emit(spec_index, value)``.
-EmitFunction = Callable[[int, float], None]
-
-
 class Executor:
-    """Base class: execute an expanded plan, streaming per-trial results."""
+    """Base class: execute an expanded plan, one value per trial spec."""
 
     name = "abstract"
 
-    def run(
-        self,
-        sweep: SweepSpec,
-        specs: Sequence[TrialSpec],
-        emit: Optional[EmitFunction] = None,
-    ) -> List[float]:
+    def run(self, sweep: SweepSpec, specs: Sequence[TrialSpec]) -> List[float]:
         """Execute every spec and return values aligned with ``specs``."""
         raise NotImplementedError
 
@@ -70,25 +60,13 @@ class SerialExecutor(Executor):
 
     name = "serial"
 
-    def run(
-        self,
-        sweep: SweepSpec,
-        specs: Sequence[TrialSpec],
-        emit: Optional[EmitFunction] = None,
-    ) -> List[float]:
-        values: List[float] = []
-        for index, spec in enumerate(specs):
-            value = run_trial(sweep, spec)
-            values.append(value)
-            if emit is not None:
-                emit(index, value)
-        return values
+    def run(self, sweep: SweepSpec, specs: Sequence[TrialSpec]) -> List[float]:
+        return [run_trial(sweep, spec) for spec in specs]
 
 
 def _run_grouped(
     sweep: SweepSpec,
     specs: Sequence[TrialSpec],
-    emit: Optional[EmitFunction],
     group_key: Callable[[TrialSpec], Tuple],
 ) -> List[float]:
     """Run each ``group_key`` group of ``specs`` as one tensor cell.
@@ -105,14 +83,10 @@ def _run_grouped(
         if batch_implementation(function) is None or len(group) == 1:
             for index, spec in group:
                 values[index] = run_trial(sweep, spec)
-                if emit is not None:
-                    emit(index, values[index])
             continue
         batch_values = run_tensor_cell(sweep, [spec for _, spec in group])
         for (index, _), value in zip(group, batch_values):
             values[index] = value
-            if emit is not None:
-                emit(index, value)
     return values  # type: ignore[return-value]
 
 
@@ -125,14 +99,9 @@ class BatchedExecutor(Executor):
 
     name = "batched"
 
-    def run(
-        self,
-        sweep: SweepSpec,
-        specs: Sequence[TrialSpec],
-        emit: Optional[EmitFunction] = None,
-    ) -> List[float]:
+    def run(self, sweep: SweepSpec, specs: Sequence[TrialSpec]) -> List[float]:
         return _run_grouped(
-            sweep, specs, emit,
+            sweep, specs,
             lambda spec: (spec.series_index, spec.scenario_index, spec.rate_index),
         )
 
@@ -151,15 +120,9 @@ class VectorizedExecutor(Executor):
 
     name = "vectorized"
 
-    def run(
-        self,
-        sweep: SweepSpec,
-        specs: Sequence[TrialSpec],
-        emit: Optional[EmitFunction] = None,
-    ) -> List[float]:
+    def run(self, sweep: SweepSpec, specs: Sequence[TrialSpec]) -> List[float]:
         return _run_grouped(
-            sweep, specs, emit,
-            lambda spec: (spec.series_index, spec.scenario_index),
+            sweep, specs, lambda spec: (spec.series_index, spec.scenario_index)
         )
 
 

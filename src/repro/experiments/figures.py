@@ -14,7 +14,7 @@ figure to its kernel, benchmark module, and expected output.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -34,8 +34,9 @@ from repro.applications.sorting import baseline_sort, default_sorting_config, ro
 from repro.core.variants import sgd_options_for_variant
 from repro.experiments.engine import ExperimentEngine
 from repro.experiments.kernels import get_kernel, matching_workload
-from repro.experiments.runner import FigureResult, SeriesResult, run_scenario_grid
+from repro.experiments.results import FigureResult, SeriesResult
 from repro.experiments.scenarios import voltage_scenario
+from repro.experiments.spec import SweepSpec
 from repro.faults.distribution import (
     EmulatedBitDistribution,
     MeasuredBitDistribution,
@@ -84,7 +85,7 @@ def figure_5_1(*, width: int) -> FigureResult:
 
 def figure_5_2(
     *, n_points: int, trials: int, ops_per_trial: int, seed: int,
-    engine: Optional[Union[str, ExperimentEngine]],
+    engine: Optional[ExperimentEngine],
 ) -> FigureResult:
     """Figure 5.2: FPU error rate as the supply voltage is scaled.
 
@@ -94,8 +95,9 @@ def figure_5_2(
     rates, and a companion Monte-Carlo series measures the *empirical*
     errors-per-FLOP of a processor built at each operating point (one noisy
     block of ``ops_per_trial`` FLOPs per trial, through the engine like any
-    other grid).  This replaces the former one-off ``model.curve()``
-    plumbing with the same declarative grid every other scenario study uses.
+    other grid; ``engine=None`` runs the serial engine).  This replaces the
+    former one-off ``model.curve()`` plumbing with the same declarative grid
+    every other scenario study uses.
     """
     model = VoltageErrorModel()
     voltages = np.linspace(model.max_voltage, model.min_voltage, n_points)
@@ -109,13 +111,14 @@ def figure_5_2(
         proc.corrupt(rng.random(ops_per_trial), ops_per_element=1)
         return proc.faults_injected / max(proc.injector.ops_observed, 1)
 
-    grid = run_scenario_grid(
-        {"empirical": empirical_error_rate},
-        scenarios,
-        fault_rates=(0.0,),
-        trials=trials,
-        seed=seed,
-        engine=engine,
+    grid = (engine or ExperimentEngine()).run_sweep(
+        SweepSpec(
+            {"empirical": empirical_error_rate},
+            fault_rates=(0.0,),
+            trials=trials,
+            seed=seed,
+            scenarios=scenarios,
+        )
     )
     empirical = SeriesResult(
         name=f"Monte-Carlo errors/FLOP ({ops_per_trial} FLOPs x {trials} trials)"

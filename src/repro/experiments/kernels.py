@@ -93,7 +93,7 @@ from repro.applications.svm import (
 )
 from repro.core.variants import sgd_options_for_variant
 from repro.experiments.results import FigureResult, SeriesResult
-from repro.experiments.spec import DEFAULT_FAULT_RATES, TrialFunction
+from repro.experiments.spec import DEFAULT_FAULT_RATES, SweepSpec, TrialFunction
 from repro.optimizers.conjugate_gradient import CGOptions
 from repro.processor.stochastic import StochasticProcessor
 from repro.workloads.generators import (
@@ -889,6 +889,10 @@ class KernelSpec:
           scenario per point, with voltage as the x axis;
         * otherwise a fault-rate sweep over ``fault_rates``, or over the
           single ``fault_rate`` of the momentum study.
+
+        A sweep kernel's ``engine`` is the
+        :class:`~repro.experiments.engine.ExperimentEngine` to run on;
+        ``None`` runs the serial engine.
         """
         accepted = set(self.defaults) | ({"engine"} if self.sweep else set())
         unknown = sorted(set(overrides) - accepted)
@@ -914,16 +918,18 @@ class KernelSpec:
         elif "voltages" in params:
             series = self._voltage_series(params["voltages"], grid, workload)
         else:
-            from repro.experiments.runner import run_fault_rate_sweep
+            from repro.experiments.engine import ExperimentEngine
 
-            series = run_fault_rate_sweep(
-                self.sweep_functions(seed=grid["seed"], **workload),
+            sweep = SweepSpec(
+                self.sweep_functions(seed=params["seed"], **workload),
                 fault_rates=(
                     params["fault_rates"] if "fault_rates" in params
                     else (params["fault_rate"],)
                 ),
-                **grid,
+                trials=params["trials"],
+                seed=params["seed"],
             )
+            series = (engine or ExperimentEngine()).run_sweep(sweep)
         return self.make_figure(series, **params)
 
     def _voltage_series(
@@ -981,35 +987,36 @@ class KernelSpec:
         a parameter the trial factory does not take (e.g. ``iterations``
         for ``cg_least_squares``).
 
-        Construction is memoized per process on (kernel, seed, factory
-        parameters) — see :func:`workload_memo_stats` — because workload
-        generation is deterministic and search drivers resolve the same
-        workload for every probe.
+        Construction is memoized per process on (kernel, seed, resolved
+        factory parameters) — see :func:`workload_memo_stats` — because
+        workload generation is deterministic and search drivers resolve the
+        same workload for every probe.  A parameter given at its default
+        value, or left out, resolves to the same entry.
         """
         if self.trial_factory is None:
             raise ValueError(
                 f"kernel {self.name!r} is not sweep-shaped; "
                 "it has no trial factory to build sweep functions from"
             )
-        if self.series is not None and "series" not in factory_kwargs:
-            factory_kwargs = dict(factory_kwargs, series=dict(self.series))
+        kwargs = {
+            name: value for name, value in self.defaults.items()
+            if name not in _GRID_PARAMETERS
+        }
+        if self.series is not None:
+            kwargs["series"] = dict(self.series)
+        kwargs.update(factory_kwargs)
+        signature = inspect.signature(self.trial_factory)
+        if "series" in signature.parameters:
+            kwargs.setdefault("series", None)
         memo_key = (
             self.name,
             int(seed),
-            tuple(sorted((k, repr(v)) for k, v in factory_kwargs.items())),
+            tuple(sorted((k, repr(v)) for k, v in kwargs.items())),
         )
         cached = _WORKLOAD_MEMO.get(memo_key)
         if cached is not None:
             _WORKLOAD_MEMO_STATS["hits"] += 1
             return dict(cached)
-        kwargs = {
-            name: value for name, value in self.defaults.items()
-            if name not in _GRID_PARAMETERS
-        }
-        kwargs.update(factory_kwargs)
-        signature = inspect.signature(self.trial_factory)
-        if "series" in signature.parameters:
-            kwargs.setdefault("series", None)
         try:
             signature.bind(seed=seed, **kwargs)
         except TypeError as error:
@@ -1035,8 +1042,9 @@ class KernelSpec:
         builds its usual series line-up (``factory_kwargs`` are the factory's
         parameters, e.g. ``iterations``), which is then crossed with the
         given scenario presets (names or
-        :class:`~repro.experiments.scenarios.Scenario` objects) through
-        :func:`~repro.experiments.runner.run_scenario_grid`.  This is how
+        :class:`~repro.experiments.scenarios.Scenario` objects) as the
+        scenario axis of a :class:`~repro.experiments.spec.SweepSpec` run on
+        ``engine`` (``None``: the serial engine).  This is how
         ``examples/reproduce_figures.py --grid`` runs any kernel over any
         scenario selection without a study registration of its own.
 
@@ -1053,28 +1061,30 @@ class KernelSpec:
         (series, scenario, rate) point only until its interval meets the
         target, which is the engine's sequential-sampling mode.
         """
-        from repro.experiments.runner import run_scenario_grid
+        from repro.experiments.engine import ExperimentEngine
         from repro.experiments.scenarios import get_scenario, scenario_series_name
 
         resolved = [get_scenario(scenario) for scenario in scenarios]
         functions = self.sweep_functions(seed=seed, **factory_kwargs)
         unpinned = [scenario for scenario in resolved if not scenario.pinned]
         pinned = [scenario for scenario in resolved if scenario.pinned]
+        engine = engine or ExperimentEngine()
+
+        def run_grid(grid_scenarios, grid_rates) -> List[SeriesResult]:
+            return engine.run_sweep(SweepSpec(
+                functions, fault_rates=grid_rates, trials=trials, seed=seed,
+                scenarios=grid_scenarios, policy=policy,
+            ))
+
         sub_series: Dict[str, SeriesResult] = {}
         if unpinned:
-            grid = run_scenario_grid(
-                functions, unpinned, fault_rates=fault_rates,
-                trials=trials, seed=seed, engine=engine, policy=policy,
-            )
+            grid = run_grid(unpinned, fault_rates)
             for label_index, label in enumerate(functions):
                 for scenario_index, scenario in enumerate(unpinned):
                     key = scenario_series_name(label, scenario)
                     sub_series[key] = grid[label_index * len(unpinned) + scenario_index]
         if pinned:
-            grid = run_scenario_grid(
-                functions, pinned, fault_rates=(0.0,),
-                trials=trials, seed=seed, engine=engine, policy=policy,
-            )
+            grid = run_grid(pinned, (0.0,))
             for label_index, label in enumerate(functions):
                 for scenario_index, scenario in enumerate(pinned):
                     entry = grid[label_index * len(pinned) + scenario_index]

@@ -83,7 +83,7 @@ class TrialSpec:
 
         Single-axis sweeps reproduce the seeding scheme of the original
         serial sweep loop (seed, series, rate, trial), so engine results are
-        bit-identical to the historical ``run_fault_rate_sweep`` output.
+        bit-identical to that loop's output.
         Scenario-grid trials prepend the scenario index, giving every
         (scenario, series, rate, trial) cell an independent stream.
         """

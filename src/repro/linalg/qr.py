@@ -12,6 +12,7 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.faults.vectorized import quiet
 from repro.linalg.ops import (
     noisy_matvec,
     noisy_norm2,
@@ -34,6 +35,7 @@ def _apply_householder(
     return noisy_sub(proc, M, correction)
 
 
+@quiet
 def qr_decompose(
     proc: StochasticProcessor, A: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:

@@ -18,6 +18,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.faults.vectorized import quiet
 from repro.linalg.ops import noisy_dot, noisy_matvec
 from repro.processor.batch import ProcessorBatch, batch_dot, batch_matvec
 from repro.processor.stochastic import StochasticProcessor
@@ -37,6 +38,7 @@ _TOLERANCE = 1e-10
 _RCOND = 1e-12
 
 
+@quiet
 def jacobi_svd(
     proc: StochasticProcessor, A: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -126,6 +128,7 @@ def _rotation(fpu, alpha, beta, gamma) -> Optional[Tuple[float, float]]:
     return c, s
 
 
+@quiet
 def svd_least_squares(
     proc: StochasticProcessor, A: np.ndarray, b: np.ndarray
 ) -> np.ndarray:
@@ -204,6 +207,7 @@ def _rotate_pair(
     V[trials, q] = rot.corrupt(s * Vp + c * Vq, ops_per_element=3)
 
 
+@quiet
 def jacobi_svd_batch(
     batch: ProcessorBatch, A: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -265,6 +269,7 @@ def jacobi_svd_batch(
     return U, singular_values, Vt
 
 
+@quiet
 def svd_least_squares_batch(
     batch: ProcessorBatch, A: np.ndarray, b: np.ndarray
 ) -> np.ndarray:

@@ -23,6 +23,7 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 from repro.exceptions import ProblemSpecificationError
+from repro.faults.vectorized import quiet
 from repro.linalg.ops import noisy_matvec, noisy_sub
 from repro.optimizers.base import (
     IterationRecord,
@@ -72,6 +73,7 @@ class CGOptions:
             raise ProblemSpecificationError("outlier_rejection must exceed 1")
 
 
+@quiet
 def conjugate_gradient_least_squares(
     A: np.ndarray,
     b: np.ndarray,
@@ -201,6 +203,7 @@ def _sanitize_rows(rows: np.ndarray, options: CGOptions) -> np.ndarray:
     return cleaned
 
 
+@quiet
 def conjugate_gradient_least_squares_batch(
     A: np.ndarray,
     b: np.ndarray,

@@ -34,7 +34,7 @@ from repro.backends import (
 from repro.backends import registry as backend_registry
 from repro.experiments import kernels
 from repro.experiments.engine import ExperimentEngine
-from repro.experiments.runner import run_fault_rate_sweep, run_scenario_grid
+from repro.experiments.spec import SweepSpec
 from repro.processor.stochastic import StochasticProcessor
 
 
@@ -228,7 +228,7 @@ class TestCnativeBitIdentity:
         assert_same_substrate_state(reference, candidate)
 
     def test_sweep_equivalence_iir_and_sorting(self):
-        # run_fault_rate_sweep drives direct_form_filter (IIR baseline),
+        # The sweep drives direct_form_filter (IIR baseline),
         # corrupt_block (noisy BLAS), commit_scalar, and — under the
         # vectorized executor — batch_corrupt.
         for functions, executor in (
@@ -245,13 +245,12 @@ class TestCnativeBitIdentity:
                 with use_backend(backend):
                     results[backend] = [
                         series.values
-                        for series in run_fault_rate_sweep(
+                        for series in ExperimentEngine(executor).run_sweep(SweepSpec(
                             functions,
                             fault_rates=(0.0, 0.01, 0.2),
                             trials=2,
                             seed=5,
-                            engine=ExperimentEngine(executor),
-                        )
+                        ))
                     ]
             assert results["cnative"] == results["numpy"]
 
@@ -263,13 +262,12 @@ class TestCnativeBitIdentity:
             with use_backend(backend):
                 results[backend] = [
                     series.values
-                    for series in run_scenario_grid(
+                    for series in ExperimentEngine("vectorized").run_sweep(SweepSpec(
                         functions,
-                        scenarios,
                         fault_rates=(0.05,),
                         trials=2,
                         seed=5,
-                        engine=ExperimentEngine("vectorized"),
-                    )
+                        scenarios=scenarios,
+                    ))
                 ]
         assert results["cnative"] == results["numpy"]

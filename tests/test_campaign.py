@@ -40,7 +40,6 @@ from repro.experiments import executors
 from repro.experiments.engine import ExperimentEngine
 from repro.experiments.executors import get_executor
 from repro.experiments.results import series_digest
-from repro.experiments.runner import run_campaign
 from repro.experiments.sequential import ConfidenceTarget
 from repro.experiments.spec import SweepSpec
 from repro.experiments.tensor import run_tensor_cell
@@ -291,14 +290,13 @@ class TestCampaign:
         assert resumed.stats["computed"] == 1
 
     def test_run_campaign_wrapper(self, tmp_path):
-        series = run_campaign(
+        sweep = SweepSpec(
             {"a": noisy_metric, "b": noisy_metric},
-            store=tmp_path,
             fault_rates=(0.0, 0.2),
             trials=2,
             seed=31,
-            pool="serial",
         )
+        series = CampaignRunner(store=tmp_path, pool="serial").submit(sweep).run()
         assert series_digest(series) == series_digest(serial_reference())
 
 

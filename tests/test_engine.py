@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.experiments.cache import ResultCache, spec_hash
+from repro.experiments.campaign import CampaignRunner
 from repro.experiments.engine import ExperimentEngine
 from repro.experiments.executors import (
     BatchedExecutor,
@@ -16,7 +17,6 @@ from repro.experiments.executors import (
     list_executors,
 )
 from repro.experiments.results import FigureResult, SeriesResult
-from repro.experiments.runner import run_fault_rate_sweep
 from repro.experiments.sequential import ConfidenceTarget
 from repro.experiments.spec import SweepSpec, TrialSpec, run_trial
 from repro.experiments.trials import make_gradient_descent_trial, make_noisy_sum_trial
@@ -214,19 +214,25 @@ class TestEngine:
         assert state() == before
         assert sweep.fingerprint() == fingerprint
 
-    def test_progress_events_cover_every_cell(self):
-        events = []
-        engine = ExperimentEngine(progress=events.append)
-        engine.run_sweep(make_sweep(trials=2))
-        assert len(events) == 2 * 3 * 2  # one event per trial
-        finished = {(e.series_name, e.fault_rate) for e in events if e.cell_done}
-        assert finished == {(s, r) for s in ("a", "b") for r in (0.0, 0.05, 0.5)}
-        totals = {e.sweep_total for e in events}
-        assert totals == {12}
-        assert str(events[-1]).startswith("[12/12]")
+    def test_progress_reports_each_point_once(self, tmp_path):
+        engine_events, campaign_events = [], []
+        ExperimentEngine(progress=engine_events.append).run_sweep(make_sweep(trials=2))
+        campaign = CampaignRunner(
+            store=tmp_path, pool="serial", progress=campaign_events.append
+        ).submit(make_sweep(trials=2))
+        campaign.run()
+        assert campaign_events == engine_events
+        points = [(s, r) for s in ("a", "b") for r in (0.0, 0.05, 0.5)]
+        assert [(e.series_name, e.fault_rate) for e in engine_events] == points
+        assert [e.sweep_completed for e in engine_events] == [2, 4, 6, 8, 10, 12]
+        assert {(e.completed, e.total, e.sweep_total) for e in engine_events} == {
+            (2, 2, 12)
+        }
+        assert all(e.ci_half_width is None for e in engine_events)
+        assert str(engine_events[-1]).startswith("[12/12]")
 
     @pytest.mark.parametrize("executor", list_executors())
-    def test_adaptive_progress_counts_continue_across_rounds(self, executor):
+    def test_adaptive_progress_reports_each_point_per_round(self, executor):
         policy = ConfidenceTarget(half_width=1.0, metric="mean", batch=2, max_trials=6)
         events = []
         series = ExperimentEngine(executor, progress=events.append).run_sweep(
@@ -238,17 +244,19 @@ class TestEngine:
             for rate, n in zip(entry.fault_rates, entry.trials_used)
         }
         assert sorted(set(used.values())) == [2, 4, 6]  # points stop in different rounds
-        per_trial, per_round = {}, {}
+        per_round = {}
         for event in events:
-            counts = per_trial if event.ci_half_width is None else per_round
-            counts.setdefault((event.series_name, event.fault_rate), []).append(
+            assert event.ci_half_width is not None
+            per_round.setdefault((event.series_name, event.fault_rate), []).append(
                 event.completed
             )
         for point, n in used.items():
-            assert per_trial[point] == list(range(1, n + 1))
             assert per_round[point] == list(range(2, n + 1, 2))
         assert {(event.total, event.sweep_total) for event in events} == {(6, 36)}
-        assert events[-1].sweep_completed == sum(used.values())
+        # Each event adds one point's round of two trials.
+        completed = [event.sweep_completed for event in events]
+        assert completed == list(range(2, 2 * len(events) + 1, 2))
+        assert completed[-1] == sum(used.values())
 
     def test_run_figure_is_incremental(self, tmp_path):
         builds = []
@@ -292,15 +300,11 @@ class TestEngine:
         assert rebuilt == figure
 
     def test_runner_wrapper_accepts_engine_objects(self):
-        reference = run_fault_rate_sweep(
-            {"m": noisy_metric}, fault_rates=(0.1,), trials=2, seed=5
+        reference = ExperimentEngine().run_sweep(
+            SweepSpec({"m": noisy_metric}, fault_rates=(0.1,), trials=2, seed=5)
         )
-        via_engine = run_fault_rate_sweep(
-            {"m": noisy_metric},
-            fault_rates=(0.1,),
-            trials=2,
-            seed=5,
-            engine=ExperimentEngine("batched"),
+        via_engine = ExperimentEngine("batched").run_sweep(
+            SweepSpec({"m": noisy_metric}, fault_rates=(0.1,), trials=2, seed=5)
         )
         assert [s.values for s in via_engine] == [s.values for s in reference]
 

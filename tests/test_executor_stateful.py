@@ -17,7 +17,8 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
 
-from repro.experiments.runner import run_fault_rate_sweep, run_scenario_grid
+from repro.experiments.engine import ExperimentEngine
+from repro.experiments.spec import SweepSpec
 from tests.strategies import (
     SERIES_POOL,
     fault_rate_grids,
@@ -64,23 +65,13 @@ class ExecutorEquivalenceMachine(RuleBasedStateMachine):
     def executors_agree(self):
         results = {}
         for executor in EXECUTORS:
-            if self.scenarios is None:
-                series = run_fault_rate_sweep(
-                    self.series,
-                    fault_rates=self.fault_rates,
-                    trials=self.trials,
-                    seed=self.seed,
-                    engine=executor,
-                )
-            else:
-                series = run_scenario_grid(
-                    self.series,
-                    self.scenarios,
-                    fault_rates=self.fault_rates,
-                    trials=self.trials,
-                    seed=self.seed,
-                    engine=executor,
-                )
+            series = ExperimentEngine(executor).run_sweep(SweepSpec(
+                dict(self.series),
+                fault_rates=self.fault_rates,
+                trials=self.trials,
+                seed=self.seed,
+                scenarios=self.scenarios,
+            ))
             results[executor] = [(s.name, s.fault_rates, s.values) for s in series]
         for executor in EXECUTORS[1:]:
             assert results[executor] == results["serial"], (

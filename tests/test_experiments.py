@@ -1,4 +1,4 @@
-"""Tests for the experiment harness (runner, reporting, registry figure
+"""Tests for the experiment harness (sweeps, reporting, registry figure
 builds) and the correctness contract of the on-disk result cache.
 
 Figures are built through the kernel registry at miniature scale so the
@@ -12,9 +12,11 @@ import threading
 import pytest
 
 from repro.experiments.cache import ResultCache, spec_hash
+from repro.experiments.engine import ExperimentEngine
 from repro.experiments.kernels import get_kernel, list_kernels
 from repro.experiments.reporting import figure_to_rows, format_figure, save_figure_report
-from repro.experiments.runner import FigureResult, SeriesResult, run_fault_rate_sweep
+from repro.experiments.results import FigureResult, SeriesResult
+from repro.experiments.spec import SweepSpec
 
 #: Figure-cache key of every registered kernel, as
 #: ``spec_hash({"figure": ..., "params": cache_params(reduced_kwargs(t, s))})``
@@ -119,15 +121,15 @@ class TestRunner:
         def metric(proc, rng):
             return proc.fault_rate + 0.001 * rng.random()
 
-        series = run_fault_rate_sweep(
+        series = ExperimentEngine().run_sweep(SweepSpec(
             {"a": metric, "b": metric}, fault_rates=(0.0, 0.1), trials=3, seed=7
-        )
+        ))
         assert len(series) == 2
         assert series[0].fault_rates == [0.0, 0.1]
         assert all(len(v) == 3 for v in series[0].values)
-        repeat = run_fault_rate_sweep(
+        repeat = ExperimentEngine().run_sweep(SweepSpec(
             {"a": metric, "b": metric}, fault_rates=(0.0, 0.1), trials=3, seed=7
-        )
+        ))
         assert series[0].values == repeat[0].values
 
     def test_processors_have_requested_fault_rate(self):
@@ -137,7 +139,9 @@ class TestRunner:
             observed.append(proc.fault_rate)
             return 0.0
 
-        run_fault_rate_sweep({"x": metric}, fault_rates=(0.05,), trials=2, seed=0)
+        ExperimentEngine().run_sweep(
+            SweepSpec({"x": metric}, fault_rates=(0.05,), trials=2, seed=0)
+        )
         assert observed == [0.05, 0.05]
 
     def test_series_success_rates(self):

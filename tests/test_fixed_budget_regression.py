@@ -8,8 +8,8 @@ cached results and the perf-trajectory history silently invalidate.
 """
 
 from repro.experiments.cache import spec_hash
+from repro.experiments.engine import ExperimentEngine
 from repro.experiments.kernels import get_kernel
-from repro.experiments.runner import run_fault_rate_sweep, run_scenario_grid
 from repro.experiments.spec import SweepSpec
 from repro.experiments.trials import make_noisy_sum_trial
 
@@ -67,8 +67,8 @@ class TestFigureValuePins:
         fns = get_kernel("sorting").sweep_functions(
             iterations=60, series={"Base": None, "SGD+AS,SQS": "SGD+AS,SQS"}
         )
-        series = run_fault_rate_sweep(
-            fns, fault_rates=(0.05, 0.3), trials=2, seed=2010
+        series = ExperimentEngine().run_sweep(
+            SweepSpec(fns, fault_rates=(0.05, 0.3), trials=2, seed=2010)
         )
         assert [(s.name, s.fault_rates, s.values) for s in series] == [
             ("Base", [0.05, 0.3], [[1.0, 1.0], [0.0, 0.0]]),
@@ -86,13 +86,13 @@ class TestFigureValuePins:
         fns = get_kernel("sorting").sweep_functions(
             iterations=60, series={"Base": None, "SGD+AS,SQS": "SGD+AS,SQS"}
         )
-        series = run_scenario_grid(
+        series = ExperimentEngine().run_sweep(SweepSpec(
             fns,
-            ("nominal", "low-order-seu"),
             fault_rates=(0.05, 0.3),
             trials=2,
             seed=2010,
-        )
+            scenarios=("nominal", "low-order-seu"),
+        ))
         assert [(s.name, s.fault_rates, s.values) for s in series] == [
             ("Base @ nominal", [0.05, 0.3], [[0.0, 1.0], [0.0, 1.0]]),
             ("Base @ low-order-seu", [0.05, 0.3], [[1.0, 1.0], [1.0, 0.0]]),

@@ -19,7 +19,6 @@ from repro.experiments.cache import spec_hash
 from repro.experiments.engine import ExperimentEngine
 from repro.experiments.executors import get_executor
 from repro.experiments.kernels import get_kernel
-from repro.experiments.runner import run_scenario_grid
 from repro.experiments.scenarios import (
     Scenario,
     get_scenario,
@@ -317,7 +316,8 @@ class TestUniformPresetsRunQuiet:
     The uniform presets flip exponent bits, so the penalized-LP gradients
     meet ``inf - inf``, ``0 * inf`` and overflow.  Those values are the fault
     model, and the serial and batched gradients run under
-    :func:`~repro.faults.vectorized.quiet`.
+    :func:`~repro.faults.vectorized.quiet`, as do Figure 6.6's whole CG,
+    Jacobi SVD and QR solves and its least-squares scoring.
     """
 
     @pytest.mark.parametrize("engine", ["serial", "vectorized"])
@@ -326,22 +326,33 @@ class TestUniformPresetsRunQuiet:
         functions = get_kernel(kernel).sweep_functions(iterations=50)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            series = run_scenario_grid(
-                functions, ("uniform-32", "uniform-64"),
-                fault_rates=(0.1, 0.5), trials=2, engine=engine,
-            )
+            series = ExperimentEngine(engine).run_sweep(SweepSpec(
+                functions, fault_rates=(0.1, 0.5), trials=2,
+                scenarios=("uniform-32", "uniform-64"),
+            ))
+        assert all(len(s.values) == 2 for s in series)
+
+    @pytest.mark.parametrize("engine", ["serial", "vectorized"])
+    def test_cg_least_squares_raises_no_runtime_warning(self, engine):
+        functions = get_kernel("cg_least_squares").sweep_functions()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            series = ExperimentEngine(engine).run_sweep(SweepSpec(
+                functions, fault_rates=(0.1, 0.5), trials=2,
+                scenarios=("uniform-32", "uniform-64"),
+            ))
         assert all(len(s.values) == 2 for s in series)
 
 
 class TestScenarioGridEntryPoints:
-    def test_run_scenario_grid_shapes(self):
+    def test_scenario_grid_shapes(self):
         functions = get_kernel("sorting").sweep_functions(
             iterations=100, series={"Base": None, "SGD+AS,SQS": "SGD+AS,SQS"}
         )
-        series = run_scenario_grid(
-            functions, ("nominal", "low-order-seu"),
-            fault_rates=(0.1,), trials=2, seed=3,
-        )
+        series = ExperimentEngine().run_sweep(SweepSpec(
+            functions, fault_rates=(0.1,), trials=2, seed=3,
+            scenarios=("nominal", "low-order-seu"),
+        ))
         assert [s.name for s in series] == [
             "Base @ nominal",
             "Base @ low-order-seu",

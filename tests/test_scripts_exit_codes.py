@@ -14,6 +14,7 @@ for the failure injections).
 """
 
 import importlib.util
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -49,7 +50,7 @@ def gate():
 
 
 def fake_grid_series(functions, scenarios, salt=0.0):
-    """The series layout run_scenario_grid produces, with stub values."""
+    """The series layout a scenario-grid sweep produces, with stub values."""
     return [
         SeriesResult(
             name=f"{series} @ {scenario}",
@@ -59,6 +60,20 @@ def fake_grid_series(functions, scenarios, salt=0.0):
         for series in functions
         for scenario in scenarios
     ]
+
+
+def fake_engine(salts):
+    """An ``ExperimentEngine`` stand-in: each sweep gets the next of ``salts``."""
+
+    class FakeEngine:
+        def __init__(self, executor):
+            pass
+
+        def run_sweep(self, sweep):
+            scenarios = [scenario.name for scenario in sweep.scenarios]
+            return fake_grid_series(sweep.trial_functions, scenarios, next(salts))
+
+    return FakeEngine
 
 
 class TestSmokeScenarioGrid:
@@ -72,28 +87,16 @@ class TestSmokeScenarioGrid:
         assert code == 0
 
     def test_mismatching_executor_exits_nonzero(self, smoke, monkeypatch, capsys):
-        calls = {"count": 0}
-
-        def diverging_grid(functions, scenarios, **kwargs):
-            calls["count"] += 1
-            # Every executor after the serial reference returns different
-            # trial values, as a broken batched tier would.
-            return fake_grid_series(functions, scenarios, salt=calls["count"])
-
-        monkeypatch.setattr(smoke, "run_scenario_grid", diverging_grid)
+        # Every executor after the serial reference returns different trial
+        # values, as a broken batched tier would.
+        monkeypatch.setattr(smoke, "ExperimentEngine", fake_engine(itertools.count(1)))
         code = smoke.main(["--executor", "batched", "--executor", "vectorized"])
         assert code == 1
         err = capsys.readouterr().err
         assert "batched" in err and "vectorized" in err
 
     def test_consistent_executors_exit_zero(self, smoke, monkeypatch):
-        monkeypatch.setattr(
-            smoke,
-            "run_scenario_grid",
-            lambda functions, scenarios, **kwargs: fake_grid_series(
-                functions, scenarios
-            ),
-        )
+        monkeypatch.setattr(smoke, "ExperimentEngine", fake_engine(itertools.repeat(0.0)))
         code = smoke.main(["--executor", "batched"])
         assert code == 0
 

@@ -354,6 +354,14 @@ class TestWorkloadMemo:
         assert first is not again and first.keys() == again.keys()
         assert other.keys() == first.keys()
 
+    def test_default_values_resolve_to_one_entry(self):
+        clear_workload_memo()
+        kernel = get_kernel("sorting")
+        kernel.sweep_functions()
+        kernel.sweep_functions(iterations=10000)
+        kernel.sweep_functions(iterations=10000, array_size=5)
+        assert workload_memo_stats() == {"hits": 2, "misses": 1}
+
     def test_caller_mutations_cannot_poison_the_memo(self):
         clear_workload_memo()
         kernel = get_kernel("sorting")
