@@ -16,11 +16,10 @@ import time
 
 from benchmarks.conftest import print_report
 from repro.experiments.engine import ExperimentEngine
-from repro.experiments.kernels import sorting_trial_functions
+from repro.experiments.kernels import get_kernel
 from repro.experiments.reporting import format_figure
 from repro.experiments.results import FigureResult
 from repro.experiments.spec import DEFAULT_FAULT_RATES, SweepSpec
-from repro.workloads.generators import random_array
 
 TRIALS = 16
 ITERATIONS = 600  # reduced scale; the paper's Figure 6.1 uses 10,000
@@ -28,9 +27,10 @@ TARGET_SPEEDUP = 5.0
 
 
 def _sweep() -> SweepSpec:
-    values = random_array(5, rng=2010, min_gap=0.08)  # the paper's 5-element arrays
+    # The registry's Figure 6.1 workload: the paper's 5-element array at
+    # workload seed 2010, all four series.
     return SweepSpec(
-        sorting_trial_functions(values, iterations=ITERATIONS),
+        get_kernel("sorting").sweep_functions(iterations=ITERATIONS),
         fault_rates=DEFAULT_FAULT_RATES,  # the paper's 6-rate grid
         trials=TRIALS,
         seed=2010,

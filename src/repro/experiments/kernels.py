@@ -13,12 +13,14 @@ collapses that coupling into one registry:
   :func:`is_batchable` are the *only* places that capability is inspected.
   Executors route through these helpers instead of threading a flag through
   every plan object.
-* **Trial-function factories.**  Each paper workload (sorting §4.3, least
-  squares §4.1, IIR §4.2, matching §4.4, CG least squares §3.3, the §6.2.2
-  momentum study) and each extension application (max-flow §4.5, all-pairs
-  shortest paths §4.6, eigenpairs and SVM training §4.7) builds its series
-  label → trial-function mapping here, with the batch tier wired in where
-  the application exposes one.
+* **Workload factories.**  One function per workload — each paper
+  workload (sorting §4.3, least squares §4.1, IIR §4.2, matching §4.4, CG
+  least squares §3.3, the §6.2.2 momentum study) and each extension
+  application (max-flow §4.5, all-pairs shortest paths §4.6, eigenpairs and
+  SVM training §4.7) — builds its data from the workload seed and maps the
+  series line-up it is given to trial functions, with the batch tier wired
+  in where the application exposes one.  The line-ups themselves live only
+  in the registrations.
 * **Kernel specs.**  :class:`KernelSpec` records, under a stable name, each
   kernel's figure name and presentation metadata, metric, series line-up,
   workload factory, reduced-scale floor, and the paper value of every
@@ -36,7 +38,6 @@ The registry is populated at import time; :func:`get_kernel` /
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, field
 from functools import partial
 from operator import attrgetter
@@ -124,16 +125,6 @@ __all__ = [
     "list_kernels",
     "sweep_kernels",
     "matching_workload",
-    "sorting_trial_functions",
-    "least_squares_trial_functions",
-    "iir_trial_functions",
-    "matching_trial_functions",
-    "cg_least_squares_trial_functions",
-    "momentum_trial_functions",
-    "eigen_trial_functions",
-    "maxflow_trial_functions",
-    "apsp_trial_functions",
-    "svm_trial_functions",
 ]
 
 #: Workload seed shared by every figure so results are reproducible.
@@ -233,27 +224,39 @@ def is_batchable(function: Callable) -> bool:
 
 
 # --------------------------------------------------------------------------- #
-# Workload factories
+# Workload data
 # --------------------------------------------------------------------------- #
-def matching_workload(seed: int, min_margin: float = 0.02):
+#: Smallest relative margin of a matching workload's optimum over the best
+#: matching that avoids one of its edges.
+_MATCHING_MIN_MARGIN = 0.02
+
+
+def matching_workload(seed: int):
     """The 11-node / 30-edge matching workload of Figures 6.4 and 6.5.
 
     Random bipartite instances can have a near-degenerate optimum (two
     matchings within a fraction of a percent of each other), which makes the
     exact-success metric meaningless; we therefore advance the seed until the
     instance's optimal matching has a relative margin of at least
-    ``min_margin`` over the best matching that avoids one of its edges.
+    ``_MATCHING_MIN_MARGIN`` over the best matching that avoids one of its
+    edges.
     """
     for offset in range(64):
         graph = random_bipartite_graph(5, 6, 30, rng=seed + offset)
-        if matching_margin(graph) >= min_margin:
+        if matching_margin(graph) >= _MATCHING_MIN_MARGIN:
             return graph
     return random_bipartite_graph(5, 6, 30, rng=seed)
 
 
 # --------------------------------------------------------------------------- #
-# Trial-function factories (series label -> batch-capable trial function)
+# Workload factories: one per workload.  Each builds its data from the seed
+# and maps the line-up it is given to batch-capable trial functions.  They
+# hold no defaults: KernelSpec.sweep_functions fills every parameter a caller
+# leaves out from the kernel's registration, its line-up included.
 # --------------------------------------------------------------------------- #
+_LineUp = Mapping[str, Any]
+
+
 def _trial_pair(
     solve: Callable, solve_batch: Callable, score: Callable[[Any], float]
 ) -> TrialFunction:
@@ -278,45 +281,13 @@ def _success(result) -> float:
     return 1.0 if result.success else 0.0
 
 
-def sorting_trial_functions(
-    values: np.ndarray,
-    iterations: int,
-    series: Optional[Mapping[str, Optional[str]]] = None,
+def _line_up(
+    series: _LineUp, base: TrialFunction, robust: Callable[[str], TrialFunction]
 ) -> Dict[str, TrialFunction]:
-    """The Figure 6.1 trial functions: series label -> batch-capable trial.
-
-    ``series`` maps each series label to a robust solver variant, or to
-    ``None`` for the noisy-comparison-sort baseline; the default is the
-    figure's "Base" / "SGD" / "SGD+AS,LS" / "SGD+AS,SQS" line-up.  Robust
-    series carry a :func:`batchable` implementation backed by
-    :func:`~repro.applications.sorting.robust_sort_batch`, so the ``batched``
-    and ``vectorized`` executors advance whole trial batches as one tensor
-    computation (bit-identical to serial execution).
-    """
-    if series is None:
-        series = {
-            "Base": None,
-            "SGD": "SGD,LS",
-            "SGD+AS,LS": "SGD+AS,LS",
-            "SGD+AS,SQS": "SGD+AS,SQS",
-        }
-    values = np.asarray(values, dtype=np.float64)
-
-    def _base(proc: StochasticProcessor, rng: np.random.Generator) -> float:
-        return _success(baseline_sort(values, proc))
-
-    def _robust(variant: str) -> TrialFunction:
-        config = partial(
-            default_sorting_config, iterations=iterations, variant=variant, values=values
-        )
-        return _trial_pair(
-            lambda proc, rng: robust_sort(values, proc, config()),
-            lambda procs, streams: robust_sort_batch(values, procs, config()),
-            _success,
-        )
-
+    """Map a line-up to trial functions: ``base`` for a ``None`` variant,
+    ``robust(variant)`` for a solver variant."""
     return {
-        label: _base if variant is None else _robust(variant)
+        label: base if variant is None else robust(variant)
         for label, variant in series.items()
     }
 
@@ -334,25 +305,43 @@ def _svd_baseline(A: np.ndarray, b: np.ndarray) -> TrialFunction:
     )
 
 
-def least_squares_trial_functions(
-    A: np.ndarray,
-    b: np.ndarray,
-    iterations: int,
-    series: Optional[Mapping[str, Optional[str]]] = None,
+def sorting_kernel(
+    *, iterations: int, array_size: int, seed: int, series: _LineUp
 ) -> Dict[str, TrialFunction]:
-    """The Figure 6.2 trial functions: SGD variants vs the SVD baseline.
+    """Figure 6.1: robust sorting vs the noisy comparison sort (exact success).
+
+    Robust series batch through :func:`~repro.applications.sorting.robust_sort_batch`.
+    """
+    values = random_array(array_size, rng=seed, min_gap=0.08)
+
+    def base(proc: StochasticProcessor, rng: np.random.Generator) -> float:
+        return _success(baseline_sort(values, proc))
+
+    def robust(variant: str) -> TrialFunction:
+        config = partial(
+            default_sorting_config, iterations=iterations, variant=variant, values=values
+        )
+        return _trial_pair(
+            lambda proc, rng: robust_sort(values, proc, config()),
+            lambda procs, streams: robust_sort_batch(values, procs, config()),
+            _success,
+        )
+
+    return _line_up(series, base, robust)
+
+
+def least_squares_kernel(
+    *, iterations: int, shape: tuple, seed: int, series: _LineUp
+) -> Dict[str, TrialFunction]:
+    """Figure 6.2: SGD least squares vs the SVD baseline (relative error).
 
     Robust series batch through
-    :func:`~repro.applications.least_squares.robust_least_squares_sgd_batch`,
-    and the SVD baseline through
-    :func:`~repro.applications.least_squares.baseline_svd_least_squares_batch`.
+    :func:`~repro.applications.least_squares.robust_least_squares_sgd_batch`.
     """
-    if series is None:
-        series = {"Base: SVD": None, "SGD,LS": "SGD,LS", "SGD+AS,LS": "SGD+AS,LS"}
+    A, b, _ = random_least_squares(shape[0], shape[1], rng=seed)
     base_step = default_least_squares_step(A)
-    _svd = _svd_baseline(A, b)
 
-    def _sgd(variant: str) -> TrialFunction:
+    def robust(variant: str) -> TrialFunction:
         options = partial(
             sgd_options_for_variant, variant, iterations=iterations, base_step=base_step
         )
@@ -364,19 +353,13 @@ def least_squares_trial_functions(
             attrgetter("relative_error"),
         )
 
-    return {
-        label: _svd if variant is None else _sgd(variant)
-        for label, variant in series.items()
-    }
+    return _line_up(series, _svd_baseline(A, b), robust)
 
 
-def iir_trial_functions(
-    filt,
-    signal: np.ndarray,
-    iterations: int,
-    series: Optional[Mapping[str, Optional[str]]] = None,
+def iir_kernel(
+    *, iterations: int, signal_length: int, n_taps: int, seed: int, series: _LineUp
 ) -> Dict[str, TrialFunction]:
-    """The Figure 6.3 trial functions: variational IIR vs the direct form.
+    """Figure 6.3: variational IIR vs the direct form (error / signal energy).
 
     Robust series batch through
     :func:`~repro.applications.iir.robust_iir_filter_batch` (batched SGD over
@@ -385,21 +368,15 @@ def iir_trial_functions(
     :func:`~repro.applications.iir.baseline_iir_filter_batch`, every trial's
     recursion on one scalar-FPU batch.
     """
-    if series is None:
-        series = {
-            "Base": None,
-            "SGD,LS": "SGD,LS",
-            "SGD+AS,LS": "SGD+AS,LS",
-            "SGD+AS,SQS": "SGD+AS,SQS",
-        }
-    signal = np.asarray(signal, dtype=np.float64).ravel()
-    _base = _trial_pair(
+    filt = random_stable_iir(n_taps, rng=seed, pole_radius=0.8)
+    signal = sum_of_sinusoids(signal_length)
+    base = _trial_pair(
         lambda proc, rng: baseline_iir_filter(filt, signal, proc),
         lambda procs, streams: baseline_iir_filter_batch(filt, signal, procs),
         attrgetter("error_to_signal"),
     )
 
-    def _robust(variant: str) -> TrialFunction:
+    def robust(variant: str) -> TrialFunction:
         options = partial(
             sgd_options_for_variant, variant, iterations=iterations, base_step=0.25
         )
@@ -411,36 +388,21 @@ def iir_trial_functions(
             attrgetter("error_to_signal"),
         )
 
-    return {
-        label: _base if variant is None else _robust(variant)
-        for label, variant in series.items()
-    }
+    return _line_up(series, base, robust)
 
 
-def matching_trial_functions(
-    graph,
-    iterations: int,
-    series: Optional[Mapping[str, Optional[str]]] = None,
-) -> Dict[str, TrialFunction]:
-    """The Figure 6.4/6.5 trial functions: penalized-LP matching vs Hungarian.
+def matching_kernel(*, iterations: int, seed: int, series: _LineUp) -> Dict[str, TrialFunction]:
+    """Figures 6.4/6.5: penalized-LP matching vs Hungarian (exact success).
 
-    ``series`` maps labels to solver variants (``None`` = the noisy Hungarian
-    baseline); the default is the Figure 6.4 line-up, and Figure 6.5 passes
-    its enhancement-ablation mapping.  Robust series batch through
+    Robust series batch through
     :func:`~repro.applications.matching.robust_matching_batch`.
     """
-    if series is None:
-        series = {
-            "Base": None,
-            "SGD,LS": "SGD,LS",
-            "SGD+AS,LS": "SGD+AS,LS",
-            "SGD+AS,SQS": "SGD+AS,SQS",
-        }
+    graph = matching_workload(seed)
 
-    def _base(proc: StochasticProcessor, rng: np.random.Generator) -> float:
+    def base(proc: StochasticProcessor, rng: np.random.Generator) -> float:
         return _success(baseline_matching(graph, proc))
 
-    def _robust(variant: str) -> TrialFunction:
+    def robust(variant: str) -> TrialFunction:
         config = partial(
             default_matching_config, iterations=iterations, variant=variant, graph=graph
         )
@@ -450,32 +412,26 @@ def matching_trial_functions(
             _success,
         )
 
-    return {
-        label: _base if variant is None else _robust(variant)
-        for label, variant in series.items()
-    }
+    return _line_up(series, base, robust)
 
 
-def cg_least_squares_trial_functions(
-    A: np.ndarray,
-    b: np.ndarray,
-    cg_iterations: int = 10,
+def cg_least_squares_kernel(
+    *, cg_iterations: int, shape: tuple, seed: int
 ) -> Dict[str, TrialFunction]:
-    """The Figure 6.6 trial functions: restarted CG vs the decompositions.
+    """Figure 6.6: restarted CG vs the three decompositions (relative error).
 
-    The CG series batches through
+    Its line-up is fixed, because the CG label carries ``cg_iterations``.  The
+    CG series batches through
     :func:`~repro.applications.least_squares.robust_least_squares_cg_batch`
     (the masked-batch CGNR driver) and the SVD baseline through
     :func:`~repro.applications.least_squares.baseline_svd_least_squares_batch`
     (a masked-batch Jacobi solve); the QR and Cholesky baselines run per
     trial.
     """
+    A, b, _ = random_least_squares(shape[0], shape[1], rng=seed)
 
-    def _baseline(method: str):
-        def run(proc: StochasticProcessor, rng: np.random.Generator) -> float:
-            return baseline_least_squares(A, b, proc, method=method).relative_error
-
-        return run
+    def _baseline(method: str) -> TrialFunction:
+        return lambda proc, rng: baseline_least_squares(A, b, proc, method=method).relative_error
 
     options = partial(CGOptions, iterations=cg_iterations)
 
@@ -493,97 +449,33 @@ def cg_least_squares_trial_functions(
     }
 
 
-def maxflow_trial_functions(
-    network,
-    iterations: int,
-    series: Optional[Mapping[str, Optional[str]]] = None,
-) -> Dict[str, TrialFunction]:
-    """The §4.5 max-flow trial functions: penalized LP vs noisy Edmonds–Karp.
-
-    ``series`` maps labels to solver variants (``None`` = the Ford–Fulkerson
-    baseline executed on the noisy FPU).  Robust series batch through
-    :func:`~repro.applications.maxflow.robust_max_flow_batch` — the same
-    masked-batch :func:`~repro.core.transform.solve_penalized_lp_batch` path
-    the matching kernel uses.  The metric is the relative error of the flow
-    value against the exact maximum flow (lower is better).
-    """
-    if series is None:
-        series = {"Base": None, "SGD,SQS": "SGD,SQS", "SGD+AS,SQS": "SGD+AS,SQS"}
-
-    def _base(proc: StochasticProcessor, rng: np.random.Generator) -> float:
-        return baseline_max_flow(network, proc).relative_error
-
-    def _robust(variant: str) -> TrialFunction:
-        config = partial(
-            default_maxflow_config, iterations=iterations, variant=variant, network=network
-        )
-        return _trial_pair(
-            lambda proc, rng: robust_max_flow(network, proc, config()),
-            lambda procs, streams: robust_max_flow_batch(network, procs, config()),
-            attrgetter("relative_error"),
-        )
-
+def momentum_kernel(*, iterations: int, seed: int) -> Dict[str, TrialFunction]:
+    """§6.2.2: the sorting (5-element array) and matching workloads, each
+    with and without momentum; all four series batch."""
     return {
-        label: _base if variant is None else _robust(variant)
-        for label, variant in series.items()
+        **sorting_kernel(iterations=iterations, array_size=5, seed=seed, series={
+            "sorting (no momentum)": "SGD,LS",
+            "sorting (momentum 0.5)": "MOMENTUM",
+        }),
+        **matching_kernel(iterations=iterations, seed=seed, series={
+            "matching (no momentum)": "SGD,LS",
+            "matching (momentum 0.5)": "MOMENTUM",
+        }),
     }
 
 
-def apsp_trial_functions(
-    graph,
-    iterations: int,
-    series: Optional[Mapping[str, Optional[str]]] = None,
+def eigen_kernel(
+    *, iterations: int, matrix_size: int, condition_number: float, seed: int,
+    series: _LineUp,
 ) -> Dict[str, TrialFunction]:
-    """The §4.6 all-pairs shortest-path trial functions: LP vs Floyd–Warshall.
-
-    ``series`` maps labels to solver variants (``None`` = Floyd–Warshall on
-    the noisy FPU).  Robust series batch through
-    :func:`~repro.applications.shortest_path.robust_all_pairs_shortest_path_batch`
-    over the shared masked-batch LP path.  The metric is the mean relative
-    distance error against the exact APSP distances (lower is better).
-    """
-    if series is None:
-        series = {"Base": None, "SGD,SQS": "SGD,SQS", "SGD+AS,SQS": "SGD+AS,SQS"}
-
-    def _base(proc: StochasticProcessor, rng: np.random.Generator) -> float:
-        return baseline_all_pairs_shortest_path(graph, proc).mean_relative_error
-
-    def _robust(variant: str) -> TrialFunction:
-        config = partial(
-            default_apsp_config, iterations=iterations, variant=variant, graph=graph
-        )
-        return _trial_pair(
-            lambda proc, rng: robust_all_pairs_shortest_path(graph, proc, config()),
-            lambda procs, streams: robust_all_pairs_shortest_path_batch(
-                graph, procs, config()
-            ),
-            attrgetter("mean_relative_error"),
-        )
-
-    return {
-        label: _base if variant is None else _robust(variant)
-        for label, variant in series.items()
-    }
-
-
-def eigen_trial_functions(
-    M: np.ndarray,
-    iterations: int,
-    series: Optional[Mapping[str, int]] = None,
-) -> Dict[str, TrialFunction]:
-    """The §4.7 eigenpair trial functions: Rayleigh-quotient ascent + deflation.
+    """§4.7 eigenpairs: Rayleigh-quotient ascent with deflation.
 
     ``series`` maps labels to the number of eigenpairs ``k`` extracted by
-    deflation; the default compares the top pair alone against a two-pair
-    deflation run.  Every series batches through
-    :func:`~repro.applications.eigen.robust_eigenpairs_batch` (batched power
-    iterations over per-trial deflated matrices).  The metric is the worst
-    relative eigenvalue error over the ``k`` extracted pairs (lower is
-    better).
+    deflation.  Every series batches through
+    :func:`~repro.applications.eigen.robust_eigenpairs_batch`.  The metric is
+    the worst relative eigenvalue error over the ``k`` pairs (lower is better).
     """
-    if series is None:
-        series = {"Power, k=1": 1, "Power+deflation, k=2": 2}
-    M = np.asarray(M, dtype=np.float64)
+    M = random_spd_matrix(matrix_size, rng=seed, condition_number=condition_number)
 
     def _worst_error(pairs) -> float:
         return max(pair.eigenvalue_error for pair in pairs)
@@ -600,35 +492,81 @@ def eigen_trial_functions(
     return {label: _make(k) for label, k in series.items()}
 
 
-def svm_trial_functions(
-    X: np.ndarray,
-    y: np.ndarray,
-    iterations: int,
-    series: Optional[Mapping[str, Optional[str]]] = None,
-    regularization: float = 0.01,
+def maxflow_kernel(
+    *, iterations: int, n_nodes: int, n_edges: int, seed: int, series: _LineUp
 ) -> Dict[str, TrialFunction]:
-    """The §4.7 SVM trial functions: hinge-loss SGD vs the Pegasos trainer.
+    """§4.5 max-flow: penalized LP vs Edmonds–Karp on the noisy FPU.
 
-    ``series`` maps labels to solver variants (``None`` = the per-sample
-    Pegasos trainer, whose data-dependent sampling has no batch tier).
     Robust series batch through
-    :func:`~repro.applications.svm.robust_svm_train_sgd_batch` (batched
-    full-batch hinge-loss subgradient descent).  The metric is the training
-    accuracy of the learned separator (higher is better).
+    :func:`~repro.applications.maxflow.robust_max_flow_batch`.  The metric is
+    the flow value's relative error against the exact maximum flow.
     """
-    if series is None:
-        series = {"Base: Pegasos": None, "SGD,LS": "SGD,LS", "SGD+AS,LS": "SGD+AS,LS"}
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64).ravel()
+    network = random_flow_network(n_nodes, n_edges, rng=seed)
+
+    def base(proc: StochasticProcessor, rng: np.random.Generator) -> float:
+        return baseline_max_flow(network, proc).relative_error
+
+    def robust(variant: str) -> TrialFunction:
+        config = partial(
+            default_maxflow_config, iterations=iterations, variant=variant, network=network
+        )
+        return _trial_pair(
+            lambda proc, rng: robust_max_flow(network, proc, config()),
+            lambda procs, streams: robust_max_flow_batch(network, procs, config()),
+            attrgetter("relative_error"),
+        )
+
+    return _line_up(series, base, robust)
+
+
+def apsp_kernel(
+    *, iterations: int, n_nodes: int, n_edges: int, seed: int, series: _LineUp
+) -> Dict[str, TrialFunction]:
+    """§4.6 all-pairs shortest paths: LP vs Floyd–Warshall on the noisy FPU.
+
+    Robust series batch through
+    :func:`~repro.applications.shortest_path.robust_all_pairs_shortest_path_batch`.
+    The metric is the mean relative error against the exact distances.
+    """
+    graph = random_weighted_graph(n_nodes, n_edges, rng=seed)
+
+    def base(proc: StochasticProcessor, rng: np.random.Generator) -> float:
+        return baseline_all_pairs_shortest_path(graph, proc).mean_relative_error
+
+    def robust(variant: str) -> TrialFunction:
+        config = partial(
+            default_apsp_config, iterations=iterations, variant=variant, graph=graph
+        )
+        return _trial_pair(
+            lambda proc, rng: robust_all_pairs_shortest_path(graph, proc, config()),
+            lambda procs, streams: robust_all_pairs_shortest_path_batch(
+                graph, procs, config()
+            ),
+            attrgetter("mean_relative_error"),
+        )
+
+    return _line_up(series, base, robust)
+
+
+def svm_kernel(
+    *, iterations: int, n_samples: int, n_features: int, regularization: float,
+    seed: int, series: _LineUp,
+) -> Dict[str, TrialFunction]:
+    """§4.7 SVM training: hinge-loss SGD vs the Pegasos trainer (accuracy).
+
+    The Pegasos baseline's data-dependent sampling has no batch tier; robust
+    series batch through :func:`~repro.applications.svm.robust_svm_train_sgd_batch`.
+    """
+    X, y, _ = random_svm_data(n_samples, n_features, rng=seed)
     base_step = default_svm_step(X, regularization)
 
-    def _pegasos(proc: StochasticProcessor, rng: np.random.Generator) -> float:
+    def base(proc: StochasticProcessor, rng: np.random.Generator) -> float:
         return robust_svm_train(
             X, y, proc, iterations=iterations,
             regularization=regularization, rng=rng,
         ).train_accuracy
 
-    def _sgd(variant: str) -> TrialFunction:
+    def robust(variant: str) -> TrialFunction:
         options = partial(
             sgd_options_for_variant, variant, iterations=iterations, base_step=base_step
         )
@@ -642,123 +580,7 @@ def svm_trial_functions(
             attrgetter("train_accuracy"),
         )
 
-    return {
-        label: _pegasos if variant is None else _sgd(variant)
-        for label, variant in series.items()
-    }
-
-
-def momentum_trial_functions(
-    values: np.ndarray, graph, iterations: int
-) -> Dict[str, TrialFunction]:
-    """The §6.2.2 momentum-study trial functions (sorting and matching).
-
-    A relabelled composition of :func:`sorting_trial_functions` and
-    :func:`matching_trial_functions`, so all four series inherit their batch
-    tier (:func:`~repro.applications.sorting.robust_sort_batch` /
-    :func:`~repro.applications.matching.robust_matching_batch`).
-    """
-    return {
-        **sorting_trial_functions(values, iterations, {
-            "sorting (no momentum)": "SGD,LS",
-            "sorting (momentum 0.5)": "MOMENTUM",
-        }),
-        **matching_trial_functions(graph, iterations, {
-            "matching (no momentum)": "SGD,LS",
-            "matching (momentum 0.5)": "MOMENTUM",
-        }),
-    }
-
-
-# --------------------------------------------------------------------------- #
-# Workload factories (workload construction + trial functions).  They hold no
-# defaults: KernelSpec.sweep_functions fills every parameter a caller leaves
-# out from the kernel's registered paper values, and ``series=None`` selects
-# the trial-function builder's own line-up.
-# --------------------------------------------------------------------------- #
-_LineUp = Optional[Mapping[str, Any]]
-
-
-def sorting_kernel(
-    *, iterations: int, array_size: int, seed: int, series: _LineUp
-) -> Dict[str, TrialFunction]:
-    """Build the Figure 6.1 sorting workload and its trial functions."""
-    values = random_array(array_size, rng=seed, min_gap=0.08)
-    return sorting_trial_functions(values, iterations, series)
-
-
-def least_squares_kernel(
-    *, iterations: int, shape: tuple, seed: int, series: _LineUp
-) -> Dict[str, TrialFunction]:
-    """Build the Figure 6.2 least-squares workload and its trial functions."""
-    A, b, _ = random_least_squares(shape[0], shape[1], rng=seed)
-    return least_squares_trial_functions(A, b, iterations, series)
-
-
-def iir_kernel(
-    *, iterations: int, signal_length: int, n_taps: int, seed: int, series: _LineUp
-) -> Dict[str, TrialFunction]:
-    """Build the Figure 6.3 IIR workload and its trial functions."""
-    filt = random_stable_iir(n_taps, rng=seed, pole_radius=0.8)
-    signal = sum_of_sinusoids(signal_length)
-    return iir_trial_functions(filt, signal, iterations, series)
-
-
-def matching_kernel(
-    *, iterations: int, seed: int, series: _LineUp
-) -> Dict[str, TrialFunction]:
-    """Build the Figure 6.4/6.5 matching workload and its trial functions."""
-    graph = matching_workload(seed)
-    return matching_trial_functions(graph, iterations, series)
-
-
-def cg_least_squares_kernel(
-    *, cg_iterations: int, shape: tuple, seed: int
-) -> Dict[str, TrialFunction]:
-    """Build the Figure 6.6 CG least-squares workload and its trial functions."""
-    A, b, _ = random_least_squares(shape[0], shape[1], rng=seed)
-    return cg_least_squares_trial_functions(A, b, cg_iterations)
-
-
-def momentum_kernel(*, iterations: int, seed: int) -> Dict[str, TrialFunction]:
-    """Build the §6.2.2 momentum-study workloads and trial functions."""
-    values = random_array(5, rng=seed, min_gap=0.08)
-    graph = matching_workload(seed)
-    return momentum_trial_functions(values, graph, iterations)
-
-
-def eigen_kernel(
-    *, iterations: int, matrix_size: int, condition_number: float, seed: int,
-    series: _LineUp,
-) -> Dict[str, TrialFunction]:
-    """Build the §4.7 eigenpair workload and its trial functions."""
-    M = random_spd_matrix(matrix_size, rng=seed, condition_number=condition_number)
-    return eigen_trial_functions(M, iterations, series)
-
-
-def maxflow_kernel(
-    *, iterations: int, n_nodes: int, n_edges: int, seed: int, series: _LineUp
-) -> Dict[str, TrialFunction]:
-    """Build the §4.5 max-flow workload and its trial functions."""
-    network = random_flow_network(n_nodes, n_edges, rng=seed)
-    return maxflow_trial_functions(network, iterations, series)
-
-
-def apsp_kernel(
-    *, iterations: int, n_nodes: int, n_edges: int, seed: int, series: _LineUp
-) -> Dict[str, TrialFunction]:
-    """Build the §4.6 all-pairs shortest-path workload and its trial functions."""
-    graph = random_weighted_graph(n_nodes, n_edges, rng=seed)
-    return apsp_trial_functions(graph, iterations, series)
-
-
-def svm_kernel(
-    *, iterations: int, n_samples: int, n_features: int, regularization: float,
-    seed: int, series: _LineUp,
-) -> Dict[str, TrialFunction]:
-    """Build the §4.7 SVM workload and its trial functions."""
-    X, y, _ = random_svm_data(n_samples, n_features, rng=seed)
-    return svm_trial_functions(X, y, iterations, series, regularization=regularization)
+    return _line_up(series, base, robust)
 
 
 # --------------------------------------------------------------------------- #
@@ -786,11 +608,14 @@ class KernelSpec:
     metric:
         ``"success_rate"`` (report per-rate success fractions) or ``"mean"``.
     series:
-        The series line-up the kernel's figure plots, when it differs from
-        the trial factory's default (e.g. the Figure 6.5 enhancement
-        ablation, or the scenario studies' baseline-vs-best pair).
-        :meth:`sweep_functions` applies it, so the figure, an ad-hoc grid
-        and a campaign over the kernel all run the same series.
+        The series line-up the kernel's figure plots, in plotting order:
+        each label maps to a solver variant, or to ``None`` for the
+        conventional baseline (the eigen kernel maps labels to a pair count
+        ``k``).  This is the only place a line-up is written;
+        :meth:`sweep_functions` hands it to ``trial_factory``, so the
+        figure, an ad-hoc grid and a campaign over the kernel all run the
+        same series.  ``None`` when the factory takes no line-up (its series
+        are fixed, as for Figure 6.6 and the momentum study).
     trial_factory:
         The workload factory building the series label → trial-function
         mapping (sweep kernels only).
@@ -817,7 +642,7 @@ class KernelSpec:
     x_label: str = ""
     y_label: str = ""
     metric: str = "mean"
-    series: Optional[Mapping[str, Optional[str]]] = None
+    series: Optional[Mapping[str, Any]] = None
     trial_factory: Optional[Callable[..., Dict[str, TrialFunction]]] = None
     min_iterations: int = 0
     reduce_trials: Optional[Callable[[int], int]] = None
@@ -977,15 +802,16 @@ class KernelSpec:
     ) -> Dict[str, TrialFunction]:
         """Build this kernel's series label → trial-function mapping.
 
-        Resolves the registered trial factory with the kernel's own series
-        line-up (when one is registered) and the given workload parameters;
-        every factory parameter left out takes the kernel's paper value from
-        ``defaults``.  This is the single entry point callers outside the
-        registry — ``scripts/run_campaign.py``, ad-hoc scenario studies —
-        use to turn a registry name into sweep-ready trial functions.  Only
-        sweep-shaped kernels have one; others raise ``ValueError``, as does
-        a parameter the trial factory does not take (e.g. ``iterations``
-        for ``cg_least_squares``).
+        Calls the registered workload factory with the kernel's paper values
+        from ``defaults`` and its registered ``series`` line-up, each
+        overridden by ``factory_kwargs``.  This is the single entry point
+        callers outside the registry — ``scripts/run_campaign.py``, ad-hoc
+        scenario studies — use to turn a registry name into sweep-ready
+        trial functions.  Only sweep-shaped kernels have one; others raise
+        ``ValueError``, as does a parameter the kernel does not take: one
+        outside its non-grid ``defaults`` and, where a line-up is
+        registered, ``series`` (e.g. ``iterations`` for
+        ``cg_least_squares``).
 
         Construction is memoized per process on (kernel, seed, resolved
         factory parameters) — see :func:`workload_memo_stats` — because
@@ -1004,10 +830,13 @@ class KernelSpec:
         }
         if self.series is not None:
             kwargs["series"] = dict(self.series)
+        unknown = sorted(set(factory_kwargs) - set(kwargs))
+        if unknown:
+            raise ValueError(
+                f"kernel {self.name!r} got unexpected parameter(s) "
+                f"{', '.join(map(repr, unknown))}"
+            )
         kwargs.update(factory_kwargs)
-        signature = inspect.signature(self.trial_factory)
-        if "series" in signature.parameters:
-            kwargs.setdefault("series", None)
         memo_key = (
             self.name,
             int(seed),
@@ -1017,10 +846,6 @@ class KernelSpec:
         if cached is not None:
             _WORKLOAD_MEMO_STATS["hits"] += 1
             return dict(cached)
-        try:
-            signature.bind(seed=seed, **kwargs)
-        except TypeError as error:
-            raise ValueError(f"kernel {self.name!r}: {error}") from None
         _WORKLOAD_MEMO_STATS["misses"] += 1
         functions = self.trial_factory(seed=seed, **kwargs)
         _WORKLOAD_MEMO[memo_key] = dict(functions)
@@ -1038,10 +863,10 @@ class KernelSpec:
     ) -> FigureResult:
         """Run this kernel's workload as an ad-hoc scenario-grid study.
 
-        Available for every sweep-shaped kernel: the kernel's trial factory
-        builds its usual series line-up (``factory_kwargs`` are the factory's
-        parameters, e.g. ``iterations``), which is then crossed with the
-        given scenario presets (names or
+        Available for every sweep-shaped kernel: :meth:`sweep_functions`
+        builds its registered series line-up (``factory_kwargs`` are the
+        factory's parameters, e.g. ``iterations``), which is then crossed
+        with the given scenario presets (names or
         :class:`~repro.experiments.scenarios.Scenario` objects) as the
         scenario axis of a :class:`~repro.experiments.spec.SweepSpec` run on
         ``engine`` (``None``: the serial engine).  This is how
@@ -1208,6 +1033,16 @@ def sweep_kernels() -> List[KernelSpec]:
 _SORTING = {"iterations": 10000, "array_size": 5}
 _LEAST_SQUARES = {"iterations": 1000, "shape": (100, 10)}
 _MATCHING = {"iterations": 10000}
+#: Series line-ups, in plotting order: label -> solver variant, ``None`` for
+#: the conventional baseline.  A line-up shared by several registrations is
+#: written once here.
+_FOUR_SERIES = {
+    "Base": None, "SGD,LS": "SGD,LS", "SGD+AS,LS": "SGD+AS,LS", "SGD+AS,SQS": "SGD+AS,SQS",
+}
+_LP_EXTENSION_SERIES = {"Base": None, "SGD,SQS": "SGD,SQS", "SGD+AS,SQS": "SGD+AS,SQS"}
+#: The scenario studies' compact baseline-vs-best pairs.
+_BEST_SQS_PAIR = {"Base": None, "SGD+AS,SQS": "SGD+AS,SQS"}
+_BEST_LEAST_SQUARES_PAIR = {"Base: SVD": None, "SGD+AS,LS": "SGD+AS,LS"}
 #: The rate grid and scenario presets of the cross-fault-model studies.
 _CROSS_MODEL = {
     "fault_rates": DEFAULT_CROSS_MODEL_RATES,
@@ -1250,6 +1085,9 @@ register_kernel(KernelSpec(
     x_label="fault rate (fraction of FLOPs)",
     y_label="success rate",
     metric="success_rate",
+    series={
+        "Base": None, "SGD": "SGD,LS", "SGD+AS,LS": "SGD+AS,LS", "SGD+AS,SQS": "SGD+AS,SQS",
+    },
     trial_factory=sorting_kernel,
     defaults=_sweep_defaults(**_SORTING, fault_rates=DEFAULT_FAULT_RATES),
 ))
@@ -1260,6 +1098,7 @@ register_kernel(KernelSpec(
     title="Accuracy of Least Squares - {iterations} iterations",
     x_label="fault rate (fraction of FLOPs)",
     y_label="relative error w.r.t. ideal (lower is better)",
+    series={"Base: SVD": None, "SGD,LS": "SGD,LS", "SGD+AS,LS": "SGD+AS,LS"},
     trial_factory=least_squares_kernel,
     min_iterations=500,
     defaults=_sweep_defaults(**_LEAST_SQUARES, fault_rates=DEFAULT_FAULT_RATES),
@@ -1271,6 +1110,7 @@ register_kernel(KernelSpec(
     title="Accuracy of IIR - {iterations} iterations",
     x_label="fault rate (fraction of FLOPs)",
     y_label="error energy / signal energy (lower is better)",
+    series=_FOUR_SERIES,
     trial_factory=iir_kernel,
     min_iterations=500,
     defaults=_sweep_defaults(
@@ -1286,6 +1126,7 @@ register_kernel(KernelSpec(
     x_label="fault rate (fraction of FLOPs)",
     y_label="success rate",
     metric="success_rate",
+    series=_FOUR_SERIES,
     trial_factory=matching_kernel,
     defaults=_sweep_defaults(**_MATCHING, fault_rates=DEFAULT_FAULT_RATES),
 ))
@@ -1375,6 +1216,7 @@ register_kernel(KernelSpec(
     title="Accuracy of eigenpair extraction - {iterations} iterations",
     x_label="fault rate (fraction of FLOPs)",
     y_label="relative eigenvalue error (lower is better)",
+    series={"Power, k=1": 1, "Power+deflation, k=2": 2},
     trial_factory=eigen_kernel,
     min_iterations=50,
     defaults=_sweep_defaults(
@@ -1389,6 +1231,7 @@ register_kernel(KernelSpec(
     title="Accuracy of Max-Flow - {iterations} iterations",
     x_label="fault rate (fraction of FLOPs)",
     y_label="relative flow-value error (lower is better)",
+    series=_LP_EXTENSION_SERIES,
     trial_factory=maxflow_kernel,
     min_iterations=500,
     defaults=_sweep_defaults(
@@ -1402,6 +1245,7 @@ register_kernel(KernelSpec(
     title="Accuracy of All-Pairs Shortest Paths - {iterations} iterations",
     x_label="fault rate (fraction of FLOPs)",
     y_label="mean relative distance error (lower is better)",
+    series=_LP_EXTENSION_SERIES,
     trial_factory=apsp_kernel,
     min_iterations=500,
     defaults=_sweep_defaults(
@@ -1415,6 +1259,7 @@ register_kernel(KernelSpec(
     title="SVM training accuracy - {iterations} iterations",
     x_label="fault rate (fraction of FLOPs)",
     y_label="training accuracy (higher is better)",
+    series={"Base: Pegasos": None, "SGD,LS": "SGD,LS", "SGD+AS,LS": "SGD+AS,LS"},
     trial_factory=svm_kernel,
     min_iterations=200,
     defaults=_sweep_defaults(
@@ -1438,7 +1283,7 @@ register_kernel(KernelSpec(
     y_label="success rate",
     metric="success_rate",
     trial_factory=sorting_kernel,
-    series={"Base": None, "SGD+AS,SQS": "SGD+AS,SQS"},
+    series=_BEST_SQS_PAIR,
     defaults=_sweep_defaults(**_SORTING, **_CROSS_MODEL),
 ))
 register_kernel(KernelSpec(
@@ -1449,7 +1294,7 @@ register_kernel(KernelSpec(
     x_label="fault rate (fraction of FLOPs)",
     y_label="relative error w.r.t. ideal (lower is better)",
     trial_factory=least_squares_kernel,
-    series={"Base: SVD": None, "SGD+AS,LS": "SGD+AS,LS"},
+    series=_BEST_LEAST_SQUARES_PAIR,
     min_iterations=500,
     defaults=_sweep_defaults(**_LEAST_SQUARES, **_CROSS_MODEL),
 ))
@@ -1462,7 +1307,7 @@ register_kernel(KernelSpec(
     y_label="success rate",
     metric="success_rate",
     trial_factory=matching_kernel,
-    series={"Base": None, "SGD+AS,SQS": "SGD+AS,SQS"},
+    series=_BEST_SQS_PAIR,
     defaults=_sweep_defaults(**_MATCHING, **_CROSS_MODEL),
 ))
 register_kernel(KernelSpec(
@@ -1474,7 +1319,7 @@ register_kernel(KernelSpec(
     y_label="success rate",
     metric="success_rate",
     trial_factory=sorting_kernel,
-    series={"Base": None, "SGD+AS,SQS": "SGD+AS,SQS"},
+    series=_BEST_SQS_PAIR,
     defaults=_sweep_defaults(**_SORTING, voltages=DEFAULT_STUDY_VOLTAGES),
 ))
 register_kernel(KernelSpec(
@@ -1485,7 +1330,7 @@ register_kernel(KernelSpec(
     x_label="supply voltage (V)",
     y_label="relative error w.r.t. ideal (lower is better)",
     trial_factory=least_squares_kernel,
-    series={"Base: SVD": None, "SGD+AS,LS": "SGD+AS,LS"},
+    series=_BEST_LEAST_SQUARES_PAIR,
     min_iterations=500,
     defaults=_sweep_defaults(**_LEAST_SQUARES, voltages=DEFAULT_STUDY_VOLTAGES),
 ))
@@ -1498,6 +1343,6 @@ register_kernel(KernelSpec(
     y_label="success rate",
     metric="success_rate",
     trial_factory=matching_kernel,
-    series={"Base": None, "SGD+AS,SQS": "SGD+AS,SQS"},
+    series=_BEST_SQS_PAIR,
     defaults=_sweep_defaults(**_MATCHING, voltages=DEFAULT_STUDY_VOLTAGES),
 ))

@@ -189,10 +189,6 @@ class BitPositionDistribution(ABC):
         """Draw a single bit position using an :class:`repro.faults.lfsr.LFSR`."""
         return int(lfsr.choice_weighted(list(self.cdf())))
 
-    def mean_bit(self) -> float:
-        """Expected bit position; useful as a summary statistic in tests."""
-        return float(np.dot(np.arange(self._width), self.pmf()))
-
     def high_order_mass(self, cutoff_fraction: float = 0.5) -> float:
         """Probability mass on the top ``cutoff_fraction`` of bit positions."""
         cutoff = int(round(self._width * (1.0 - cutoff_fraction)))

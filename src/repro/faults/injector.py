@@ -35,7 +35,6 @@ from repro.faults.lfsr import LFSR
 from repro.faults.vectorized import (
     check_ops,
     corrupt_inplace,
-    effective_fault_probability,
     quiet_cast,
 )
 
@@ -283,10 +282,6 @@ class FaultInjector:
             )
         self._faults_injected += int(n_faults)
         return out
-
-    def fault_probability(self, ops_per_element: Union[int, np.ndarray]) -> np.ndarray:
-        """Probability that a result of ``ops_per_element`` FLOPs is corrupted."""
-        return effective_fault_probability(self._fault_rate, ops_per_element)
 
     def record_vectorized(self, ops: int, faults: int) -> None:
         """Fold one batched corruption pass into this injector's counters.

@@ -40,8 +40,9 @@ def quiet(func):
     A bit flip can make any value inf, NaN or huge, so overflow to inf and
     the NaN of ``inf - inf``, ``0 * inf`` or a signaling NaN are part of the
     fault model rather than errors.  The datapath cast, the noisy
-    primitives of ``linalg/ops.py`` and ``processor/batch.py``, and the
-    penalized-LP gradients of ``optimizers/penalty.py`` run under it.
+    primitives of ``linalg/ops.py`` and ``processor/batch.py``, the
+    penalized-LP gradients of ``optimizers/penalty.py`` and the least-squares
+    objective and gradients of ``optimizers/problem.py`` run under it.
     As a decorator, ``np.errstate`` opens its scope per call at about two
     thirds of the cost of a ``with`` block; each decorated function gets its
     own instance, so nesting is safe.

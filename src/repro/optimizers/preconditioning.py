@@ -40,11 +40,6 @@ class QRPreconditioner:
     def __init__(self) -> None:
         self._R: Optional[np.ndarray] = None
 
-    @property
-    def is_fitted(self) -> bool:
-        """Whether :meth:`fit` has been called."""
-        return self._R is not None
-
     def fit(self, lp: LinearProgram) -> LinearProgram:
         """Build the preconditioned linear program in the ``y`` coordinates.
 

@@ -25,6 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.exceptions import ProblemSpecificationError
+from repro.faults.vectorized import quiet
 from repro.linalg.ops import noisy_matvec, noisy_sub
 from repro.processor.batch import ProcessorBatch, batch_matvec, batch_sub
 from repro.processor.stochastic import StochasticProcessor
@@ -166,6 +167,7 @@ class QuadraticProblem(UnconstrainedProblem):
             gradient_batch=self._lsq_gradient_batch,
         )
 
+    @quiet
     def _lsq_value(
         self, x: np.ndarray, proc: Optional[StochasticProcessor]
     ) -> float:
@@ -177,6 +179,7 @@ class QuadraticProblem(UnconstrainedProblem):
 
         return noisy_norm2_squared(proc, residual)
 
+    @quiet
     def _lsq_gradient(
         self, x: np.ndarray, proc: Optional[StochasticProcessor]
     ) -> np.ndarray:
@@ -186,6 +189,7 @@ class QuadraticProblem(UnconstrainedProblem):
         grad = noisy_matvec(proc, self.A.T, residual)
         return proc.corrupt(2.0 * grad, ops_per_element=1)
 
+    @quiet
     def _lsq_gradient_batch(self, X: np.ndarray, batch: ProcessorBatch) -> np.ndarray:
         # Same operation sequence as _lsq_gradient, fused across trial rows.
         residuals = batch_sub(batch, batch_matvec(batch, self.A, X), self.b)

@@ -81,13 +81,11 @@ def make_grid(scenarios, trials=2, **kwargs):
 
 def sorting_sweep(trials=3, iterations=40, rates=(0.0, 0.01, 0.1)):
     """A miniature Figure 6.1 sorting sweep mixing batchable and serial series."""
-    from repro.experiments.kernels import sorting_trial_functions
-    from repro.workloads.generators import random_array
+    from repro.experiments.kernels import get_kernel
 
-    values = random_array(4, rng=2010, min_gap=0.08)
     return SweepSpec(
-        sorting_trial_functions(
-            values, iterations, series={"Base": None, "SGD": "SGD,LS"}
+        get_kernel("sorting").sweep_functions(
+            iterations=iterations, array_size=4, series={"Base": None, "SGD": "SGD,LS"}
         ),
         fault_rates=rates,
         trials=trials,

@@ -10,6 +10,34 @@ import pytest
 from repro.experiments import kernels
 from repro.experiments.results import FigureResult
 
+#: Every sweep kernel's series labels, in plotting order.  The figure-cache
+#: keys do not cover the line-up, so this table is what catches a series that
+#: is dropped, renamed or reordered.
+SWEEP_LINE_UPS = {
+    "sorting": ["Base", "SGD", "SGD+AS,LS", "SGD+AS,SQS"],
+    "least_squares_sgd": ["Base: SVD", "SGD,LS", "SGD+AS,LS"],
+    "iir": ["Base", "SGD,LS", "SGD+AS,LS", "SGD+AS,SQS"],
+    "matching": ["Base", "SGD,LS", "SGD+AS,LS", "SGD+AS,SQS"],
+    "matching_enhancements": ["Non-robust", "Basic,LS", "SQS", "PRECOND", "ANNEAL", "ALL"],
+    "cg_least_squares": ["Base: QR", "Base: SVD", "Base: Cholesky", "CG, N=10"],
+    "momentum": [
+        "sorting (no momentum)",
+        "sorting (momentum 0.5)",
+        "matching (no momentum)",
+        "matching (momentum 0.5)",
+    ],
+    "eigen": ["Power, k=1", "Power+deflation, k=2"],
+    "maxflow": ["Base", "SGD,SQS", "SGD+AS,SQS"],
+    "apsp": ["Base", "SGD,SQS", "SGD+AS,SQS"],
+    "svm": ["Base: Pegasos", "SGD,LS", "SGD+AS,LS"],
+    "sorting_cross_model": ["Base", "SGD+AS,SQS"],
+    "least_squares_cross_model": ["Base: SVD", "SGD+AS,LS"],
+    "matching_cross_model": ["Base", "SGD+AS,SQS"],
+    "sorting_voltage": ["Base", "SGD+AS,SQS"],
+    "least_squares_voltage": ["Base: SVD", "SGD+AS,LS"],
+    "matching_voltage": ["Base", "SGD+AS,SQS"],
+}
+
 
 class TestRegistryContents:
     def test_every_paper_figure_is_registered(self):
@@ -79,6 +107,10 @@ class TestRegistryContents:
     def test_sweep_kernels_have_trial_factories(self):
         for spec in kernels.sweep_kernels():
             assert spec.trial_factory is not None, spec.name
+
+    def test_every_sweep_kernels_line_up_is_pinned(self):
+        line_ups = {spec.name: list(spec.sweep_functions()) for spec in kernels.sweep_kernels()}
+        assert line_ups == SWEEP_LINE_UPS
 
 
 class TestCapabilityDispatch:

@@ -316,14 +316,26 @@ class TestUniformPresetsRunQuiet:
     The uniform presets flip exponent bits, so the penalized-LP gradients
     meet ``inf - inf``, ``0 * inf`` and overflow.  Those values are the fault
     model, and the serial and batched gradients run under
-    :func:`~repro.faults.vectorized.quiet`, as do Figure 6.6's whole CG,
-    Jacobi SVD and QR solves and its least-squares scoring.
+    :func:`~repro.faults.vectorized.quiet`, as do the least-squares
+    objective and gradients of Figure 6.2's SGD, Figure 6.6's whole CG,
+    Jacobi SVD and QR solves, and the least-squares scoring.
     """
 
     @pytest.mark.parametrize("engine", ["serial", "vectorized"])
     @pytest.mark.parametrize("kernel", ["matching", "maxflow"])
     def test_lp_kernel_raises_no_runtime_warning(self, kernel, engine):
         functions = get_kernel(kernel).sweep_functions(iterations=50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            series = ExperimentEngine(engine).run_sweep(SweepSpec(
+                functions, fault_rates=(0.1, 0.5), trials=2,
+                scenarios=("uniform-32", "uniform-64"),
+            ))
+        assert all(len(s.values) == 2 for s in series)
+
+    @pytest.mark.parametrize("engine", ["serial", "vectorized"])
+    def test_least_squares_sgd_raises_no_runtime_warning(self, engine):
+        functions = get_kernel("least_squares_sgd").sweep_functions(iterations=50)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             series = ExperimentEngine(engine).run_sweep(SweepSpec(

@@ -48,17 +48,7 @@ from repro.applications.svm import (
 from repro.core.variants import sgd_options_for_variant
 from repro.experiments.engine import ExperimentEngine
 from repro.experiments.executors import VectorizedExecutor
-from repro.experiments.kernels import (
-    apsp_trial_functions,
-    batchable,
-    cg_least_squares_trial_functions,
-    eigen_trial_functions,
-    iir_trial_functions,
-    is_batchable,
-    maxflow_trial_functions,
-    momentum_trial_functions,
-    svm_trial_functions,
-)
+from repro.experiments.kernels import batchable, get_kernel, is_batchable
 from repro.experiments.spec import SweepSpec
 from repro.experiments.tensor import make_trial_batch, run_tensor_cell
 from repro.experiments.trials import make_noisy_sum_trial
@@ -492,11 +482,9 @@ class TestNewlyBatchedKernelSweeps:
 
     def test_iir_sweep_bit_identical_to_serial(self):
         def sweep():
-            filt = random_stable_iir(4, rng=2010, pole_radius=0.7)
-            signal = sum_of_sinusoids(60)
             return SweepSpec(
-                iir_trial_functions(
-                    filt, signal, iterations=20,
+                get_kernel("iir").sweep_functions(
+                    iterations=20, signal_length=60, n_taps=4,
                     series={"Base": None, "SGD,LS": "SGD,LS"},
                 ),
                 fault_rates=(0.0, 0.05, 0.3),
@@ -511,9 +499,10 @@ class TestNewlyBatchedKernelSweeps:
 
     def test_cg_least_squares_sweep_bit_identical_to_serial(self):
         def sweep():
-            A, b, _ = random_least_squares(40, 6, rng=2010)
             return SweepSpec(
-                cg_least_squares_trial_functions(A, b, cg_iterations=8),
+                get_kernel("cg_least_squares").sweep_functions(
+                    shape=(40, 6), cg_iterations=8
+                ),
                 fault_rates=(0.0, 0.01, 0.5),
                 trials=2,
                 seed=2010,
@@ -529,10 +518,8 @@ class TestNewlyBatchedKernelSweeps:
 
     def test_momentum_sweep_bit_identical_to_serial(self):
         def sweep():
-            values = random_array(4, rng=2010, min_gap=0.08)
-            graph = random_bipartite_graph(3, 4, 9, rng=2010)
             return SweepSpec(
-                momentum_trial_functions(values, graph, iterations=40),
+                get_kernel("momentum").sweep_functions(iterations=40),
                 fault_rates=(0.1,),
                 trials=2,
                 seed=2010,
@@ -546,29 +533,27 @@ class TestNewlyBatchedKernelSweeps:
     def test_extension_kernel_sweeps_bit_identical_to_serial(self):
         """§4.5–§4.7 shaped sweeps (max-flow, APSP, eigen, SVM): vectorized == serial."""
         def sweeps():
-            network = random_flow_network(5, 8, rng=2010)
-            graph = random_weighted_graph(4, 8, rng=2010)
-            M = random_spd_matrix(5, rng=2010)
-            X, y, _ = random_svm_data(20, 3, rng=2010)
             return [
                 SweepSpec(
-                    maxflow_trial_functions(
-                        network, iterations=30, series={"SGD,SQS": "SGD,SQS"}
+                    get_kernel("maxflow").sweep_functions(
+                        iterations=30, n_nodes=5, n_edges=8, series={"SGD,SQS": "SGD,SQS"}
                     ),
                     fault_rates=(0.0, 0.1), trials=2, seed=2010,
                 ),
                 SweepSpec(
-                    apsp_trial_functions(
-                        graph, iterations=30, series={"SGD,SQS": "SGD,SQS"}
+                    get_kernel("apsp").sweep_functions(
+                        iterations=30, n_nodes=4, n_edges=8, series={"SGD,SQS": "SGD,SQS"}
                     ),
                     fault_rates=(0.0, 0.1), trials=2, seed=2010,
                 ),
                 SweepSpec(
-                    eigen_trial_functions(M, iterations=20),
+                    get_kernel("eigen").sweep_functions(iterations=20, matrix_size=5),
                     fault_rates=(0.0, 0.3), trials=2, seed=2010,
                 ),
                 SweepSpec(
-                    svm_trial_functions(X, y, iterations=20),
+                    get_kernel("svm").sweep_functions(
+                        iterations=20, n_samples=20, n_features=3
+                    ),
                     fault_rates=(0.0, 0.1), trials=2, seed=2010,
                 ),
             ]
