@@ -179,8 +179,7 @@ def main(argv=None) -> None:
                 pin = f" @ {scenario.voltage:g} V"
             elif scenario.fault_rate is not None:
                 pin = f" @ rate {scenario.fault_rate:g}"
-            model = scenario.fault_model if isinstance(scenario.fault_model, str) \
-                else scenario.fault_model.name
+            model = scenario.resolved_model().name
             print(f"{name:20s} {model:20s}{pin:14s} {scenario.description}")
         return
     if args.scenario and not args.grid:

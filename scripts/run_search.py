@@ -155,7 +155,7 @@ def _status(store: ShardStore, search: str, summary_path: str | None) -> int:
               file=sys.stderr)
         return 2
     shard_ids = list(manifest.get("shards") or [])
-    present = sum(1 for sid in shard_ids if store.shard_path(sid).is_file())
+    present = sum(1 for sid in shard_ids if store.has_shard(sid))
     _emit_summary({
         "search": search,
         "driver": manifest.get("driver"),

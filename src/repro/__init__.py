@@ -44,8 +44,6 @@ from repro.processor import (
     StochasticProcessor,
     VoltageErrorModel,
     EnergyModel,
-    get_processor,
-    list_processors,
 )
 from repro.optimizers import (
     SGDOptions,
@@ -98,8 +96,6 @@ __all__ = [
     "StochasticProcessor",
     "VoltageErrorModel",
     "EnergyModel",
-    "get_processor",
-    "list_processors",
     # Optimizers
     "SGDOptions",
     "CGOptions",

@@ -16,6 +16,7 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 from repro.exceptions import ProblemSpecificationError
+from repro.faults.vectorized import quiet
 from repro.linalg.ops import noisy_matvec
 from repro.processor.batch import ProcessorBatch, batch_matvec
 from repro.processor.stochastic import StochasticProcessor
@@ -45,6 +46,7 @@ class EigenResult:
     faults_injected: int
 
 
+@quiet
 def robust_top_eigenpair(
     M: np.ndarray,
     proc: StochasticProcessor,
@@ -152,6 +154,7 @@ def _validate_eigen_matrix(M_arr: np.ndarray, iterations: int) -> None:
         raise ProblemSpecificationError("iterations must be at least 1")
 
 
+@quiet
 def robust_eigenpairs_batch(
     M: np.ndarray,
     k: int,

@@ -39,6 +39,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.exceptions import ProblemSpecificationError
+from repro.faults.vectorized import quiet
 from repro.optimizers.base import OptimizationResult
 from repro.optimizers.problem import UnconstrainedProblem
 from repro.optimizers.sgd import (
@@ -227,6 +228,7 @@ class IIRVariationalProblem(UnconstrainedProblem):
             return Bx - Au
         return proc.corrupt(Bx - Au, ops_per_element=1)
 
+    @quiet
     def _value(self, x: np.ndarray, proc: Optional[StochasticProcessor]) -> float:
         residual = self._residual(x, proc)
         if proc is None:
@@ -235,6 +237,7 @@ class IIRVariationalProblem(UnconstrainedProblem):
 
         return noisy_norm2_squared(proc, residual)
 
+    @quiet
     def _gradient(
         self, x: np.ndarray, proc: Optional[StochasticProcessor]
     ) -> np.ndarray:
@@ -244,6 +247,7 @@ class IIRVariationalProblem(UnconstrainedProblem):
             return 2.0 * grad
         return proc.corrupt(2.0 * grad, ops_per_element=1)
 
+    @quiet
     def _gradient_batch(self, X: np.ndarray, batch: ProcessorBatch) -> np.ndarray:
         # Same operation sequence as _gradient, fused across trial rows: the
         # target term Au is convolved once (it is exact arithmetic shared by
@@ -333,6 +337,7 @@ def _sgd_setup(
     return IIRVariationalProblem(step_filter, u), options, f
 
 
+@quiet
 def _sgd_start(
     filt: IIRFilter,
     u: np.ndarray,
@@ -493,6 +498,7 @@ def baseline_iir_filter_batch(
     ]
 
 
+@quiet
 def _score(
     filt: IIRFilter,
     u: np.ndarray,

@@ -28,6 +28,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.exceptions import ProblemSpecificationError
+from repro.faults.vectorized import quiet
 from repro.linalg.ops import noisy_dot, noisy_matvec
 from repro.optimizers.base import OptimizationResult
 from repro.optimizers.problem import UnconstrainedProblem
@@ -73,6 +74,7 @@ def svm_accuracy(weights: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(predictions == np.asarray(y)))
 
 
+@quiet
 def _hinge_objective(weights: np.ndarray, X: np.ndarray, y: np.ndarray, reg: float) -> float:
     margins = 1.0 - y * (X @ weights)
     return float(0.5 * reg * weights @ weights + np.mean(np.maximum(margins, 0.0)))
@@ -139,6 +141,7 @@ class SVMHingeProblem(UnconstrainedProblem):
         proc.count_flops(2 * w.size + margins.size)
         return reg_term + hinge
 
+    @quiet
     def _hinge_gradient(
         self, w: np.ndarray, proc: Optional[StochasticProcessor]
     ) -> np.ndarray:
@@ -157,6 +160,7 @@ class SVMHingeProblem(UnconstrainedProblem):
         scaled = proc.corrupt(self.regularization * w, ops_per_element=1)
         return proc.corrupt(scaled + hinge, ops_per_element=1)
 
+    @quiet
     def _hinge_gradient_batch(
         self, W: np.ndarray, batch: ProcessorBatch
     ) -> np.ndarray:
@@ -186,6 +190,7 @@ def default_svm_step(X: np.ndarray, regularization: float = 0.01) -> float:
     return 0.5 / bound
 
 
+@quiet
 def robust_svm_train(
     X: np.ndarray,
     y: np.ndarray,

@@ -25,7 +25,9 @@ Beyond the paper's own figures, the suite ships **scenario-grid studies**
 (cross-fault-model and voltage-vs-quality comparisons for sorting, least
 squares, and matching: the ``sorting_cross_model`` … ``matching_voltage``
 kernels) built on the scenario axis of
-:class:`~repro.experiments.spec.SweepSpec` — see
+:class:`~repro.experiments.spec.SweepSpec`, whose entries — scenario preset
+names or :class:`~repro.experiments.scenarios.Scenario` objects — are the
+one way a sweep names an operating point; see
 :mod:`repro.experiments.scenarios` and ``docs/scenarios.md``.
 
 Each build returns a :class:`repro.experiments.results.FigureResult` whose
@@ -75,7 +77,6 @@ from repro.experiments.scenarios import (
     Scenario,
     get_scenario,
     list_scenarios,
-    register_scenario,
     scenario_series_name,
     voltage_scenario,
 )
@@ -120,7 +121,6 @@ __all__ = [
     "Scenario",
     "get_scenario",
     "list_scenarios",
-    "register_scenario",
     "scenario_series_name",
     "voltage_scenario",
     "ConfidenceTarget",

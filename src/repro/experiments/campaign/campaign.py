@@ -294,26 +294,23 @@ def campaign_status(
 ) -> Optional[CampaignStatus]:
     """Status of a campaign by id, from its manifest alone (no sweep needed).
 
-    Returns ``None`` for an unknown campaign id.  Shard completion is judged
-    by artifact presence; the deep artifact validation (points, schema)
-    happens in :meth:`Campaign.result`, which has the sweep to check
-    against.
+    Returns ``None`` for an unknown campaign id.  A shard counts as complete
+    when :meth:`~.store.ShardStore.has_shard` reads its artifact (it parses,
+    and its schema and shard id match), so a torn artifact is pending here
+    just as :meth:`Campaign.run` recomputes it; the point-list check happens
+    in :meth:`Campaign.result`, which has the sweep to check against.
     """
     shard_store = store if isinstance(store, ShardStore) else ShardStore(store)
     manifest = shard_store.load_manifest(campaign_id)
     if manifest is None:
         return None
     shard_ids = [str(entry) for entry in manifest.get("shards", [])]
-    completed = sum(
-        1 for shard_id in shard_ids if shard_store.shard_path(shard_id).is_file()
+    pending = tuple(
+        shard_id for shard_id in shard_ids if not shard_store.has_shard(shard_id)
     )
     return CampaignStatus(
         campaign_id=campaign_id,
         shards_total=len(shard_ids),
-        shards_completed=completed,
-        pending=tuple(
-            shard_id
-            for shard_id in shard_ids
-            if not shard_store.shard_path(shard_id).is_file()
-        ),
+        shards_completed=len(shard_ids) - len(pending),
+        pending=pending,
     )

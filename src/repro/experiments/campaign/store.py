@@ -142,10 +142,7 @@ class ShardStore:
         recomputation, never to an error or — worse — a silently wrong
         merge.
         """
-        entry = read_json_object(
-            self.shard_path(shard.shard_id),
-            schema=STORE_SCHEMA_VERSION, shard=shard.shard_id,
-        )
+        entry = self._read_artifact(shard.shard_id)
         if entry is None:
             return None
         try:
@@ -173,8 +170,19 @@ class ShardStore:
         }
         return atomic_write_json(self.shard_path(shard.shard_id), entry)
 
-    def has_shard(self, shard: Shard) -> bool:
-        return self.load_shard(shard) is not None
+    def _read_artifact(self, shard_id: str) -> Optional[Dict[str, Any]]:
+        """The artifact of ``shard_id`` if it parses and its schema and id match."""
+        return read_json_object(
+            self.shard_path(shard_id), schema=STORE_SCHEMA_VERSION, shard=shard_id
+        )
+
+    def has_shard(self, shard_id: str) -> bool:
+        """Whether ``shard_id`` has a readable artifact: the one check ``--status`` counts.
+
+        A torn or foreign file is pending here, as it is to :meth:`load_shard`;
+        the points are checked only by :meth:`load_shard`, which has the shard.
+        """
+        return self._read_artifact(shard_id) is not None
 
     def completed(self, shards: Iterable[Shard]) -> Set[str]:
         """Ids of the given shards that already have a valid artifact."""

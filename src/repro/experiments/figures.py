@@ -43,9 +43,9 @@ from repro.faults.distribution import (
     total_variation_distance,
 )
 from repro.optimizers.conjugate_gradient import CGOptions
-from repro.processor.energy import EnergyModel
+from repro.processor.energy import ENERGY_MODEL
 from repro.processor.stochastic import StochasticProcessor
-from repro.processor.voltage import VoltageErrorModel
+from repro.processor.voltage import VOLTAGE_MODEL
 from repro.workloads.generators import random_array, random_least_squares
 from repro.workloads.signals import random_stable_iir, sum_of_sinusoids
 
@@ -99,8 +99,7 @@ def figure_5_2(
     former one-off ``model.curve()`` plumbing with the same declarative grid
     every other scenario study uses.
     """
-    model = VoltageErrorModel()
-    voltages = np.linspace(model.max_voltage, model.min_voltage, n_points)
+    voltages = np.linspace(VOLTAGE_MODEL.max_voltage, VOLTAGE_MODEL.min_voltage, n_points)
     scenarios = [voltage_scenario(float(voltage)) for voltage in voltages]
     analytic = SeriesResult(name="FPU error rate")
     for scenario, voltage in zip(scenarios, voltages):
@@ -148,8 +147,6 @@ def figure_6_7(
     is power(V) × FLOPs, as in the paper.
     """
     A, b, _ = random_least_squares(shape[0], shape[1], rng=seed)
-    voltage_model = VoltageErrorModel()
-    energy_model = EnergyModel()
 
     def _median_run(factory, error_rate: float) -> tuple:
         errors, flops = [], []
@@ -166,7 +163,7 @@ def figure_6_7(
     def _best_energy_cg(target: float) -> float:
         best = float("inf")
         for error_rate in error_rate_grid:
-            voltage = voltage_model.voltage_for_error_rate(error_rate)
+            voltage = VOLTAGE_MODEL.voltage_for_error_rate(error_rate)
             for iterations in cg_iteration_grid:
                 error, flops = _median_run(
                     lambda proc: robust_least_squares_cg(
@@ -175,20 +172,20 @@ def figure_6_7(
                     error_rate,
                 )
                 if error <= target:
-                    best = min(best, energy_model.energy(flops, voltage))
+                    best = min(best, ENERGY_MODEL.energy(flops, voltage))
                     break  # larger iteration counts only cost more energy
         return best
 
     def _best_energy_cholesky(target: float) -> float:
         best = float("inf")
         for error_rate in error_rate_grid:
-            voltage = voltage_model.voltage_for_error_rate(error_rate)
+            voltage = VOLTAGE_MODEL.voltage_for_error_rate(error_rate)
             error, flops = _median_run(
                 lambda proc: baseline_least_squares(A, b, proc, method="cholesky"),
                 error_rate,
             )
             if error <= target:
-                best = min(best, energy_model.energy(flops, voltage))
+                best = min(best, ENERGY_MODEL.energy(flops, voltage))
         return best
 
     cholesky_series = SeriesResult(name="Base: Cholesky")

@@ -1,20 +1,21 @@
 """Scenarios: named operating points of the simulated stochastic processor.
 
 The paper evaluates robustified applications across a whole *operating
-space* — which fault model is active, which bit-position distribution it
-draws from, what precision the datapath runs at, and what supply voltage
-(and therefore fault rate) the FPU is overscaled to.  A :class:`Scenario`
-names one point of that space; a sweep's ``scenarios`` axis
-(:class:`~repro.experiments.spec.SweepSpec`) crosses a list of scenarios
-with the series and trial axes so that cross-model and voltage/energy
-studies run through the same plan/execute engine as the classic
-single-model fault-rate sweep — batched, cached, and bit-identical across
-executors — instead of through hand-written one-off loops.
+space* — which fault model is active (its datapath precision and the
+bit-position distribution of Figure 5.1) and what supply voltage (and
+therefore fault rate, through the Figure 5.2 curve) the FPU is overscaled
+to.  A :class:`Scenario` names one point of that space, and is the one way a
+sweep names one: a sweep's ``scenarios`` axis
+(:class:`~repro.experiments.spec.SweepSpec`) crosses a list of registered
+preset names or :class:`Scenario` objects with the series and trial axes, so
+that cross-model and voltage/energy studies run through the same
+plan/execute engine as the classic single-model fault-rate sweep — batched,
+cached, and bit-identical across executors.
 
-A scenario is deliberately declarative: it is resolved to a concrete
-:class:`~repro.faults.models.FaultModel` (dtype + bit-position
-distribution) and an effective fault rate only at plan-expansion time, so
-new scenarios are registry entries, not new scripts.
+A scenario's ``fault_model`` is a fault-model preset name or a
+:class:`~repro.faults.models.FaultModel` object; a datapath or bit
+distribution no preset offers is a ``FaultModel`` built for it.  The model
+and the effective fault rate are resolved at plan-expansion time.
 
 Three ways to pin the fault rate:
 
@@ -30,43 +31,18 @@ Three ways to pin the fault rate:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Union
+from typing import Dict, List, Optional, Union
 
-import numpy as np
-
-from repro.exceptions import FaultModelError
-from repro.faults.bitflip import bit_width
-from repro.faults.distribution import (
-    BitPositionDistribution,
-    EmulatedBitDistribution,
-    LowOrderBitDistribution,
-    MeasuredBitDistribution,
-    UniformBitDistribution,
-)
 from repro.faults.models import FaultModel, get_fault_model
-from repro.processor.voltage import VoltageErrorModel
+from repro.processor.voltage import VOLTAGE_MODEL
 
 __all__ = [
     "Scenario",
     "voltage_scenario",
     "scenario_series_name",
-    "register_scenario",
     "get_scenario",
     "list_scenarios",
 ]
-
-#: Bit-position distribution families selectable by name in a scenario.
-_DISTRIBUTION_FAMILIES: Dict[str, Callable[..., BitPositionDistribution]] = {
-    "emulated": EmulatedBitDistribution,
-    "measured": MeasuredBitDistribution,
-    "uniform": UniformBitDistribution,
-    "low-order": LowOrderBitDistribution,
-}
-
-#: Shared voltage/error-rate curve used to resolve voltage operating points.
-#: Matches the default model :class:`StochasticProcessor` builds, so a
-#: scenario's effective rate and its processor's derived rate agree exactly.
-_VOLTAGE_MODEL = VoltageErrorModel()
 
 
 @dataclass(frozen=True)
@@ -80,15 +56,6 @@ class Scenario:
     fault_model:
         A :class:`~repro.faults.models.FaultModel` or registry name supplying
         the datapath dtype and bit-position distribution.
-    bit_distribution:
-        Optional override of the model's bit-position distribution: a family
-        name (``"emulated"``, ``"measured"``, ``"uniform"``, ``"low-order"``)
-        instantiated at the datapath width, or a ready-built distribution.
-    dtype:
-        Optional override of the model's datapath dtype.  When the override
-        changes the word width and no explicit distribution is given, the
-        model's distribution family is re-instantiated at the new width
-        (with its stock parameters).
     fault_rate:
         Explicit fault rate pin.  Mutually exclusive with ``voltage``; when
         both are ``None``, the scenario inherits the sweep's fault-rate grid.
@@ -102,8 +69,6 @@ class Scenario:
 
     name: str
     fault_model: Union[str, FaultModel] = "leon3-fpu"
-    bit_distribution: Union[str, BitPositionDistribution, None] = None
-    dtype: Union[str, np.dtype, None] = None
     fault_rate: Optional[float] = None
     voltage: Optional[float] = None
     description: str = ""
@@ -125,14 +90,6 @@ class Scenario:
             raise ValueError(
                 f"scenario {self.name!r}: voltage must be positive, got {self.voltage}"
             )
-        if (
-            isinstance(self.bit_distribution, str)
-            and self.bit_distribution not in _DISTRIBUTION_FAMILIES
-        ):
-            raise FaultModelError(
-                f"unknown bit-distribution family {self.bit_distribution!r}; "
-                f"available: {sorted(_DISTRIBUTION_FAMILIES)}"
-            )
 
     # ------------------------------------------------------------------ #
     # Resolution
@@ -143,56 +100,24 @@ class Scenario:
         return self.fault_rate is not None or self.voltage is not None
 
     def resolved_model(self) -> FaultModel:
-        """The concrete fault model, with dtype / distribution overrides applied."""
-        base = (
-            get_fault_model(self.fault_model)
-            if isinstance(self.fault_model, str)
-            else self.fault_model
-        )
-        if self.dtype is None and self.bit_distribution is None:
-            return base
-        dtype = np.dtype(self.dtype) if self.dtype is not None else base.dtype
-        width = bit_width(dtype)
-        tags: List[str] = []
-        if isinstance(self.bit_distribution, str):
-            distribution = _DISTRIBUTION_FAMILIES[self.bit_distribution](width=width)
-            tags.append(f"bits={self.bit_distribution}")
-        elif self.bit_distribution is not None:
-            distribution = self.bit_distribution
-            if distribution.width != width:
-                raise FaultModelError(
-                    f"scenario {self.name!r}: bit distribution is over "
-                    f"{distribution.width} bits but dtype {dtype} has {width}"
-                )
-            tags.append(f"bits={type(distribution).__name__}")
-        else:
-            distribution = base.bit_distribution
-            if distribution.width != width:
-                # Re-instantiate the model's family at the new width (stock
-                # parameters); pass an explicit distribution to customize.
-                distribution = type(distribution)(width=width)
-        if dtype != base.dtype:
-            tags.append(f"dtype={dtype}")
-        if not tags:
-            return base
-        return FaultModel(
-            name=f"{base.name}[{','.join(tags)}]",
-            dtype=dtype,
-            bit_distribution=distribution,
-            description=self.description or base.description,
-        )
+        """The concrete fault model: the named preset, or the object itself."""
+        if isinstance(self.fault_model, str):
+            return get_fault_model(self.fault_model)
+        return self.fault_model
 
     def effective_fault_rate(self, grid_rate: float) -> float:
         """The fault rate this scenario runs at for one grid point.
 
         Pinned scenarios (explicit rate or voltage operating point) return
         their own rate and ignore ``grid_rate``; unpinned scenarios inherit
-        the grid point.
+        the grid point.  A voltage reads the shared
+        :data:`~repro.processor.voltage.VOLTAGE_MODEL`, the curve the
+        scenario's processors are built on.
         """
         if self.fault_rate is not None:
             return float(self.fault_rate)
         if self.voltage is not None:
-            return float(_VOLTAGE_MODEL.error_rate(self.voltage))
+            return float(VOLTAGE_MODEL.error_rate(self.voltage))
         return float(grid_rate)
 
     def fingerprint(self) -> Dict[str, object]:
@@ -221,18 +146,13 @@ class Scenario:
         }
 
 
-def voltage_scenario(
-    voltage: float,
-    fault_model: Union[str, FaultModel] = "leon3-fpu",
-    name: Optional[str] = None,
-) -> Scenario:
-    """A scenario running ``fault_model`` at a supply-voltage operating point."""
-    model_name = fault_model if isinstance(fault_model, str) else fault_model.name
+def voltage_scenario(voltage: float) -> Scenario:
+    """The Leon3 FPU (``"leon3-fpu"``) at a supply-voltage operating point."""
     return Scenario(
-        name=name if name is not None else f"{model_name}@{float(voltage):.4g}V",
-        fault_model=fault_model,
+        name=f"leon3-fpu@{float(voltage):.4g}V",
+        fault_model="leon3-fpu",
         voltage=float(voltage),
-        description=f"{model_name} overscaled to {float(voltage):.4g} V "
+        description=f"leon3-fpu overscaled to {float(voltage):.4g} V "
         "(fault rate from the Figure 5.2 curve).",
     )
 
@@ -337,26 +257,15 @@ def _presets() -> Dict[str, Scenario]:
     }
 
 
-_BUILTIN: Dict[str, Scenario] = _presets()
-_CUSTOM: Dict[str, Scenario] = {}
-
-
-def register_scenario(scenario: Scenario, overwrite: bool = False) -> Scenario:
-    """Register a custom scenario preset under its ``name``."""
-    if not overwrite and (scenario.name in _BUILTIN or scenario.name in _CUSTOM):
-        raise ValueError(f"scenario {scenario.name!r} already registered")
-    _CUSTOM[scenario.name] = scenario
-    return scenario
+_PRESETS: Dict[str, Scenario] = _presets()
 
 
 def get_scenario(spec: Union[str, Scenario]) -> Scenario:
     """Resolve a preset name to its :class:`Scenario` (instances pass through)."""
     if isinstance(spec, Scenario):
         return spec
-    if spec in _CUSTOM:
-        return _CUSTOM[spec]
     try:
-        return _BUILTIN[spec]
+        return _PRESETS[spec]
     except KeyError:
         raise KeyError(
             f"unknown scenario {spec!r}; available: {list_scenarios()}"
@@ -364,5 +273,5 @@ def get_scenario(spec: Union[str, Scenario]) -> Scenario:
 
 
 def list_scenarios() -> List[str]:
-    """Names of all registered scenario presets (built-in and custom)."""
-    return sorted(set(_BUILTIN) | set(_CUSTOM))
+    """Names of the scenario presets."""
+    return sorted(_PRESETS)

@@ -87,7 +87,7 @@ class ProbeRunner:
     series:
         The series label — it names the probe sweep's single series, so it
         is part of every probe's content address.
-    trials / seed / policy / fault_model:
+    trials / seed / policy:
         Probe sweep parameters, all folded into the shard id via the sweep
         fingerprint.  ``policy`` may be a
         :class:`~repro.experiments.sequential.ConfidenceTarget` so each
@@ -111,7 +111,6 @@ class ProbeRunner:
         trials: int = 5,
         seed: int = 0,
         policy: Optional[ConfidenceTarget] = None,
-        fault_model: str = "leon3-fpu",
         key: Optional[Mapping[str, Any]] = None,
         executor: str = "vectorized",
         on_probe: Optional[Callable[[ProbeResult], None]] = None,
@@ -122,7 +121,6 @@ class ProbeRunner:
         self.trials = int(trials)
         self.seed = int(seed)
         self.policy = policy
-        self.fault_model = fault_model
         self.key = None if key is None else dict(key)
         self.planner = ShardPlanner(granularity="cell")
         self.scheduler = CampaignScheduler(pool="serial")
@@ -145,7 +143,8 @@ class ProbeRunner:
     def sweep_for(self, voltage: float, trials: Optional[int] = None) -> SweepSpec:
         """The probe's single-point sweep: one series at one pinned voltage.
 
-        The voltage scenario pins the fault rate (via the Figure 5.2
+        The operating point is ``voltage_scenario(voltage)``, the Leon3 FPU
+        at that voltage.  It pins the fault rate (via the Figure 5.2
         curve), so the rate grid collapses to the one placeholder entry —
         the same sub-grid shape :meth:`KernelSpec.build_scenario_study` uses
         for pinned scenarios.
@@ -155,7 +154,7 @@ class ProbeRunner:
             fault_rates=(0.0,),
             trials=self.trials if trials is None else int(trials),
             seed=self.seed,
-            scenarios=(voltage_scenario(float(voltage), self.fault_model),),
+            scenarios=(voltage_scenario(float(voltage)),),
             policy=self.policy,
         )
 
@@ -222,14 +221,15 @@ class ProbeRunner:
         Uses a representative probe sweep's own fingerprint (at the nominal
         placeholder voltage, with the voltage field factored out) so
         everything that changes probe values — series, trials, seed, budget
-        policy, scenario model — changes every search id that uses this
-        runner.
+        policy — changes every search id that uses this runner.  The
+        ``fault_model`` entry names the probes' model; every search id
+        hashes it, so it stays in the payload.
         """
         sweep_fingerprint = self.sweep_for(1.0).fingerprint()
         sweep_fingerprint.pop("scenarios", None)
         return {
             "sweep": sweep_fingerprint,
-            "fault_model": str(self.fault_model),
+            "fault_model": "leon3-fpu",
             "key": self.key,
         }
 

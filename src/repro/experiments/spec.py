@@ -2,20 +2,19 @@
 
 The experiment engine separates *planning* from *execution*.  A
 :class:`SweepSpec` describes a whole (series x fault-rate x trial) grid —
-optionally crossed with a **scenario axis** (fault model, bit-position
-distribution, dtype, voltage operating point; see
-:mod:`repro.experiments.scenarios`) — and :meth:`SweepSpec.expand` flattens it
-into :class:`TrialSpec` entries, each of which derives its random streams
-purely from its own coordinates.  Because a trial's seed never depends on
-execution order, every executor — serial, batched, or vectorized — produces
-bit-identical results for the same spec.
+optionally crossed with a **scenario axis** (fault model and voltage or
+fault-rate operating point; see :mod:`repro.experiments.scenarios`) — and
+:meth:`SweepSpec.expand` flattens it into :class:`TrialSpec` entries, each of
+which derives its random streams purely from its own coordinates.  Because a
+trial's seed never depends on execution order, every executor — serial,
+batched, or vectorized — produces bit-identical results for the same spec.
 
 The classic single-model fault-rate sweep is the ``scenarios=None`` special
-case: its expansion, seeding, and fingerprint are byte-identical to the
-historical single-axis planner, so existing callers and cache entries keep
-working unchanged.  Scenario grids extend the seed coordinates with the
-scenario index, so every (series, scenario, rate, trial) cell owns an
-independent random stream.
+case: it runs the ``"leon3-fpu"`` fault model, and its expansion, seeding,
+and fingerprint are byte-identical to the historical single-axis planner, so
+existing cache entries keep working unchanged.  Scenario grids extend the
+seed coordinates with the scenario index, so every (series, scenario, rate,
+trial) cell owns an independent random stream.
 """
 
 from __future__ import annotations
@@ -126,22 +125,23 @@ class SweepSpec:
     """A full sweep: named trial functions over a rate grid × scenario axis.
 
     With ``scenarios=None`` (the default) this is the classic single-model
-    fault-rate sweep, unchanged.  With a ``scenarios`` sequence — preset
-    names or :class:`~repro.experiments.scenarios.Scenario` objects — the
-    grid becomes (series × scenario × rate × trial): each scenario resolves
-    its own fault model and, when pinned by an explicit rate or a voltage
-    operating point, overrides the grid rate for its trials.  ``fault_model``
-    applies to the single-axis form only; scenarios carry their own models.
+    fault-rate sweep on the ``"leon3-fpu"`` model.  With a ``scenarios``
+    sequence — preset names or
+    :class:`~repro.experiments.scenarios.Scenario` objects — the grid becomes
+    (series × scenario × rate × trial): each scenario resolves its own fault
+    model and, when pinned by an explicit rate or a voltage operating point,
+    overrides the grid rate for its trials.
     """
 
     trial_functions: Dict[str, TrialFunction]
     fault_rates: Tuple[float, ...] = DEFAULT_FAULT_RATES
     trials: int = 5
     seed: int = 0
-    fault_model: Union[str, FaultModel] = "leon3-fpu"
     scenarios: Optional[Sequence[Union[str, Scenario]]] = None
     policy: Optional[ConfidenceTarget] = None
-    _specs: List[TrialSpec] = field(default=None, repr=False, compare=False)  # type: ignore[assignment]
+    _specs: List[TrialSpec] = field(  # type: ignore[assignment]
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.fault_rates = tuple(float(rate) for rate in self.fault_rates)
@@ -159,7 +159,6 @@ class SweepSpec:
             if len(set(names)) != len(names):
                 raise ValueError(f"scenario names must be unique, got {names}")
             self.scenarios = resolved
-        self._specs = None
 
     @property
     def series_names(self) -> List[str]:
@@ -261,7 +260,6 @@ class SweepSpec:
         """
         selected = None if points is None else set(points)
         if self.scenarios is None:
-            fault_model = self.fault_model
             return [
                 TrialSpec(
                     series_name=name,
@@ -270,7 +268,6 @@ class SweepSpec:
                     trial_index=trial_index,
                     fault_rate=fault_rate,
                     seed=self.seed,
-                    fault_model=fault_model,
                 )
                 for series_index, name in enumerate(self.series_names)
                 for rate_index, fault_rate in enumerate(self.fault_rates)
@@ -304,19 +301,19 @@ class SweepSpec:
         """Content description of the sweep grid, for cache keys.
 
         The fingerprint covers the grid (series names, rates, trials, seed,
-        fault model, and — for scenario grids — every scenario's resolved
-        configuration); it cannot see inside trial-function closures, so
-        cache users must add workload parameters to their key payload
-        themselves.  Single-axis sweeps produce the historical payload
-        unchanged, so existing cache entries stay valid.
+        and — for scenario grids — every scenario's resolved configuration);
+        it cannot see inside trial-function closures, so cache users must add
+        workload parameters to their key payload themselves.  The
+        ``fault_model`` entry names the single-axis form's model; every
+        figure-cache key, shard id and campaign id hashes it, so it stays in
+        the payload of every sweep.
         """
-        model = self.fault_model
         payload: Dict[str, object] = {
             "series": self.series_names,
             "fault_rates": list(self.fault_rates),
             "trials": int(self.trials),
             "seed": int(self.seed),
-            "fault_model": model.name if isinstance(model, FaultModel) else str(model),
+            "fault_model": "leon3-fpu",
         }
         if self.scenarios is not None:
             payload["scenarios"] = [

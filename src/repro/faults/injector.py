@@ -302,20 +302,6 @@ class FaultInjector:
     # ------------------------------------------------------------------ #
     # Misc
     # ------------------------------------------------------------------ #
-    def spawn(self, fault_rate: Optional[float] = None) -> "FaultInjector":
-        """Create an injector with the same configuration but fresh counters.
-
-        Used by the experiment runner to give each trial an independent
-        random stream derived from this injector's generator.
-        """
-        child_seed = int(self._rng.integers(0, 2**63 - 1))
-        return FaultInjector(
-            fault_rate=self._fault_rate if fault_rate is None else fault_rate,
-            bit_distribution=self._bit_distribution,
-            dtype=self._dtype,
-            rng=np.random.default_rng(child_seed),
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"FaultInjector(fault_rate={self._fault_rate!r}, dtype={self._dtype}, "

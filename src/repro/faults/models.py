@@ -22,7 +22,7 @@ from repro.faults.distribution import (
 )
 from repro.faults.injector import FaultInjector
 
-__all__ = ["FaultModel", "get_fault_model", "list_fault_models", "register_fault_model"]
+__all__ = ["FaultModel", "get_fault_model", "list_fault_models"]
 
 
 @dataclass(frozen=True)
@@ -148,32 +148,17 @@ _REGISTRY: Dict[str, Callable[[], FaultModel]] = {
     "measured-64": _measured_64,
 }
 
-_CUSTOM: Dict[str, FaultModel] = {}
-
-
-def register_fault_model(model: FaultModel, overwrite: bool = False) -> None:
-    """Register a custom fault model under its ``name``.
-
-    Raises :class:`~repro.exceptions.FaultModelError` if the name is already
-    taken and ``overwrite`` is false.
-    """
-    if not overwrite and (model.name in _REGISTRY or model.name in _CUSTOM):
-        raise FaultModelError(f"fault model {model.name!r} already registered")
-    _CUSTOM[model.name] = model
-
 
 def get_fault_model(name: str) -> FaultModel:
     """Look up a fault model preset by name."""
-    if name in _CUSTOM:
-        return _CUSTOM[name]
     try:
         return _REGISTRY[name]()
     except KeyError as exc:
         raise FaultModelError(
-            f"unknown fault model {name!r}; available: {sorted(list_fault_models())}"
+            f"unknown fault model {name!r}; available: {list_fault_models()}"
         ) from exc
 
 
 def list_fault_models() -> list[str]:
-    """Names of all registered fault models (built-in and custom)."""
-    return sorted(set(_REGISTRY) | set(_CUSTOM))
+    """Names of the fault-model presets."""
+    return sorted(_REGISTRY)

@@ -41,8 +41,9 @@ def quiet(func):
     the NaN of ``inf - inf``, ``0 * inf`` or a signaling NaN are part of the
     fault model rather than errors.  The datapath cast, the noisy
     primitives of ``linalg/ops.py`` and ``processor/batch.py``, the
-    penalized-LP gradients of ``optimizers/penalty.py`` and the least-squares
-    objective and gradients of ``optimizers/problem.py`` run under it.
+    penalized-LP gradients of ``optimizers/penalty.py``, the least-squares
+    objective and gradients of ``optimizers/problem.py``, and the numerical
+    kernels' solves and scoring under ``applications/`` run under it.
     As a decorator, ``np.errstate`` opens its scope per call at about two
     thirds of the cost of a ``with`` block; each decorated function gets its
     own instance, so nesting is safe.

@@ -9,7 +9,24 @@ import numpy as np
 
 from repro.exceptions import ProblemSpecificationError
 
-__all__ = ["IterationRecord", "OptimizationResult", "stack_initial_iterates"]
+__all__ = [
+    "IterationRecord",
+    "OptimizationResult",
+    "stack_initial_iterates",
+    "finite_or_zero",
+]
+
+
+def finite_or_zero(values: np.ndarray) -> np.ndarray:
+    """The solvers' reliable control-phase guard: NaN and inf components become 0.
+
+    A flipped exponent bit can turn a noisy gradient or residual component
+    into NaN or inf, and no descent step survives applying one.  The guard
+    is elementwise, so one call covers a serial iterate and a batched
+    ``(n_trials, dimension)`` stack alike, row for row.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    return np.where(np.isfinite(values), values, 0.0)
 
 
 def stack_initial_iterates(

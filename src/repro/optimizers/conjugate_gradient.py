@@ -11,8 +11,9 @@ equations ``AᵀA x = Aᵀ b``) with:
 * the scalar recurrences (α, β) computed reliably — α is CG's step size and
   β its direction-mixing weight, i.e. exactly the "computing the step size"
   control work the paper assumes is carried out reliably,
-* a reliable control phase that zeroes non-finite / outlier residual
-  components and restarts the direction when the curvature is unusable.
+* a reliable control phase that zeroes non-finite residual components
+  (:func:`~repro.optimizers.base.finite_or_zero`, the guard SGD shares) and
+  restarts the direction when the curvature is unusable.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from repro.optimizers.base import (
     IterationRecord,
     OptimizationResult,
     stack_initial_iterates,
+    finite_or_zero,
 )
 from repro.processor.batch import ProcessorBatch, batch_matvec, batch_sub
 from repro.processor.stochastic import StochasticProcessor
@@ -51,17 +53,12 @@ class CGOptions:
     restart_every:
         Reset the search direction to the steepest-descent direction every
         this many iterations to limit the accumulation of noisy conjugacy.
-    outlier_rejection:
-        Zero residual components whose magnitude exceeds this factor times
-        the median residual magnitude (reliable control-phase guard against
-        exponent-bit flips).  ``None`` disables the guard.
     record_history:
         Record the reliably evaluated residual norm after every iteration.
     """
 
     iterations: int = 10
     restart_every: int = 5
-    outlier_rejection: Optional[float] = None
     record_history: bool = False
 
     def __post_init__(self) -> None:
@@ -69,8 +66,6 @@ class CGOptions:
             raise ProblemSpecificationError("iterations must be at least 1")
         if self.restart_every < 1:
             raise ProblemSpecificationError("restart_every must be at least 1")
-        if self.outlier_rejection is not None and self.outlier_rejection <= 1:
-            raise ProblemSpecificationError("outlier_rejection must exceed 1")
 
 
 @quiet
@@ -108,35 +103,23 @@ def conjugate_gradient_least_squares(
         residual = noisy_sub(proc, b_arr, noisy_matvec(proc, A_arr, x_current))
         return noisy_matvec(proc, A_arr.T, residual)
 
-    def _sanitize(vector: np.ndarray) -> np.ndarray:
-        """Reliable control phase: drop non-finite and outlier components."""
-        cleaned = np.where(np.isfinite(vector), vector, 0.0)
-        if options.outlier_rejection is not None and cleaned.size > 2:
-            magnitudes = np.abs(cleaned)
-            scale = float(np.median(magnitudes))
-            if scale > 0.0:
-                cleaned = np.where(
-                    magnitudes > options.outlier_rejection * scale, 0.0, cleaned
-                )
-        return cleaned
-
     # The FLOP cost of the scalar reductions below (α, β, restarts) is charged
     # to the processor as reliable control work.
     def _reliable_dot(u: np.ndarray, v: np.ndarray) -> float:
         proc.count_flops(2 * u.size - 1)
         return float(u @ v)
 
-    r = _sanitize(_normal_residual(x))
+    r = finite_or_zero(_normal_residual(x))
     p = r.copy()
     rs_old = max(_reliable_dot(r, r), np.finfo(float).tiny)
 
     for iteration in range(1, options.iterations + 1):
-        Ap = _sanitize(noisy_matvec(proc, A_arr, p))
+        Ap = finite_or_zero(noisy_matvec(proc, A_arr, p))
         curvature = _reliable_dot(Ap, Ap)
         if not np.isfinite(curvature) or curvature <= 0:
             # Reliable control phase detects the unusable curvature and
             # restarts from the steepest-descent direction.
-            r = _sanitize(_normal_residual(x))
+            r = finite_or_zero(_normal_residual(x))
             p = r.copy()
             rs_old = max(_reliable_dot(r, r), np.finfo(float).tiny)
             if options.record_history:
@@ -152,13 +135,13 @@ def conjugate_gradient_least_squares(
         if not np.isfinite(alpha):
             alpha = 0.0
         x = x + alpha * p
-        r = _sanitize(noisy_sub(proc, r, alpha * noisy_matvec(proc, A_arr.T, Ap)))
+        r = finite_or_zero(noisy_sub(proc, r, alpha * noisy_matvec(proc, A_arr.T, Ap)))
         rs_new = _reliable_dot(r, r)
         if not np.isfinite(rs_new) or rs_new < 0:
             rs_new = float(np.finfo(float).tiny)
         if iteration % options.restart_every == 0:
             # Periodic restart: recompute the true residual direction.
-            r = _sanitize(_normal_residual(x))
+            r = finite_or_zero(_normal_residual(x))
             p = r.copy()
             rs_new = max(_reliable_dot(r, r), np.finfo(float).tiny)
         else:
@@ -187,20 +170,6 @@ def conjugate_gradient_least_squares(
         history=history,
         message="completed CG iterations",
     )
-
-
-def _sanitize_rows(rows: np.ndarray, options: CGOptions) -> np.ndarray:
-    """Row-wise twin of the serial ``_sanitize`` control-phase guard."""
-    cleaned = np.where(np.isfinite(rows), rows, 0.0)
-    if options.outlier_rejection is not None and cleaned.shape[1] > 2:
-        magnitudes = np.abs(cleaned)
-        scales = np.median(magnitudes, axis=1, keepdims=True)
-        cleaned = np.where(
-            (scales > 0.0) & (magnitudes > options.outlier_rejection * scales),
-            0.0,
-            cleaned,
-        )
-    return cleaned
 
 
 @quiet
@@ -275,12 +244,12 @@ def conjugate_gradient_least_squares_batch(
         return batch_matvec(sub, A_arr.T, residuals)
 
     every = np.arange(n_trials)
-    R = _sanitize_rows(_normal_residuals(batch, X), options)
+    R = finite_or_zero(_normal_residuals(batch, X))
     P = R.copy()
     rs_old = np.maximum(_reliable_dots(R, R, every), tiny)
 
     for iteration in range(1, options.iterations + 1):
-        Ap = _sanitize_rows(batch_matvec(batch, A_arr, P), options)
+        Ap = finite_or_zero(batch_matvec(batch, A_arr, P))
         curvatures = _reliable_dots(Ap, Ap, every)
         usable = np.isfinite(curvatures) & (curvatures > 0)
         bad = np.flatnonzero(~usable)
@@ -288,7 +257,7 @@ def conjugate_gradient_least_squares_batch(
             # The serial control flow restarts these trials from the
             # steepest-descent direction and skips the rest of the iteration.
             sub = batch.narrow(bad)
-            R_bad = _sanitize_rows(_normal_residuals(sub, X[bad]), options)
+            R_bad = finite_or_zero(_normal_residuals(sub, X[bad]))
             R[bad] = R_bad
             P[bad] = R_bad
             rs_old[bad] = np.maximum(_reliable_dots(R_bad, R_bad, bad), tiny)
@@ -300,14 +269,12 @@ def conjugate_gradient_least_squares_batch(
         alphas = np.where(np.isfinite(alphas), alphas, 0.0)
         X[good] = X[good] + alphas[:, np.newaxis] * P[good]
         ATAp = batch_matvec(sub_good, A_arr.T, Ap[good])
-        R_good = _sanitize_rows(
-            batch_sub(sub_good, R[good], alphas[:, np.newaxis] * ATAp), options
-        )
+        R_good = finite_or_zero(batch_sub(sub_good, R[good], alphas[:, np.newaxis] * ATAp))
         rs_new = _reliable_dots(R_good, R_good, good)
         rs_new = np.where(np.isfinite(rs_new) & (rs_new >= 0), rs_new, tiny)
         if iteration % options.restart_every == 0:
             # Periodic restart: recompute the true residual direction.
-            R_good = _sanitize_rows(_normal_residuals(sub_good, X[good]), options)
+            R_good = finite_or_zero(_normal_residuals(sub_good, X[good]))
             P[good] = R_good
             rs_new = np.maximum(_reliable_dots(R_good, R_good, good), tiny)
         else:

@@ -14,13 +14,13 @@ Under the default (mantissa + sign) fault model gradient corruption is
 relative-bounded and plain SGD absorbs it.  For ablation fault models that
 also corrupt exponent bits, a single flip can turn a gradient component into
 ``±1e38`` or NaN; no descent method survives applying such a component
-verbatim.  The reliable update step therefore optionally (a) zeroes
-non-finite gradient components, (b) rejects per-component outliers relative
-to the gradient's median magnitude, and (c) clips components to a
-problem-supplied magnitude (``gradient_clip``).  These are cheap scalar
-checks that belong to the protected control phase; they are this library's
-concrete realization of the paper's "control phases of execution are assumed
-to be error-free" assumption, and tests cover each behaviour.
+verbatim.  The reliable update step therefore (a) zeroes non-finite gradient
+components (:func:`~repro.optimizers.base.finite_or_zero`, the guard the CG
+solver shares) and (b) optionally clips components to a problem-supplied
+magnitude (``gradient_clip``).  These are cheap elementwise checks that
+belong to the protected control phase; they are this library's concrete
+realization of the paper's "control phases of execution are assumed to be
+error-free" assumption, and tests cover each behaviour.
 
 The batched stepper's noisy work all flows through
 :meth:`~repro.processor.batch.ProcessorBatch.corrupt`, so it picks up
@@ -41,6 +41,7 @@ from repro.optimizers.base import (
     IterationRecord,
     OptimizationResult,
     stack_initial_iterates,
+    finite_or_zero,
 )
 from repro.optimizers.momentum import MomentumSmoother
 from repro.optimizers.step_schedules import (
@@ -83,15 +84,8 @@ class SGDOptions:
         :class:`~repro.optimizers.penalty.ExactPenaltyProblem`).
     gradient_clip:
         Clip noisy gradient components to ``[-gradient_clip, +gradient_clip]``
-        during the reliable update.  ``None`` disables clipping.
-    outlier_rejection:
-        Zero gradient components whose magnitude exceeds
-        ``outlier_rejection × median(|gradient|)`` during the reliable update.
-        This is the scale-free guard against exponent-bit flips: as the
-        iterate converges and the true gradient shrinks, a corrupted huge
-        component is still recognized and discarded.  ``None`` disables it.
-    zero_nonfinite:
-        Zero NaN/inf gradient components during the reliable update.
+        during the reliable update, after NaN/inf components are zeroed.
+        ``None`` disables clipping.
     record_history:
         Record an :class:`~repro.optimizers.base.IterationRecord` every
         ``record_every`` iterations (objective evaluated reliably — this is
@@ -107,8 +101,6 @@ class SGDOptions:
     aggressive: Optional[AggressiveStepping] = None
     annealing: Optional[PenaltyAnnealing] = None
     gradient_clip: Optional[float] = None
-    outlier_rejection: Optional[float] = None
-    zero_nonfinite: bool = True
     record_history: bool = False
     record_every: int = 100
 
@@ -125,22 +117,11 @@ class SGDOptions:
             raise ProblemSpecificationError("record_every must be at least 1")
         if self.gradient_clip is not None and self.gradient_clip <= 0:
             raise ProblemSpecificationError("gradient_clip must be positive")
-        if self.outlier_rejection is not None and self.outlier_rejection <= 1:
-            raise ProblemSpecificationError("outlier_rejection must exceed 1")
 
 
 def _sanitize_gradient(gradient: np.ndarray, options: SGDOptions) -> np.ndarray:
-    """Reliable-control-phase guards applied to the noisy gradient."""
-    cleaned = np.asarray(gradient, dtype=np.float64)
-    if options.zero_nonfinite:
-        cleaned = np.where(np.isfinite(cleaned), cleaned, 0.0)
-    if options.outlier_rejection is not None and cleaned.size > 2:
-        magnitudes = np.abs(cleaned)
-        scale = float(np.median(magnitudes))
-        if scale > 0.0:
-            cleaned = np.where(
-                magnitudes > options.outlier_rejection * scale, 0.0, cleaned
-            )
+    """Reliable-control-phase guards on a noisy gradient or a stack of them."""
+    cleaned = finite_or_zero(gradient)
     if options.gradient_clip is not None:
         cleaned = np.clip(cleaned, -options.gradient_clip, options.gradient_clip)
     return cleaned
@@ -243,24 +224,6 @@ def stochastic_gradient_descent(
     return result
 
 
-def _sanitize_gradient_rows(gradients: np.ndarray, options: SGDOptions) -> np.ndarray:
-    """Row-wise :func:`_sanitize_gradient` over a stacked ``(n_trials, dim)`` array."""
-    cleaned = np.asarray(gradients, dtype=np.float64)
-    if options.zero_nonfinite:
-        cleaned = np.where(np.isfinite(cleaned), cleaned, 0.0)
-    if options.outlier_rejection is not None and cleaned.shape[1] > 2:
-        magnitudes = np.abs(cleaned)
-        scales = np.median(magnitudes, axis=1, keepdims=True)
-        cleaned = np.where(
-            (scales > 0.0) & (magnitudes > options.outlier_rejection * scales),
-            0.0,
-            cleaned,
-        )
-    if options.gradient_clip is not None:
-        cleaned = np.clip(cleaned, -options.gradient_clip, options.gradient_clip)
-    return cleaned
-
-
 def stochastic_gradient_descent_batch(
     problem,
     batch: ProcessorBatch,
@@ -331,7 +294,7 @@ def stochastic_gradient_descent_batch(
         if annealing_active:
             problem.penalty = options.annealing.penalty_at(iteration)
         gradients = problem.gradient_batch(X, batch)
-        gradients = _sanitize_gradient_rows(gradients, options)
+        gradients = _sanitize_gradient(gradients, options)
         directions = smoother.update(gradients) if smoother is not None else gradients
         if annealing_active:
             # Same stage-restarted, 1/μ-scaled stepping as the serial loop.
@@ -422,7 +385,7 @@ def _aggressive_phase_batch(
         key = tuple(int(t) for t in index)
         sub_batch = batch.narrow(index)
         X_active = np.stack([iterates[t] for t in key])
-        gradients = _sanitize_gradient_rows(
+        gradients = _sanitize_gradient(
             problem.gradient_batch(X_active, sub_batch), options
         )
         if momentum is not None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from repro.exceptions import VoltageModelError
 from repro.processor.voltage import NOMINAL_VOLTAGE
 
-__all__ = ["EnergyModel"]
+__all__ = ["EnergyModel", "ENERGY_MODEL"]
 
 
 @dataclass(frozen=True)
@@ -64,3 +64,7 @@ class EnergyModel:
         if nominal == 0:
             return 0.0
         return 1.0 - self.energy(flops, voltage) / nominal
+
+
+#: The Figure 6.7 energy model every processor and the energy figure use.
+ENERGY_MODEL = EnergyModel()

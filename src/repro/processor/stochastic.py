@@ -25,8 +25,8 @@ from repro.faults.injector import FaultInjector
 from repro.faults.fpu import StochasticFPU
 from repro.faults.models import FaultModel, get_fault_model
 from repro.faults.vectorized import check_ops, quiet_cast
-from repro.processor.energy import EnergyModel
-from repro.processor.voltage import VoltageErrorModel
+from repro.processor.energy import ENERGY_MODEL, EnergyModel
+from repro.processor.voltage import VOLTAGE_MODEL, VoltageErrorModel
 
 __all__ = ["StochasticProcessor"]
 
@@ -46,8 +46,6 @@ class StochasticProcessor:
         A :class:`~repro.faults.models.FaultModel` instance or registry name.
         Defaults to ``"leon3-fpu"`` — single-precision datapath with the
         emulated bimodal bit distribution.
-    voltage_model / energy_model:
-        Models used to convert between voltage, error rate, and energy.
     rng:
         Seed, generator, ``None``, or ``"lfsr"`` (see
         :class:`~repro.faults.injector.FaultInjector`).
@@ -58,15 +56,11 @@ class StochasticProcessor:
         fault_rate: float = 0.0,
         voltage: Optional[float] = None,
         fault_model: Union[str, FaultModel] = "leon3-fpu",
-        voltage_model: Optional[VoltageErrorModel] = None,
-        energy_model: Optional[EnergyModel] = None,
         rng: Union[np.random.Generator, int, str, None] = None,
     ) -> None:
         if isinstance(fault_model, str):
             fault_model = get_fault_model(fault_model)
         self._fault_model = fault_model
-        self._voltage_model = voltage_model if voltage_model is not None else VoltageErrorModel()
-        self._energy_model = energy_model if energy_model is not None else EnergyModel()
         self._injector = fault_model.make_injector(fault_rate=fault_rate, rng=rng)
         self._fpu = StochasticFPU(self._injector)
         # Fused corrupt fast path: bind the backend's corrupt_block kernel
@@ -80,7 +74,7 @@ class StochasticProcessor:
             else None
         )
         self._array_flops = 0
-        self._voltage = self._voltage_model.max_voltage
+        self._voltage = VOLTAGE_MODEL.max_voltage
         if voltage is not None:
             self.voltage = voltage
         else:
@@ -88,7 +82,7 @@ class StochasticProcessor:
             # energy accounting is consistent even when the caller thinks in
             # fault rates (as the paper's sweeps do).
             if fault_rate > 0:
-                self._voltage = self._voltage_model.voltage_for_error_rate(fault_rate)
+                self._voltage = VOLTAGE_MODEL.voltage_for_error_rate(fault_rate)
 
     # ------------------------------------------------------------------ #
     # Configuration
@@ -127,9 +121,9 @@ class StochasticProcessor:
     def fault_rate(self, rate: float) -> None:
         self._injector.fault_rate = rate
         if rate > 0:
-            self._voltage = self._voltage_model.voltage_for_error_rate(rate)
+            self._voltage = VOLTAGE_MODEL.voltage_for_error_rate(rate)
         else:
-            self._voltage = self._voltage_model.max_voltage
+            self._voltage = VOLTAGE_MODEL.max_voltage
 
     @property
     def voltage(self) -> float:
@@ -139,17 +133,17 @@ class StochasticProcessor:
     @voltage.setter
     def voltage(self, voltage: float) -> None:
         self._voltage = float(voltage)
-        self._injector.fault_rate = self._voltage_model.error_rate(self._voltage)
+        self._injector.fault_rate = VOLTAGE_MODEL.error_rate(self._voltage)
 
     @property
     def voltage_model(self) -> VoltageErrorModel:
-        """The voltage/error-rate curve in effect (Figure 5.2)."""
-        return self._voltage_model
+        """The voltage/error-rate curve in effect: the shared Figure 5.2 curve."""
+        return VOLTAGE_MODEL
 
     @property
     def energy_model(self) -> EnergyModel:
-        """The energy model in effect (Figure 6.7)."""
-        return self._energy_model
+        """The energy model in effect: the shared Figure 6.7 model."""
+        return ENERGY_MODEL
 
     # ------------------------------------------------------------------ #
     # Accounting
@@ -167,7 +161,7 @@ class StochasticProcessor:
     def energy(self, voltage: Optional[float] = None) -> float:
         """Energy consumed so far (power at ``voltage`` × FLOPs executed)."""
         v = self._voltage if voltage is None else float(voltage)
-        return self._energy_model.energy(self.flops, v)
+        return ENERGY_MODEL.energy(self.flops, v)
 
     def reset_counters(self) -> None:
         """Zero the FLOP and fault counters without touching configuration."""
@@ -251,19 +245,16 @@ class StochasticProcessor:
         self._injector.record_vectorized(ops, faults)
 
     def spawn(self, fault_rate: Optional[float] = None) -> "StochasticProcessor":
-        """A fresh processor with the same models but independent randomness.
+        """A fresh processor with the same fault model but independent randomness.
 
-        Each experiment trial runs on its own spawned processor so that FLOP
-        and fault counters are per-trial and random streams do not interact.
+        The child has zeroed FLOP and fault counters and a generator seeded
+        from this processor's stream, so the two streams do not interact.
         """
-        child = StochasticProcessor(
+        return StochasticProcessor(
             fault_rate=self.fault_rate if fault_rate is None else fault_rate,
             fault_model=self._fault_model,
-            voltage_model=self._voltage_model,
-            energy_model=self._energy_model,
             rng=np.random.default_rng(int(self._injector._rng.integers(0, 2**63 - 1))),
         )
-        return child
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -20,7 +20,13 @@ import numpy as np
 
 from repro.exceptions import VoltageModelError
 
-__all__ = ["VoltageErrorModel", "NOMINAL_VOLTAGE", "MIN_VOLTAGE", "DEFAULT_ANCHORS"]
+__all__ = [
+    "VoltageErrorModel",
+    "VOLTAGE_MODEL",
+    "NOMINAL_VOLTAGE",
+    "MIN_VOLTAGE",
+    "DEFAULT_ANCHORS",
+]
 
 #: Nominal (guardbanded) supply voltage, in volts.
 NOMINAL_VOLTAGE = 1.0
@@ -131,3 +137,9 @@ class VoltageErrorModel:
         voltages = np.linspace(self.max_voltage, self.min_voltage, n_points)
         rates = np.asarray([self.error_rate(v) for v in voltages])
         return voltages, rates
+
+
+#: The one Figure 5.2 curve: every processor, scenario and figure reads its
+#: voltage/error-rate conversions from this object, so a voltage scenario's
+#: effective fault rate and its processor's rate agree by construction.
+VOLTAGE_MODEL = VoltageErrorModel()

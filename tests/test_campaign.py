@@ -117,10 +117,10 @@ class TestShardStore:
         store = ShardStore(tmp_path)
         shard = self.shards[0]
         assert store.load_shard(shard) is None
-        assert not store.has_shard(shard)
+        assert not store.has_shard(shard.shard_id)
         result = self.compute(shard)
         store.store_shard(shard, result)
-        assert store.has_shard(shard)
+        assert store.has_shard(shard.shard_id)
         loaded = store.load_shard(shard)
         assert loaded.points == result.points
         assert loaded.values == result.values
@@ -521,7 +521,7 @@ class TestGroupedSerialPool:
             killed.run(on_shard=abort)
         assert killed.status().shards_completed == 1
         assert len(list((tmp_path / "shards").glob("*.json"))) == 1
-        assert killed.store.has_shard(killed.shards[0])
+        assert killed.store.has_shard(killed.shards[0].shard_id)
 
         del tensor_calls[:]
         resumed = runner.submit(grouped_sweep())

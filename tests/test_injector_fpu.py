@@ -9,7 +9,7 @@ from repro.exceptions import FaultModelError
 from repro.faults.distribution import EmulatedBitDistribution, UniformBitDistribution
 from repro.faults.injector import FaultInjector
 from repro.faults.fpu import StochasticFPU
-from repro.faults.models import get_fault_model, list_fault_models, register_fault_model, FaultModel
+from repro.faults.models import get_fault_model, list_fault_models
 from repro.faults.vectorized import effective_fault_probability
 
 
@@ -28,13 +28,6 @@ class TestFaultInjectorConfig:
         injector = FaultInjector(0.0)
         injector.fault_rate = 0.3
         assert injector.fault_rate == 0.3
-
-    def test_spawn_preserves_configuration(self):
-        injector = FaultInjector(0.25, dtype=np.float64)
-        child = injector.spawn()
-        assert child.fault_rate == 0.25
-        assert child.dtype == np.dtype(np.float64)
-        assert child.faults_injected == 0
 
 
 class TestScalarInjection:
@@ -190,18 +183,3 @@ class TestFaultModels:
         injector = model.make_injector(fault_rate=0.1)
         assert injector.dtype == np.dtype(np.float64)
         assert injector.fault_rate == 0.1
-
-    def test_register_custom_model(self):
-        model = FaultModel(
-            name="test-custom-model",
-            dtype=np.dtype(np.float32),
-            bit_distribution=UniformBitDistribution(32),
-            description="test",
-        )
-        register_fault_model(model, overwrite=True)
-        assert get_fault_model("test-custom-model") is model
-
-    def test_register_duplicate_raises(self):
-        model = get_fault_model("leon3-fpu")
-        with pytest.raises(FaultModelError):
-            register_fault_model(model)

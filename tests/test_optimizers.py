@@ -295,10 +295,6 @@ class TestSGD:
             return np.array([1.0, 1.0, 1e9])
 
         problem = UnconstrainedProblem(3, lambda x, p: 0.0, spiky_gradient)
-        options = SGDOptions(iterations=1, schedule="const", base_step=1.0,
-                             outlier_rejection=1e3)
-        result = stochastic_gradient_descent(problem, reliable(), options)
-        assert result.x[2] == 0.0  # outlier component rejected
         options = SGDOptions(iterations=1, schedule="const", base_step=1.0, gradient_clip=10.0)
         result = stochastic_gradient_descent(problem, reliable(), options)
         assert result.x[2] == -10.0  # clipped, not rejected
@@ -320,8 +316,6 @@ class TestSGD:
             SGDOptions(iterations=0)
         with pytest.raises(ProblemSpecificationError):
             SGDOptions(gradient_clip=-1.0)
-        with pytest.raises(ProblemSpecificationError):
-            SGDOptions(outlier_rejection=0.5)
 
     def test_bad_initial_point_shape(self, rng):
         A, b, _ = random_least_squares(10, 3, rng=rng)

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from repro.exceptions import FaultModelError, VoltageModelError
 from repro.processor.energy import EnergyModel
-from repro.processor.profiles import get_processor, list_processors
 from repro.processor.stochastic import StochasticProcessor
-from repro.processor.voltage import NOMINAL_VOLTAGE, VoltageErrorModel
+from repro.processor.voltage import NOMINAL_VOLTAGE, VOLTAGE_MODEL, VoltageErrorModel
 
 
 class TestVoltageModel:
@@ -180,35 +179,32 @@ class TestStochasticProcessor:
 
 
 class TestProfiles:
-    def test_profiles_listed(self):
-        assert "reliable" in list_processors()
-        assert "leon3-overscaled" in list_processors()
+    """Operating points built directly: by fault rate or by supply voltage."""
 
     def test_reliable_profile_has_zero_rate(self):
-        assert get_processor("reliable").fault_rate == 0.0
+        proc = StochasticProcessor(rng=0)
+        assert proc.fault_rate == 0.0
+        assert proc.voltage == VOLTAGE_MODEL.max_voltage
 
     def test_overscaled_profile_rate_override(self):
-        proc = get_processor("leon3-overscaled", fault_rate=0.2)
+        proc = StochasticProcessor(fault_rate=0.2, rng=0)
         assert proc.fault_rate == 0.2
+        # Built by rate, the processor reports the voltage implied by it.
+        assert proc.voltage == VOLTAGE_MODEL.voltage_for_error_rate(0.2)
 
     def test_unknown_profile_raises(self):
-        with pytest.raises(FaultModelError):
-            get_processor("missing-profile")
+        with pytest.raises(FaultModelError, match="unknown fault model"):
+            StochasticProcessor(fault_model="missing-profile")
 
     def test_voltage_profiles_sit_on_the_figure_5_2_curve(self):
         model = VoltageErrorModel()
-        for name, voltage in (
-            ("overscaled-0.80V", 0.80),
-            ("overscaled-0.70V", 0.70),
-            ("overscaled-0.65V", 0.65),
-            ("overscaled-0.60V", 0.60),
-        ):
-            proc = get_processor(name)
+        for voltage in (0.80, 0.70, 0.65, 0.60):
+            proc = StochasticProcessor(voltage=voltage, rng=0)
             assert proc.voltage == pytest.approx(voltage)
             assert proc.fault_rate == pytest.approx(model.error_rate(voltage))
 
     def test_voltage_profile_explicit_rate_overrides_operating_point(self):
-        proc = get_processor("overscaled-0.70V", fault_rate=0.3)
+        proc = StochasticProcessor(fault_rate=0.3, rng=0)
         assert proc.fault_rate == 0.3
         # The processor then reports the voltage implied by that rate.
         assert proc.voltage == pytest.approx(

@@ -1,7 +1,7 @@
 """Tests for the scenario axis: presets, grid expansion, executors, hashing.
 
-Covers the ScenarioGrid contract end to end: scenario resolution (fault
-model / dtype / bit-distribution overrides, voltage operating points), the
+Covers the ScenarioGrid contract end to end: scenario resolution (preset
+names and fault-model objects, voltage operating points), the
 (series × scenario × rate × trial) expansion and its seeding, bit-identity
 of scenario grids across every executor (including grids whose scenarios mix
 datapath dtypes), per-trial fault-counter isolation across scenario
@@ -23,14 +23,18 @@ from repro.experiments.scenarios import (
     Scenario,
     get_scenario,
     list_scenarios,
-    register_scenario,
     scenario_series_name,
     voltage_scenario,
 )
 from repro.experiments.spec import SweepSpec
 from repro.experiments.trials import make_noisy_sum_trial
-from repro.faults.distribution import LowOrderBitDistribution
-from repro.processor.voltage import VoltageErrorModel
+from repro.faults.distribution import (
+    EmulatedBitDistribution,
+    LowOrderBitDistribution,
+    UniformBitDistribution,
+)
+from repro.faults.models import FaultModel, get_fault_model
+from repro.processor.voltage import VOLTAGE_MODEL, VoltageErrorModel
 from tests.strategies import make_grid, noisy_metric
 
 
@@ -55,10 +59,6 @@ class TestScenarioResolution:
         with pytest.raises(KeyError, match="unknown scenario"):
             get_scenario("nope")
 
-    def test_register_scenario_rejects_duplicates(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_scenario(Scenario(name="nominal"))
-
     def test_rate_and_voltage_are_mutually_exclusive(self):
         with pytest.raises(ValueError, match="mutually exclusive"):
             Scenario(name="bad", fault_rate=0.1, voltage=0.7)
@@ -70,30 +70,60 @@ class TestScenarioResolution:
             Scenario(name="bad", voltage=-0.1)
         with pytest.raises(ValueError, match="non-empty"):
             Scenario(name="")
-        with pytest.raises(FaultModelError, match="family"):
-            Scenario(name="bad", bit_distribution="gaussian")
 
     def test_resolved_model_applies_dtype_override(self):
-        scenario = Scenario(name="wide", fault_model="leon3-fpu", dtype="float64")
-        model = scenario.resolved_model()
-        assert model.dtype == np.dtype(np.float64)
-        # The emulated family is re-instantiated at the 64-bit width.
-        assert model.bit_distribution.width == 64
-        assert type(model.bit_distribution).__name__ == "EmulatedBitDistribution"
+        """A datapath width no preset offers is a FaultModel object, used as given."""
+        model = FaultModel(
+            name="leon3-fpu-64",
+            dtype=np.dtype(np.float64),
+            bit_distribution=EmulatedBitDistribution(width=64),
+        )
+        scenario = Scenario(name="wide", fault_model=model, voltage=0.70)
+        resolved = scenario.resolved_model()
+        assert resolved is model
+        assert resolved.dtype == np.dtype(np.float64)
+        assert resolved.bit_distribution.width == 64
+        assert type(resolved.bit_distribution).__name__ == "EmulatedBitDistribution"
+        fingerprint = scenario.fingerprint()
+        assert fingerprint["fault_model"] == "leon3-fpu-64"
+        assert fingerprint["dtype"] == "float64"
+        assert fingerprint["bit_distribution"]["width"] == 64
 
     def test_resolved_model_applies_distribution_family(self):
-        scenario = Scenario(name="u", fault_model="leon3-fpu", bit_distribution="uniform")
-        model = scenario.resolved_model()
-        assert type(model.bit_distribution).__name__ == "UniformBitDistribution"
-        assert model.bit_distribution.width == 32
+        """A bit-position family no preset offers is a FaultModel object, used as given."""
+        model = FaultModel(
+            name="leon3-fpu-uniform",
+            dtype=np.dtype(np.float32),
+            bit_distribution=UniformBitDistribution(width=32),
+        )
+        scenario = Scenario(name="u", fault_model=model)
+        resolved = scenario.resolved_model()
+        assert resolved is model
+        assert type(resolved.bit_distribution).__name__ == "UniformBitDistribution"
+        assert resolved.bit_distribution.width == 32
+        fingerprint = scenario.fingerprint()
+        assert fingerprint["bit_distribution"]["family"] == "UniformBitDistribution"
+        assert fingerprint["bit_distribution"]["pmf"] == [1.0 / 32] * 32
+
+    def test_preset_model_name_and_object_hash_identically(self):
+        by_name = Scenario(name="u", fault_model="uniform-bits-64")
+        by_object = Scenario(name="u", fault_model=get_fault_model("uniform-bits-64"))
+        assert spec_hash(by_name.fingerprint()) == spec_hash(by_object.fingerprint())
 
     def test_explicit_distribution_width_mismatch_raises(self):
-        with pytest.raises(FaultModelError, match="bits"):
-            Scenario(
+        """A model whose distribution does not fit its dtype fails at its processor."""
+        scenario = Scenario(
+            name="bad",
+            fault_model=FaultModel(
                 name="bad",
-                fault_model="double-precision",
+                dtype=np.dtype(np.float64),
                 bit_distribution=LowOrderBitDistribution(width=32),
-            ).resolved_model()
+            ),
+        )
+        spec = SweepSpec({"a": noisy_metric}, fault_rates=(0.1,), trials=1,
+                         scenarios=(scenario,)).expand()[0]
+        with pytest.raises(FaultModelError, match="bits"):
+            spec.make_processor(spec.make_stream())
 
     def test_unmodified_scenario_returns_registry_model(self):
         scenario = get_scenario("nominal")
@@ -155,6 +185,18 @@ class TestGridExpansion:
         proc = spec.make_processor(spec.make_stream())
         assert proc.fault_rate == pytest.approx(rate)
         assert proc.voltage == pytest.approx(0.70)
+
+    @pytest.mark.parametrize("voltage", [0.80, 0.725, 0.70, 0.62])
+    def test_voltage_scenario_processor_reads_the_one_curve(self, voltage):
+        """A voltage scenario's rate and its trial processors' rate agree exactly."""
+        scenario = voltage_scenario(voltage)
+        sweep = SweepSpec({"a": noisy_metric}, fault_rates=(0.0, 0.3), trials=2,
+                          scenarios=(scenario,))
+        for spec in sweep.expand():
+            proc = spec.make_processor(spec.make_stream())
+            assert proc.fault_rate == scenario.effective_fault_rate(spec.fault_rate)
+            assert proc.voltage == voltage
+            assert proc.voltage_model is VOLTAGE_MODEL
 
     def test_duplicate_scenario_names_rejected(self):
         with pytest.raises(ValueError, match="unique"):
@@ -239,8 +281,7 @@ class TestScenarioGridExecutors:
         assert proc.faults_injected > 0
         child = proc.spawn()
         assert child.faults_injected == 0 and child.flops == 0
-        grandchild = child.injector.spawn()
-        assert grandchild.faults_injected == 0 and grandchild.ops_observed == 0
+        assert child.injector.ops_observed == 0
 
 
 class TestScenarioFingerprints:
@@ -310,6 +351,94 @@ class TestScenarioFingerprints:
         assert spec_hash({"params": params})  # strictly JSON-hashable
 
 
+class TestFingerprintPins:
+    """Literal hashes of every operating point's fingerprint and of the ids built on them.
+
+    Every figure-cache key, shard id, campaign id and search id hashes one of
+    these payloads, so a change that moves one re-addresses every stored
+    artifact built on it; the literals make such a move fail here.
+    """
+
+    PRESETS = {
+        "double-precision-64": "85b6291aa37e1e05307b5ae6ec4ec1decd1d4473bc68ce52936cc63ae002de0e",
+        "low-order-seu": "d4d7cabafb8f658f65b002c9d8256e9a2b5fcaee25d3ed56de7ccb0c20b88ebf",
+        "measured-0.65V": "e446a65fb5a405e50ffd30d767b38497b06746a6a88ef481c2f13e2d35ce1383",
+        "measured-0.70V": "932714624d40568cdbd9198502450a711a000a716d675dad5afbef86317cecc3",
+        "measured-0.80V": "6bfef11469f0369f75d336d3b4d1ede242ad7568457a50fd9c12f3c28ba2face",
+        "measured-bits": "88281e4e1ac937dc240a0665274c622960c8523c4e066a3d4a891adefd745633",
+        "nominal": "21824d0e7985d822a0c52eac3ec34a30e7874048505bf57409eb1201af83ab87",
+        "overscaled-0.60V": "c72c43c4d962a372665dba7aa29ea8acdc89162a611afdb60a5b8a48784ee2e9",
+        "uniform-32": "4c14015158c3f7a3594105e867ffada144474508f1bf1976393276e68b9bd9ba",
+        "uniform-64": "7bfde53d9693cb6ca529c1c22772378fb4a0a332d6ac083ff5e01d514e4c1900",
+    }
+
+    #: ``DEFAULT_STUDY_VOLTAGES`` -> (scenario name, fingerprint hash).
+    VOLTAGES = {
+        0.80: ("leon3-fpu@0.8V",
+               "dc578419c40c05c5e0a1e76679e2bb62d53be083f54d4141a1a66082287db04d"),
+        0.75: ("leon3-fpu@0.75V",
+               "ecc30c9eb8a5066f4702bd2a40208fd70700eb0ae9d846be234d5430b59e3097"),
+        0.70: ("leon3-fpu@0.7V",
+               "a10936a4e6e4eab5477d5e7fbaaa92b37af4656a1c5e51a6246c987c97ec9c2a"),
+        0.65: ("leon3-fpu@0.65V",
+               "887d838a9feff5ec7b8a75bc932514b36dd6f368a102b138e4c9d1cefec24d35"),
+        0.60: ("leon3-fpu@0.6V",
+               "7ff0c9faeb17930417aeb9940aa3e199ce2de8166c8e2d08e881b11790603bb2"),
+    }
+
+    def test_every_preset_fingerprint_is_pinned(self):
+        assert {
+            name: spec_hash(get_scenario(name).fingerprint()) for name in list_scenarios()
+        } == self.PRESETS
+
+    def test_study_voltage_fingerprints_are_pinned(self):
+        from repro.experiments.kernels import DEFAULT_STUDY_VOLTAGES
+
+        assert tuple(self.VOLTAGES) == DEFAULT_STUDY_VOLTAGES
+        for voltage, (name, digest) in self.VOLTAGES.items():
+            scenario = voltage_scenario(voltage)
+            assert scenario.name == name
+            assert spec_hash(scenario.fingerprint()) == digest
+
+    def test_single_axis_sweep_fingerprint_is_pinned(self):
+        sweep = SweepSpec(
+            {"Base": noisy_metric, "SGD": noisy_metric},
+            fault_rates=(0.01, 0.1), trials=3, seed=7,
+        )
+        assert spec_hash(sweep.fingerprint()) == (
+            "9d5c9146ef69a3cc80a05ab606a7feb04288fa108645873d6f810c6311a0b7ed"
+        )
+
+    def test_probe_runner_fingerprint_and_search_id_are_pinned(self, tmp_path):
+        from repro.experiments.search import (
+            CriticalVoltageBisector,
+            ProbeRunner,
+            search_id,
+        )
+
+        runner = ProbeRunner(
+            tmp_path, noisy_metric, "Base", trials=2, seed=0,
+            key={"kernel": "sorting", "iterations": 120},
+        )
+        assert runner.fingerprint()["fault_model"] == "leon3-fpu"
+        assert spec_hash(runner.fingerprint()) == (
+            "265ce85373eb5ed15647ab1400aea61a860f32b5cb440d25a1ec97ea794d4e73"
+        )
+        assert runner.shard_id(0.7) == (
+            "2fc2659ce873bca153168f271135d67bc7ef88364bb1499abb0547c7c3d4bac3"
+        )
+        bisector = CriticalVoltageBisector(tolerance=0.01)
+        assert search_id(bisector, {"Base": runner}) == "3fc76c0d4e10a215"
+
+    def test_campaign_id_is_pinned(self, tmp_path):
+        from repro.experiments.campaign import CampaignRunner
+
+        sweep = SweepSpec({"Base": noisy_metric}, fault_rates=(0.05, 0.2), trials=2, seed=3)
+        assert CampaignRunner(tmp_path).campaign_id(sweep, {"kernel": "sorting"}) == (
+            "2c374583166d9f0d"
+        )
+
+
 class TestUniformPresetsRunQuiet:
     """Bit flips anywhere in a word give inf and NaN gradients, not warnings.
 
@@ -318,7 +447,9 @@ class TestUniformPresetsRunQuiet:
     model, and the serial and batched gradients run under
     :func:`~repro.faults.vectorized.quiet`, as do the least-squares
     objective and gradients of Figure 6.2's SGD, Figure 6.6's whole CG,
-    Jacobi SVD and QR solves, and the least-squares scoring.
+    Jacobi SVD and QR solves, the least-squares scoring, the IIR objective,
+    gradients, start point and scoring, the SVM hinge objective, gradients
+    and Pegasos loop, and the eigenpair power iterations.
     """
 
     @pytest.mark.parametrize("engine", ["serial", "vectorized"])
@@ -336,6 +467,18 @@ class TestUniformPresetsRunQuiet:
     @pytest.mark.parametrize("engine", ["serial", "vectorized"])
     def test_least_squares_sgd_raises_no_runtime_warning(self, engine):
         functions = get_kernel("least_squares_sgd").sweep_functions(iterations=50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            series = ExperimentEngine(engine).run_sweep(SweepSpec(
+                functions, fault_rates=(0.1, 0.5), trials=2,
+                scenarios=("uniform-32", "uniform-64"),
+            ))
+        assert all(len(s.values) == 2 for s in series)
+
+    @pytest.mark.parametrize("engine", ["serial", "vectorized"])
+    @pytest.mark.parametrize("kernel", ["iir", "svm", "eigen"])
+    def test_numeric_kernel_raises_no_runtime_warning(self, kernel, engine):
+        functions = get_kernel(kernel).sweep_functions(iterations=50)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             series = ExperimentEngine(engine).run_sweep(SweepSpec(

@@ -383,6 +383,31 @@ class TestRunCampaign:
         status = json.loads(capsys.readouterr().out)
         assert status["done"] is True
 
+    def test_status_reports_a_torn_artifact_as_pending(
+        self, campaign_cli, tmp_path, capsys
+    ):
+        """A shard artifact that does not parse is pending, as the run treats it."""
+        from repro.experiments.campaign import campaign_status
+
+        summary_path = tmp_path / "summary.json"
+        assert campaign_cli.main(
+            campaign_args(tmp_path, "--summary", str(summary_path))
+        ) == 0
+        campaign_id = json.loads(summary_path.read_text())["campaign_id"]
+        artifacts = sorted((tmp_path / "store" / "shards").glob("*.json"))
+        assert len(artifacts) > 1
+        artifacts[0].write_bytes(artifacts[0].read_bytes()[:10])
+        status = campaign_status(tmp_path / "store", campaign_id)
+        assert status.pending == (artifacts[0].stem,)
+        assert status.shards_completed == status.shards_total - 1
+        capsys.readouterr()
+        assert campaign_cli.main(
+            ["--store", str(tmp_path / "store"), "--status", campaign_id]
+        ) == 0
+        reported = json.loads(capsys.readouterr().out)
+        assert reported["shards_pending"] == 1
+        assert reported["done"] is False
+
     def test_unknown_kernel_is_usage_error(self, campaign_cli, tmp_path, capsys):
         code = campaign_cli.main(
             ["--kernel", "no-such-kernel", "--store", str(tmp_path)]
@@ -576,6 +601,27 @@ class TestRunSearch:
         pruned = json.loads(capsys.readouterr().out)
         assert pruned["done"] is False
         assert pruned["probes_pending"] == pruned["probes_recorded"] > 0
+
+    def test_status_reports_a_torn_probe_as_pending(
+        self, search_cli, tmp_path, capsys
+    ):
+        """A probe artifact that does not parse is pending, not present."""
+        summary_path = tmp_path / "summary.json"
+        assert search_cli.main(
+            search_args(tmp_path, "--summary", str(summary_path))
+        ) == 0
+        sid = json.loads(summary_path.read_text())["search"]
+        artifacts = sorted((tmp_path / "store" / "shards").glob("*.json"))
+        assert len(artifacts) > 1
+        artifacts[0].write_bytes(artifacts[0].read_bytes()[:10])
+        capsys.readouterr()
+        assert search_cli.main(
+            ["--store", str(tmp_path / "store"), "--status", sid]
+        ) == 0
+        torn = json.loads(capsys.readouterr().out)
+        assert torn["probes_pending"] == 1
+        assert torn["probes_present"] == torn["probes_recorded"] - 1
+        assert torn["done"] is False
 
     def test_verify_grid_with_wrong_driver_is_usage_error(
         self, search_cli, tmp_path, capsys

@@ -207,24 +207,6 @@ class TestBatchedSGD:
             assert v.faults_injected == s.faults_injected
             assert v.iterations == s.iterations
 
-    def test_outlier_rejection_matches_serial(self):
-        A, b, _ = random_least_squares(30, 5, rng=3)
-        options = SGDOptions(
-            iterations=40,
-            base_step=default_least_squares_step(A),
-            outlier_rejection=8.0,
-        )
-        problem = QuadraticProblem(A, b)
-        serial = [
-            stochastic_gradient_descent(problem, proc, options=options)
-            for proc in make_procs()
-        ]
-        batched = stochastic_gradient_descent_batch(
-            problem, ProcessorBatch(make_procs()), options=options
-        )
-        for s, v in zip(serial, batched):
-            np.testing.assert_array_equal(v.x, s.x)
-
     def test_record_history_falls_back_per_trial(self):
         A, b, _ = random_least_squares(20, 4, rng=5)
         options = SGDOptions(iterations=20, base_step=default_least_squares_step(A),
@@ -276,9 +258,9 @@ class TestApplicationBatchPaths:
         "options",
         [
             CGOptions(iterations=10),
-            # Short restart period + outlier rejection stresses the masked
-            # sub-batch branches (periodic restarts every other iteration).
-            CGOptions(iterations=9, restart_every=2, outlier_rejection=6.0),
+            # A short restart period stresses the masked sub-batch
+            # branches (periodic restarts every other iteration).
+            CGOptions(iterations=9, restart_every=2),
         ],
     )
     def test_robust_least_squares_cg_batch_matches_serial(self, options):
