@@ -29,7 +29,6 @@ from repro.exceptions import (
     VoltageModelError,
     ProblemSpecificationError,
     ConvergenceError,
-    BaselineFailureError,
 )
 from repro.faults import (
     FaultInjector,
@@ -83,7 +82,6 @@ __all__ = [
     "VoltageModelError",
     "ProblemSpecificationError",
     "ConvergenceError",
-    "BaselineFailureError",
     # Fault substrate
     "FaultInjector",
     "FaultModel",

@@ -31,21 +31,12 @@ __all__ = ["noisy_direct_form_filter", "noisy_direct_form_filter_batch"]
 def _backend_kernel(proc: StochasticProcessor):
     """The compiled whole-recursion kernel, when the backend provides one.
 
-    The kernel inlines the scalar FPU commit protocol, so it only applies to
-    the plain configuration: generator-timed faults, the stock inverse-CDF
-    bit sampler, and no ambient ``fpu.protected()`` region.
+    The kernel inlines the scalar FPU commit protocol, so it does not apply
+    inside an ambient ``fpu.protected()`` region.
     """
-    kernel = active_backend().kernel("direct_form_filter")
-    if kernel is None:
+    if proc.fpu._protected_depth > 0:
         return None
-    injector = proc.injector
-    if (
-        injector.uses_lfsr
-        or proc.fpu._protected_depth > 0
-        or not injector.bit_distribution.stock_sampler
-    ):
-        return None
-    return kernel
+    return active_backend().kernel("direct_form_filter")
 
 
 def noisy_direct_form_filter(

@@ -514,8 +514,9 @@ def corrupt_array(injector, out: np.ndarray, ops: int) -> int:
 
     ``out`` is the freshly copied native-dtype array (C-contiguous, mutated
     in place); returns the fault count.  The caller guarantees a positive
-    fault rate, a non-empty array, scalar ``ops``, a stock bit-distribution,
-    and a non-LFSR generator.
+    fault rate, a non-empty array and scalar ``ops``.  The mask uniforms and
+    the bit positions come from the injector's generator, the positions by
+    the inverse-CDF lookup over its distribution's CDF.
     """
     state = _injector_state(injector)
     ffi, lib = state["ffi"], state["lib"]
@@ -543,11 +544,11 @@ def corrupt_block(proc, values, ops: int) -> np.ndarray:
     Collapses the whole per-call round trip — float64 view, datapath-dtype
     cast, mask/bit draws, widen back — into one compiled call, updating the
     injector's operation and fault counters.  The caller guarantees scalar
-    ``ops`` and the same substrate preconditions as :func:`corrupt_array`
-    (stock bit distribution, non-LFSR generator); fault rate and array size
-    may be anything (a non-positive rate draws nothing, matching the numpy
-    tier's early return, and a zero-``ops`` call still draws its n mask
-    uniforms).
+    ``ops``; the draws are :func:`corrupt_array`'s (the injector's generator,
+    the inverse-CDF lookup over its distribution's CDF).  Fault rate and
+    array size may be anything (a non-positive rate draws nothing, matching
+    the numpy tier's early return, and a zero-``ops`` call still draws its n
+    mask uniforms).
     """
     injector = proc._injector
     state = _injector_state(injector)
@@ -619,7 +620,7 @@ def _batch_state(batch) -> dict:
             [_bitgen_addr(rng) for rng in batch._rngs], dtype=np.uint64
         )
         active = (batch._rates > 0.0).astype(np.uint8)
-        cdf = np.ascontiguousarray(batch._shared_cdf, dtype=np.float64)
+        cdf = np.ascontiguousarray(batch._distribution.cdf(), dtype=np.float64)
         faults = np.zeros(len(batch.procs), dtype=np.int64)
         state = {
             "ffi": ffi,

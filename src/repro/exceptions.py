@@ -42,13 +42,3 @@ class ConvergenceError(RobustificationError):
     solution (for example the reliable control-phase verifiers).
     """
 
-
-class BaselineFailureError(RobustificationError):
-    """Raised when a non-robust baseline produces an unusable output.
-
-    The baselines in :mod:`repro.applications.baselines` execute on the noisy
-    FPU and may return NaNs or structurally invalid results (for example a
-    "sorted" array that lost elements).  The experiment harness records these
-    as failures; this exception is raised only when a caller explicitly asks
-    for a valid output via ``strict=True``.
-    """

@@ -2,15 +2,16 @@
 
 This subpackage replaces the paper's FPGA-hosted fault injector: a module that
 flips one randomly chosen bit of a floating-point unit result at random times,
-with a bimodal bit-position distribution (most faults in the high-order bits,
-the rest in the low-order bits) and uniformly distributed inter-fault
-intervals generated by a linear feedback shift register (LFSR).
+with a uniformly distributed number of operations between faults and the
+bimodal bit-position distribution of Figure 5.1 (most faults in the high-order
+bits, the rest in the low-order bits).  Every fault draw comes from the
+trial's own numpy :class:`~numpy.random.Generator`: the intervals as
+generator integers, the bits by one inverse-CDF lookup over the
+distribution's weights.
 
 Layers, from lowest to highest:
 
 * :mod:`repro.faults.bitflip` — raw IEEE-754 bit manipulation.
-* :mod:`repro.faults.lfsr` — the LFSR pseudo-random source used by the paper's
-  hardware injector.
 * :mod:`repro.faults.distribution` — bit-position distributions (the
   "measured" and "emulated" histograms of Figure 5.1).
 * :mod:`repro.faults.injector` — :class:`FaultInjector`, which decides *when*
@@ -39,7 +40,6 @@ from repro.faults.distribution import (
     LowOrderBitDistribution,
     total_variation_distance,
 )
-from repro.faults.lfsr import LFSR
 from repro.faults.injector import FaultInjector
 from repro.faults.fpu import StochasticFPU
 from repro.faults.models import FaultModel, get_fault_model, list_fault_models
@@ -58,7 +58,6 @@ __all__ = [
     "UniformBitDistribution",
     "LowOrderBitDistribution",
     "total_variation_distance",
-    "LFSR",
     "FaultInjector",
     "StochasticFPU",
     "FaultModel",

@@ -177,22 +177,18 @@ def flip_bits_at(
     native: np.ndarray,
     flat_indices: np.ndarray,
     positions: np.ndarray,
-    check_range: bool,
 ) -> None:
     """XOR bit ``positions[k]`` into element ``flat_indices[k]``, in place.
 
     The compact form of :func:`flip_bit_array` used by the fault kernels:
     ``native`` is a C-contiguous float32/float64 array, ``flat_indices``
     index its C-order flattening, and only the flipped elements are touched.
-    Positions from the stock inverse-CDF sampler lie in ``[0, width)`` by
-    construction; pass ``check_range`` for any other sampler, which applies
-    :func:`flip_bit_array`'s range check.
+    ``positions`` come from :meth:`BitPositionDistribution.sample
+    <repro.faults.distribution.BitPositionDistribution.sample>` (the
+    inverse-CDF lookup over a distribution of the array's width), so they
+    lie in ``[0, width)`` by construction and are not range-checked.
     """
-    uint_dtype, width = _layout(native.dtype)
-    if check_range:
-        positions = np.asarray(positions)
-        _check_positions(positions, width)
-        positions = positions.astype(np.intp, copy=False)
+    uint_dtype, _ = _layout(native.dtype)
     flat_bits = native.view(uint_dtype).reshape(-1)
     flat_bits[flat_indices] ^= _BIT_MASKS[native.dtype][positions]
 

@@ -91,10 +91,21 @@ def _bucket_table(cdf: np.ndarray):
 class BitPositionDistribution(ABC):
     """Distribution over which bit of an FPU result a fault flips.
 
-    Concrete subclasses define :meth:`pmf`; sampling is implemented once on
-    top of the pmf so that every distribution supports both the numpy
-    ``Generator`` fast path and the scalar LFSR path.
+    A distribution is defined by its weights alone: concrete subclasses
+    define :meth:`_unnormalized_weights`, and :meth:`sample` is the one
+    inverse-CDF lookup over them that every fault kernel (the scalar commit,
+    the fused batch pass, the compiled backends) reproduces draw for draw.
+    A subclass that defines ``sample`` raises :class:`TypeError` when the
+    class is defined.
     """
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "sample" in cls.__dict__:
+            raise TypeError(
+                f"{cls.__name__} defines sample(); a bit-position distribution "
+                "is defined by its weights (_unnormalized_weights) alone"
+            )
 
     def __init__(self, width: int = 32) -> None:
         if width not in (32, 64):
@@ -147,17 +158,6 @@ class BitPositionDistribution(ABC):
             self._cdf_cache[-1] = 1.0
         return self._cdf_cache
 
-    @property
-    def stock_sampler(self) -> bool:
-        """Whether :meth:`sample` is the stock inverse-CDF implementation.
-
-        The fault kernels that draw bit positions themselves (the scalar
-        commit, the fused batch pass, the compiled backends) reproduce only
-        this implementation.  A subclass that overrides :meth:`sample` is
-        called instead, and its positions are range-checked.
-        """
-        return type(self).sample is BitPositionDistribution.sample
-
     def sample(self, rng: np.random.Generator, size: int | tuple[int, ...] = 1) -> np.ndarray:
         """Draw bit positions using a numpy random generator.
 
@@ -184,10 +184,6 @@ class BitPositionDistribution(ABC):
                 index = (uniforms * buckets).astype(np.intp)
                 return np.where(uniforms >= values[index], through[index], below[index])
         return self.cdf().searchsorted(uniforms, side="right")
-
-    def sample_scalar(self, lfsr) -> int:
-        """Draw a single bit position using an :class:`repro.faults.lfsr.LFSR`."""
-        return int(lfsr.choice_weighted(list(self.cdf())))
 
     def high_order_mass(self, cutoff_fraction: float = 0.5) -> float:
         """Probability mass on the top ``cutoff_fraction`` of bit positions."""

@@ -10,8 +10,8 @@ Two operating modes are provided:
 * **Per-operation mode** (:meth:`FaultInjector.corrupt_scalar`): every scalar
   FPU result passes through the injector; a countdown of operations until the
   next fault is drawn from a uniform distribution (mean ``1 / fault_rate``),
-  mirroring the LFSR-timed hardware injector.  This is the high-fidelity mode
-  used by the scalar :class:`repro.faults.fpu.StochasticFPU`.
+  as the paper's hardware injector times its faults.  This is the
+  high-fidelity mode used by the scalar :class:`repro.faults.fpu.StochasticFPU`.
 * **Vectorized mode** (:meth:`FaultInjector.corrupt_array`): an array of
   results, each standing for ``ops_per_element`` FLOPs, is corrupted in one
   shot: each element independently faults with probability
@@ -19,6 +19,11 @@ Two operating modes are provided:
   position distribution) is flipped.  This is statistically equivalent for
   the quantities the paper reports while being fast enough for the fault-rate
   sweeps in the benchmark harness.
+
+Both modes draw the fault times and the flipped bits from the injector's own
+numpy :class:`~numpy.random.Generator`, the bits by the inverse-CDF lookup of
+:meth:`BitPositionDistribution.sample
+<repro.faults.distribution.BitPositionDistribution.sample>`.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ from repro.backends import ComputeBackend, active_backend
 from repro.exceptions import FaultModelError
 from repro.faults.bitflip import bit_width, flip_bit_scalar
 from repro.faults.distribution import BitPositionDistribution, EmulatedBitDistribution
-from repro.faults.lfsr import LFSR
 from repro.faults.vectorized import (
     check_ops,
     corrupt_inplace,
@@ -62,11 +66,8 @@ class FaultInjector:
         Leon3 FPU experiments use single precision; ``float32`` is therefore
         the default, but ``float64`` is fully supported.
     rng:
-        Either a :class:`numpy.random.Generator`, an integer seed, ``None``
-        (fresh default generator), or the string ``"lfsr"`` to time faults
-        with the same LFSR construction as the hardware injector.
-    lfsr_seed:
-        Seed for the LFSR when ``rng == "lfsr"``.
+        Either a :class:`numpy.random.Generator`, an integer seed, or ``None``
+        (fresh default generator).
     """
 
     def __init__(
@@ -74,8 +75,7 @@ class FaultInjector:
         fault_rate: float = 0.0,
         bit_distribution: Optional[BitPositionDistribution] = None,
         dtype: np.dtype = np.float32,
-        rng: Union[np.random.Generator, int, str, None] = None,
-        lfsr_seed: int = 0xACE1_2357,
+        rng: Union[np.random.Generator, int, None] = None,
     ) -> None:
         self._dtype = np.dtype(dtype)
         self._width = bit_width(self._dtype)
@@ -88,16 +88,8 @@ class FaultInjector:
                 f"dtype {self._dtype} has {self._width} bits"
             )
         self._bit_distribution = bit_distribution
-        self._use_lfsr = rng == "lfsr"
-        if self._use_lfsr:
-            self._lfsr = LFSR(seed=lfsr_seed)
-            self._rng = np.random.default_rng(lfsr_seed)
-        else:
-            self._lfsr = None
-            if isinstance(rng, np.random.Generator):
-                self._rng = rng
-            else:
-                self._rng = np.random.default_rng(rng)
+        # default_rng returns a Generator unaltered.
+        self._rng = np.random.default_rng(rng)
         self._fault_rate = 0.0
         self._ops_until_fault = -1
         self._faults_injected = 0
@@ -105,17 +97,9 @@ class FaultInjector:
         self.fault_rate = fault_rate
         # Compute backend, resolved once at construction (the executors wrap
         # trial execution in use_backend, so processors built for a sweep see
-        # the sweep's choice).  The accelerated corrupt_array kernel requires
-        # generator-timed faults and the stock inverse-CDF bit sampler; any
-        # other configuration stays on the numpy tier.
+        # the sweep's choice).
         self._backend = active_backend()
-        self._stock_sampler = self._bit_distribution.stock_sampler
-        kernel = self._backend.kernel("corrupt_array")
-        self._array_kernel = (
-            kernel
-            if kernel is not None and not self._use_lfsr and self._stock_sampler
-            else None
-        )
+        self._array_kernel = self._backend.kernel("corrupt_array")
 
     # ------------------------------------------------------------------ #
     # Configuration
@@ -134,11 +118,6 @@ class FaultInjector:
     def rng(self) -> np.random.Generator:
         """The injector's random generator (used by batched fault kernels)."""
         return self._rng
-
-    @property
-    def uses_lfsr(self) -> bool:
-        """Whether faults are timed by the hardware-style LFSR."""
-        return self._use_lfsr
 
     @property
     def backend(self) -> ComputeBackend:
@@ -184,8 +163,6 @@ class FaultInjector:
         ``1 / rate`` operations.
         """
         upper = max(1, int(round(2.0 / self._fault_rate)))
-        if self._use_lfsr:
-            return self._lfsr.randint(1, upper)
         return int(self._rng.integers(1, upper + 1))
 
     def _schedule_next_fault(self) -> None:
@@ -195,17 +172,11 @@ class FaultInjector:
             self._ops_until_fault = self._uniform_interval()
 
     def _draw_bit(self) -> int:
-        if self._use_lfsr:
-            return self._bit_distribution.sample_scalar(self._lfsr)
-        if self._stock_sampler:
-            # BitPositionDistribution.sample(rng, size=1)[0] for one draw:
-            # rng.random() consumes the same double as rng.random(1).
-            return int(
-                self._bit_distribution.cdf().searchsorted(
-                    self._rng.random(), side="right"
-                )
-            )
-        return int(self._bit_distribution.sample(self._rng, size=1)[0])
+        # BitPositionDistribution.sample(rng, size=1)[0] for one draw:
+        # rng.random() consumes the same double as rng.random(1).
+        return int(
+            self._bit_distribution.cdf().searchsorted(self._rng.random(), side="right")
+        )
 
     def _round(self, value: float) -> float:
         """``value`` rounded to the datapath dtype, as a Python float.

@@ -13,6 +13,7 @@ from typing import Callable, Dict, Union
 import numpy as np
 
 from repro.exceptions import FaultModelError
+from repro.faults.bitflip import bit_width
 from repro.faults.distribution import (
     BitPositionDistribution,
     EmulatedBitDistribution,
@@ -36,7 +37,8 @@ class FaultModel:
     dtype:
         Floating-point dtype of the simulated FPU datapath.
     bit_distribution:
-        Distribution over which bit a fault flips.
+        Distribution over which bit a fault flips; its width must be the
+        dtype's, or construction raises :class:`FaultModelError`.
     description:
         One-line description used in reports and documentation.
     """
@@ -46,10 +48,19 @@ class FaultModel:
     bit_distribution: BitPositionDistribution
     description: str = ""
 
+    def __post_init__(self) -> None:
+        width = bit_width(self.dtype)
+        if self.bit_distribution.width != width:
+            raise FaultModelError(
+                f"fault model {self.name!r}: bit distribution is over "
+                f"{self.bit_distribution.width} bits but dtype "
+                f"{np.dtype(self.dtype)} has {width} bits"
+            )
+
     def make_injector(
         self,
         fault_rate: float = 0.0,
-        rng: Union[np.random.Generator, int, str, None] = None,
+        rng: Union[np.random.Generator, int, None] = None,
     ) -> FaultInjector:
         """Build a :class:`FaultInjector` configured according to this model."""
         return FaultInjector(

@@ -130,12 +130,7 @@ def corrupt_inplace(
     fault_indices = mask.reshape(-1).nonzero()[0]
     n_faults = fault_indices.size
     if n_faults:
-        flip_bits_at(
-            native,
-            fault_indices,
-            bit_distribution.sample(rng, size=n_faults),
-            check_range=not bit_distribution.stock_sampler,
-        )
+        flip_bits_at(native, fault_indices, bit_distribution.sample(rng, size=n_faults))
     return n_faults
 
 

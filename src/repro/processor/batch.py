@@ -48,9 +48,10 @@ class ProcessorBatch:
     ----------
     procs:
         One :class:`StochasticProcessor` per trial row.  The processors must
-        share a datapath dtype (they come from one fault model) but may carry
-        *different* fault rates — a fault-rate sweep stacks all rates of a
-        series into one batch.  Scenario grids satisfy the shared-dtype
+        share a datapath dtype and a bit distribution (they come from one
+        fault model), or construction raises :class:`ValueError`; they may
+        carry *different* fault rates — a fault-rate sweep stacks all rates
+        of a series into one batch.  Scenario grids satisfy the shared-model
         requirement by construction: the executors split a grid into
         per-scenario sub-batches, so a :class:`ProcessorBatch` never spans
         scenarios (which may differ in dtype and bit distribution).
@@ -66,17 +67,29 @@ class ProcessorBatch:
                 f"processors mix datapath dtypes {sorted(map(str, dtypes))}; "
                 "a batch must come from one fault model"
             )
+        # Every trial draws its bit positions through one fused inverse-CDF
+        # lookup, so the processors must share the distribution's CDF.
+        distribution = procs[0].injector.bit_distribution
+        cdf = distribution.cdf()
+        if not all(
+            np.array_equal(proc.injector.bit_distribution.cdf(), cdf) for proc in procs
+        ):
+            raise ValueError(
+                "processors mix bit distributions; a batch must come from one "
+                "fault model"
+            )
         self.procs = procs
         # The batched corruption path runs thousands of times per solve, so
         # everything derivable from the (fixed) processor configuration is
-        # resolved once here: per-trial rates, generators, distributions, and
-        # lazily the per-ops fault thresholds and reusable scratch buffers.
-        # Consequently a processor's fault rate must not be mutated while it
-        # is enrolled in a batch (executors build fresh processors per batch).
+        # resolved once here: per-trial rates, generators, the shared
+        # distribution, and lazily the per-ops fault thresholds and reusable
+        # scratch buffers.  Consequently a processor's fault rate must not be
+        # mutated while it is enrolled in a batch (executors build fresh
+        # processors per batch).
         self._rates = np.asarray([proc.fault_rate for proc in procs], dtype=np.float64)
         self._active = np.flatnonzero(self._rates > 0.0).tolist()
         self._rngs = [proc.injector.rng for proc in procs]
-        self._distributions = [proc.injector.bit_distribution for proc in procs]
+        self._distribution = distribution
         self._thresholds: dict = {}
         self._scratch: dict = {}
         self._pending_ops = 0
@@ -84,17 +97,6 @@ class ProcessorBatch:
         self._rows = tuple(range(len(procs)))
         self._sub_batches: dict = {}
         self._recent: list = []
-        # Bit positions can be drawn with one fused inverse-CDF lookup when
-        # every trial shares the stock sampling implementation and CDF; a
-        # custom distribution subclass falls back to per-trial sample().
-        first = self._distributions[0]
-        if all(
-            dist.stock_sampler and np.array_equal(dist.cdf(), first.cdf())
-            for dist in self._distributions
-        ):
-            self._shared_cdf = first.cdf()
-        else:
-            self._shared_cdf = None
         # Compute-backend fast path for the fused corruption pass.  The
         # compiled kernels run each trial's draws to completion before the
         # next trial's, which consumes the per-generator streams identically
@@ -105,12 +107,7 @@ class ProcessorBatch:
 
         kernel = active_backend().kernel("batch_corrupt")
         self._batch_kernel = (
-            kernel
-            if kernel is not None
-            and self._shared_cdf is not None
-            and len({id(rng) for rng in self._rngs}) == len(self._rngs)
-            and not any(proc.injector.uses_lfsr for proc in procs)
-            else None
+            kernel if len({id(rng) for rng in self._rngs}) == len(self._rngs) else None
         )
 
     def __len__(self) -> int:
@@ -186,12 +183,13 @@ class ProcessorBatch:
 
         Reproduces :func:`~repro.faults.vectorized.corrupt_inplace`'s
         per-trial draw protocol (uniform mask first, then exactly n_faults
-        bit positions, nothing at rate zero) with reusable buffers, and flips
-        through the compact XOR it shares with it
-        (:func:`~repro.faults.bitflip.flip_bits_at`), which range-checks
-        positions from custom samplers.  Runs inside :meth:`corrupt`'s
-        errstate scope.  tests/test_tensor_backend.py pins it against
-        per-trial corruption.
+        bit positions, nothing at rate zero) with reusable buffers: each
+        faulted trial draws its uniforms from its own generator, one
+        inverse-CDF lookup over the shared distribution turns them into bit
+        positions, and the compact XOR it shares with it
+        (:func:`~repro.faults.bitflip.flip_bits_at`) flips them.  Runs inside
+        :meth:`corrupt`'s errstate scope.  tests/test_tensor_backend.py pins
+        it against per-trial corruption.
         """
         uniforms, mask, native, active_rows = self._workspace(arr.shape)
         native[...] = arr
@@ -220,24 +218,9 @@ class ProcessorBatch:
                 if count
             ]
             rngs = self._rngs
-            if self._shared_cdf is not None:
-                draws = [rngs[trial].random(count) for trial, count in faulted]
-                positions = self._distributions[0]._inverse_cdf(
-                    np.concatenate(draws)
-                )
-            else:
-                positions = np.concatenate(
-                    [
-                        self._distributions[trial].sample(rngs[trial], size=count)
-                        for trial, count in faulted
-                    ]
-                )
-            flip_bits_at(
-                native,
-                fault_indices,
-                positions,
-                check_range=self._shared_cdf is None,
-            )
+            draws = [rngs[trial].random(count) for trial, count in faulted]
+            positions = self._distribution._inverse_cdf(np.concatenate(draws))
+            flip_bits_at(native, fault_indices, positions)
         return native.astype(np.float64)
 
     def narrow(self, index) -> "ProcessorBatch":

@@ -47,7 +47,7 @@ class StochasticProcessor:
         Defaults to ``"leon3-fpu"`` — single-precision datapath with the
         emulated bimodal bit distribution.
     rng:
-        Seed, generator, ``None``, or ``"lfsr"`` (see
+        Seed, generator, or ``None`` (see
         :class:`~repro.faults.injector.FaultInjector`).
     """
 
@@ -56,23 +56,15 @@ class StochasticProcessor:
         fault_rate: float = 0.0,
         voltage: Optional[float] = None,
         fault_model: Union[str, FaultModel] = "leon3-fpu",
-        rng: Union[np.random.Generator, int, str, None] = None,
+        rng: Union[np.random.Generator, int, None] = None,
     ) -> None:
         if isinstance(fault_model, str):
             fault_model = get_fault_model(fault_model)
         self._fault_model = fault_model
         self._injector = fault_model.make_injector(fault_rate=fault_rate, rng=rng)
         self._fpu = StochasticFPU(self._injector)
-        # Fused corrupt fast path: bind the backend's corrupt_block kernel
-        # when the injector's substrate preconditions hold (the injector's
-        # own corrupt_array binding already encodes them: stock bit
-        # distribution, non-LFSR generator, backend provides the C tier).
-        block = self._injector.backend.kernel("corrupt_block")
-        self._block_kernel = (
-            block
-            if block is not None and self._injector._array_kernel is not None
-            else None
-        )
+        # Fused corrupt fast path: the backend's corrupt_block kernel, if any.
+        self._block_kernel = self._injector.backend.kernel("corrupt_block")
         self._array_flops = 0
         self._voltage = VOLTAGE_MODEL.max_voltage
         if voltage is not None:

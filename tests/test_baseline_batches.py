@@ -31,11 +31,8 @@ from repro.applications.least_squares import (
     baseline_least_squares,
     baseline_svd_least_squares_batch,
 )
-from repro.exceptions import FaultModelError
 from repro.faults.bitflip import flip_bit_scalar
-from repro.faults.distribution import EmulatedBitDistribution
 from repro.faults.fpu import StochasticFPUBatch
-from repro.faults.models import FaultModel, get_fault_model
 from repro.linalg.ops import noisy_dot, noisy_matvec
 from repro.linalg.svd import (
     jacobi_svd,
@@ -63,27 +60,6 @@ def runtime_warnings_as_errors():
         yield
 
 
-class IntegerBits(EmulatedBitDistribution):
-    """A custom sampler: bit positions drawn as generator integers."""
-
-    def sample(self, rng, size=1):
-        return rng.integers(0, self.width, size=size)
-
-
-class OutOfRangeBits(EmulatedBitDistribution):
-    """A custom sampler whose positions lie past the datapath width."""
-
-    def sample(self, rng, size=1):
-        return np.full(size, self.width + int(rng.integers(0, 3)))
-
-
-def custom_processor(rate, model, distribution_class, seed):
-    base = get_fault_model(model)
-    width = np.dtype(base.dtype).itemsize * 8
-    custom = FaultModel("custom-sampler", base.dtype, distribution_class(width=width))
-    return StochasticProcessor(fault_rate=rate, fault_model=custom, rng=seed)
-
-
 def bits(values):
     return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
 
@@ -104,7 +80,6 @@ def state(proc):
         injector.ops_observed,
         injector._ops_until_fault,
         injector.rng.bit_generator.state,
-        injector._lfsr._state if injector.uses_lfsr else None,
     )
 
 
@@ -116,10 +91,9 @@ def assert_same_states(actual, expected):
 # The scalar-FPU batch
 # --------------------------------------------------------------------------- #
 #: An FPU batch holds four trials at drawn rates, then one inside
-#: ``protected()`` (index ``PROTECTED``), one LFSR-timed and one with a custom
-#: sampler.
+#: ``protected()`` (index ``PROTECTED``).
 PROTECTED = 4
-N_FPU_TRIALS = 7
+N_FPU_TRIALS = 5
 
 special_floats = st.sampled_from(
     [0.0, -0.0, math.inf, -math.inf, math.nan, 1e39, -3.5e38, 1e300, 5e-324, 1.0]
@@ -143,18 +117,14 @@ fpu_steps = st.lists(
 )
 
 
-def fpu_trials(model, rates, special_rates, seed):
+def fpu_trials(model, rates, protected_rate, seed):
     procs = [
         StochasticProcessor(fault_rate=rate, fault_model=model, rng=seed + trial)
         for trial, rate in enumerate(rates)
     ]
     procs.append(
-        StochasticProcessor(fault_rate=special_rates[0], fault_model=model, rng=seed + 4)
+        StochasticProcessor(fault_rate=protected_rate, fault_model=model, rng=seed + 4)
     )
-    procs.append(
-        StochasticProcessor(fault_rate=special_rates[1], fault_model=model, rng="lfsr")
-    )
-    procs.append(custom_processor(special_rates[2], model, IntegerBits, seed + 6))
     return procs
 
 
@@ -175,14 +145,14 @@ class TestFPUBatchMatchesPerTrialFPU:
     @given(
         model=st.sampled_from(MODELS),
         rates=st.lists(st.sampled_from(RATES), min_size=4, max_size=4),
-        special_rates=st.tuples(*[st.sampled_from(RATES[1:])] * 3),
+        protected_rate=st.sampled_from(RATES[1:]),
         steps=fpu_steps,
         seed=st.integers(0, 2**31),
     )
-    def test_op_sequence(self, model, rates, special_rates, steps, seed):
+    def test_op_sequence(self, model, rates, protected_rate, steps, seed):
         """Values, counters, countdowns and generators after every flush."""
-        batched = fpu_trials(model, rates, special_rates, seed)
-        serial = fpu_trials(model, rates, special_rates, seed)
+        batched = fpu_trials(model, rates, protected_rate, seed)
+        serial = fpu_trials(model, rates, protected_rate, seed)
         previous = ([1.5] * N_FPU_TRIALS, [1.5] * N_FPU_TRIALS)
         with runtime_warnings_as_errors(), batched[PROTECTED].fpu.protected(), \
                 serial[PROTECTED].fpu.protected():
@@ -212,18 +182,6 @@ class TestFPUBatchMatchesPerTrialFPU:
         got = fpus.div([1.0, -2.0, 0.0, math.nan], [-0.0, -0.0, -0.0, 0.0])
         assert got[:2] == [math.inf, -math.inf]
         assert math.isnan(got[2]) and math.isnan(got[3])
-
-    @pytest.mark.parametrize("model", MODELS)
-    def test_custom_sampler_positions_are_range_checked(self, model):
-        serial = custom_processor(1.0, model, OutOfRangeBits, 3)
-        batched = custom_processor(1.0, model, OutOfRangeBits, 3)
-        fpus = StochasticFPUBatch([batched.fpu])
-        with pytest.raises(FaultModelError, match="out of range"):
-            for _ in range(3):
-                serial.fpu.add(1.0, 2.0)
-        with pytest.raises(FaultModelError, match="out of range"):
-            for _ in range(3):
-                fpus.add(1.0, 2.0)
 
     def test_rejects_mixed_dtypes_and_bad_operands(self):
         with pytest.raises(ValueError, match="dtypes"):
@@ -479,6 +437,16 @@ class TestBatchedPrimitives:
         assert_same_states(batched, serial)
         with pytest.raises(ValueError, match="shape mismatch"):
             batch_matvec(batch, A[:2], X)
+
+    def test_batch_refuses_mixed_bit_distributions(self):
+        """One fused inverse-CDF lookup serves a batch, so its trials share one CDF."""
+        procs = [
+            StochasticProcessor(fault_rate=0.1, fault_model=model, rng=1)
+            for model in ("leon3-fpu", "uniform-bits")
+        ]
+        assert procs[0].dtype == procs[1].dtype
+        with pytest.raises(ValueError, match="bit distributions"):
+            ProcessorBatch(procs)
 
     def test_narrow_caches_sub_batches_and_flush_reaches_them(self):
         procs = make_processors("leon3-fpu", [0.3, 0.3, 0.3], 9)

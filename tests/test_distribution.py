@@ -14,7 +14,6 @@ from repro.faults.distribution import (
     UniformBitDistribution,
     total_variation_distance,
 )
-from repro.faults.lfsr import LFSR
 
 ALL_DISTRIBUTIONS = [
     EmulatedBitDistribution,
@@ -43,13 +42,6 @@ class TestPMFBasics:
         samples = dist.sample(np.random.default_rng(0), size=500)
         assert samples.min() >= 0
         assert samples.max() < width
-
-    def test_scalar_lfsr_sampling(self, distribution_cls, width):
-        dist = distribution_cls(width=width)
-        lfsr = LFSR(seed=99)
-        samples = [dist.sample_scalar(lfsr) for _ in range(100)]
-        assert min(samples) >= 0
-        assert max(samples) < width
 
 
 class TestEmulatedDistribution:
@@ -117,6 +109,15 @@ class TestLowOrderDistribution:
     def test_invalid_n_bits(self):
         with pytest.raises(FaultModelError):
             LowOrderBitDistribution(width=32, n_bits=0)
+
+
+class TestDefinedByWeights:
+    def test_subclass_defining_sample_raises(self):
+        """A distribution is its weights: a subclass may not define sample()."""
+        with pytest.raises(TypeError, match="sample"):
+            class IntegerBits(EmulatedBitDistribution):
+                def sample(self, rng, size=1):
+                    return rng.integers(0, self.width, size=size)
 
 
 class TestTotalVariation:

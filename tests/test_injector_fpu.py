@@ -51,12 +51,6 @@ class TestScalarInjection:
         observed = injector.faults_injected / n
         assert 0.05 < observed < 0.2
 
-    def test_lfsr_driven_injection(self):
-        injector = FaultInjector(0.1, rng="lfsr")
-        for _ in range(1000):
-            injector.corrupt_scalar(2.0)
-        assert injector.faults_injected > 20
-
     def test_counters_reset(self):
         injector = FaultInjector(0.5, rng=0)
         for _ in range(100):
@@ -106,17 +100,14 @@ class TestStochasticFPU:
         assert fpu.mul(2.0, 3.0) == 6.0
         assert fpu.div(6.0, 3.0) == 2.0
         assert fpu.sqrt(9.0) == 3.0
-        assert fpu.neg(4.0) == -4.0
         assert fpu.abs(-4.0) == 4.0
         assert fpu.move(1.25) == 1.25
-        assert fpu.fma(2.0, 3.0, 1.0) == 7.0
 
     def test_flop_counting(self):
         fpu = StochasticFPU(FaultInjector(0.0))
         fpu.add(1, 2)
         fpu.mul(2, 3)
-        fpu.fma(1, 2, 3)
-        assert fpu.flops == 4
+        assert fpu.flops == 2
 
     def test_ieee_division_by_zero(self):
         fpu = StochasticFPU(FaultInjector(0.0, dtype=np.float64))
@@ -132,7 +123,6 @@ class TestStochasticFPU:
         fpu = StochasticFPU(FaultInjector(0.0, dtype=np.float64))
         assert fpu.less_than(1.0, 2.0)
         assert not fpu.less_than(2.0, 1.0)
-        assert fpu.greater_than(2.0, 1.0)
         assert fpu.compare(1.0, 1.0) == 0
         assert fpu.compare(0.0, 1.0) == -1
         assert fpu.compare(2.0, 1.0) == 1

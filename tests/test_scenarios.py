@@ -111,19 +111,13 @@ class TestScenarioResolution:
         assert spec_hash(by_name.fingerprint()) == spec_hash(by_object.fingerprint())
 
     def test_explicit_distribution_width_mismatch_raises(self):
-        """A model whose distribution does not fit its dtype fails at its processor."""
-        scenario = Scenario(
-            name="bad",
-            fault_model=FaultModel(
+        """A model whose distribution does not fit its dtype fails when it is built."""
+        with pytest.raises(FaultModelError, match="bits"):
+            FaultModel(
                 name="bad",
                 dtype=np.dtype(np.float64),
                 bit_distribution=LowOrderBitDistribution(width=32),
-            ),
-        )
-        spec = SweepSpec({"a": noisy_metric}, fault_rates=(0.1,), trials=1,
-                         scenarios=(scenario,)).expand()[0]
-        with pytest.raises(FaultModelError, match="bits"):
-            spec.make_processor(spec.make_stream())
+            )
 
     def test_unmodified_scenario_returns_registry_model(self):
         scenario = get_scenario("nominal")
