@@ -1,4 +1,4 @@
-"""Quickstart: robustify an application and run it on a faulty processor.
+"""Quickstart: run robust applications and their baselines on a faulty processor.
 
 Run:  python examples/quickstart.py
 """
@@ -6,6 +6,9 @@ Run:  python examples/quickstart.py
 import numpy as np
 
 import repro
+from repro.applications.least_squares import robust_least_squares_cg
+from repro.applications.sorting import baseline_sort, default_sorting_config, robust_sort
+from repro.workloads import random_least_squares
 
 
 def main() -> None:
@@ -15,23 +18,16 @@ def main() -> None:
 
     # --- Sorting, the paper's fragile example (Section 4.3) -----------------
     values = np.array([7.3, 0.6, 4.8, 2.2, 9.1])
-    robust_sort = repro.robustify("sorting")
-
-    from repro.applications.sorting import default_sorting_config
-
     config = default_sorting_config(iterations=3000, values=values)
     result = robust_sort(values, proc, config)
     print("robust sort   :", np.round(result.output, 3), "success =", result.success)
 
-    baseline = robust_sort.baseline(values, proc.spawn())
+    baseline = baseline_sort(values, proc.spawn())
     print("baseline sort :", np.round(baseline.output, 3), "success =", baseline.success)
 
     # --- Least squares with conjugate gradient (Sections 4.1, 6.3) ----------
-    from repro.workloads import random_least_squares
-
     A, b, _ = random_least_squares(100, 10, rng=1)
-    robust_lsq = repro.robustify("least-squares-cg")
-    lsq = robust_lsq(A, b, proc.spawn())
+    lsq = robust_least_squares_cg(A, b, proc.spawn())
     print(f"CG least squares: relative error = {lsq.relative_error:.2e} "
           f"({lsq.flops} FLOPs, {lsq.faults_injected} faults injected)")
 

@@ -124,7 +124,7 @@ def select_kernels(only) -> list:
         if spec not in selected:
             selected.append(spec)
     if unknown:
-        raise SystemExit(
+        raise KeyError(
             f"unknown kernel(s) {sorted(unknown)}; choose from {kernels.kernel_names()}"
         )
     return selected
@@ -133,10 +133,7 @@ def select_kernels(only) -> list:
 def resolve_scenarios(names):
     """Resolve ``--scenario`` names (or the default set) against the registry."""
     chosen = names if names else list(DEFAULT_CROSS_MODEL_SCENARIOS)
-    try:
-        return [get_scenario(name) for name in chosen]
-    except KeyError as error:
-        raise SystemExit(f"{error.args[0]}")
+    return [get_scenario(name) for name in chosen]
 
 
 def resolve_policy(parser, args):
@@ -196,6 +193,11 @@ def main(argv=None) -> None:
         backend = resolve_backend(args.backend)
     except ValueError as error:
         parser.error(str(error))
+    try:
+        selected = select_kernels(args.only)
+        scenarios = resolve_scenarios(args.scenario) if args.grid else None
+    except KeyError as error:
+        parser.error(error.args[0])
 
     scale = 1.0 if args.paper_scale else 0.25
     trials = args.trials if args.trials is not None else (5 if args.paper_scale else 3)
@@ -212,8 +214,6 @@ def main(argv=None) -> None:
     if args.grid:
         from repro.experiments.spec import DEFAULT_FAULT_RATES
 
-        scenarios = resolve_scenarios(args.scenario)
-        selected = select_kernels(args.only)
         if args.only is None:
             # The registered scenario-study kernels are excluded by default:
             # wrapping a scenario study in another ad-hoc grid would
@@ -260,7 +260,7 @@ def main(argv=None) -> None:
                                    use_success_rate=spec.use_success_rate)
         return
 
-    for spec in select_kernels(args.only):
+    for spec in selected:
         kwargs = spec.reduced_kwargs(trials, scale)
         key = {"figure": spec.figure, "params": spec.cache_params(kwargs)}
         if spec.takes_engine:

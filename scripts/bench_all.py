@@ -95,6 +95,7 @@ from repro.experiments.engine import ExperimentEngine
 from repro.experiments.search import CriticalVoltageBisector, ProbeRunner
 from repro.experiments.sequential import ConfidenceTarget, wilson_half_width
 from repro.experiments.spec import SweepSpec
+from repro.metrics.quality import successes
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -450,9 +451,7 @@ def bench_adaptive(args, backend) -> dict:
 
     fixed_series, fixed_seconds = timed(None)
     target = max(
-        wilson_half_width(
-            sum(1 for v in point_values if v >= 0.5), len(point_values)
-        )
+        wilson_half_width(successes(point_values), len(point_values))
         for series in fixed_series
         for point_values in series.values
     )

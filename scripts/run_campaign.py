@@ -28,8 +28,9 @@ CI parses it to assert that a resumed campaign recomputed nothing that was
 already complete.
 
 Exit codes: 0 success; 1 incomplete campaign or ``--verify-serial``
-mismatch; 2 usage errors (unknown kernel/scenario/backend, ``--resume`` id
-mismatch, unknown ``--status`` id); 3 deliberate abort via
+mismatch; 2 usage errors (unknown kernel/scenario/backend, a fault rate
+outside [0, 1], ``--resume`` id mismatch, unknown ``--status`` id), which
+write no campaign manifest; 3 deliberate abort via
 ``--fail-after`` (the kill+resume test hook: abort the run after N shard
 completions, leaving a resumable store behind).
 """
@@ -164,30 +165,30 @@ def main(argv=None) -> int:
         print(f"[campaign] {error}", file=sys.stderr)
         return 2
 
-    rates = tuple(args.rates) if args.rates else DEFAULT_FAULT_RATES
-    policy = None
-    if args.budget == "adaptive":
-        max_trials = (
-            args.max_trials if args.max_trials is not None
-            else max(args.trials, 2) * 4
-        )
-        policy = ConfidenceTarget(
-            half_width=args.half_width, batch=max(args.trials, 2),
-            min_trials=2, max_trials=max_trials,
-        )
-
-    def make_sweep() -> SweepSpec:
-        try:
-            return SweepSpec(
-                trial_functions=functions,
-                fault_rates=rates,
-                trials=args.trials,
-                seed=args.seed,
-                scenarios=tuple(args.scenarios) if args.scenarios else None,
-                policy=policy,
+    # Build the whole sweep before anything touches the store, so a bad
+    # rate, scenario or budget is a usage error that writes nothing.
+    try:
+        policy = None
+        if args.budget == "adaptive":
+            max_trials = (
+                args.max_trials if args.max_trials is not None
+                else max(args.trials, 2) * 4
             )
-        except (KeyError, ValueError) as error:
-            raise SystemExit(f"[campaign] invalid sweep: {error}")
+            policy = ConfidenceTarget(
+                half_width=args.half_width, batch=max(args.trials, 2),
+                min_trials=2, max_trials=max_trials,
+            )
+        sweep = SweepSpec(
+            trial_functions=functions,
+            fault_rates=tuple(args.rates) if args.rates else DEFAULT_FAULT_RATES,
+            trials=args.trials,
+            seed=args.seed,
+            scenarios=tuple(args.scenarios) if args.scenarios else None,
+            policy=policy,
+        )
+    except (KeyError, ValueError) as error:
+        print(f"[campaign] invalid sweep: {error.args[0]}", file=sys.stderr)
+        return 2
 
     # The workload key covers what the sweep fingerprint cannot see: the
     # kernel identity and its factory parameters (iteration budget and the
@@ -208,13 +209,15 @@ def main(argv=None) -> int:
         executor=args.executor,
         progress=progress,
     )
-    campaign = runner.submit(make_sweep(), key=key)
-    if args.resume is not None and campaign.campaign_id != args.resume:
-        print(f"[campaign] --resume id {args.resume!r} does not match the "
-              f"campaign planned from these arguments "
-              f"({campaign.campaign_id!r}); refusing to run a different "
-              "campaign under a resume flag", file=sys.stderr)
-        return 2
+    if args.resume is not None:
+        planned = runner.campaign_id(sweep, key=key)
+        if planned != args.resume:
+            print(f"[campaign] --resume id {args.resume!r} does not match the "
+                  f"campaign planned from these arguments ({planned!r}); "
+                  "refusing to run a different campaign under a resume flag",
+                  file=sys.stderr)
+            return 2
+    campaign = runner.submit(sweep, key=key)
 
     on_shard = None
     if args.fail_after is not None:
@@ -259,7 +262,7 @@ def main(argv=None) -> int:
     })
     if args.verify_serial:
         with use_backend(backend):
-            reference = ExperimentEngine("serial").run_sweep(make_sweep())
+            reference = ExperimentEngine("serial").run_sweep(sweep)
         summary["bit_identical_to_serial"] = (
             series_digest(reference) == summary["digest"]
         )

@@ -12,8 +12,8 @@ gradient descent / conjugate gradient engines that tolerate the faults.
 Quickstart
 ----------
 >>> import repro
+>>> from repro.applications import robust_sort
 >>> proc = repro.StochasticProcessor(fault_rate=0.05, rng=0)
->>> robust_sort = repro.robustify("sorting")
 >>> result = robust_sort([3.0, 1.0, 2.0], proc)
 >>> result.output
 array([1., 2., 3.])
@@ -28,7 +28,6 @@ from repro.exceptions import (
     FaultModelError,
     VoltageModelError,
     ProblemSpecificationError,
-    ConvergenceError,
 )
 from repro.faults import (
     FaultInjector,
@@ -62,12 +61,9 @@ from repro.optimizers import (
     OptimizationResult,
 )
 from repro.core import (
-    robustify,
-    RobustApplication,
     RobustSolveConfig,
     solve_penalized_lp,
     to_penalty_form,
-    list_applications,
     get_variant,
     list_variants,
 )
@@ -81,7 +77,6 @@ __all__ = [
     "FaultModelError",
     "VoltageModelError",
     "ProblemSpecificationError",
-    "ConvergenceError",
     # Fault substrate
     "FaultInjector",
     "FaultModel",
@@ -111,12 +106,9 @@ __all__ = [
     "QRPreconditioner",
     "OptimizationResult",
     # Core methodology
-    "robustify",
-    "RobustApplication",
     "RobustSolveConfig",
     "solve_penalized_lp",
     "to_penalty_form",
-    "list_applications",
     "get_variant",
     "list_variants",
 ]

@@ -40,6 +40,7 @@ import numpy as np
 
 from repro.exceptions import ProblemSpecificationError
 from repro.faults.vectorized import quiet
+from repro.metrics.quality import mean_squared_error, relative_error
 from repro.optimizers.base import OptimizationResult
 from repro.optimizers.problem import UnconstrainedProblem
 from repro.optimizers.sgd import (
@@ -512,17 +513,10 @@ def _score(
     y_arr = np.asarray(y, dtype=np.float64).ravel()
     if exact is None:
         exact = exact_iir_filter(filt, u)
-    signal_energy = max(float(np.linalg.norm(exact)), np.finfo(float).tiny)
-    if np.all(np.isfinite(y_arr)):
-        error_to_signal = float(np.linalg.norm(y_arr - exact) / signal_energy)
-        mse = float(np.mean((y_arr - exact) ** 2))
-    else:
-        error_to_signal = float("inf")
-        mse = float("inf")
     return IIRResult(
         y=y_arr,
-        error_to_signal=error_to_signal,
-        mse=mse,
+        error_to_signal=relative_error(y_arr, exact),
+        mse=mean_squared_error(y_arr, exact),
         flops=flops,
         faults_injected=faults,
         method=method,

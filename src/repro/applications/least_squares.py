@@ -15,10 +15,10 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.verification import relative_difference
 from repro.faults.vectorized import quiet
 from repro.linalg.solve import least_squares_baseline
 from repro.linalg.svd import svd_least_squares_batch
+from repro.metrics.quality import relative_error
 from repro.optimizers.base import OptimizationResult
 from repro.optimizers.conjugate_gradient import (
     CGOptions,
@@ -123,7 +123,7 @@ def _finish(
         residual_gap = float("inf")
     return LeastSquaresResult(
         x=x_arr,
-        relative_error=relative_difference(x_arr, exact),
+        relative_error=relative_error(x_arr, exact),
         residual_gap=residual_gap,
         residual_norm=residual_norm,
         flops=flops,

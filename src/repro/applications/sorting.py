@@ -26,8 +26,8 @@ from repro.core.transform import (
     solve_penalized_lp,
     solve_penalized_lp_batch,
 )
-from repro.core.verification import is_valid_sorted_output
 from repro.exceptions import ProblemSpecificationError
+from repro.metrics.quality import is_valid_sorted_output
 from repro.optimizers.annealing import PenaltyAnnealing
 from repro.optimizers.base import OptimizationResult
 from repro.optimizers.penalty import PenaltyKind

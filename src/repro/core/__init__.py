@@ -1,20 +1,15 @@
 """The robustification methodology (the paper's primary contribution).
 
-The core package ties the pieces together:
-
 * :mod:`repro.core.transform` — mechanical conversion of a constrained
   variational form into its unconstrained exact-penalty form and the shared
   "penalized linear program" solve pipeline with the §6.2 enhancements
   (preconditioning, momentum, step-size scaling, annealing).
 * :mod:`repro.core.variants` — the named solver variants that appear in the
   figures ("SGD", "SGD+AS,LS", "SGD+AS,SQS", "PRECOND", "ANNEAL", "ALL", ...).
-* :mod:`repro.core.robustify` — the public ``robustify()`` entry point that
-  returns a robust, stochastic-optimization-based implementation of a named
-  application.
-* :mod:`repro.core.recipes` — the registry mapping application names to their
-  transformation recipes.
-* :mod:`repro.core.verification` — reliable control-phase validation of
-  solver outputs.
+
+The robust applications built on it live in :mod:`repro.applications`
+(``robust_sort``, ``robust_least_squares_cg``, ...), each next to its
+conventional baseline; :mod:`repro.metrics.quality` scores their outputs.
 """
 
 from repro.core.transform import RobustSolveConfig, solve_penalized_lp, to_penalty_form
@@ -23,13 +18,6 @@ from repro.core.variants import (
     get_variant,
     list_variants,
     sgd_options_for_variant,
-)
-from repro.core.robustify import RobustApplication, robustify
-from repro.core.recipes import list_applications
-from repro.core.verification import (
-    assert_finite,
-    is_permutation_matrix,
-    is_valid_sorted_output,
 )
 
 __all__ = [
@@ -40,10 +28,4 @@ __all__ = [
     "get_variant",
     "list_variants",
     "sgd_options_for_variant",
-    "RobustApplication",
-    "robustify",
-    "list_applications",
-    "assert_finite",
-    "is_permutation_matrix",
-    "is_valid_sorted_output",
 ]

@@ -163,8 +163,3 @@ def sgd_options_for_variant(
         annealing=(annealing or PenaltyAnnealing()) if spec.annealing else None,
         gradient_clip=gradient_clip,
     )
-
-
-def variant_uses_preconditioning(name: str) -> bool:
-    """Whether the named variant applies QR preconditioning."""
-    return get_variant(name).precondition

@@ -31,14 +31,3 @@ class ProblemSpecificationError(RobustificationError):
     callback, or an application input that cannot be converted into the
     variational form required by the robustification recipes.
     """
-
-
-class ConvergenceError(RobustificationError):
-    """Raised when a solver is asked to guarantee convergence but fails.
-
-    Most solvers in this package report non-convergence through the
-    :class:`repro.optimizers.base.OptimizationResult` object rather than by
-    raising; this exception is reserved for the strict APIs that promise a
-    solution (for example the reliable control-phase verifiers).
-    """
-

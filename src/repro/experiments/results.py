@@ -14,8 +14,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
-import numpy as np
-
+from repro.metrics.quality import success_rate
 from repro.metrics.statistics import TrialSummary, summarize
 
 __all__ = ["SeriesResult", "FigureResult", "series_digest"]
@@ -48,18 +47,12 @@ class SeriesResult:
         return [s.mean for s in self.summaries()]
 
     def success_rates(self) -> List[float]:
-        """Per-fault-rate fraction of trials with value >= 0.5 (for 0/1 series).
+        """Per-fault-rate :func:`~repro.metrics.quality.success_rate` (0/1 series).
 
         A fault rate with no recorded trials yields ``nan`` rather than a
-        misleading 0 % success rate: "no data" and "every trial failed" are
-        different outcomes and the reports must not conflate them.
+        misleading 0 % success rate.
         """
-        return [
-            float(np.mean([1.0 if v >= 0.5 else 0.0 for v in trial_values]))
-            if trial_values
-            else float("nan")
-            for trial_values in self.values
-        ]
+        return [success_rate(trial_values) for trial_values in self.values]
 
     def to_dict(self) -> Dict[str, Any]:
         """Plain-data form of this series (for the on-disk result cache)."""

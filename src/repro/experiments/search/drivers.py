@@ -10,13 +10,13 @@ store-backed memo make every answered probe permanent.  Three drivers:
     success-rate crossing within a voltage tolerance — O(log 1/tol) probes
     where a dense grid needs O(range/tol).
 :class:`ParetoTracer`
-    The energy-vs-accuracy frontier over the processor's
-    :class:`~repro.processor.energy.EnergyModel`: probes the endpoints,
+    The energy-vs-accuracy frontier under the processor's
+    :data:`~repro.processor.energy.ENERGY_MODEL`: probes the endpoints,
     then refines only segments whose endpoints disagree on accuracy —
     flat 0 %/100 % plateaus (most of any real grid) are never subdivided.
 :class:`RecipeRanker`
-    A successive-halving race of robustification recipes (series variants
-    from the kernel registry / :mod:`repro.core.recipes`): every entrant is
+    A successive-halving race of robustification recipes (the series
+    variants of :mod:`repro.experiments.kernels`): every entrant is
     probed at a small trial budget, the bottom half is pruned, and the
     budget doubles for the survivors — losers never see the full budget.
 
@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.processor.energy import EnergyModel
+from repro.processor.energy import ENERGY_MODEL
 from repro.processor.voltage import MIN_VOLTAGE, NOMINAL_VOLTAGE
 
 from repro.experiments.search.probes import ProbeResult, ProbeRunner
@@ -335,9 +335,9 @@ def trace_frontier(
 class ParetoTracer(SearchDriver):
     """Trace the energy-vs-accuracy frontier of one series.
 
-    Accuracy is the probe success rate; energy comes from the processor's
-    :class:`~repro.processor.energy.EnergyModel` at ``flops`` floating-point
-    operations (energy scales with V², so lower voltage is cheaper and the
+    Accuracy is the probe success rate; energy is one FLOP's energy under
+    :data:`~repro.processor.energy.ENERGY_MODEL`, the model of every
+    processor (energy scales with V², so lower voltage is cheaper and the
     frontier is the set of operating points no other point beats on both
     axes — on a plateau, only its lowest-voltage point survives).
     """
@@ -346,23 +346,20 @@ class ParetoTracer(SearchDriver):
     v_low: float = MIN_VOLTAGE
     v_high: float = NOMINAL_VOLTAGE
     max_probes: int = 32
-    flops: float = 1.0
-    voltage_exponent: float = 2.0
     name: str = field(default="pareto", init=False, repr=False)
 
     def fingerprint(self) -> Dict[str, Any]:
+        # "flops" and "voltage_exponent" record the energy model's fixed
+        # inputs, so search ids stay those of the runs that already exist.
         return {
             "driver": self.name,
             "min_segment": float(self.min_segment),
             "v_low": float(self.v_low),
             "v_high": float(self.v_high),
             "max_probes": int(self.max_probes),
-            "flops": float(self.flops),
-            "voltage_exponent": float(self.voltage_exponent),
+            "flops": 1.0,
+            "voltage_exponent": 2.0,
         }
-
-    def energy_model(self) -> EnergyModel:
-        return EnergyModel(voltage_exponent=self.voltage_exponent)
 
     def run(self, runner: ProbeRunner) -> Dict[str, Any]:
         probes: List[ProbeResult] = []
@@ -375,13 +372,12 @@ class ParetoTracer(SearchDriver):
         samples = trace_frontier(
             probe, self.v_low, self.v_high, self.min_segment, self.max_probes
         )
-        model = self.energy_model()
         points = [
             {
                 "voltage": voltage,
                 "accuracy": accuracy,
-                "energy": model.energy(self.flops, voltage),
-                "energy_savings": model.savings_vs_nominal(self.flops, voltage),
+                "energy": ENERGY_MODEL.energy(1.0, voltage),
+                "energy_savings": ENERGY_MODEL.savings_vs_nominal(1.0, voltage),
             }
             for voltage, accuracy in samples
         ]
@@ -457,12 +453,11 @@ def successive_halving(
 class RecipeRanker(SearchDriver):
     """Successive-halving race of robustification recipes at one stress point.
 
-    Entrants are (kernel, series) recipe variants — the registry's series
-    line-ups are the paper's robustification recipes (see
-    :mod:`repro.core.recipes`).  Each is probed at the stress ``voltage``
-    with an escalating trial budget; the bottom half is pruned each rung,
-    so a losing recipe costs ``base_trials`` trials instead of the full
-    budget.
+    Entrants are (kernel, series) recipe variants — the series line-ups of
+    :mod:`repro.experiments.kernels` are the paper's robustification
+    recipes.  Each is probed at the stress ``voltage`` with an escalating
+    trial budget; the bottom half is pruned each rung, so a losing recipe
+    costs ``base_trials`` trials instead of the full budget.
     """
 
     voltage: float = 0.65

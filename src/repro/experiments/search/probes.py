@@ -41,6 +41,7 @@ from repro.experiments.campaign.store import ShardResult, ShardStore
 from repro.experiments.scenarios import voltage_scenario
 from repro.experiments.sequential import ConfidenceTarget
 from repro.experiments.spec import SweepSpec, TrialFunction
+from repro.metrics.quality import success_rate
 
 __all__ = ["ProbeResult", "ProbeRunner"]
 
@@ -61,10 +62,8 @@ class ProbeResult:
 
     @property
     def success_rate(self) -> float:
-        """Fraction of trials scoring ≥ 0.5 (the SeriesResult convention)."""
-        if not self.values:
-            return math.nan
-        return sum(1 for value in self.values if value >= 0.5) / len(self.values)
+        """:func:`~repro.metrics.quality.success_rate` of the trial values."""
+        return success_rate(self.values)
 
     @property
     def mean(self) -> float:

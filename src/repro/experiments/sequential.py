@@ -10,8 +10,9 @@ Two interval estimators cover the two metric shapes the trial functions
 produce:
 
 * :func:`wilson_interval` — the Wilson score interval for a binomial success
-  rate (trial values thresholded at 0.5, exactly like
-  :meth:`~repro.experiments.results.SeriesResult.success_rates`);
+  rate (successes counted by :func:`repro.metrics.quality.successes`, the
+  rule :meth:`~repro.experiments.results.SeriesResult.success_rates` scores
+  with);
 * :func:`bootstrap_interval` — a percentile bootstrap for scalar metrics
   (mean error), seeded deterministically so adaptive runs stay
   byte-reproducible.
@@ -33,6 +34,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.metrics.quality import successes
 
 __all__ = [
     "wilson_interval",
@@ -244,8 +247,7 @@ class ConfidenceTarget:
         if n == 0:
             return float("inf")
         if self.metric == "success_rate":
-            successes = sum(1 for v in values if v >= 0.5)
-            return wilson_half_width(successes, n, self.confidence)
+            return wilson_half_width(successes(values), n, self.confidence)
         arr = np.asarray(values, dtype=float)
         if not np.all(np.isfinite(arr)):
             return float("inf")

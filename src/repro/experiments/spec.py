@@ -145,6 +145,9 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         self.fault_rates = tuple(float(rate) for rate in self.fault_rates)
+        outside = [rate for rate in self.fault_rates if not 0.0 <= rate <= 1.0]
+        if outside:
+            raise ValueError(f"fault rates must lie in [0, 1], got {outside}")
         if self.trials < 0:
             raise ValueError(f"trials must be non-negative, got {self.trials}")
         if self.policy is not None and not isinstance(self.policy, ConfidenceTarget):

@@ -1,30 +1,28 @@
 """Output-quality metrics and trial statistics.
 
-The paper's metrics (Chapter 6): success rate for sorting and matching,
-relative error for least squares, error-to-signal ratio for IIR, plus the
-energy metric of Figure 6.7.  :mod:`repro.metrics.statistics` aggregates
-per-trial values into the mean/deviation/confidence summaries the experiment
-harness reports.
+:mod:`repro.metrics.quality` holds the one definition of each of the paper's
+Chapter 6 metrics that the applications and reports score through: success
+rate for sorting and matching (with the sorting success check), relative
+error for least squares, and error over signal energy and mean squared error
+for IIR.  :mod:`repro.metrics.statistics` aggregates per-trial values into the
+summaries the experiment harness reports.
 """
 
 from repro.metrics.quality import (
+    successes,
     success_rate,
+    is_valid_sorted_output,
     relative_error,
-    residual_relative_error,
-    error_to_signal_ratio,
     mean_squared_error,
-    quality_of_result,
 )
-from repro.metrics.statistics import TrialSummary, summarize, geometric_mean
+from repro.metrics.statistics import TrialSummary, summarize
 
 __all__ = [
+    "successes",
     "success_rate",
+    "is_valid_sorted_output",
     "relative_error",
-    "residual_relative_error",
-    "error_to_signal_ratio",
     "mean_squared_error",
-    "quality_of_result",
     "TrialSummary",
     "summarize",
-    "geometric_mean",
 ]

@@ -7,7 +7,7 @@ from typing import Iterable
 
 import numpy as np
 
-__all__ = ["TrialSummary", "summarize", "geometric_mean"]
+__all__ = ["TrialSummary", "summarize"]
 
 
 @dataclass(frozen=True)
@@ -60,17 +60,3 @@ def summarize(values: Iterable[float]) -> TrialSummary:
         minimum=float(finite.min()),
         maximum=float(finite.max()),
     )
-
-
-def geometric_mean(values: Iterable[float], floor: float = 1e-30) -> float:
-    """Geometric mean of positive values (non-finite entries are skipped).
-
-    Used for summarizing error ratios that span many orders of magnitude,
-    such as the IIR error-to-signal series.
-    """
-    arr = np.asarray(list(values), dtype=np.float64)
-    finite = arr[np.isfinite(arr)]
-    if finite.size == 0:
-        return float("nan")
-    clipped = np.maximum(finite, floor)
-    return float(np.exp(np.mean(np.log(clipped))))

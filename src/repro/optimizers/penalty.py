@@ -209,11 +209,6 @@ class ExactPenaltyProblem:
     # ------------------------------------------------------------------ #
     # Tensorized evaluation (whole trial batches at once)
     # ------------------------------------------------------------------ #
-    @property
-    def has_batch_gradient(self) -> bool:
-        """Whether the underlying objective carries a tensorized gradient."""
-        return self.problem.objective.has_batch_gradient
-
     @quiet
     def gradient_batch(self, X: np.ndarray, batch: ProcessorBatch) -> np.ndarray:
         """Noisy penalty (sub)gradients for a stacked ``(n_trials, dim)`` iterate.

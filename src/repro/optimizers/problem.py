@@ -62,9 +62,9 @@ class UnconstrainedProblem:
         Optional tensorized gradient ``∇f(X, batch)`` over a stacked
         ``(n_trials, dimension)`` iterate, evaluated on a
         :class:`~repro.processor.batch.ProcessorBatch`.  Row ``t`` must be
-        bit-identical to ``gradient(X[t], batch.procs[t])``; problems that
-        supply one can be solved by the tensorized trial backend
-        (:mod:`repro.experiments.tensor`).
+        bit-identical to ``gradient(X[t], batch.procs[t])``.  The batched
+        solver (:func:`~repro.optimizers.sgd.stochastic_gradient_descent_batch`,
+        behind :mod:`repro.experiments.tensor`) requires it.
     """
 
     def __init__(
@@ -116,11 +116,6 @@ class UnconstrainedProblem:
                 f"gradient has shape {grad.shape}, expected ({self.dimension},)"
             )
         return grad
-
-    @property
-    def has_batch_gradient(self) -> bool:
-        """Whether this problem carries a tensorized gradient implementation."""
-        return self._gradient_batch is not None
 
     def gradient_batch(self, X: np.ndarray, batch: ProcessorBatch) -> np.ndarray:
         """Noisy (sub)gradients for a stacked ``(n_trials, dimension)`` iterate.

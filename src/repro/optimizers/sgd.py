@@ -254,8 +254,9 @@ def stochastic_gradient_descent_batch(
     ----------
     problem:
         A problem exposing ``gradient_batch(X, batch)`` next to the serial
-        interface (``has_batch_gradient`` true); otherwise every trial falls
-        back to the serial solver.
+        interface; one built without a batched gradient raises
+        :class:`~repro.exceptions.ProblemSpecificationError` at the first
+        iteration.
     batch:
         The per-trial processors, wrapped in a
         :class:`~repro.processor.batch.ProcessorBatch`.
@@ -274,7 +275,7 @@ def stochastic_gradient_descent_batch(
     options = options if options is not None else SGDOptions()
     n_trials = len(batch)
     starts = stack_initial_iterates(x0, n_trials, problem.dimension, problem.initial_point)
-    if options.record_history or not getattr(problem, "has_batch_gradient", False):
+    if options.record_history:
         return [
             stochastic_gradient_descent(problem, proc, options=options, x0=starts[trial])
             for trial, proc in enumerate(batch.procs)

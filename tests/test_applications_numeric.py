@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.applications import iir as iir_module
+from repro.applications import least_squares as least_squares_module
 from repro.applications.eigen import robust_eigenpairs, robust_top_eigenpair
 from repro.applications.iir import (
     IIRFilter,
@@ -75,6 +77,16 @@ class TestLeastSquares:
             )
         assert np.median(robust_errors) < np.median(baseline_errors)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_solution_scores_infinite_error(self, bad):
+        """A failed solve is never close to the ideal one, whatever its other entries."""
+        A, b, _ = random_least_squares(20, 4, rng=5)
+        x, *_ = np.linalg.lstsq(A, b, rcond=None)
+        x[1] = bad
+        result = least_squares_module._finish(A, b, x, "scored", 0, 0)
+        assert result.relative_error == float("inf")
+        assert result.residual_norm == float("inf")
+
 
 class TestIIR:
     def _filter(self):
@@ -141,6 +153,17 @@ class TestIIR:
         u = sum_of_sinusoids(80)
         result = robust_iir_filter(filt, u, reliable(), precondition=False)
         assert np.all(np.isfinite(result.y))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_output_scores_infinite_error(self, bad):
+        """One non-finite sample makes both IIR metrics infinite."""
+        filt = self._filter()
+        u = sum_of_sinusoids(40)
+        y = exact_iir_filter(filt, u)
+        y[7] = bad
+        result = iir_module._score(filt, u, y, "scored", 0, 0)
+        assert result.error_to_signal == float("inf")
+        assert result.mse == float("inf")
 
 
 class TestEigen:

@@ -1,25 +1,11 @@
-"""Tests for the core robustification layer (transform, variants, registry)."""
+"""Tests for the core robustification layer (transform and variants)."""
 
 import numpy as np
 import pytest
 
-from repro.core.recipes import ApplicationRecipe, get_recipe, list_applications, register_recipe
-from repro.core.robustify import RobustApplication, robustify
 from repro.core.transform import RobustSolveConfig, solve_penalized_lp, to_penalty_form
-from repro.core.variants import (
-    get_variant,
-    list_variants,
-    sgd_options_for_variant,
-    variant_uses_preconditioning,
-)
-from repro.core.verification import (
-    assert_finite,
-    is_doubly_stochastic,
-    is_permutation_matrix,
-    is_valid_sorted_output,
-    relative_difference,
-)
-from repro.exceptions import ConvergenceError, ProblemSpecificationError
+from repro.core.variants import get_variant, list_variants, sgd_options_for_variant
+from repro.exceptions import ProblemSpecificationError
 from repro.optimizers.penalty import ExactPenaltyProblem, PenaltyKind
 from repro.optimizers.problem import LinearConstraints, LinearProgram
 from repro.processor.stochastic import StochasticProcessor
@@ -50,8 +36,8 @@ class TestVariants:
         assert options.aggressive is None
 
     def test_preconditioning_flag(self):
-        assert variant_uses_preconditioning("PRECOND")
-        assert not variant_uses_preconditioning("SGD,LS")
+        assert RobustSolveConfig(variant="PRECOND").uses_preconditioning()
+        assert not RobustSolveConfig(variant="SGD,LS").uses_preconditioning()
 
 
 class TestTransform:
@@ -89,87 +75,3 @@ class TestTransform:
         assert options.annealing is not None
         assert config.uses_preconditioning()
 
-
-class TestVerification:
-    def test_assert_finite(self):
-        assert_finite(np.ones(3))
-        with pytest.raises(ConvergenceError):
-            assert_finite(np.array([1.0, np.nan]))
-
-    def test_is_permutation_matrix(self):
-        assert is_permutation_matrix(np.eye(3))
-        assert is_permutation_matrix(np.array([[0, 1], [1, 0]]))
-        assert not is_permutation_matrix(np.array([[1, 1], [0, 0]]))
-        assert not is_permutation_matrix(np.full((2, 2), 0.5))
-        assert not is_permutation_matrix(np.ones((2, 3)))
-        assert not is_permutation_matrix(np.array([[np.nan, 1], [1, 0]]))
-
-    def test_is_doubly_stochastic(self):
-        assert is_doubly_stochastic(np.full((4, 4), 0.25))
-        assert is_doubly_stochastic(np.eye(3))
-        assert not is_doubly_stochastic(np.full((2, 2), 0.9))
-        assert not is_doubly_stochastic(np.array([[-0.5, 0.5], [0.5, 0.5]]))
-
-    def test_is_valid_sorted_output(self):
-        original = np.array([3.0, 1.0, 2.0])
-        assert is_valid_sorted_output(np.array([1.0, 2.0, 3.0]), original)
-        assert not is_valid_sorted_output(np.array([1.0, 3.0, 2.0]), original)
-        assert not is_valid_sorted_output(np.array([1.0, 2.0, 4.0]), original)
-        assert not is_valid_sorted_output(np.array([1.0, np.nan, 3.0]), original)
-
-    def test_relative_difference(self):
-        assert relative_difference(np.ones(3), np.ones(3)) == 0.0
-        assert relative_difference(np.array([np.inf]), np.ones(1)) == float("inf")
-        with pytest.raises(ValueError):
-            relative_difference(np.ones(2), np.ones(3))
-
-
-class TestRegistry:
-    def test_all_paper_applications_registered(self):
-        names = list_applications()
-        for expected in ("sorting", "matching", "least-squares", "iir", "maxflow", "shortest-path"):
-            assert expected in names
-
-    def test_unknown_application_raises(self):
-        with pytest.raises(ProblemSpecificationError):
-            get_recipe("fft")
-
-    def test_register_custom_recipe(self):
-        recipe = ApplicationRecipe(
-            name="test-custom-app",
-            module="repro.applications.least_squares",
-            robust_function="robust_least_squares_sgd",
-            baseline_function="baseline_least_squares",
-            description="custom",
-        )
-        register_recipe(recipe, overwrite=True)
-        assert get_recipe("test-custom-app").module.endswith("least_squares")
-        with pytest.raises(ProblemSpecificationError):
-            register_recipe(recipe)
-
-    def test_robustify_returns_wrapper(self):
-        app = robustify("sorting")
-        assert isinstance(app, RobustApplication)
-        assert app.name == "sorting"
-        assert app.has_baseline
-        assert "4.3" in app.description or "permutation" in app.description
-
-    def test_robustify_end_to_end_sorting(self):
-        from repro.applications.sorting import default_sorting_config
-
-        app = robustify("sorting")
-        proc = StochasticProcessor(fault_rate=0.0, rng=0)
-        values = [4.0, 1.0, 3.0, 2.0, 5.0]
-        result = app(values, proc, default_sorting_config(iterations=1500, values=values))
-        assert result.success
-
-    def test_robustify_baseline_call(self):
-        app = robustify("sorting")
-        proc = StochasticProcessor(fault_rate=0.0, rng=0)
-        result = app.baseline([3.0, 1.0, 2.0], proc)
-        assert result.success
-
-    def test_recipe_without_baseline_raises(self):
-        recipe = get_recipe("eigen")
-        with pytest.raises(ProblemSpecificationError):
-            recipe.load_baseline()

@@ -69,6 +69,15 @@ class TestSpec:
         with pytest.raises(ValueError):
             make_sweep(trials=-1)
 
+    @pytest.mark.parametrize("rate", [1.5, -0.1, float("nan")])
+    def test_fault_rate_outside_unit_interval_rejected(self, rate):
+        with pytest.raises(ValueError, match="fault rates"):
+            make_sweep(fault_rates=(0.05, rate))
+
+    def test_unit_interval_endpoints_accepted(self):
+        sweep = make_sweep(fault_rates=(0.0, 1.0))
+        assert sweep.fault_rates == (0.0, 1.0)
+
 
 class TestExecutorEquivalence:
     """All executors must return identical floats for the same plan."""

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.applications.sorting import default_sorting_config
+from repro.applications.least_squares import baseline_least_squares, robust_least_squares_cg
+from repro.applications.sorting import baseline_sort, default_sorting_config, robust_sort
 from repro.core.transform import RobustSolveConfig, solve_penalized_lp
 from repro.optimizers.penalty import PenaltyKind
 from repro.optimizers.problem import LinearConstraints, LinearProgram
@@ -17,15 +18,12 @@ from repro.workloads.generators import random_least_squares
 class TestPublicAPI:
     def test_top_level_exports(self):
         assert repro.__version__
-        assert callable(repro.robustify)
-        assert "sorting" in repro.list_applications()
         assert "ALL" in repro.list_variants()
 
     def test_quickstart_flow(self):
         proc = repro.StochasticProcessor(fault_rate=0.02, rng=0)
-        app = repro.robustify("least-squares-cg")
         A, b, _ = random_least_squares(40, 6, rng=1)
-        result = app(A, b, proc)
+        result = robust_least_squares_cg(A, b, proc)
         assert result.relative_error < 0.5
         assert proc.flops > 0
         assert proc.energy() > 0
@@ -49,20 +47,21 @@ class TestEndToEndRobustness:
         for seed in range(trials):
             proc = StochasticProcessor(fault_rate=0.3, rng=seed)
             config = default_sorting_config(iterations=2500, values=values)
-            robust_successes += repro.robustify("sorting")(values, proc, config).success
+            robust_successes += robust_sort(values, proc, config).success
             proc = StochasticProcessor(fault_rate=0.3, rng=100 + seed)
-            baseline_successes += repro.robustify("sorting").baseline(values, proc).success
+            baseline_successes += baseline_sort(values, proc).success
         assert robust_successes >= baseline_successes
 
     def test_cg_least_squares_beats_cholesky_under_faults(self):
         A, b, _ = random_least_squares(80, 8, rng=2)
-        app = repro.robustify("least-squares-cg")
         robust_errors, baseline_errors = [], []
         for seed in range(3):
             proc = StochasticProcessor(fault_rate=0.01, rng=seed)
-            robust_errors.append(app(A, b, proc).relative_error)
+            robust_errors.append(robust_least_squares_cg(A, b, proc).relative_error)
             proc = StochasticProcessor(fault_rate=0.01, rng=50 + seed)
-            baseline_errors.append(app.baseline(A, b, proc, method="cholesky").relative_error)
+            baseline_errors.append(
+                baseline_least_squares(A, b, proc, method="cholesky").relative_error
+            )
         assert np.median(robust_errors) < np.median(baseline_errors)
 
 

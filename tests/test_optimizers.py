@@ -18,7 +18,11 @@ from repro.optimizers.problem import (
     QuadraticProblem,
     UnconstrainedProblem,
 )
-from repro.optimizers.sgd import SGDOptions, stochastic_gradient_descent
+from repro.optimizers.sgd import (
+    SGDOptions,
+    stochastic_gradient_descent,
+    stochastic_gradient_descent_batch,
+)
 from repro.optimizers.step_schedules import (
     AggressiveStepping,
     ConstantSchedule,
@@ -26,6 +30,7 @@ from repro.optimizers.step_schedules import (
     SqrtDecaySchedule,
     make_schedule,
 )
+from repro.processor.batch import ProcessorBatch
 from repro.processor.stochastic import StochasticProcessor
 from repro.workloads.generators import random_least_squares
 
@@ -322,6 +327,13 @@ class TestSGD:
         problem = QuadraticProblem(A, b)
         with pytest.raises(ProblemSpecificationError):
             stochastic_gradient_descent(problem, reliable(), SGDOptions(iterations=1), x0=np.zeros(5))
+
+    def test_batched_solve_requires_a_batch_gradient(self):
+        """The batched driver has no per-trial fallback for a serial-only problem."""
+        problem = UnconstrainedProblem(2, lambda x, p: float(x @ x), lambda x, p: 2.0 * x)
+        batch = ProcessorBatch([reliable(), reliable()])
+        with pytest.raises(ProblemSpecificationError, match="tensorized gradient"):
+            stochastic_gradient_descent_batch(problem, batch, SGDOptions(iterations=3))
 
 
 class TestConjugateGradient:

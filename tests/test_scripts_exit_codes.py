@@ -151,6 +151,19 @@ class TestReproduceFiguresBudgetFlags:
         capsys.readouterr()
 
 
+class TestReproduceFiguresNames:
+    @pytest.mark.parametrize(
+        "argv", [["--only", "no-such"], ["--grid", "--scenario", "no-such"]],
+        ids=["only", "scenario"],
+    )
+    def test_unknown_name_is_usage_error(self, figures, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            figures.main([*argv, "--cache-dir", str(tmp_path / "cache")])
+        assert excinfo.value.code == 2
+        assert "no-such" in capsys.readouterr().err
+        assert not (tmp_path / "cache").exists()
+
+
 def write_runs(root, side, walls, speedups=None, kernel="sorting", **overrides):
     """A fabricated record in one bench_all output directory per wall time.
 
@@ -429,6 +442,21 @@ class TestRunCampaign:
         )
         assert code == 2
         assert "iterations" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra, named",
+        [(("--scenarios", "no-such"), "no-such"), (("--rates", "1.5"), "1.5"),
+         (("--budget", "adaptive", "--half-width", "0"), "half_width"),
+         (("--resume", "feedfacefeedface"), "does not match")],
+        ids=["scenario", "rate", "half-width", "resume"],
+    )
+    def test_usage_error_writes_no_manifest(
+        self, campaign_cli, tmp_path, capsys, extra, named
+    ):
+        code = campaign_cli.main(campaign_args(tmp_path, *extra))
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not list((tmp_path / "store").glob("campaigns/*.json"))
 
     @pytest.mark.parametrize(
         "payload", ["null", "[1, 2]", "42", '"text"'],

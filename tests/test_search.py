@@ -13,6 +13,7 @@ import math
 
 import pytest
 
+from repro.experiments.cache import spec_hash
 from repro.experiments.campaign import ShardStore
 from repro.experiments.kernels import (
     WORKLOAD_SEED,
@@ -33,6 +34,7 @@ from repro.experiments.search import (
     successive_halving,
     trace_frontier,
 )
+from repro.processor.energy import ENERGY_MODEL
 
 
 @pytest.fixture(scope="module")
@@ -215,6 +217,20 @@ class TestTraceFrontier:
         assert all(a < b for a, b in zip(accuracies, accuracies[1:]))
         assert energies == sorted(energies)
         assert outcome["probe_count"] <= 16
+        assert all(
+            point["energy"] == ENERGY_MODEL.energy(1.0, point["voltage"])
+            for point in outcome["points"]
+        )
+
+    def test_pareto_fingerprint_is_pinned(self):
+        """One FLOP under the one energy model: no knobs, and search ids stay put."""
+        assert spec_hash(ParetoTracer().fingerprint())[:16] == "a165d76c90b8d974"
+        assert spec_hash(
+            ParetoTracer(min_segment=0.05, max_probes=16).fingerprint()
+        )[:16] == "d4d530427c233b7a"
+        for removed in ("flops", "voltage_exponent"):
+            with pytest.raises(TypeError):
+                ParetoTracer(**{removed: 1.0})
 
 
 class TestSuccessiveHalving:

@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 
 from repro.exceptions import ProblemSpecificationError
 from repro.metrics.quality import (
-    error_to_signal_ratio,
+    is_valid_sorted_output,
     mean_squared_error,
-    quality_of_result,
     relative_error,
-    residual_relative_error,
     success_rate,
+    successes,
 )
-from repro.metrics.statistics import geometric_mean, summarize
+from repro.metrics.statistics import summarize
 from repro.workloads.generators import (
     random_array,
     random_bipartite_graph,
@@ -141,34 +140,32 @@ class TestSignals:
 
 class TestQualityMetrics:
     def test_success_rate(self):
-        assert success_rate([True, False, True, True]) == pytest.approx(0.75)
-        assert success_rate([]) == 0.0
+        assert success_rate([1.0, 0.0, 1.0, 1.0]) == 0.75
+        assert successes([1.0, 0.0, float("nan"), 0.5]) == 2
+        assert np.isnan(success_rate([]))
 
     def test_relative_error(self):
         assert relative_error(np.ones(3), np.ones(3)) == 0.0
         assert relative_error(np.array([np.nan]), np.ones(1)) == float("inf")
         assert relative_error(2 * np.ones(4), np.ones(4)) == pytest.approx(1.0)
 
-    def test_residual_relative_error(self):
-        A = np.eye(3)
-        b = np.array([1.0, 2.0, 3.0])
-        assert residual_relative_error(A, b, b) == 0.0
-        assert residual_relative_error(A, b, np.zeros(3)) == pytest.approx(1.0)
-
     def test_error_to_signal_and_mse(self):
         y = np.array([1.0, 2.0])
-        assert error_to_signal_ratio(y, y) == 0.0
+        assert relative_error(y, y) == 0.0
         assert mean_squared_error(y, np.zeros(2)) == pytest.approx(2.5)
         assert mean_squared_error(np.array([np.inf, 0.0]), y) == float("inf")
 
-    def test_quality_of_result_caps(self):
-        assert quality_of_result([0.5, 2.0, np.inf], cap=1.0) == pytest.approx((0.5 + 1.0 + 1.0) / 3)
-        assert quality_of_result([]) == 0.0
+    def test_is_valid_sorted_output(self):
+        original = np.array([3.0, 1.0, 2.0])
+        assert is_valid_sorted_output(np.array([1.0, 2.0, 3.0]), original)
+        assert not is_valid_sorted_output(np.array([1.0, 3.0, 2.0]), original)
+        assert not is_valid_sorted_output(np.array([1.0, 2.0, 4.0]), original)
+        assert not is_valid_sorted_output(np.array([1.0, np.nan, 3.0]), original)
 
     @given(st.lists(st.booleans(), min_size=1, max_size=50))
     @settings(max_examples=30, deadline=None)
     def test_success_rate_bounds_property(self, outcomes):
-        rate = success_rate(outcomes)
+        rate = success_rate([float(outcome) for outcome in outcomes])
         assert 0.0 <= rate <= 1.0
         assert rate == pytest.approx(sum(outcomes) / len(outcomes))
 
@@ -191,7 +188,3 @@ class TestStatistics:
         summary = summarize([np.nan, np.inf])
         assert summary.n_failed == 2
         assert np.isnan(summary.mean)
-
-    def test_geometric_mean(self):
-        assert geometric_mean([1.0, 100.0]) == pytest.approx(10.0)
-        assert np.isnan(geometric_mean([np.nan]))
