@@ -44,6 +44,15 @@ def _divide(a: float, b: float) -> float:
     return a / b
 
 
+# ``add`` and ``mul`` write their NaN rule out: a NaN ``a`` gives ``a`` itself,
+# quieted (``a + 0.0``), whatever ``b`` is.  Left to Python, ``a + b`` or
+# ``a * b`` of two NaNs takes one payload through the generic
+# ``float.__add__`` / ``float.__mul__`` and the other once CPython 3.11+ has
+# specialized the instruction (``b``'s, then ``a``'s, on x86-64), so the bits
+# would depend on how often that line had run.  ``sub`` and ``div`` need no
+# rule: their operands never swap.
+
+
 class StochasticFPU:
     """Scalar floating-point operations routed through a fault injector.
 
@@ -114,7 +123,8 @@ class StochasticFPU:
     # ------------------------------------------------------------------ #
     def add(self, a: float, b: float) -> float:
         """Floating-point addition ``a + b`` with possible corruption."""
-        return self._commit(float(a) + float(b))
+        a, b = float(a), float(b)
+        return self._commit(a + b if a == a else a + 0.0)
 
     def sub(self, a: float, b: float) -> float:
         """Floating-point subtraction ``a - b`` with possible corruption."""
@@ -122,7 +132,8 @@ class StochasticFPU:
 
     def mul(self, a: float, b: float) -> float:
         """Floating-point multiplication ``a * b`` with possible corruption."""
-        return self._commit(float(a) * float(b))
+        a, b = float(a), float(b)
+        return self._commit(a * b if a == a else a + 0.0)
 
     def div(self, a: float, b: float) -> float:
         """Floating-point division ``a / b`` with possible corruption.
@@ -330,16 +341,20 @@ class StochasticFPUBatch:
     # Arithmetic (StochasticFPU's, row by row)
     # ------------------------------------------------------------------ #
     def add(self, a, b) -> List[float]:
-        """Row-wise :meth:`StochasticFPU.add`."""
-        return self._commit([x + y for x, y in zip(self._row(a), self._row(b))])
+        """Row-wise :meth:`StochasticFPU.add`, with its NaN rule."""
+        return self._commit(
+            [x + y if x == x else x + 0.0 for x, y in zip(self._row(a), self._row(b))]
+        )
 
     def sub(self, a, b) -> List[float]:
         """Row-wise :meth:`StochasticFPU.sub`."""
         return self._commit([x - y for x, y in zip(self._row(a), self._row(b))])
 
     def mul(self, a, b) -> List[float]:
-        """Row-wise :meth:`StochasticFPU.mul`."""
-        return self._commit([x * y for x, y in zip(self._row(a), self._row(b))])
+        """Row-wise :meth:`StochasticFPU.mul`, with its NaN rule."""
+        return self._commit(
+            [x * y if x == x else x + 0.0 for x, y in zip(self._row(a), self._row(b))]
+        )
 
     def div(self, a, b) -> List[float]:
         """Row-wise :meth:`StochasticFPU.div`, with its zero-divisor rule."""

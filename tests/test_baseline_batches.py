@@ -15,6 +15,7 @@ the generator state, with ``RuntimeWarning`` raised as an error.
 
 import contextlib
 import math
+import types
 import warnings
 
 import numpy as np
@@ -32,7 +33,7 @@ from repro.applications.least_squares import (
     baseline_svd_least_squares_batch,
 )
 from repro.faults.bitflip import flip_bit_scalar
-from repro.faults.fpu import StochasticFPUBatch
+from repro.faults.fpu import StochasticFPU, StochasticFPUBatch
 from repro.linalg.ops import noisy_dot, noisy_matvec
 from repro.linalg.svd import (
     jacobi_svd,
@@ -85,6 +86,30 @@ def state(proc):
 
 def assert_same_states(actual, expected):
     assert [state(proc) for proc in actual] == [state(proc) for proc in expected]
+
+
+def from_bits(pattern):
+    return float(np.array([pattern], dtype=np.uint64).view(np.float64)[0])
+
+
+def cold_copy(function):
+    """``function`` on fresh bytecode: no instruction in it is specialized yet."""
+
+    def fresh(code):
+        return code.replace(
+            co_consts=tuple(
+                fresh(const) if isinstance(const, types.CodeType) else const
+                for const in code.co_consts
+            )
+        )
+
+    return types.FunctionType(
+        fresh(function.__code__),
+        function.__globals__,
+        function.__name__,
+        function.__defaults__,
+        function.__closure__,
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -183,6 +208,20 @@ class TestFPUBatchMatchesPerTrialFPU:
         assert got[:2] == [math.inf, -math.inf]
         assert math.isnan(got[2]) and math.isnan(got[3])
 
+    @pytest.mark.parametrize("op", ["add", "mul"])
+    def test_two_nans_give_the_first_quieted_on_cold_and_warm_lines(self, op):
+        """The same bits before and after CPython specializes the operation."""
+        signaling, other = from_bits(0x7FF4000000000001), from_bits(0x7FF8000000000002)
+        procs = [StochasticProcessor(fault_model="double-precision") for _ in range(3)]
+        fpu, fpus = procs[0].fpu, StochasticFPUBatch([proc.fpu for proc in procs[1:]])
+        scalar_op, batch_op = getattr(StochasticFPU, op), getattr(StochasticFPUBatch, op)
+        results = [cold_copy(scalar_op)(fpu, signaling, other)]
+        results += cold_copy(batch_op)(fpus, [signaling, signaling], other)
+        for _ in range(100):
+            results.append(scalar_op(fpu, signaling, other))
+            results += batch_op(fpus, [signaling, signaling], other)
+        assert set(bits(results)) == {0x7FFC000000000001}
+
     def test_rejects_mixed_dtypes_and_bad_operands(self):
         with pytest.raises(ValueError, match="dtypes"):
             StochasticFPUBatch(
@@ -212,9 +251,7 @@ def numpy_flip(value, bit, dtype):
 
 float_patterns = st.one_of(
     special_floats,
-    st.integers(0, 2**64 - 1).map(
-        lambda pattern: float(np.array([pattern], dtype=np.uint64).view(np.float64)[0])
-    ),
+    st.integers(0, 2**64 - 1).map(from_bits),
 )
 
 
