@@ -18,6 +18,7 @@ import numpy as np
 from repro.exceptions import ProblemSpecificationError
 from repro.faults.vectorized import quiet
 from repro.linalg.ops import noisy_matvec
+from repro.metrics.quality import relative_error
 from repro.processor.batch import ProcessorBatch, batch_matvec
 from repro.processor.stochastic import StochasticProcessor
 
@@ -95,21 +96,12 @@ def _scored(
     return EigenResult(
         eigenvalue=eigenvalue,
         eigenvector=x,
-        eigenvalue_error=abs(eigenvalue - exact_value) / max(abs(exact_value), 1e-30),
+        eigenvalue_error=relative_error(eigenvalue, exact_value),
         eigenvector_alignment=float(abs(x @ exact_vectors[:, top_index])),
         iterations=iterations,
         flops=flops,
         faults_injected=faults,
     )
-
-
-def _deflation_error(result: EigenResult, target: float) -> float:
-    """The error of a pair found on a deflated matrix.
-
-    It is measured against ``target``, the original spectrum's matching
-    magnitude.
-    """
-    return abs(abs(result.eigenvalue) - target) / max(target, 1e-30)
 
 
 def robust_eigenpairs(
@@ -135,9 +127,12 @@ def robust_eigenpairs(
     deflated = M_arr.copy()
     for index in range(k):
         result = robust_top_eigenpair(deflated, proc, iterations=iterations, rng=generator)
-        # Score against the original matrix's spectrum rather than the deflated one.
+        # Score against the original matrix's spectrum rather than the deflated
+        # one: the pair's magnitude against the matching exact magnitude.
         exact_values = np.sort(np.abs(np.linalg.eigvalsh(M_arr)))[::-1]
-        result.eigenvalue_error = _deflation_error(result, float(exact_values[index]))
+        result.eigenvalue_error = relative_error(
+            abs(result.eigenvalue), float(exact_values[index])
+        )
         results.append(result)
         deflated = deflated - result.eigenvalue * np.outer(result.eigenvector, result.eigenvector)
     return results
@@ -237,7 +232,7 @@ def robust_eigenpairs_batch(
                 proc.flops - flops_before[trial],
                 proc.faults_injected - faults_before[trial],
             )
-            result.eigenvalue_error = _deflation_error(result, target)
+            result.eigenvalue_error = relative_error(abs(result.eigenvalue), target)
             outcomes[trial].append(result)
             deflated[trial] = deflated[trial] - result.eigenvalue * np.outer(
                 result.eigenvector, result.eigenvector

@@ -27,6 +27,7 @@ from repro.core.transform import (
     solve_penalized_lp_batch,
 )
 from repro.exceptions import ProblemSpecificationError
+from repro.metrics.quality import relative_error
 from repro.optimizers.base import OptimizationResult
 from repro.optimizers.problem import LinearConstraints, LinearProgram
 from repro.processor.batch import ProcessorBatch
@@ -192,7 +193,7 @@ def _scored(
     return MaxFlowResult(
         flow_value=value,
         exact_value=exact,
-        relative_error=abs(value - exact) / max(abs(exact), np.finfo(float).tiny),
+        relative_error=relative_error(value, exact),
         feasible=_is_feasible(network, flow, _FEASIBILITY_TOLERANCE * scale),
         flow=flow,
         flops=result.flops,
@@ -250,10 +251,13 @@ def baseline_max_flow(network: FlowNetwork, proc: StochasticProcessor) -> MaxFlo
     flow = np.asarray(
         [flow_matrix[u, v] for (u, v) in network.edges], dtype=np.float64
     )
+    # Not relative_error(value, exact): its norm squares the difference,
+    # which overflows to inf above ~1.3e154, and a 64-bit datapath's flipped
+    # exponent bit leaves finite flow values that large.
     if np.isfinite(value):
-        relative_error = abs(value - exact) / max(abs(exact), np.finfo(float).tiny)
+        error = abs(value - exact) / max(abs(exact), np.finfo(float).tiny)
     else:
-        relative_error = float("inf")
+        error = float("inf")
     scale = float(np.max(np.asarray(network.capacities)))
     feasible = np.all(np.isfinite(flow)) and _is_feasible(
         network, flow, _FEASIBILITY_TOLERANCE * scale
@@ -261,7 +265,7 @@ def baseline_max_flow(network: FlowNetwork, proc: StochasticProcessor) -> MaxFlo
     return MaxFlowResult(
         flow_value=float(value),
         exact_value=exact,
-        relative_error=relative_error,
+        relative_error=error,
         feasible=bool(feasible),
         flow=flow,
         flops=proc.flops - flops_before,

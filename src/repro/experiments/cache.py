@@ -22,7 +22,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import uuid
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Union
 
@@ -37,9 +36,9 @@ _SCHEMA_VERSION = 1
 def atomic_write_json(path: Path, entry: Mapping[str, Any]) -> Path:
     """Publish ``entry`` as JSON at ``path`` via a per-writer atomic rename.
 
-    The write goes through a temporary file unique to this writer (pid +
-    uuid) followed by an atomic rename, so a crashed writer cannot leave a
-    truncated entry behind and two processes publishing the same path
+    The write goes through a temporary file unique to this writer (pid + 128
+    random bits) followed by an atomic rename, so a crashed writer cannot
+    leave a truncated entry behind and two processes publishing the same path
     concurrently cannot interleave their writes into one corrupt file (each
     publishes its own complete file; last rename wins).  This is the single
     write discipline of every on-disk artifact store — the figure
@@ -50,7 +49,7 @@ def atomic_write_json(path: Path, entry: Mapping[str, Any]) -> Path:
     loudly at store time, not round-trip as its ``str()``.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp_path = path.with_name(f"{path.name}.{os.getpid()}.{uuid.uuid4().hex}.tmp")
+    tmp_path = path.with_name(f"{path.name}.{os.getpid()}.{os.urandom(16).hex()}.tmp")
     try:
         tmp_path.write_text(json.dumps(entry, sort_keys=True))
         tmp_path.replace(path)

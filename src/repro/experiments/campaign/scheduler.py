@@ -17,6 +17,8 @@ pools:
     rebuilds.  Completed shards were already published to the store, so a
     retry never recomputes them.  Falls back to ``serial`` where fork is
     unsupported or unsafe (see :meth:`CampaignScheduler.resolved_pool`).
+    It imports ``multiprocessing`` and ``concurrent.futures`` on first use,
+    so a process that never starts it does not load them.
 
 These pools are where parallelism lives: an executor runs a shard's trials
 in one process, and the engine's ``run_sweep`` is the inline case that runs
@@ -36,11 +38,8 @@ run at a time per process (enforced with a lock + error).
 
 from __future__ import annotations
 
-import multiprocessing
 import sys
 import threading
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.experiments.engine import run_points
@@ -178,11 +177,11 @@ class CampaignScheduler:
         deadlock), so the process pool runs only where fork after numpy
         initialization is well-behaved and runs serially elsewhere.
         """
-        if (
-            self.workers <= 1
-            or sys.platform == "darwin"
-            or "fork" not in multiprocessing.get_all_start_methods()
-        ):
+        if self.pool == "serial" or self.workers <= 1 or sys.platform == "darwin":
+            return "serial"
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
             return "serial"
         return self.pool
 
@@ -240,6 +239,10 @@ class CampaignScheduler:
         stats: Dict[str, Any],
     ) -> None:
         global _ACTIVE_CAMPAIGN
+        import multiprocessing
+        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+        from concurrent.futures.process import BrokenProcessPool
+
         remaining: Dict[int, Shard] = {shard.index: shard for shard in pending}
         attempts = 0
         with _ACTIVE_CAMPAIGN_LOCK:

@@ -63,7 +63,9 @@ def random_array(
     while True:
         values = generator.uniform(low, high, size=n)
         gaps = np.diff(np.sort(values))
-        if np.unique(values).size == n and (min_gap == 0.0 or gaps.min() >= min_gap * span):
+        # Distinct values leave no zero gap once sorted.  (``np.unique`` would
+        # say the same but imports ``numpy.ma`` on its first call.)
+        if gaps.min() > 0.0 and (min_gap == 0.0 or gaps.min() >= min_gap * span):
             return values
 
 

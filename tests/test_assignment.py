@@ -3,7 +3,8 @@
 ``repro.applications.assignment.linear_sum_assignment`` is a port of
 SciPy's shortest augmenting path solver; SciPy is imported here as the
 reference only.  A fresh-interpreter test pins that building and running
-the combinatorial kernels loads no SciPy module.
+the combinatorial kernels, a vectorized sweep cell and a serial-pool
+campaign loads no SciPy module, nor any other module such a run never uses.
 """
 
 import os
@@ -81,11 +82,15 @@ def test_matches_scipy(matrix):
 COLD_START = textwrap.dedent(
     """
     import sys
+    import tempfile
 
     import numpy as np
 
     import repro
+    from repro.experiments.campaign import CampaignRunner, ShardPlanner
+    from repro.experiments.engine import ExperimentEngine
     from repro.experiments.kernels import get_kernel
+    from repro.experiments.spec import SweepSpec
     from repro.processor.stochastic import StochasticProcessor
 
     functions = {
@@ -97,12 +102,25 @@ COLD_START = textwrap.dedent(
     for kernel in ("sorting", "matching"):
         trial = functions[kernel]["SGD+AS,SQS"]
         trial(StochasticProcessor(fault_rate=0.01, rng=1), np.random.default_rng(1))
-    print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+    cell = {"SGD+AS,SQS": functions["sorting"]["SGD+AS,SQS"]}
+    ExperimentEngine("vectorized").run_sweep(
+        SweepSpec(cell, fault_rates=(0.01,), trials=2, seed=1)
+    )
+    with tempfile.TemporaryDirectory() as store:
+        runner = CampaignRunner(store, planner=ShardPlanner("cell"), pool="serial")
+        runner.submit(SweepSpec(cell, fault_rates=(0.0, 0.01), trials=2, seed=1)).run()
+    # SciPy, the masked arrays np.unique and np.median import, the process
+    # pool's stack and uuid: none of them runs here.
+    unused = ("scipy", "numpy.ma", "multiprocessing", "concurrent.futures", "uuid")
+    print(sorted(
+        name for name in sys.modules
+        if any(name == root or name.startswith(root + ".") for root in unused)
+    ))
     """
 )
 
 
-def test_cold_start_loads_no_scipy():
+def test_cold_start_loads_only_what_it_runs():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     result = subprocess.run(
         [sys.executable, "-c", COLD_START],

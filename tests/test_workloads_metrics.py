@@ -75,6 +75,30 @@ class TestGenerators:
         with pytest.raises(ProblemSpecificationError):
             random_array(5, min_gap=0.5)
 
+    # 0.08 is the sorting figures' gap; the 8-ulp span makes repeated values
+    # common, so the distinctness rule rejects draws there.
+    @pytest.mark.parametrize(
+        "low, high, min_gap",
+        [(0.0, 10.0, 0.0), (0.0, 10.0, 0.08), (1.0, 1.0 + 8 * np.finfo(float).eps, 0.0)],
+    )
+    def test_random_array_matches_unique_rule(self, low, high, min_gap):
+        def unique_rule(generator):
+            while True:
+                values = generator.uniform(low, high, size=5)
+                gaps = np.diff(np.sort(values))
+                if np.unique(values).size == 5 and (
+                    min_gap == 0.0 or gaps.min() >= min_gap * (high - low)
+                ):
+                    return values
+
+        for seed in range(200):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            np.testing.assert_array_equal(
+                random_array(5, ours, low, high, min_gap), unique_rule(theirs)
+            )
+            # Both rules rejected the same draws.
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
     def test_random_least_squares_shapes_and_condition(self):
         A, b, x_true = random_least_squares(40, 6, rng=1, condition_number=50.0)
         assert A.shape == (40, 6) and b.shape == (40,) and x_true.shape == (6,)
