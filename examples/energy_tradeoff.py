@@ -11,13 +11,15 @@ Run:  python examples/energy_tradeoff.py
 
 import repro
 from repro.applications.least_squares import baseline_least_squares, robust_least_squares_cg
-from repro.workloads import random_least_squares
+from repro.processor.energy import EnergyModel
+from repro.processor.voltage import VoltageErrorModel
+from repro.workloads.generators import random_least_squares
 
 
 def main() -> None:
     A, b, _ = random_least_squares(100, 10, rng=11)
-    voltage_model = repro.VoltageErrorModel()
-    energy_model = repro.EnergyModel()
+    voltage_model = VoltageErrorModel()
+    energy_model = EnergyModel()
 
     print("voltage | error rate | CG error | CG energy | Cholesky error | Cholesky energy")
     print("-" * 86)

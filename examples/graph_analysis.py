@@ -20,7 +20,11 @@ from repro.applications.shortest_path import (
     default_apsp_config,
     robust_all_pairs_shortest_path,
 )
-from repro.workloads import random_bipartite_graph, random_flow_network, random_weighted_graph
+from repro.workloads.generators import (
+    random_bipartite_graph,
+    random_flow_network,
+    random_weighted_graph,
+)
 
 FAULT_RATE = 0.1
 

@@ -8,7 +8,7 @@ import numpy as np
 import repro
 from repro.applications.least_squares import robust_least_squares_cg
 from repro.applications.sorting import baseline_sort, default_sorting_config, robust_sort
-from repro.workloads import random_least_squares
+from repro.workloads.generators import random_least_squares
 
 
 def main() -> None:

@@ -1,11 +1,11 @@
 #!/usr/bin/env python
-"""Documentation checker: relative links and runnable tutorial snippets.
+"""Documentation checker: relative links, imports and runnable snippets.
 
 Run from the repository root (the CI docs job does):
 
     PYTHONPATH=src python scripts/check_docs.py
 
-Two checks, over ``README.md`` and every ``docs/*.md`` file:
+Three checks, over ``README.md`` and every ``docs/*.md`` file:
 
 1. **Links** — every relative Markdown link / image target must exist on
    disk (anchors are stripped; ``http(s)``/``mailto`` URLs are ignored, as
@@ -14,13 +14,19 @@ Two checks, over ``README.md`` and every ``docs/*.md`` file:
 2. **Doctests** — every fenced ``python`` code block that contains ``>>>``
    prompts is executed with :mod:`doctest`.  Blocks within one file share a
    namespace, in order, so a tutorial can build state step by step.
+3. **Imports** — every ``import`` statement in every fenced ``python``
+   block without ``>>>`` prompts must resolve: the module imports and each
+   name it imports exists (as an attribute or a submodule).  This covers
+   the blocks the doctests do not run, such as README's quickstart.
 
 Exits non-zero on the first category of failure, printing every finding.
 """
 
 from __future__ import annotations
 
+import ast
 import doctest
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -60,6 +66,57 @@ def check_links(path: Path) -> list[str]:
     return problems
 
 
+def _display(path: Path) -> str:
+    try:
+        return str(path.relative_to(REPO_ROOT))
+    except ValueError:
+        return str(path)
+
+
+def _unresolved(module: str, name: str | None) -> str | None:
+    """Why ``from module import name`` (``import module`` if no name) fails."""
+    try:
+        imported = importlib.import_module(module)
+    except ImportError as exc:
+        return f"cannot import {module}: {exc}"
+    if name is None or name == "*" or hasattr(imported, name):
+        return None
+    try:
+        importlib.import_module(f"{module}.{name}")
+    except ImportError:
+        return f"{module} has no {name!r}"
+    return None
+
+
+def check_imports(path: Path) -> list[str]:
+    """Imports that do not resolve in the file's prompt-less ``python`` blocks."""
+    problems = []
+    text = path.read_text()
+    for match in _FENCE_PATTERN.finditer(text):
+        language, body = match.groups()
+        if language != "python" or ">>>" in body:
+            continue
+        line = text.count("\n", 0, match.start()) + 1
+        where = f"{_display(path)}:{line}"
+        try:
+            tree = ast.parse(body)
+        except SyntaxError as exc:
+            problems.append(f"{where}: python block does not parse: {exc}")
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                targets = [(alias.name, None) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                targets = [(node.module, alias.name) for alias in node.names]
+            else:
+                continue
+            for module, name in targets:
+                problem = _unresolved(module, name)
+                if problem:
+                    problems.append(f"{where}: {problem}")
+    return problems
+
+
 def run_doctests(path: Path) -> tuple[int, int]:
     """Run the file's ``>>>`` python blocks; returns (failures, tests)."""
     blocks = [
@@ -89,6 +146,11 @@ def main() -> int:
         link_problems.extend(check_links(path))
     for problem in link_problems:
         print(problem)
+    import_problems: list[str] = []
+    for path in files:
+        import_problems.extend(check_imports(path))
+    for problem in import_problems:
+        print(problem)
 
     doctest_failures = 0
     total_examples = 0
@@ -104,9 +166,10 @@ def main() -> int:
     print(
         f"checked {checked} files: "
         f"{len(link_problems)} broken links, "
+        f"{len(import_problems)} unresolved imports, "
         f"{doctest_failures}/{total_examples} doctest failures"
     )
-    return 1 if (link_problems or doctest_failures) else 0
+    return 1 if (link_problems or import_problems or doctest_failures) else 0
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from repro.applications.matching import (
 from repro.optimizers.annealing import PenaltyAnnealing
 from repro.optimizers.penalty import PenaltyKind
 from repro.optimizers.step_schedules import AggressiveStepping
-from repro.workloads import random_bipartite_graph
+from repro.workloads.generators import random_bipartite_graph
 
 
 def main():

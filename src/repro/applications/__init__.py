@@ -14,109 +14,3 @@ deterministic baseline executed on the noisy FPU:
 * :mod:`repro.applications.eigen`, :mod:`repro.applications.svm` — the "other
   numerical problems" of §4.7.
 """
-
-from repro.applications.least_squares import (
-    LeastSquaresResult,
-    robust_least_squares_sgd,
-    robust_least_squares_cg,
-    baseline_least_squares,
-    default_least_squares_step,
-)
-from repro.applications.iir import (
-    IIRFilter,
-    IIRResult,
-    build_banded_matrices,
-    robust_iir_filter,
-    baseline_iir_filter,
-    exact_iir_filter,
-)
-from repro.applications.sorting import (
-    SortResult,
-    sorting_linear_program,
-    robust_sort,
-    baseline_sort,
-    round_to_permutation,
-)
-from repro.applications.matching import (
-    MatchingResult,
-    matching_linear_program,
-    robust_matching,
-    baseline_matching,
-    optimal_matching,
-)
-from repro.applications.maxflow import (
-    MaxFlowResult,
-    maxflow_linear_program,
-    robust_max_flow,
-    robust_max_flow_batch,
-    baseline_max_flow,
-)
-from repro.applications.shortest_path import (
-    ShortestPathResult,
-    apsp_linear_program,
-    robust_all_pairs_shortest_path,
-    robust_all_pairs_shortest_path_batch,
-    baseline_all_pairs_shortest_path,
-    exact_all_pairs_shortest_path,
-)
-from repro.applications.eigen import (
-    EigenResult,
-    robust_top_eigenpair,
-    robust_eigenpairs,
-    robust_eigenpairs_batch,
-)
-from repro.applications.svm import (
-    SVMHingeProblem,
-    SVMResult,
-    default_svm_step,
-    robust_svm_train,
-    robust_svm_train_sgd,
-    robust_svm_train_sgd_batch,
-    svm_accuracy,
-)
-
-__all__ = [
-    "LeastSquaresResult",
-    "robust_least_squares_sgd",
-    "robust_least_squares_cg",
-    "baseline_least_squares",
-    "default_least_squares_step",
-    "IIRFilter",
-    "IIRResult",
-    "build_banded_matrices",
-    "robust_iir_filter",
-    "baseline_iir_filter",
-    "exact_iir_filter",
-    "SortResult",
-    "sorting_linear_program",
-    "robust_sort",
-    "baseline_sort",
-    "round_to_permutation",
-    "MatchingResult",
-    "matching_linear_program",
-    "robust_matching",
-    "baseline_matching",
-    "optimal_matching",
-    "MaxFlowResult",
-    "maxflow_linear_program",
-    "robust_max_flow",
-    "robust_max_flow_batch",
-    "baseline_max_flow",
-    "ShortestPathResult",
-    "apsp_linear_program",
-    "robust_all_pairs_shortest_path",
-    "robust_all_pairs_shortest_path_batch",
-    "baseline_all_pairs_shortest_path",
-    "exact_all_pairs_shortest_path",
-    "EigenResult",
-    "robust_top_eigenpair",
-    "robust_eigenpairs",
-    "robust_eigenpairs_batch",
-    "SVMHingeProblem",
-    "SVMResult",
-    "default_svm_step",
-    "robust_svm_train",
-    "robust_svm_train_sgd",
-    "robust_svm_train_sgd_batch",
-    "svm_accuracy",
-]

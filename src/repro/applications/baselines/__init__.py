@@ -11,29 +11,3 @@ algorithm, corrupted recursions accumulate error in IIR outputs.
 
 (The least-squares decomposition baselines live in :mod:`repro.linalg`.)
 """
-
-from repro.applications.baselines.sorting_baselines import (
-    noisy_comparison_sort,
-    noisy_quicksort,
-    noisy_mergesort,
-    noisy_insertion_sort,
-)
-from repro.applications.baselines.hungarian import noisy_hungarian_matching
-from repro.applications.baselines.ford_fulkerson import (
-    noisy_edmonds_karp,
-    edmonds_karp_reference,
-)
-from repro.applications.baselines.floyd_warshall import noisy_floyd_warshall
-from repro.applications.baselines.iir_direct import noisy_direct_form_filter
-
-__all__ = [
-    "noisy_comparison_sort",
-    "noisy_quicksort",
-    "noisy_mergesort",
-    "noisy_insertion_sort",
-    "noisy_hungarian_matching",
-    "noisy_edmonds_karp",
-    "edmonds_karp_reference",
-    "noisy_floyd_warshall",
-    "noisy_direct_form_filter",
-]

@@ -251,9 +251,10 @@ def baseline_max_flow(network: FlowNetwork, proc: StochasticProcessor) -> MaxFlo
     flow = np.asarray(
         [flow_matrix[u, v] for (u, v) in network.edges], dtype=np.float64
     )
-    # Not relative_error(value, exact): its norm squares the difference,
-    # which overflows to inf above ~1.3e154, and a 64-bit datapath's flipped
-    # exponent bit leaves finite flow values that large.
+    # Not relative_error(value, exact): for a scalar its norm is sqrt(d * d),
+    # and d * d goes subnormal below ~1.5e-154, where it loses bits, and
+    # reaches 0 below ~1.6e-162; abs(d) keeps them, so moving this score
+    # onto it is a value change of its own.
     if np.isfinite(value):
         error = abs(value - exact) / max(abs(exact), np.finfo(float).tiny)
     else:

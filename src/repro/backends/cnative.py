@@ -39,9 +39,9 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.backends.registry import BackendUnavailable, ComputeBackend, register_backend
+from repro.backends.registry import BackendUnavailable
 
-__all__ = ["CNATIVE"]
+__all__ = ["load", "version", "warmup"]
 
 _CDEF = """
 int64_t corrupt_array_f64(uintptr_t bg_addr, double *values, int64_t n,
@@ -445,12 +445,14 @@ def _ensure_lib() -> Tuple[object, object]:
     return _LIB
 
 
-def _warmup() -> float:
+def warmup() -> float:
+    """Compile or load the extension now; returns the seconds the first load took."""
     _ensure_lib()
     return _BUILD_SECONDS
 
 
-def _version() -> Optional[str]:
+def version() -> Optional[str]:
+    """The cffi version the extension is built with."""
     try:
         import cffi
 
@@ -708,7 +710,7 @@ def direct_form_filter(filt, u: np.ndarray, proc) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------- #
-# Registration
+# Kernel table (registered, and imported on first probe, by repro.backends)
 # --------------------------------------------------------------------------- #
 def _check_toolchain() -> None:
     try:
@@ -732,14 +734,7 @@ _KERNELS = {
 }
 
 
-def _load_cnative() -> Dict[str, Callable]:
+def load() -> Dict[str, Callable]:
+    """The kernel table; raises :class:`BackendUnavailable` without cffi or a compiler."""
     _check_toolchain()
     return dict(_KERNELS)
-
-
-#: The compiled tier: every kernel bit-identical to numpy.
-CNATIVE = register_backend(
-    ComputeBackend(
-        "cnative", load=_load_cnative, version=_version, warmup=_warmup
-    )
-)

@@ -11,21 +11,3 @@ The robust applications built on it live in :mod:`repro.applications`
 (``robust_sort``, ``robust_least_squares_cg``, ...), each next to its
 conventional baseline; :mod:`repro.metrics.quality` scores their outputs.
 """
-
-from repro.core.transform import RobustSolveConfig, solve_penalized_lp, to_penalty_form
-from repro.core.variants import (
-    VariantSpec,
-    get_variant,
-    list_variants,
-    sgd_options_for_variant,
-)
-
-__all__ = [
-    "RobustSolveConfig",
-    "solve_penalized_lp",
-    "to_penalty_form",
-    "VariantSpec",
-    "get_variant",
-    "list_variants",
-    "sgd_options_for_variant",
-]

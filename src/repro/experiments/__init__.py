@@ -53,86 +53,3 @@ tensorized trial backend (:mod:`repro.experiments.tensor`): it runs a whole
 functions that declare a batch implementation.  Completed figures can be
 cached on disk through :class:`~repro.experiments.cache.ResultCache`.
 """
-
-from repro.experiments.engine import ExperimentEngine, ProgressEvent
-from repro.experiments.executors import (
-    BatchedExecutor,
-    SerialExecutor,
-    VectorizedExecutor,
-    get_executor,
-    list_executors,
-)
-from repro.experiments.kernels import (
-    KernelSpec,
-    batch_implementation,
-    batchable,
-    get_kernel,
-    is_batchable,
-    kernel_names,
-    list_kernels,
-)
-from repro.experiments.cache import ResultCache, spec_hash
-from repro.experiments.results import FigureResult, SeriesResult
-from repro.experiments.scenarios import (
-    Scenario,
-    get_scenario,
-    list_scenarios,
-    scenario_series_name,
-    voltage_scenario,
-)
-from repro.experiments.sequential import (
-    ConfidenceTarget,
-    bootstrap_interval,
-    wilson_half_width,
-    wilson_interval,
-)
-from repro.experiments.spec import (
-    DEFAULT_FAULT_RATES,
-    SweepSpec,
-    TrialSpec,
-)
-from repro.experiments.reporting import format_figure, figure_to_rows, save_figure_report
-from repro.experiments import campaign
-from repro.experiments import figures
-from repro.experiments import kernels
-from repro.experiments import tensor
-
-__all__ = [
-    "ExperimentEngine",
-    "ProgressEvent",
-    "SweepSpec",
-    "TrialSpec",
-    "SerialExecutor",
-    "BatchedExecutor",
-    "VectorizedExecutor",
-    "KernelSpec",
-    "batchable",
-    "batch_implementation",
-    "is_batchable",
-    "get_kernel",
-    "kernel_names",
-    "list_kernels",
-    "get_executor",
-    "list_executors",
-    "ResultCache",
-    "spec_hash",
-    "FigureResult",
-    "SeriesResult",
-    "Scenario",
-    "get_scenario",
-    "list_scenarios",
-    "scenario_series_name",
-    "voltage_scenario",
-    "ConfidenceTarget",
-    "wilson_interval",
-    "wilson_half_width",
-    "bootstrap_interval",
-    "campaign",
-    "DEFAULT_FAULT_RATES",
-    "format_figure",
-    "figure_to_rows",
-    "save_figure_report",
-    "figures",
-    "kernels",
-    "tensor",
-]

@@ -45,68 +45,10 @@ from typing import Any, Callable, Dict, List, Mapping, Optional
 
 import numpy as np
 
-from repro.applications.eigen import robust_eigenpairs, robust_eigenpairs_batch
-from repro.applications.iir import (
-    baseline_iir_filter,
-    baseline_iir_filter_batch,
-    robust_iir_filter,
-    robust_iir_filter_batch,
-)
-from repro.applications.least_squares import (
-    baseline_least_squares,
-    baseline_svd_least_squares_batch,
-    default_least_squares_step,
-    robust_least_squares_cg,
-    robust_least_squares_cg_batch,
-    robust_least_squares_sgd,
-    robust_least_squares_sgd_batch,
-)
-from repro.applications.matching import (
-    baseline_matching,
-    default_matching_config,
-    matching_margin,
-    robust_matching,
-    robust_matching_batch,
-)
-from repro.applications.maxflow import (
-    baseline_max_flow,
-    default_maxflow_config,
-    robust_max_flow,
-    robust_max_flow_batch,
-)
-from repro.applications.shortest_path import (
-    baseline_all_pairs_shortest_path,
-    default_apsp_config,
-    robust_all_pairs_shortest_path,
-    robust_all_pairs_shortest_path_batch,
-)
-from repro.applications.sorting import (
-    baseline_sort,
-    default_sorting_config,
-    robust_sort,
-    robust_sort_batch,
-)
-from repro.applications.svm import (
-    default_svm_step,
-    robust_svm_train,
-    robust_svm_train_sgd,
-    robust_svm_train_sgd_batch,
-)
 from repro.core.variants import sgd_options_for_variant
 from repro.experiments.results import FigureResult, SeriesResult
 from repro.experiments.spec import DEFAULT_FAULT_RATES, SweepSpec, TrialFunction
-from repro.optimizers.conjugate_gradient import CGOptions
 from repro.processor.stochastic import StochasticProcessor
-from repro.workloads.generators import (
-    random_array,
-    random_bipartite_graph,
-    random_flow_network,
-    random_least_squares,
-    random_spd_matrix,
-    random_svm_data,
-    random_weighted_graph,
-)
-from repro.workloads.signals import random_stable_iir, sum_of_sinusoids
 
 __all__ = [
     "WORKLOAD_SEED",
@@ -241,9 +183,12 @@ def matching_workload(seed: int):
     ``_MATCHING_MIN_MARGIN`` over the best matching that avoids one of its
     edges.
     """
+    from repro.applications import matching
+    from repro.workloads.generators import random_bipartite_graph
+
     for offset in range(64):
         graph = random_bipartite_graph(5, 6, 30, rng=seed + offset)
-        if matching_margin(graph) >= _MATCHING_MIN_MARGIN:
+        if matching.matching_margin(graph) >= _MATCHING_MIN_MARGIN:
             return graph
     return random_bipartite_graph(5, 6, 30, rng=seed)
 
@@ -252,7 +197,11 @@ def matching_workload(seed: int):
 # Workload factories: one per workload.  Each builds its data from the seed
 # and maps the line-up it is given to batch-capable trial functions.  They
 # hold no defaults: KernelSpec.sweep_functions fills every parameter a caller
-# leaves out from the kernel's registration, its line-up included.
+# leaves out from the kernel's registration, its line-up included.  Each
+# imports its application and generator modules when it builds, so a process
+# loads only the applications its sweeps run, and its trials look the
+# application's functions up on the module when they run, so a rebinding of
+# a module attribute (a tracer's wrapper, and its removal) reaches them.
 # --------------------------------------------------------------------------- #
 _LineUp = Mapping[str, Any]
 
@@ -298,9 +247,11 @@ def _svd_baseline(A: np.ndarray, b: np.ndarray) -> TrialFunction:
     It batches through
     :func:`~repro.applications.least_squares.baseline_svd_least_squares_batch`.
     """
+    from repro.applications import least_squares
+
     return _trial_pair(
-        lambda proc, rng: baseline_least_squares(A, b, proc, method="svd"),
-        lambda procs, streams: baseline_svd_least_squares_batch(A, b, procs),
+        lambda proc, rng: least_squares.baseline_least_squares(A, b, proc, method="svd"),
+        lambda procs, streams: least_squares.baseline_svd_least_squares_batch(A, b, procs),
         attrgetter("relative_error"),
     )
 
@@ -312,18 +263,22 @@ def sorting_kernel(
 
     Robust series batch through :func:`~repro.applications.sorting.robust_sort_batch`.
     """
+    from repro.applications import sorting
+    from repro.workloads.generators import random_array
+
     values = random_array(array_size, rng=seed, min_gap=0.08)
 
     def base(proc: StochasticProcessor, rng: np.random.Generator) -> float:
-        return _success(baseline_sort(values, proc))
+        return _success(sorting.baseline_sort(values, proc))
 
     def robust(variant: str) -> TrialFunction:
         config = partial(
-            default_sorting_config, iterations=iterations, variant=variant, values=values
+            sorting.default_sorting_config, iterations=iterations, variant=variant,
+            values=values,
         )
         return _trial_pair(
-            lambda proc, rng: robust_sort(values, proc, config()),
-            lambda procs, streams: robust_sort_batch(values, procs, config()),
+            lambda proc, rng: sorting.robust_sort(values, proc, config()),
+            lambda procs, streams: sorting.robust_sort_batch(values, procs, config()),
             _success,
         )
 
@@ -338,16 +293,21 @@ def least_squares_kernel(
     Robust series batch through
     :func:`~repro.applications.least_squares.robust_least_squares_sgd_batch`.
     """
+    from repro.applications import least_squares
+    from repro.workloads.generators import random_least_squares
+
     A, b, _ = random_least_squares(shape[0], shape[1], rng=seed)
-    base_step = default_least_squares_step(A)
+    base_step = least_squares.default_least_squares_step(A)
 
     def robust(variant: str) -> TrialFunction:
         options = partial(
             sgd_options_for_variant, variant, iterations=iterations, base_step=base_step
         )
         return _trial_pair(
-            lambda proc, rng: robust_least_squares_sgd(A, b, proc, options=options()),
-            lambda procs, streams: robust_least_squares_sgd_batch(
+            lambda proc, rng: least_squares.robust_least_squares_sgd(
+                A, b, proc, options=options()
+            ),
+            lambda procs, streams: least_squares.robust_least_squares_sgd_batch(
                 A, b, procs, options=options()
             ),
             attrgetter("relative_error"),
@@ -368,11 +328,14 @@ def iir_kernel(
     :func:`~repro.applications.iir.baseline_iir_filter_batch`, every trial's
     recursion on one scalar-FPU batch.
     """
+    from repro.applications import iir
+    from repro.workloads.signals import random_stable_iir, sum_of_sinusoids
+
     filt = random_stable_iir(n_taps, rng=seed, pole_radius=0.8)
     signal = sum_of_sinusoids(signal_length)
     base = _trial_pair(
-        lambda proc, rng: baseline_iir_filter(filt, signal, proc),
-        lambda procs, streams: baseline_iir_filter_batch(filt, signal, procs),
+        lambda proc, rng: iir.baseline_iir_filter(filt, signal, proc),
+        lambda procs, streams: iir.baseline_iir_filter_batch(filt, signal, procs),
         attrgetter("error_to_signal"),
     )
 
@@ -381,8 +344,8 @@ def iir_kernel(
             sgd_options_for_variant, variant, iterations=iterations, base_step=0.25
         )
         return _trial_pair(
-            lambda proc, rng: robust_iir_filter(filt, signal, proc, options=options()),
-            lambda procs, streams: robust_iir_filter_batch(
+            lambda proc, rng: iir.robust_iir_filter(filt, signal, proc, options=options()),
+            lambda procs, streams: iir.robust_iir_filter_batch(
                 filt, signal, procs, options=options()
             ),
             attrgetter("error_to_signal"),
@@ -397,18 +360,21 @@ def matching_kernel(*, iterations: int, seed: int, series: _LineUp) -> Dict[str,
     Robust series batch through
     :func:`~repro.applications.matching.robust_matching_batch`.
     """
+    from repro.applications import matching
+
     graph = matching_workload(seed)
 
     def base(proc: StochasticProcessor, rng: np.random.Generator) -> float:
-        return _success(baseline_matching(graph, proc))
+        return _success(matching.baseline_matching(graph, proc))
 
     def robust(variant: str) -> TrialFunction:
         config = partial(
-            default_matching_config, iterations=iterations, variant=variant, graph=graph
+            matching.default_matching_config, iterations=iterations, variant=variant,
+            graph=graph,
         )
         return _trial_pair(
-            lambda proc, rng: robust_matching(graph, proc, config()),
-            lambda procs, streams: robust_matching_batch(graph, procs, config()),
+            lambda proc, rng: matching.robust_matching(graph, proc, config()),
+            lambda procs, streams: matching.robust_matching_batch(graph, procs, config()),
             _success,
         )
 
@@ -428,10 +394,16 @@ def cg_least_squares_kernel(
     (a masked-batch Jacobi solve); the QR and Cholesky baselines run per
     trial.
     """
+    from repro.applications import least_squares
+    from repro.optimizers.conjugate_gradient import CGOptions
+    from repro.workloads.generators import random_least_squares
+
     A, b, _ = random_least_squares(shape[0], shape[1], rng=seed)
 
     def _baseline(method: str) -> TrialFunction:
-        return lambda proc, rng: baseline_least_squares(A, b, proc, method=method).relative_error
+        return lambda proc, rng: least_squares.baseline_least_squares(
+            A, b, proc, method=method
+        ).relative_error
 
     options = partial(CGOptions, iterations=cg_iterations)
 
@@ -440,8 +412,10 @@ def cg_least_squares_kernel(
         "Base: SVD": _svd_baseline(A, b),
         "Base: Cholesky": _baseline("cholesky"),
         f"CG, N={cg_iterations}": _trial_pair(
-            lambda proc, rng: robust_least_squares_cg(A, b, proc, options=options()),
-            lambda procs, streams: robust_least_squares_cg_batch(
+            lambda proc, rng: least_squares.robust_least_squares_cg(
+                A, b, proc, options=options()
+            ),
+            lambda procs, streams: least_squares.robust_least_squares_cg_batch(
                 A, b, procs, options=options()
             ),
             attrgetter("relative_error"),
@@ -475,6 +449,9 @@ def eigen_kernel(
     :func:`~repro.applications.eigen.robust_eigenpairs_batch`.  The metric is
     the worst relative eigenvalue error over the ``k`` pairs (lower is better).
     """
+    from repro.applications import eigen
+    from repro.workloads.generators import random_spd_matrix
+
     M = random_spd_matrix(matrix_size, rng=seed, condition_number=condition_number)
 
     def _worst_error(pairs) -> float:
@@ -482,8 +459,10 @@ def eigen_kernel(
 
     def _make(k: int) -> TrialFunction:
         return _trial_pair(
-            lambda proc, rng: robust_eigenpairs(M, k, proc, iterations=iterations, rng=rng),
-            lambda procs, streams: robust_eigenpairs_batch(
+            lambda proc, rng: eigen.robust_eigenpairs(
+                M, k, proc, iterations=iterations, rng=rng
+            ),
+            lambda procs, streams: eigen.robust_eigenpairs_batch(
                 M, k, procs, iterations=iterations, rngs=streams
             ),
             _worst_error,
@@ -501,18 +480,22 @@ def maxflow_kernel(
     :func:`~repro.applications.maxflow.robust_max_flow_batch`.  The metric is
     the flow value's relative error against the exact maximum flow.
     """
+    from repro.applications import maxflow
+    from repro.workloads.generators import random_flow_network
+
     network = random_flow_network(n_nodes, n_edges, rng=seed)
 
     def base(proc: StochasticProcessor, rng: np.random.Generator) -> float:
-        return baseline_max_flow(network, proc).relative_error
+        return maxflow.baseline_max_flow(network, proc).relative_error
 
     def robust(variant: str) -> TrialFunction:
         config = partial(
-            default_maxflow_config, iterations=iterations, variant=variant, network=network
+            maxflow.default_maxflow_config, iterations=iterations, variant=variant,
+            network=network,
         )
         return _trial_pair(
-            lambda proc, rng: robust_max_flow(network, proc, config()),
-            lambda procs, streams: robust_max_flow_batch(network, procs, config()),
+            lambda proc, rng: maxflow.robust_max_flow(network, proc, config()),
+            lambda procs, streams: maxflow.robust_max_flow_batch(network, procs, config()),
             attrgetter("relative_error"),
         )
 
@@ -528,18 +511,24 @@ def apsp_kernel(
     :func:`~repro.applications.shortest_path.robust_all_pairs_shortest_path_batch`.
     The metric is the mean relative error against the exact distances.
     """
+    from repro.applications import shortest_path
+    from repro.workloads.generators import random_weighted_graph
+
     graph = random_weighted_graph(n_nodes, n_edges, rng=seed)
 
     def base(proc: StochasticProcessor, rng: np.random.Generator) -> float:
-        return baseline_all_pairs_shortest_path(graph, proc).mean_relative_error
+        return shortest_path.baseline_all_pairs_shortest_path(graph, proc).mean_relative_error
 
     def robust(variant: str) -> TrialFunction:
         config = partial(
-            default_apsp_config, iterations=iterations, variant=variant, graph=graph
+            shortest_path.default_apsp_config, iterations=iterations, variant=variant,
+            graph=graph,
         )
         return _trial_pair(
-            lambda proc, rng: robust_all_pairs_shortest_path(graph, proc, config()),
-            lambda procs, streams: robust_all_pairs_shortest_path_batch(
+            lambda proc, rng: shortest_path.robust_all_pairs_shortest_path(
+                graph, proc, config()
+            ),
+            lambda procs, streams: shortest_path.robust_all_pairs_shortest_path_batch(
                 graph, procs, config()
             ),
             attrgetter("mean_relative_error"),
@@ -557,11 +546,14 @@ def svm_kernel(
     The Pegasos baseline's data-dependent sampling has no batch tier; robust
     series batch through :func:`~repro.applications.svm.robust_svm_train_sgd_batch`.
     """
+    from repro.applications import svm
+    from repro.workloads.generators import random_svm_data
+
     X, y, _ = random_svm_data(n_samples, n_features, rng=seed)
-    base_step = default_svm_step(X, regularization)
+    base_step = svm.default_svm_step(X, regularization)
 
     def base(proc: StochasticProcessor, rng: np.random.Generator) -> float:
-        return robust_svm_train(
+        return svm.robust_svm_train(
             X, y, proc, iterations=iterations,
             regularization=regularization, rng=rng,
         ).train_accuracy
@@ -571,10 +563,10 @@ def svm_kernel(
             sgd_options_for_variant, variant, iterations=iterations, base_step=base_step
         )
         return _trial_pair(
-            lambda proc, rng: robust_svm_train_sgd(
+            lambda proc, rng: svm.robust_svm_train_sgd(
                 X, y, proc, options=options(), regularization=regularization
             ),
-            lambda procs, streams: robust_svm_train_sgd_batch(
+            lambda procs, streams: svm.robust_svm_train_sgd_batch(
                 X, y, procs, options=options(), regularization=regularization
             ),
             attrgetter("train_accuracy"),

@@ -23,46 +23,3 @@ Layers, from lowest to highest:
   the large sweeps in the benchmark harness.
 * :mod:`repro.faults.models` — named fault-model presets.
 """
-
-from repro.faults.bitflip import (
-    bit_width,
-    flip_bit_array,
-    flip_bit_scalar,
-    float_to_bits,
-    bits_to_float,
-    relative_error_magnitude,
-)
-from repro.faults.distribution import (
-    BitPositionDistribution,
-    EmulatedBitDistribution,
-    MeasuredBitDistribution,
-    UniformBitDistribution,
-    LowOrderBitDistribution,
-    total_variation_distance,
-)
-from repro.faults.injector import FaultInjector
-from repro.faults.fpu import StochasticFPU
-from repro.faults.models import FaultModel, get_fault_model, list_fault_models
-from repro.faults.vectorized import corrupt_array, effective_fault_probability
-
-__all__ = [
-    "bit_width",
-    "flip_bit_array",
-    "flip_bit_scalar",
-    "float_to_bits",
-    "bits_to_float",
-    "relative_error_magnitude",
-    "BitPositionDistribution",
-    "EmulatedBitDistribution",
-    "MeasuredBitDistribution",
-    "UniformBitDistribution",
-    "LowOrderBitDistribution",
-    "total_variation_distance",
-    "FaultInjector",
-    "StochasticFPU",
-    "FaultModel",
-    "get_fault_model",
-    "list_fault_models",
-    "corrupt_array",
-    "effective_fault_probability",
-]

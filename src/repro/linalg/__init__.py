@@ -10,46 +10,3 @@ The same noisy primitives (:mod:`repro.linalg.ops`) are used by the robust
 solvers to evaluate gradients, matching the paper's setting where the gradient
 computation is the noisy part and the control phase is reliable.
 """
-
-from repro.linalg.ops import (
-    noisy_add,
-    noisy_sub,
-    noisy_scale,
-    noisy_axpy,
-    noisy_dot,
-    noisy_matvec,
-    noisy_matmul,
-    noisy_norm2,
-    noisy_norm2_squared,
-    noisy_outer,
-    reliable_flop_count,
-)
-from repro.linalg.triangular import forward_substitution, back_substitution
-from repro.linalg.cholesky import cholesky_decompose, cholesky_least_squares
-from repro.linalg.qr import qr_decompose, qr_least_squares
-from repro.linalg.svd import jacobi_svd, svd_least_squares
-from repro.linalg.solve import least_squares_baseline, BASELINE_METHODS
-
-__all__ = [
-    "noisy_add",
-    "noisy_sub",
-    "noisy_scale",
-    "noisy_axpy",
-    "noisy_dot",
-    "noisy_matvec",
-    "noisy_matmul",
-    "noisy_norm2",
-    "noisy_norm2_squared",
-    "noisy_outer",
-    "reliable_flop_count",
-    "forward_substitution",
-    "back_substitution",
-    "cholesky_decompose",
-    "cholesky_least_squares",
-    "qr_decompose",
-    "qr_least_squares",
-    "jacobi_svd",
-    "svd_least_squares",
-    "least_squares_baseline",
-    "BASELINE_METHODS",
-]

@@ -72,14 +72,24 @@ def relative_error(actual: np.ndarray, reference: np.ndarray) -> float:
     """``||actual − reference|| / ||reference||`` with non-finite actuals → inf.
 
     The Figure 6.2/6.6 least-squares metric ("relative error w.r.t. ideal")
-    and the Figure 6.3 IIR error-to-signal ratio.
+    and the Figure 6.3 IIR error-to-signal ratio.  ``np.linalg.norm`` squares
+    without scaling, so a finite difference above ~1.34e154 overflows it to
+    inf (without a warning here); only then is the norm recomputed scaled by
+    ``max|difference|``, which leaves every value the plain norm gets right
+    as it was.
     """
     actual_arr = np.asarray(actual, dtype=np.float64)
     reference_arr = np.asarray(reference, dtype=np.float64)
     if not np.all(np.isfinite(actual_arr)):
         return float("inf")
     denominator = max(float(np.linalg.norm(reference_arr)), np.finfo(float).tiny)
-    return float(np.linalg.norm(actual_arr - reference_arr) / denominator)
+    difference = actual_arr - reference_arr
+    with np.errstate(over="ignore"):
+        error = np.linalg.norm(difference)
+    if np.isinf(error) and np.all(np.isfinite(difference)):
+        scale = np.max(np.abs(difference))
+        error = scale * np.linalg.norm(difference / scale)
+    return float(error / denominator)
 
 
 def mean_squared_error(actual: np.ndarray, reference: np.ndarray) -> float:

@@ -15,51 +15,3 @@ This subpackage is the computational back-end of application robustification:
 * :mod:`repro.optimizers.preconditioning` — QR-based preconditioning (§6.2.1).
 * :mod:`repro.optimizers.annealing` — penalty-parameter annealing (§6.2.4).
 """
-
-from repro.optimizers.base import IterationRecord, OptimizationResult
-from repro.optimizers.problem import (
-    UnconstrainedProblem,
-    LinearConstraints,
-    ConstrainedProblem,
-    QuadraticProblem,
-    LinearProgram,
-)
-from repro.optimizers.penalty import ExactPenaltyProblem, PenaltyKind
-from repro.optimizers.step_schedules import (
-    StepSchedule,
-    LinearDecaySchedule,
-    SqrtDecaySchedule,
-    ConstantSchedule,
-    AggressiveStepping,
-    make_schedule,
-)
-from repro.optimizers.annealing import PenaltyAnnealing
-from repro.optimizers.momentum import MomentumSmoother
-from repro.optimizers.preconditioning import QRPreconditioner
-from repro.optimizers.sgd import SGDOptions, stochastic_gradient_descent
-from repro.optimizers.conjugate_gradient import CGOptions, conjugate_gradient_least_squares
-
-__all__ = [
-    "IterationRecord",
-    "OptimizationResult",
-    "UnconstrainedProblem",
-    "LinearConstraints",
-    "ConstrainedProblem",
-    "QuadraticProblem",
-    "LinearProgram",
-    "ExactPenaltyProblem",
-    "PenaltyKind",
-    "StepSchedule",
-    "LinearDecaySchedule",
-    "SqrtDecaySchedule",
-    "ConstantSchedule",
-    "AggressiveStepping",
-    "make_schedule",
-    "PenaltyAnnealing",
-    "MomentumSmoother",
-    "QRPreconditioner",
-    "SGDOptions",
-    "stochastic_gradient_descent",
-    "CGOptions",
-    "conjugate_gradient_least_squares",
-]

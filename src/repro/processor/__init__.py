@@ -15,15 +15,3 @@ This subpackage models the voltage-overscaled processor of the paper:
   rng=...)`` is the one way to build one; a named operating point is a
   :class:`~repro.experiments.scenarios.Scenario`.
 """
-
-from repro.processor.voltage import VoltageErrorModel, NOMINAL_VOLTAGE, MIN_VOLTAGE
-from repro.processor.energy import EnergyModel
-from repro.processor.stochastic import StochasticProcessor
-
-__all__ = [
-    "VoltageErrorModel",
-    "EnergyModel",
-    "StochasticProcessor",
-    "NOMINAL_VOLTAGE",
-    "MIN_VOLTAGE",
-]

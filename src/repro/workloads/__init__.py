@@ -6,37 +6,3 @@ IIR filter over 500 samples).  This subpackage generates random instances of
 those shapes — and larger ones for scaling studies — from seeded random
 generators so that every experiment is reproducible.
 """
-
-from repro.workloads.graphs import BipartiteGraph, FlowNetwork, WeightedGraph
-from repro.workloads.generators import (
-    random_array,
-    random_least_squares,
-    random_bipartite_graph,
-    random_flow_network,
-    random_weighted_graph,
-    random_spd_matrix,
-    random_svm_data,
-)
-from repro.workloads.signals import (
-    sum_of_sinusoids,
-    white_noise,
-    chirp_signal,
-    random_stable_iir,
-)
-
-__all__ = [
-    "BipartiteGraph",
-    "FlowNetwork",
-    "WeightedGraph",
-    "random_array",
-    "random_least_squares",
-    "random_bipartite_graph",
-    "random_flow_network",
-    "random_weighted_graph",
-    "random_spd_matrix",
-    "random_svm_data",
-    "sum_of_sinusoids",
-    "white_noise",
-    "chirp_signal",
-    "random_stable_iir",
-]

@@ -1,6 +1,10 @@
 """Shared fixtures and Hypothesis settings profiles for the test suite."""
 
 import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +50,22 @@ requires_cnative = pytest.mark.skipif(
     not get_backend("cnative").available(),
     reason=f"cnative backend unavailable: {get_backend('cnative').unavailable_reason}",
 )
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_fresh(script: str, **env: str) -> str:
+    """The last stdout line of ``script`` run in a fresh interpreter on ``src/``."""
+    result = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC), **env),
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip().splitlines()[-1]
 
 
 @pytest.fixture

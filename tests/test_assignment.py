@@ -2,26 +2,22 @@
 
 ``repro.applications.assignment.linear_sum_assignment`` is a port of
 SciPy's shortest augmenting path solver; SciPy is imported here as the
-reference only.  A fresh-interpreter test pins that building and running
+reference only.  Fresh-interpreter tests pin that building and running
 the combinatorial kernels, a vectorized sweep cell and a serial-pool
-campaign loads no SciPy module, nor any other module such a run never uses.
+campaign loads no SciPy module, nor any other module such a run never uses,
+and that a sorting-only run loads no other application.
 """
 
-import os
-import subprocess
-import sys
 import textwrap
-from pathlib import Path
 
 import numpy as np
+from conftest import run_fresh
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import linear_sum_assignment as scipy_assignment
 
 from repro.applications.assignment import linear_sum_assignment
-
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @st.composite
@@ -121,13 +117,47 @@ COLD_START = textwrap.dedent(
 
 
 def test_cold_start_loads_only_what_it_runs():
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    result = subprocess.run(
-        [sys.executable, "-c", COLD_START],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
+    assert run_fresh(COLD_START) == "[]"
+
+
+SORTING_ONLY = textwrap.dedent(
+    """
+    import sys
+    import tempfile
+
+    from repro.experiments.campaign import CampaignRunner, ShardPlanner
+    from repro.experiments.engine import ExperimentEngine
+    from repro.experiments.kernels import get_kernel
+    from repro.experiments.spec import SweepSpec
+
+    functions = get_kernel("sorting").sweep_functions(iterations=40)
+    cell = {"SGD+AS,SQS": functions["SGD+AS,SQS"]}
+    ExperimentEngine("vectorized").run_sweep(
+        SweepSpec(cell, fault_rates=(0.01,), trials=2, seed=1)
     )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip().splitlines()[-1] == "[]"
+    with tempfile.TemporaryDirectory() as store:
+        runner = CampaignRunner(store, planner=ShardPlanner("cell"), pool="serial")
+        runner.submit(SweepSpec(cell, fault_rates=(0.0, 0.01), trials=2, seed=1)).run()
+    unused = [
+        "repro.backends.cnative",
+        *(f"repro.applications.{name}" for name in (
+            "iir", "least_squares", "eigen", "maxflow", "shortest_path", "svm",
+        )),
+        "repro.linalg.svd",
+        "repro.linalg.qr",
+        "repro.linalg.cholesky",
+        "repro.optimizers.conjugate_gradient",
+        "repro.experiments.figures",
+        "repro.experiments.reporting",
+        *(f"repro.applications.baselines.{name}" for name in (
+            "hungarian", "ford_fulkerson", "floyd_warshall",
+        )),
+    ]
+    print(sorted(name for name in unused if name in sys.modules))
+    """
+)
+
+
+def test_sorting_run_loads_no_other_application():
+    # On the numpy tier: a REPRO_BACKEND=cnative run rightly loads cnative.
+    assert run_fresh(SORTING_ONLY, REPRO_BACKEND="numpy") == "[]"

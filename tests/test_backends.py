@@ -17,7 +17,7 @@ equivalence suite on the compiled kernels.
 
 import numpy as np
 import pytest
-from conftest import requires_cnative
+from conftest import requires_cnative, run_fresh
 
 from repro.backends import (
     DEFAULT_BACKEND,
@@ -115,6 +115,22 @@ class TestRegistryContracts:
         assert dict(numpy_tier.kernels()) == {}
         assert "numpy" in available_backends()
         assert numpy_tier.warmup() == 0.0
+
+    def test_cnative_is_registered_but_loaded_on_first_probe(self):
+        loaded = run_fresh("""
+            import sys
+            from repro.backends import get_backend, list_backends
+            assert "cnative" in list_backends()
+            before = "repro.backends.cnative" in sys.modules
+            get_backend("cnative").available()
+            print(before, "repro.backends.cnative" in sys.modules)
+        """)
+        assert loaded == "False True"
+
+    @requires_cnative
+    def test_env_var_selects_cnative(self):
+        script = "from repro.backends import active_backend; print(active_backend().name)"
+        assert run_fresh(script, REPRO_BACKEND="cnative") == "cnative"
 
     @requires_cnative
     def test_cnative_table_tiers(self):

@@ -9,6 +9,7 @@ import repro
 from repro.applications.least_squares import baseline_least_squares, robust_least_squares_cg
 from repro.applications.sorting import baseline_sort, default_sorting_config, robust_sort
 from repro.core.transform import RobustSolveConfig, solve_penalized_lp
+from repro.core.variants import list_variants
 from repro.optimizers.penalty import PenaltyKind
 from repro.optimizers.problem import LinearConstraints, LinearProgram
 from repro.processor.stochastic import StochasticProcessor
@@ -18,7 +19,7 @@ from repro.workloads.generators import random_least_squares
 class TestPublicAPI:
     def test_top_level_exports(self):
         assert repro.__version__
-        assert "ALL" in repro.list_variants()
+        assert "ALL" in list_variants()
 
     def test_quickstart_flow(self):
         proc = repro.StochasticProcessor(fault_rate=0.02, rng=0)

@@ -5,7 +5,8 @@ CI trusts these scripts to turn red at the right moment:
 ``scripts/check_bench_regression.py`` (same-host bench A/B),
 ``scripts/run_campaign.py`` (sharded campaigns: bit-identity, kill+resume),
 ``scripts/run_search.py`` (search drivers: grid agreement, memoized
-resume), and ``scripts/prune_cache.py`` (store retention).  These tests pin the
+resume), ``scripts/prune_cache.py`` (store retention) and
+``scripts/check_docs.py`` (imports in the docs' code).  These tests pin the
 contract — a regression or mismatch yields a nonzero exit that *names the
 offense*, a clean run yields zero, deliberate campaign aborts yield the
 distinct code 3 — by driving the scripts' ``main()`` directly (tiny grids
@@ -730,3 +731,28 @@ class TestPruneCache:
             [str(tmp_path), "--max-bytes", "0", "--prune-manifests"]
         ) == 0
         assert not manifest.exists()
+
+
+@pytest.fixture(scope="module")
+def docs_check():
+    return load_script("check_docs")
+
+
+class TestCheckDocs:
+    def test_unresolved_imports_are_findings(self, docs_check, tmp_path):
+        doc = tmp_path / "bad.md"
+        doc.write_text(
+            "Prose.\n\n```python\nfrom repro.experiments.spec import SweepSpec\n"
+            "from repro.experiments import ExperimentEngine\nimport repro.no_such_module\n```\n"
+        )
+        problems = docs_check.check_imports(doc)
+        assert len(problems) == 2
+        assert "bad.md:3: repro.experiments has no 'ExperimentEngine'" in problems[0]
+        assert "cannot import repro.no_such_module" in problems[1]
+
+    def test_shipped_docs_resolve(self, docs_check):
+        assert [
+            problem
+            for path in docs_check.documentation_files()
+            for problem in docs_check.check_imports(path)
+        ] == []

@@ -172,6 +172,11 @@ class TestQualityMetrics:
         assert relative_error(np.ones(3), np.ones(3)) == 0.0
         assert relative_error(np.array([np.nan]), np.ones(1)) == float("inf")
         assert relative_error(2 * np.ones(4), np.ones(4)) == pytest.approx(1.0)
+        # A finite difference whose square overflows keeps its value.
+        assert relative_error(np.array([1e200]), np.ones(1)) == 1e200
+        assert relative_error(-3e160, 1.0) == (3e160 + 1.0) / 1.0
+        huge = relative_error(np.array([3e160, 4e160]), np.ones(2))
+        assert huge == pytest.approx(5e160 / np.sqrt(2.0))
 
     def test_error_to_signal_and_mse(self):
         y = np.array([1.0, 2.0])
